@@ -38,6 +38,8 @@ class EpisodeStats:
     @classmethod
     def from_returns(cls, returns):
         returns = [float(r) for r in returns]
+        if not returns:
+            raise ValueError("episode statistics need at least one episode")
         return cls(returns=returns, max=max(returns),
                    mean=sum(returns) / len(returns), n_episodes=len(returns))
 
@@ -84,7 +86,7 @@ def _check_weights_match(weights, config):
 
 
 def evaluate(weights, config, env_spec, episodes, mask_transform="identity",
-             seed=0, greedy=True, value_mask_transform=None):
+             seed=0, greedy=True):
     """Score over full episodes; the mask transform rides along every forward."""
     weights = _as_tensors(weights)
     _check_weights_match(weights, config)
@@ -99,8 +101,7 @@ def evaluate(weights, config, env_spec, episodes, mask_transform="identity",
         state = RecurrentState.zeros(config, dtype)
         while not env.done:
             trace = forward(env.observe(), state, weights, config,
-                            mask_transform=mask_transform,
-                            value_mask_transform=value_mask_transform)
+                            mask_transform=mask_transform)
             probs = trace.policy.data
             action = int(np.argmax(probs)) if greedy else sample_action(probs, rng)
             env.step(action)

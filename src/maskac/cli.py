@@ -19,7 +19,7 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .envs import ENV_NAMES, EnvSpec, InjectionSpec, default_episode_cap
 from .netpbm import read_pgm
 from .network import NetworkConfig
-from .training import Hyperparams, train
+from .training import Hyperparams, train, worker_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -166,6 +166,7 @@ class ResolvedConfig:
                 episode_step_cap=_as_int(raw, "episode_step_cap"),
                 rmsprop_decay=_as_float(raw, "rmsprop_decay"),
                 rmsprop_eps=_as_float(raw, "rmsprop_eps"))
+            worker_count(self.hyper.n_workers)  # rejects a malformed MASKAC_THREADS
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         self.precision = raw["precision"]
@@ -178,6 +179,8 @@ class ResolvedConfig:
         self.out_dir = raw["out_dir"]
         self.checkpoint_interval = _as_int(raw, "checkpoint_interval")
         self.eval_episodes = _as_int(raw, "eval_episodes")
+        if self.eval_episodes < 1:
+            raise ConfigError(f"eval_episodes must be at least 1, got {self.eval_episodes}")
         self.raw["episode_cap"] = str(episode_cap)
 
     def resolved_text(self):
@@ -353,6 +356,16 @@ class _Parser(argparse.ArgumentParser):
         raise ArgumentProblem(message)
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _add_env_flags(p):
     p.add_argument("--env", default="catch", choices=ENV_NAMES)
     p.add_argument("--size", type=int, default=20)
@@ -371,7 +384,7 @@ def build_parser():
 
     p = sub.add_parser("eval", help="score a checkpoint over full episodes")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--episodes", type=int, default=100)
+    p.add_argument("--episodes", type=_positive_int, default=100)
     p.add_argument("--mask", default="normal", choices=sorted(MASK_MODES))
     p.add_argument("--greedy", action="store_true")
     p.add_argument("--out", default=None, help="per-episode CSV path")
@@ -405,7 +418,7 @@ def build_parser():
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("random-baseline", help="score the uniform-random policy")
-    p.add_argument("--episodes", type=int, default=10000)
+    p.add_argument("--episodes", type=_positive_int, default=10000)
     p.add_argument("--out", default=None, help="per-episode CSV path")
     _add_env_flags(p)
     p.set_defaults(func=cmd_random_baseline)

@@ -86,9 +86,12 @@ class RecurrentState:
 
 @dataclass
 class ForwardTrace:
-    """Everything one forward pass produced, graph references included."""
+    """Everything one forward pass produced, graph references included.
 
-    f_fe: Tensor
+    From ``forward_segment`` every tensor carries a leading time axis and
+    ``next_state`` is None.
+    """
+
     f_p: Tensor
     f_v: Tensor
     f_p_masked: Tensor
@@ -182,10 +185,10 @@ def init_weights(config, seed, dtype=np.float32):
 
 
 def feature_extract(obs, w, config):
-    """Three conv+ReLU stages mapping [1,H,W] pixels to the recurrent input."""
-    if obs.shape != (1, config.input_hw, config.input_hw):
+    """Three conv+ReLU stages mapping [1,H,W] pixels, or a [T,1,H,W] batch, to the LSTM input."""
+    if obs.data.ndim not in (3, 4) or obs.shape[-3:] != (1, config.input_hw, config.input_hw):
         raise ad.ShapeError(
-            f"observation shape {obs.shape} != (1, {config.input_hw}, {config.input_hw})")
+            f"observation shape {obs.shape} != ([T,] 1, {config.input_hw}, {config.input_hw})")
     x = obs
     for i in (1, 2, 3):
         x = ad.relu(ad.conv2d(x, w[f"fe{i}.w"], w[f"fe{i}.b"],
@@ -243,7 +246,7 @@ def _branch(h, w, config, branch, transform, dtype):
     if not enabled:
         return f, None, f
     if transform == "ones":
-        m = Tensor(np.ones((1,) + f.shape[1:], dtype=dtype))
+        m = Tensor(np.ones(f.shape[:-3] + (1,) + f.shape[-2:], dtype=dtype))
     else:
         m = compute_mask(h, w, branch)
         if transform == "inverse":
@@ -251,23 +254,32 @@ def _branch(h, w, config, branch, transform, dtype):
     return f, m, apply_mask(f, m)
 
 
-def forward(obs, state, w, config, mask_transform="identity", value_mask_transform=None):
+def _heads(h, next_state, w, config, mask_transform, dtype):
+    """Masked branches and output heads over one ConvLSTM output [L,H,W] or a [T,L,H,W] sequence."""
+    value_transform = "ones" if mask_transform == "ones" else "identity"
+    f_p, m_p, f_p_masked = _branch(h, w, config, "policy", mask_transform, dtype)
+    f_v, m_v, f_v_masked = _branch(h, w, config, "value", value_transform, dtype)
+
+    flat = f_p_masked.shape[:-3] + (-1,)
+    logits = ad.dense(ad.reshape(f_p_masked, flat), w["policy_out.w"], w["policy_out.b"])
+    policy = ad.softmax(logits)
+    value = ad.dense(ad.reshape(f_v_masked, flat), w["value_out.w"], w["value_out.b"])
+
+    return ForwardTrace(f_p=f_p, f_v=f_v, f_p_masked=f_p_masked, f_v_masked=f_v_masked,
+                        policy=policy, policy_logits=logits, value=value,
+                        next_state=next_state, m_p=m_p, m_v=m_v)
+
+
+def forward(obs, state, w, config, mask_transform="identity"):
     """Full pass: extractor -> ConvLSTM -> masked branches -> (policy, value).
 
     ``mask_transform`` drives the policy mask: "identity" uses the mask
     as computed, "inverse" applies gaze inversion, "ones" ablates the
     attention mechanism entirely (both branches), making a masked variant
     compute exactly what the vanilla one would with shared weights.
-    ``value_mask_transform`` overrides the value-branch treatment for
-    exploratory runs; by default the value mask is ablated under "ones"
-    and left as computed otherwise.
     """
     if mask_transform not in MASK_TRANSFORMS:
         raise ValueError(f"mask_transform must be one of {MASK_TRANSFORMS}")
-    if value_mask_transform is None:
-        value_mask_transform = "ones" if mask_transform == "ones" else "identity"
-    if value_mask_transform not in MASK_TRANSFORMS:
-        raise ValueError(f"value_mask_transform must be one of {MASK_TRANSFORMS}")
 
     dtype = w["fe1.w"].dtype
     if not isinstance(obs, Tensor):
@@ -275,18 +287,21 @@ def forward(obs, state, w, config, mask_transform="identity", value_mask_transfo
     if obs.data.ndim == 2:
         obs = Tensor(obs.data[None, :, :])
 
-    f_fe = feature_extract(obs, w, config)
-    h, next_state = convlstm_step(f_fe, state, w)
+    h, next_state = convlstm_step(feature_extract(obs, w, config), state, w)
+    return _heads(h, next_state, w, config, mask_transform, dtype)
 
-    f_p, m_p, f_p_masked = _branch(h, w, config, "policy", mask_transform, dtype)
-    f_v, m_v, f_v_masked = _branch(h, w, config, "value", value_mask_transform, dtype)
 
-    flat = int(np.prod(f_p_masked.shape))
-    logits = ad.dense(ad.reshape(f_p_masked, (flat,)), w["policy_out.w"], w["policy_out.b"])
-    policy = ad.softmax(logits)
-    value = ad.dense(ad.reshape(f_v_masked, (flat,)), w["value_out.w"], w["value_out.b"])
+def forward_segment(obs, state, w, config):
+    """``forward`` over a whole rollout segment at once, for the learner.
 
-    return ForwardTrace(f_fe=f_fe, f_p=f_p, f_v=f_v,
-                        f_p_masked=f_p_masked, f_v_masked=f_v_masked,
-                        policy=policy, policy_logits=logits, value=value,
-                        next_state=next_state, m_p=m_p, m_v=m_v)
+    ``obs`` is the segment's [T,H,W] observations and ``state`` the
+    recurrent state before its first step, taken as a constant: gradients
+    flow through time inside the segment and stop at its start.  Every
+    layer runs as one op over the time axis except the recurrence, which
+    is the fused ``autodiff.convlstm``.  Masks are used as computed.
+    """
+    dtype = w["fe1.w"].dtype
+    obs = Tensor(np.asarray(obs, dtype=dtype)[:, None])
+    x = feature_extract(obs, w, config)
+    h = ad.convlstm(x, w["lstm.w"], w["lstm.b"], state.h.data, state.c.data)
+    return _heads(h, None, w, config, "identity", dtype)

@@ -6,6 +6,12 @@ actor-critic loss through the segment (truncated through time at the
 segment boundary), and applies the clipped gradients to the shared
 store under a coarse lock.  Workers never barrier-synchronize; the
 global step counter is the only coupling.
+
+The rollout builds no graph: it keeps the observations, actions,
+rewards, values and action probabilities, plus the recurrent state the
+segment started from.  The learner then recomputes the segment once
+with ``forward_segment``, every layer batched over the time axis, and
+backpropagates that single graph.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .envs import make_env
-from .network import RecurrentState, forward, init_weights
+from .network import RecurrentState, forward, forward_segment, init_weights
 
 
 @dataclass
@@ -52,14 +58,17 @@ class RolloutStep:
     reward: float
     value: float
     log_prob: float
-    trace: object
+    probs: np.ndarray
 
 
 @dataclass
 class Rollout:
+    """One segment; ``start_state`` is the recurrent state before its first step."""
+
     steps: list
     bootstrap_value: float
     terminal: bool
+    start_state: RecurrentState | None = None
 
     def __len__(self):
         return len(self.steps)
@@ -73,39 +82,39 @@ def sample_action(probs, rng):
 
 
 def collect_rollout(env, weights, config, state, t_max, rng):
-    """Run up to t_max policy steps; stop early on episode end.
+    """Run up to t_max policy steps without a graph; stop early on episode end.
 
-    The recurrent state stays attached within the segment (gradients flow
-    through time across it) and is detached at the boundary.  On a
-    terminal step the state resets to zeros and bootstrap_value is 0;
-    otherwise the value of the successor state seeds the return.
+    On a terminal step the returned state resets to zeros and
+    bootstrap_value is 0; otherwise the value of the successor state
+    seeds the return.
     """
+    dtype = weights["fe1.w"].dtype
+    frozen = {k: Tensor(t.data) for k, t in weights.items()}   # no requires_grad: no graph
     if env.done:
         env.reset()
-        state = RecurrentState.zeros(config, weights["fe1.w"].dtype)
+        state = RecurrentState.zeros(config, dtype)
+    start = state
     steps = []
     terminal = False
     for _ in range(t_max):
         obs = env.observe()
-        trace = forward(obs, state, weights, config)
+        trace = forward(obs, state, frozen, config)
         probs = trace.policy.data
         action = sample_action(probs, rng)
         res = env.step(action)
         steps.append(RolloutStep(obs=obs, action=action, reward=res.reward,
                                  value=trace.value_scalar,
-                                 log_prob=float(np.log(probs[action])),
-                                 trace=trace))
+                                 log_prob=float(np.log(probs[action])), probs=probs))
         state = trace.next_state
         if res.done:
             terminal = True
-            state = RecurrentState.zeros(config, weights["fe1.w"].dtype)
+            state = RecurrentState.zeros(config, dtype)
             break
     if terminal:
         bootstrap = 0.0
     else:
-        tail = forward(env.observe(), state.detach(), weights, config)
-        bootstrap = tail.value_scalar
-    return Rollout(steps, bootstrap, terminal), state.detach()
+        bootstrap = forward(env.observe(), state, frozen, config).value_scalar
+    return Rollout(steps, bootstrap, terminal, start), state
 
 
 def compute_returns(rollout, gamma):
@@ -120,25 +129,29 @@ def compute_returns(rollout, gamma):
     return returns, advantages
 
 
-def a3c_loss(rollout, returns, advantages, entropy_coef, value_coef):
+def a3c_loss(rollout, weights, config, returns, advantages, entropy_coef, value_coef):
     """Sum over the segment of policy, value, and entropy terms.
 
+    Recomputes the segment with a graph through ``forward_segment``.
     Advantages and returns enter as constants: the policy term pushes
     log-probabilities only, the value term pushes the critic only.
     """
-    if not (len(rollout.steps) == len(returns) == len(advantages)):
+    n = len(rollout.steps)
+    if not (n == len(returns) == len(advantages)):
         raise ValueError("rollout, returns and advantages must have equal length")
-    total = None
-    for step, ret, adv in zip(rollout.steps, returns, advantages):
-        logp = ad.log_softmax(step.trace.policy_logits)
-        picked = ad.pick(logp, step.action)
-        entropy = ad.neg(ad.sum_all(ad.mul(step.trace.policy, logp)))
-        verr = ad.add(ad.neg(ad.pick(step.trace.value, 0)), float(ret))
-        term = ad.add(ad.mul(picked, -float(adv)),
-                      ad.add(ad.mul(ad.mul(verr, verr), float(value_coef)),
-                             ad.mul(entropy, -float(entropy_coef))))
-        total = term if total is None else ad.add(total, term)
-    return total
+    trace = forward_segment(np.stack([s.obs for s in rollout.steps]), rollout.start_state,
+                            weights, config)
+    logits = trace.policy_logits                                  # [T, K]
+    logp = ad.log_softmax(logits)
+    dtype = logits.dtype
+    weighted = np.zeros(logits.shape, dtype=dtype)   # -A_t at the action taken
+    weighted[np.arange(n), [s.action for s in rollout.steps]] = -np.asarray(advantages)
+    policy_term = ad.sum_all(ad.mul(logp, weighted))
+    verr = ad.add(ad.neg(ad.reshape(trace.value, (n,))), np.asarray(returns, dtype=dtype))
+    value_term = ad.sum_all(ad.mul(verr, verr))
+    neg_entropy = ad.sum_all(ad.mul(trace.policy, logp))
+    return ad.add(policy_term, ad.add(ad.mul(value_term, float(value_coef)),
+                                      ad.mul(neg_entropy, float(entropy_coef))))
 
 
 def loss_components(rollout, returns, advantages):
@@ -148,8 +161,7 @@ def loss_components(rollout, returns, advantages):
     value_loss = sum((r - s.value) ** 2 for s, r in zip(rollout.steps, returns)) / t
     entropy = 0.0
     for s in rollout.steps:
-        p = s.trace.policy.data
-        nz = p[p > 0]
+        nz = s.probs[s.probs > 0]
         entropy += float(-(nz * np.log(nz)).sum())
     return policy_loss, value_loss, entropy / t
 
@@ -252,20 +264,20 @@ class MetricsWriter:
 
 
 def worker_count(requested):
-    """Requested worker threads, capped by the MASKAC_THREADS variable if set."""
+    """Requested worker threads, capped by the MASKAC_THREADS variable if set.
+
+    Raises ValueError naming the variable when it is not a positive integer.
+    """
     cap = os.environ.get("MASKAC_THREADS")
-    if cap:
-        return max(1, min(requested, int(cap)))
-    return requested
-
-
-def _limit_blas_threads():
-    """Pin BLAS pools to one thread; the matrices here are far too small to split."""
+    if not cap:
+        return requested
     try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(1)
-    except ImportError:
-        pass
+        limit = int(cap)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"MASKAC_THREADS must be a positive integer, got {cap!r}")
+    return min(requested, limit)
 
 
 # Workers hand off whole rollout+update cycles instead of interleaving at
@@ -299,7 +311,7 @@ def _worker_loop(worker_id, shared, config, hyper, env_spec, seed, metrics, stop
                                                  hyper.t_max, rng)
                 episode_return = env.score if rollout.terminal else None
                 returns, advantages = compute_returns(rollout, hyper.gamma)
-                loss = a3c_loss(rollout, returns, advantages,
+                loss = a3c_loss(rollout, weights, config, returns, advantages,
                                 hyper.entropy_coef, hyper.value_coef)
                 ad.backward(loss)
                 grads = {k: t.grad for k, t in weights.items() if t.grad is not None}
@@ -334,11 +346,10 @@ def train(config, hyper, env_spec, seed, out_dir, precision="single",
     if precision not in ("single", "double"):
         raise ValueError("precision must be 'single' or 'double'")
     dtype = np.float64 if precision == "double" else np.float32
-    _limit_blas_threads()
+    n_workers = worker_count(hyper.n_workers)
     os.makedirs(out_dir, exist_ok=True)
 
     shared = SharedParams(init_weights(config, seed, dtype))
-    n_workers = worker_count(hyper.n_workers)
 
     def save_snapshot(values, step):
         save_checkpoint(values, config, os.path.join(out_dir, f"ckpt_{step}.ma3c"))

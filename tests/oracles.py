@@ -7,6 +7,9 @@ it checks.
 
 import numpy as np
 
+from maskac import autodiff as ad
+from maskac.network import forward
+
 
 def conv2d_oracle(x, k, b, stride, padding):
     """Direct six-nested-loop convolution."""
@@ -105,3 +108,27 @@ def catch_random_expectation(size=20, paddle_half=3):
             total += 2.0 * p_catch - 1.0
             n_cases += 1
     return total / n_cases
+
+
+def per_step_a3c_loss(rollout, weights, config, returns, advantages, entropy_coef, value_coef):
+    """The segment's actor-critic loss built one step at a time.
+
+    One graph-building ``forward`` per step, carrying the recurrent state
+    with its graph from the segment's start state, then per-step policy,
+    value and entropy terms added up one by one.  The batched learner
+    must produce the same gradients.
+    """
+    state = rollout.start_state
+    total = None
+    for step, ret, adv in zip(rollout.steps, returns, advantages):
+        trace = forward(step.obs, state, weights, config)
+        state = trace.next_state
+        logp = ad.log_softmax(trace.policy_logits)
+        picked = ad.pick(logp, step.action)
+        entropy = ad.neg(ad.sum_all(ad.mul(trace.policy, logp)))
+        verr = ad.add(ad.neg(ad.pick(trace.value, 0)), float(ret))
+        term = ad.add(ad.mul(picked, -float(adv)),
+                      ad.add(ad.mul(ad.mul(verr, verr), float(value_coef)),
+                             ad.mul(entropy, -float(entropy_coef))))
+        total = term if total is None else ad.add(total, term)
+    return total

@@ -73,6 +73,26 @@ def test_conv2d_errors():
         ad.conv2d(x, t64(np.zeros((3, 2, 9, 9))), b)  # kernel larger than padded input
 
 
+def test_conv2d_batch_equals_per_sample_loop():
+    rng = np.random.default_rng(30)
+    for c_in, hw, stride, padding in ((1, 7, 2, 1), (3, 5, 1, 1), (2, 6, 2, 0), (4, 3, 1, 0)):
+        x = rng.normal(size=(3, c_in, hw, hw))
+        k = rng.normal(size=(5, c_in, 3, 3))
+        b = rng.normal(size=5)
+        xb, kb, bb = t64(x, rg=True), t64(k, rg=True), t64(b, rg=True)
+        yb = ad.conv2d(xb, kb, bb, stride=stride, padding=padding)
+        r = rng.normal(size=yb.shape)
+        ad.backward(ad.sum_all(ad.mul(yb, t64(r))))
+        xs, ks, bs = [t64(xi, rg=True) for xi in x], t64(k, rg=True), t64(b, rg=True)
+        for n in range(3):
+            y = ad.conv2d(xs[n], ks, bs, stride=stride, padding=padding)
+            np.testing.assert_allclose(yb.data[n], y.data, rtol=0, atol=1e-12)
+            ad.backward(ad.sum_all(ad.mul(y, t64(r[n]))))
+            np.testing.assert_allclose(xb.grad[n], xs[n].grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(kb.grad, ks.grad, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(bb.grad, bs.grad, rtol=0, atol=1e-11)
+
+
 # ---------------------------------------------------------------------------
 # dense
 
@@ -220,6 +240,18 @@ def test_backward_rejects_non_scalar_and_reuse():
         ad.backward(loss)
 
 
+def test_backward_rejects_graph_sharing_a_consumed_node():
+    # interior nodes release their closures once traversed, so a second
+    # loss built on them must fail loudly instead of dropping gradient
+    x = t64([1.0, 2.0], rg=True)
+    y = ad.mul(x, x)
+    ad.backward(ad.sum_all(y))
+    with pytest.raises(ad.GraphError):
+        ad.backward(ad.sum_all(y))
+    ad.backward(ad.sum_all(ad.mul(x, x)))      # a fresh graph on the same leaf is fine
+    np.testing.assert_allclose(x.grad, 4 * x.data, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # gradient checks: every operator against central finite differences
 
@@ -254,6 +286,56 @@ def test_grad_conv2d():
     c = t64(np.asarray(np.random.default_rng(0).normal(size=(3, 3, 3))))
     _check(lambda p: ad.sum_all(ad.mul(ad.conv2d(p["x"], p["k"], p["b"], stride=2, padding=1), c)),
            params)
+
+
+def test_grad_convlstm_sequence_extended_precision():
+    # the hand-written BPTT against central differences; grads must stay
+    # in the working dtype (col2im accumulates without a float64 downcast)
+    rng = np.random.default_rng(31)
+    n_steps, c_in, hidden, hw = 4, 2, 2, 3
+    ld = np.longdouble
+    params = {
+        "x": Tensor(rng.normal(size=(n_steps, c_in, hw, hw)).astype(ld)),
+        "k": Tensor(rng.normal(scale=0.5, size=(4 * hidden, c_in + hidden, 3, 3)).astype(ld)),
+        "b": Tensor(rng.normal(scale=0.5, size=4 * hidden).astype(ld)),
+    }
+    h0 = rng.normal(size=(hidden, hw, hw)).astype(ld)
+    c0 = rng.normal(size=(hidden, hw, hw)).astype(ld)
+    r = Tensor(rng.normal(size=(n_steps, hidden, hw, hw)).astype(ld))
+    f = lambda p: ad.sum_all(ad.mul(ad.convlstm(p["x"], p["k"], p["b"], h0, c0), r))
+    err = ad.grad_check(f, params, eps=1e-6, n_samples=150, rng=np.random.default_rng(0))
+    assert err < 1e-4, err
+    assert all(t.grad.dtype == ld for t in params.values())
+
+
+def test_grad_conv2d_batch_keeps_extended_precision():
+    rng = np.random.default_rng(32)
+    ld = np.longdouble
+    params = {
+        "x": Tensor(rng.normal(size=(2, 2, 5, 5)).astype(ld)),
+        "k": Tensor(rng.normal(size=(3, 2, 3, 3)).astype(ld)),
+        "b": Tensor(rng.normal(size=3).astype(ld)),
+    }
+    c = Tensor(rng.normal(size=(2, 3, 3, 3)).astype(ld))
+    err = ad.grad_check(
+        lambda p: ad.sum_all(ad.mul(ad.conv2d(p["x"], p["k"], p["b"], stride=2, padding=1), c)),
+        params, eps=1e-6, n_samples=120, rng=np.random.default_rng(0))
+    assert err < 1e-4, err
+    assert all(t.grad.dtype == ld for t in params.values())
+
+
+def test_grad_batched_dense_softmax_and_mask():
+    rng = np.random.default_rng(33)
+    params = {"x": t64(rng.normal(size=(4, 7))), "w": t64(rng.normal(size=(3, 7))),
+              "b": t64(rng.normal(size=3))}
+    c = t64(rng.normal(size=(4, 3)))
+    for op in (ad.softmax, ad.log_softmax):
+        _check(lambda p: ad.sum_all(ad.mul(op(ad.dense(p["x"], p["w"], p["b"])), c)), params)
+    mask_params = {"f": t64(rng.normal(size=(2, 4, 3, 3))),
+                   "m": t64(rng.uniform(0.1, 0.9, size=(2, 1, 3, 3)))}
+    c4 = t64(rng.normal(size=(2, 4, 3, 3)))
+    _check(lambda p: ad.sum_all(ad.mul(ad.broadcast_mul_channelwise(p["f"], p["m"]), c4)),
+           mask_params)
 
 
 def test_grad_elementwise_family():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from maskac import netpbm
+from maskac.analysis import EpisodeStats
 from maskac.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from maskac.cli import (CONFIG_DEFAULTS, EXIT_ARGUMENT, EXIT_CHECKPOINT,
                         EXIT_CONFIG, EXIT_OK, EXIT_VARIANT, ResolvedConfig,
@@ -106,6 +107,11 @@ def test_config_rejects_unknown_key(tmp_path):
     with pytest.raises(Exception):
         parse_config_file(path)
     assert main(["train", path]) == EXIT_CONFIG
+
+
+def test_config_rejects_zero_eval_episodes(tmp_path):
+    path = write_config(tmp_path / "c.cfg", eval_episodes="0")
+    assert main(["compare", path]) == EXIT_CONFIG
 
 
 def test_config_missing_file_exit_code(capsys):
@@ -307,6 +313,31 @@ def test_random_baseline_command(tmp_path, capsys):
 def test_bad_cli_arguments_exit_5():
     assert main(["eval"]) == EXIT_ARGUMENT           # missing --ckpt
     assert main(["frobnicate"]) == EXIT_ARGUMENT     # unknown subcommand
+
+
+def test_zero_episodes_exit_5_with_one_line(tmp_path, capsys):
+    config = cfg()
+    ckpt = str(tmp_path / "w.ma3c")
+    save_checkpoint(init_weights(config, seed=0), config, ckpt)
+    for argv in (["eval", "--ckpt", ckpt, "--episodes", "0"],
+                 ["random-baseline", "--episodes", "0"],
+                 ["random-baseline", "--episodes", "-3"]):
+        assert main(argv) == EXIT_ARGUMENT
+        err = capsys.readouterr().err
+        assert err.startswith("invalid argument:") and "--episodes" in err
+        assert len(err.strip().splitlines()) == 1
+    with pytest.raises(ValueError):
+        EpisodeStats.from_returns([])
+
+
+def test_malformed_thread_cap_exit_2(tmp_path, monkeypatch, capsys):
+    cfg_path = write_config(tmp_path / "c.cfg", total_steps="0", n_workers="1",
+                            out_dir=str(tmp_path / "run"), **small_net_overrides())
+    for cap in ("x", "0"):
+        monkeypatch.setenv("MASKAC_THREADS", cap)
+        assert main(["train", cfg_path]) == EXIT_CONFIG
+        assert "MASKAC_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists() or not os.listdir(tmp_path / "run")
 
 
 def test_compare_command(tmp_path, capsys):

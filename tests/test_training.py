@@ -1,6 +1,7 @@
 """Returns/loss math, the shared RMSProp store, and the threaded training loop."""
 
 import os
+import sys
 import threading
 
 import numpy as np
@@ -16,7 +17,7 @@ from maskac.training import (Hyperparams, Rollout, RolloutStep, SharedParams,
                              a3c_loss, apply_gradients, collect_rollout,
                              compute_returns, sync_local, train)
 
-from oracles import discounted_returns_oracle
+from oracles import discounted_returns_oracle, per_step_a3c_loss
 
 
 def small_cfg(**kw):
@@ -57,19 +58,24 @@ class ScriptedEnv:
         return StepResult(self.observe(), reward, self.done, {"score": self.score})
 
 
-def stub_trace(logits, value):
-    """Just enough of a trace for a3c_loss."""
-    from types import SimpleNamespace
-    lt = Tensor(np.asarray(logits, dtype=np.float64))
-    return SimpleNamespace(policy_logits=lt, policy=ad.softmax(lt),
-                           value=Tensor(np.asarray([value], dtype=np.float64)))
+class NoisyEnv(ScriptedEnv):
+    """ScriptedEnv whose observations are uniform noise fixed by the step index."""
+
+    def observe(self):
+        rng = np.random.default_rng([self.t, 5])
+        return rng.uniform(0, 1, size=(self.size, self.size))
 
 
-def stub_rollout(k_actions, t_steps, value=0.0):
-    steps = [RolloutStep(obs=None, action=0, reward=0.0, value=value, log_prob=0.0,
-                         trace=stub_trace(np.zeros(k_actions), value))
-             for _ in range(t_steps)]
-    return Rollout(steps, 0.0, True)
+def zero_head_rollout(k_actions, t_steps):
+    """A real segment under weights whose output heads are zero: uniform policy, zero value."""
+    config = small_cfg(n_actions=k_actions)
+    weights = init_weights(config, seed=0, dtype=np.float64)
+    for name in ("policy_out.w", "policy_out.b", "value_out.w", "value_out.b"):
+        weights[name].data[...] = 0.0
+    env = NoisyEnv()
+    steps = [RolloutStep(obs=env.reset(), action=0, reward=0.0, value=0.0, log_prob=0.0,
+                         probs=None) for _ in range(t_steps)]
+    return Rollout(steps, 0.0, True, RecurrentState.zeros(config, np.float64)), weights, config
 
 
 # ---------------------------------------------------------------------------
@@ -111,34 +117,34 @@ def test_returns_match_direct_sum_oracle_exhaustively():
 
 def test_loss_reduces_to_entropy_term():
     k, t, coef = 4, 3, 0.01
-    rollout = stub_rollout(k, t)
+    rollout, weights, config = zero_head_rollout(k, t)
     returns = [0.0] * t        # value head predicts 0 exactly
     advantages = [0.0] * t
-    loss = a3c_loss(rollout, returns, advantages, entropy_coef=coef, value_coef=0.5)
+    loss = a3c_loss(rollout, weights, config, returns, advantages,
+                    entropy_coef=coef, value_coef=0.5)
     assert abs(loss.item() - (-coef * t * np.log(k))) < 1e-12
 
 
 def test_loss_single_step_policy_term_only():
-    rollout = stub_rollout(3, 1)
-    loss = a3c_loss(rollout, [1.7], [2.5], entropy_coef=0.0, value_coef=0.0)
+    rollout, weights, config = zero_head_rollout(3, 1)
+    loss = a3c_loss(rollout, weights, config, [1.7], [2.5], entropy_coef=0.0, value_coef=0.0)
     assert abs(loss.item() - (-np.log(1 / 3) * 2.5)) < 1e-12
 
 
 def test_loss_rejects_length_mismatch():
+    rollout, weights, config = zero_head_rollout(3, 2)
     with pytest.raises(ValueError):
-        a3c_loss(stub_rollout(3, 2), [0.0], [0.0, 0.0], 0.0, 0.0)
+        a3c_loss(rollout, weights, config, [0.0], [0.0, 0.0], 0.0, 0.0)
 
 
 def frozen_loss_fn(config, obs_seq, actions, returns, advantages, hyper, dtype):
     """Replays the recorded decisions under fresh weights; fd-checkable."""
+    steps = [RolloutStep(obs, action, 0.0, 0.0, 0.0, None)
+             for obs, action in zip(obs_seq, actions)]
+    rollout = Rollout(steps, 0.0, False, RecurrentState.zeros(config, dtype))
+
     def f(weights):
-        state = RecurrentState.zeros(config, dtype)
-        steps = []
-        for obs, action in zip(obs_seq, actions):
-            trace = forward(obs, state, weights, config)
-            steps.append(RolloutStep(obs, action, 0.0, 0.0, 0.0, trace))
-            state = trace.next_state
-        return a3c_loss(Rollout(steps, 0.0, False), returns, advantages,
+        return a3c_loss(rollout, weights, config, returns, advantages,
                         hyper.entropy_coef, hyper.value_coef)
     return f
 
@@ -147,7 +153,7 @@ def random_frozen_rollout(config, seed, n_steps=3):
     """Random observations, actions, rewards; returns frozen loss constants."""
     rng = np.random.default_rng(seed)
     weights = init_weights(config, seed=seed, dtype=np.float64)
-    obs_seq = [rng.uniform(0, 1, size=(1, config.input_hw, config.input_hw))
+    obs_seq = [rng.uniform(0, 1, size=(config.input_hw, config.input_hw))
                for _ in range(n_steps)]
     actions = [int(rng.integers(config.n_actions)) for _ in range(n_steps)]
     rewards = rng.uniform(-1, 1, size=n_steps).tolist()
@@ -193,6 +199,40 @@ def test_advantage_is_stop_gradient_in_policy_term():
     np.testing.assert_allclose(g1, g2, atol=1e-12)
 
 
+def _grads(loss_fn, weights):
+    w = {k: Tensor(t.data.copy(), requires_grad=True) for k, t in weights.items()}
+    ad.backward(loss_fn(w))
+    return {k: t.grad for k, t in w.items()}
+
+
+@pytest.mark.parametrize("t_max", [1, 20])
+@pytest.mark.parametrize("variant", [(False, False), (True, False), (False, True), (True, True)],
+                         ids=["vanilla", "policy", "value", "both"])
+def test_segment_grads_match_per_step_oracle(variant, t_max):
+    config = small_cfg(policy_mask_enabled=variant[0], value_mask_enabled=variant[1])
+    weights = init_weights(config, seed=11, dtype=np.float64)
+    hyper = Hyperparams()
+    for warmup in (0, 3):                 # zero and carried-over start state
+        for terminal in (True, False):    # terminal and bootstrapped segment
+            env = NoisyEnv(n_actions=3, done_at=warmup + t_max if terminal else None)
+            env.reset()
+            rng = np.random.default_rng(2)
+            state = RecurrentState.zeros(config, np.float64)
+            if warmup:
+                _, state = collect_rollout(env, weights, config, state, warmup, rng)
+            rollout, _ = collect_rollout(env, weights, config, state, t_max, rng)
+            assert len(rollout) == t_max and rollout.terminal == terminal
+            assert (np.abs(rollout.start_state.c.data).max() > 0) == bool(warmup)
+            returns, advantages = compute_returns(rollout, hyper.gamma)
+            args = (config, returns, advantages, hyper.entropy_coef, hyper.value_coef)
+            batched = _grads(lambda w: a3c_loss(rollout, w, *args), weights)
+            oracle = _grads(lambda w: per_step_a3c_loss(rollout, w, *args), weights)
+            assert set(batched) == set(oracle)
+            for name in oracle:
+                np.testing.assert_allclose(batched[name], oracle[name], rtol=1e-10, atol=0,
+                                           err_msg=f"{name} warmup={warmup} terminal={terminal}")
+
+
 # ---------------------------------------------------------------------------
 # rollout collection
 
@@ -221,6 +261,24 @@ def test_collect_rollout_stops_at_terminal():
     assert len(rollout) == 2
     assert rollout.terminal
     assert rollout.bootstrap_value == 0.0
+
+
+def test_collect_rollout_builds_no_graph():
+    config = small_cfg()
+    weights = {k: Tensor(t.data, requires_grad=True)
+               for k, t in init_weights(config, seed=0, dtype=np.float64).items()}
+    env = NoisyEnv(n_actions=3)
+    env.reset()
+    state = RecurrentState.zeros(config, np.float64)
+    for _ in range(2):
+        rollout, state = collect_rollout(env, weights, config, state, 4,
+                                         np.random.default_rng(0))
+        for t in (state.h, state.c, rollout.start_state.h, rollout.start_state.c):
+            assert t._parents == () and not t.requires_grad
+        for step in rollout.steps:
+            assert isinstance(step.probs, np.ndarray)
+            assert abs(step.log_prob - np.log(step.probs[step.action])) < 1e-12
+    assert all(t.grad is None for t in weights.values())
 
 
 def test_collect_rollout_deterministic_given_seed():
@@ -339,9 +397,13 @@ def test_snapshots_match_some_applied_version_under_concurrency():
     hyper = Hyperparams()
     versions = [shared.values["a.w"].copy()]
     stop = threading.Event()
+    reading = threading.Event()
     seen = []
 
     def updater():
+        # without the wait, a fast host can finish all updates inside one
+        # thread switch interval, before any reader has run
+        reading.wait(timeout=10)
         rng = np.random.default_rng(7)
         for _ in range(300):
             apply_gradients(shared, {"a.w": rng.normal(size=(3, 3)).astype(np.float32)},
@@ -352,13 +414,20 @@ def test_snapshots_match_some_applied_version_under_concurrency():
     def reader():
         while not stop.is_set():
             seen.append(sync_local(shared)["a.w"].data)
+            reading.set()
 
     threads = [threading.Thread(target=updater)] + \
         [threading.Thread(target=reader) for _ in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert seen, "readers observed no snapshots"
     keys = {v.tobytes() for v in versions}
     for arr in seen:
@@ -408,3 +477,10 @@ def test_worker_cap_env_variable(tmp_path, monkeypatch):
     assert tr.worker_count(8) == 1
     monkeypatch.delenv("MASKAC_THREADS")
     assert tr.worker_count(8) == 8
+
+
+@pytest.mark.parametrize("cap", ["x", "0", "-2", "1.5"])
+def test_worker_cap_rejects_non_positive_integers(monkeypatch, cap):
+    monkeypatch.setenv("MASKAC_THREADS", cap)
+    with pytest.raises(ValueError, match="MASKAC_THREADS"):
+        tr.worker_count(4)
