@@ -20,6 +20,8 @@ from .network import NetworkConfig, RecurrentState, forward, weight_names
 from .training import sample_action, train
 
 OVERLAY_ALPHA = 0.5
+# Most episodes ``evaluate`` steps in lockstep; bounds the batch's im2col memory.
+EVAL_GROUP = 32
 VARIANTS = (
     ("vanilla", False, False),
     ("policy", True, False),
@@ -87,27 +89,50 @@ def _check_weights_match(weights, config):
 
 def evaluate(weights, config, env_spec, episodes, mask_transform="identity",
              seed=0, greedy=True):
-    """Score over full episodes; the mask transform rides along every forward."""
+    """Score over full episodes; the mask transform rides along every forward.
+
+    Episodes run in lockstep groups of up to ``EVAL_GROUP``: each has its
+    own environment and action rng, seeded by its index exactly as if it
+    ran alone, and each env step of the group is one batched ``forward``
+    over the episodes still running.
+    """
     weights = _as_tensors(weights)
     _check_weights_match(weights, config)
     if mask_transform == "inverse" and not config.policy_mask_enabled:
         raise ValueError("mask_transform='inverse' needs the policy mask branch")
-    dtype = weights["fe1.w"].dtype
-    env = make_env(env_spec)
     returns = []
-    for ep in range(episodes):
-        env.reset(seed=_episode_seed(seed, ep))
-        rng = np.random.default_rng([seed, ep, 1])
-        state = RecurrentState.zeros(config, dtype)
-        while not env.done:
-            trace = forward(env.observe(), state, weights, config,
-                            mask_transform=mask_transform)
-            probs = trace.policy.data
-            action = int(np.argmax(probs)) if greedy else sample_action(probs, rng)
-            env.step(action)
-            state = trace.next_state
-        returns.append(env.score)
+    for first in range(0, episodes, EVAL_GROUP):
+        group = range(first, min(first + EVAL_GROUP, episodes))
+        returns.extend(_lockstep_returns(weights, config, env_spec, group,
+                                         mask_transform, seed, greedy))
     return EpisodeStats.from_returns(returns)
+
+
+def _lockstep_returns(weights, config, env_spec, episodes, mask_transform, seed, greedy):
+    """Returns of the given episode indices, played side by side."""
+    envs, rngs, obs = [], [], []
+    for ep in episodes:
+        env = make_env(env_spec)
+        obs.append(env.reset(seed=_episode_seed(seed, ep)))
+        envs.append(env)
+        rngs.append(np.random.default_rng([seed, ep, 1]))
+    active = list(range(len(envs)))            # group positions still running
+    state = RecurrentState.zeros(config, weights["fe1.w"].dtype, batch=len(envs))
+    while active:
+        trace = forward(np.stack(obs)[:, None], state, weights, config,
+                        mask_transform=mask_transform)
+        obs, keep = [], []
+        for row, (i, probs) in enumerate(zip(active, trace.policy.data)):
+            action = int(np.argmax(probs)) if greedy else sample_action(probs, rngs[i])
+            result = envs[i].step(action)
+            if not result.done:
+                obs.append(result.obs)
+                keep.append(row)
+        state = trace.next_state
+        if len(keep) < len(active):
+            state = RecurrentState(Tensor(state.h.data[keep]), Tensor(state.c.data[keep]))
+            active = [active[row] for row in keep]
+    return [env.score for env in envs]
 
 
 def random_baseline(env_spec, episodes, seed):

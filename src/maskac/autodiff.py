@@ -64,10 +64,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def detach(self):
-        """Copy of the value, cut off from the recorded graph."""
-        return Tensor(self.data.copy())
-
     def backward(self):
         backward(self)
 
@@ -527,31 +523,32 @@ def log_softmax(a):
 # structural ops
 
 def concat_channels(a, b):
-    """Stack two [C,H,W] maps along the channel axis."""
-    if a.data.ndim != 3 or b.data.ndim != 3 or a.shape[1:] != b.shape[1:]:
-        raise ShapeError(f"concat_channels: spatial shapes differ: {a.shape}, {b.shape}")
-    na = a.shape[0]
-    out = _make(np.concatenate((a.data, b.data), axis=0), (a, b), "concat")
+    """Stack two [C,H,W] maps, or two [N,C,H,W] batches, along the channel axis."""
+    if (a.data.ndim not in (3, 4) or b.data.ndim != a.data.ndim
+            or a.shape[:-3] != b.shape[:-3] or a.shape[-2:] != b.shape[-2:]):
+        raise ShapeError(f"concat_channels: shapes do not line up: {a.shape}, {b.shape}")
+    na = a.shape[-3]
+    out = _make(np.concatenate((a.data, b.data), axis=-3), (a, b), "concat")
     if out.requires_grad:
         def _bw():
             if a.requires_grad:
-                _accum(a, out.grad[:na])
+                _accum(a, out.grad[..., :na, :, :])
             if b.requires_grad:
-                _accum(b, out.grad[na:])
+                _accum(b, out.grad[..., na:, :, :])
         out._backward = _bw
     return out
 
 
 def slice_channels(a, lo, hi):
-    """View of channels [lo, hi) of a [C,H,W] map."""
-    if a.data.ndim != 3 or not (0 <= lo < hi <= a.shape[0]):
+    """View of channels [lo, hi) of a [C,H,W] map or an [N,C,H,W] batch."""
+    if a.data.ndim not in (3, 4) or not (0 <= lo < hi <= a.shape[-3]):
         raise ShapeError(f"slice_channels: range [{lo},{hi}) invalid for shape {a.shape}")
-    out = _make(a.data[lo:hi], (a,), "slice")
+    out = _make(a.data[..., lo:hi, :, :], (a,), "slice")
     if out.requires_grad:
         def _bw():
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            a.grad[lo:hi] += out.grad
+            a.grad[..., lo:hi, :, :] += out.grad
         out._backward = _bw
     return out
 

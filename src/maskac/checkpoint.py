@@ -16,6 +16,8 @@ from a double-precision run reproduces the weights only to float32.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 import zlib
 
@@ -50,22 +52,32 @@ def _encode_config(config):
 
 def _decode_config(blob):
     fields = {}
-    for line in blob.decode().splitlines():
-        key, _, raw = line.partition("=")
-        if key == "fe_channels":
-            fields[key] = tuple(int(v) for v in raw.split(","))
-        elif key in ("policy_mask_enabled", "value_mask_enabled"):
-            fields[key] = raw == "true"
-        else:
-            fields[key] = int(raw)
-    missing = set(_CONFIG_FIELDS) - set(fields)
-    if missing:
-        raise CheckpointError(f"checkpoint config block is missing {sorted(missing)}")
-    return NetworkConfig(**fields)
+    try:
+        for line in blob.decode().splitlines():
+            key, _, raw = line.partition("=")
+            if key not in _CONFIG_FIELDS:
+                raise CheckpointError(f"checkpoint config has unknown key {key!r}")
+            if key == "fe_channels":
+                fields[key] = tuple(int(v) for v in raw.split(","))
+            elif key in ("policy_mask_enabled", "value_mask_enabled"):
+                fields[key] = raw == "true"
+            else:
+                fields[key] = int(raw)
+        missing = set(_CONFIG_FIELDS) - set(fields)
+        if missing:
+            raise CheckpointError(f"checkpoint config block is missing {sorted(missing)}")
+        return NetworkConfig(**fields)
+    except ValueError as exc:   # also UnicodeDecodeError
+        raise CheckpointError(f"checkpoint config is invalid: {exc}") from None
 
 
 def save_checkpoint(weights, config, path):
-    """Write the named tensors (Tensor or ndarray values) as float32 records."""
+    """Write the named tensors (Tensor or ndarray values) as float32 records.
+
+    The bytes go to ``<path>.tmp`` first and replace ``path`` only once
+    complete, so an interrupted save never leaves a truncated checkpoint
+    under a checkpoint name.
+    """
     arrays = {}
     for name, value in weights.items():
         data = value.data if hasattr(value, "data") else value
@@ -85,9 +97,16 @@ def save_checkpoint(weights, config, path):
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(arr.tobytes())
     body = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(body)
+            fh.write(struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:
@@ -132,11 +151,18 @@ def load_checkpoint(path):
     count = r.u32()
     weights = {}
     for _ in range(count):
-        name = r.take(r.u16()).decode()
+        try:
+            name = r.take(r.u16()).decode()
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: tensor name is not utf-8") from None
         rank = r.u8()
         shape = tuple(r.u32() for _ in range(rank))
-        n_bytes = 4 * int(np.prod(shape)) if shape else 4
-        data = np.frombuffer(r.take(n_bytes), dtype="<f4").reshape(shape)
+        # Python ints: a numpy product of u32 dims can wrap around int64
+        data = np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4")
+        try:
+            data = data.reshape(shape)
+        except ValueError as exc:   # e.g. more dimensions than numpy supports
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {shape}: {exc}") from None
         weights[name] = data.astype(np.float32, copy=True)
     if r.pos != len(body):
         raise CheckpointError(f"{path}: trailing bytes after tensor records")

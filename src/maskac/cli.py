@@ -280,7 +280,10 @@ def _parse_pair(text, what):
 
 def load_sprite(path, threshold):
     """PGM sprite file: intensities from bytes, stencil from the threshold."""
-    raw = read_pgm(path)
+    try:
+        raw = read_pgm(path)
+    except (OSError, ValueError) as exc:
+        raise ArgumentProblem(f"--sprite {path}: {exc}") from None
     sprite = raw.astype(np.float32) / 255.0
     stencil = raw >= threshold
     return sprite, stencil
@@ -292,11 +295,10 @@ def cmd_inject(args):
     spec = _env_spec_from_args(args, n_actions_hint=net_config.n_actions)
     row, col = _parse_pair(args.pos, "--pos")
     first, last = _parse_pair(args.window, "--window")
-    duration = None if args.duration == "permanent" else int(args.duration)
     sprite, stencil = load_sprite(args.sprite, args.stencil_threshold)
     try:
         inj = InjectionSpec(sprite, stencil, position=(row, col),
-                            start_frame=args.frame, duration=duration)
+                            start_frame=args.frame, duration=args.duration)
         report = injection_response(weights, net_config, spec, inj,
                                     window=(first, last), seed=args.seed)
     except ValueError as exc:
@@ -366,6 +368,16 @@ def _positive_int(text):
     return value
 
 
+def _duration(text):
+    if text == "permanent":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer or 'permanent', got {text!r}") from None
+
+
 def _add_env_flags(p):
     p.add_argument("--env", default="catch", choices=ENV_NAMES)
     p.add_argument("--size", type=int, default=20)
@@ -407,7 +419,8 @@ def build_parser():
     p.add_argument("--pos", required=True, help="row,col of the sprite's top-left corner")
     p.add_argument("--frame", type=int, required=True, help="first frame showing the sprite")
     p.add_argument("--window", required=True, help="first,last frames to report")
-    p.add_argument("--duration", default="permanent", help="frames shown, or 'permanent'")
+    p.add_argument("--duration", type=_duration, default="permanent",
+                   help="frames shown, or 'permanent'")
     p.add_argument("--out", default=None, help="report CSV path")
     _add_env_flags(p)
     p.set_defaults(func=cmd_inject)

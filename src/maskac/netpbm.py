@@ -6,6 +6,8 @@ Intensities in [0,1] map to bytes as floor(v*255 + 0.5) clamped to
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 
@@ -51,18 +53,25 @@ def _read_header(fh, magic):
         text = line.split(b"#", 1)[0]
         tokens.extend(text.split())
     w, h, maxval = (int(t) for t in tokens[:3])
+    if w < 1 or h < 1:
+        raise ValueError(f"image size must be positive, got {w}x{h}")
     if maxval != 255:
         raise ValueError(f"only maxval 255 is supported, got {maxval}")
     return w, h
+
+
+def _read_payload(fh, n_bytes, kind):
+    # checked against the file size first: a header can claim any size
+    if os.fstat(fh.fileno()).st_size - fh.tell() < n_bytes:
+        raise ValueError(f"truncated {kind} payload")
+    return np.frombuffer(fh.read(n_bytes), dtype=np.uint8)
 
 
 def read_pgm(path):
     """Binary P5 file as a uint8 [H,W] array."""
     with open(path, "rb") as fh:
         w, h = _read_header(fh, b"P5")
-        data = np.frombuffer(fh.read(w * h), dtype=np.uint8)
-    if data.size != w * h:
-        raise ValueError("truncated PGM payload")
+        data = _read_payload(fh, w * h, "PGM")
     return data.reshape(h, w).copy()
 
 
@@ -70,7 +79,5 @@ def read_ppm(path):
     """Binary P6 file as a uint8 [H,W,3] array."""
     with open(path, "rb") as fh:
         w, h = _read_header(fh, b"P6")
-        data = np.frombuffer(fh.read(w * h * 3), dtype=np.uint8)
-    if data.size != w * h * 3:
-        raise ValueError("truncated PPM payload")
+        data = _read_payload(fh, w * h * 3, "PPM")
     return data.reshape(h, w, 3).copy()

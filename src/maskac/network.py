@@ -51,6 +51,8 @@ class NetworkConfig:
             raise ValueError(f"fe_channels must have length 3, got {self.fe_channels}")
         if self.n_actions < 1:
             raise ValueError("n_actions must be >= 1")
+        if self.conv_stride < 1:
+            raise ValueError(f"conv_stride must be >= 1, got {self.conv_stride}")
         if self.feature_hw() < 2:
             raise ValueError(
                 f"input_hw={self.input_hw} leaves a {self.feature_hw()}-pixel feature map; need >= 2")
@@ -76,20 +78,20 @@ class RecurrentState:
     c: Tensor
 
     @classmethod
-    def zeros(cls, config, dtype=np.float32):
+    def zeros(cls, config, dtype=np.float32, batch=None):
+        """[L,h,w] zeros, or [batch,L,h,w] for ``batch`` independent episodes."""
         shape = (config.lstm_channels, config.feature_hw(), config.feature_hw())
+        if batch is not None:
+            shape = (batch,) + shape
         return cls(Tensor(np.zeros(shape, dtype=dtype)), Tensor(np.zeros(shape, dtype=dtype)))
-
-    def detach(self):
-        return RecurrentState(self.h.detach(), self.c.detach())
 
 
 @dataclass
 class ForwardTrace:
     """Everything one forward pass produced, graph references included.
 
-    From ``forward_segment`` every tensor carries a leading time axis and
-    ``next_state`` is None.
+    From a batched ``forward`` every tensor carries a leading batch axis;
+    from ``forward_segment`` a leading time axis, and ``next_state`` is None.
     """
 
     f_p: Tensor
@@ -102,10 +104,6 @@ class ForwardTrace:
     next_state: RecurrentState
     m_p: Tensor | None = None
     m_v: Tensor | None = None
-
-    @property
-    def policy_probs(self):
-        return self.policy.data
 
     @property
     def value_scalar(self):
@@ -197,11 +195,15 @@ def feature_extract(obs, w, config):
 
 
 def convlstm_step(x, state, w):
-    """One ConvLSTM step: gates i,f,o,g from a 3x3 same-padding conv over (x,h)."""
-    if state.h.shape[1:] != x.shape[1:] or state.h.shape != state.c.shape:
+    """One ConvLSTM step: gates i,f,o,g from a 3x3 same-padding conv over (x,h).
+
+    x [C,H,W] with state [L,H,W], or a batch x [B,C,H,W] with state [B,L,H,W].
+    """
+    if (state.h.shape[:-3] != x.shape[:-3] or state.h.shape[-2:] != x.shape[-2:]
+            or state.h.shape != state.c.shape):
         raise ad.ShapeError(
             f"recurrent state {state.h.shape}/{state.c.shape} incompatible with input {x.shape}")
-    L = state.h.shape[0]
+    L = state.h.shape[-3]
     z = ad.conv2d(ad.concat_channels(x, state.h), w["lstm.w"], w["lstm.b"],
                   stride=1, padding=_CELL_PADDING)
     i = ad.sigmoid(ad.slice_channels(z, 0, L))
@@ -255,7 +257,7 @@ def _branch(h, w, config, branch, transform, dtype):
 
 
 def _heads(h, next_state, w, config, mask_transform, dtype):
-    """Masked branches and output heads over one ConvLSTM output [L,H,W] or a [T,L,H,W] sequence."""
+    """Masked branches and output heads over one ConvLSTM output [L,H,W], or [N,L,H,W] of them."""
     value_transform = "ones" if mask_transform == "ones" else "identity"
     f_p, m_p, f_p_masked = _branch(h, w, config, "policy", mask_transform, dtype)
     f_v, m_v, f_v_masked = _branch(h, w, config, "value", value_transform, dtype)
@@ -272,6 +274,10 @@ def _heads(h, next_state, w, config, mask_transform, dtype):
 
 def forward(obs, state, w, config, mask_transform="identity"):
     """Full pass: extractor -> ConvLSTM -> masked branches -> (policy, value).
+
+    ``obs`` is one [H,W] or [1,H,W] observation with state [L,h,w], or a
+    batch [B,1,H,W] of independent episodes with state [B,L,h,w]; a batch
+    gives every output a leading batch axis.
 
     ``mask_transform`` drives the policy mask: "identity" uses the mask
     as computed, "inverse" applies gaze inversion, "ones" ablates the

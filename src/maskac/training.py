@@ -166,17 +166,26 @@ def loss_components(rollout, returns, advantages):
     return policy_loss, value_loss, entropy / t
 
 
+# Elements per slice of the in-place RMSProp update: slices keep its two
+# scratch buffers at 128 KB in float32 instead of two copies of every tensor.
+_APPLY_CHUNK = 16384
+
+
 class SharedParams:
     """Global weights plus per-parameter RMSProp statistics and a step counter.
 
     Snapshot reads and updates each take one coarse exclusive lock, so a
-    snapshot is always some globally-applied version of the weights.
+    snapshot is always some globally-applied version of the weights.  Two
+    scratch buffers of ``_APPLY_CHUNK`` elements per dtype hold the RMSProp
+    intermediates and are touched only under that lock.
     """
 
     def __init__(self, weights):
         self._lock = threading.Lock()
         self.values = {k: np.array(t.data, copy=True) for k, t in weights.items()}
         self.ms = {k: np.zeros_like(v) for k, v in self.values.items()}
+        self._scratch = {v.dtype: (np.empty(_APPLY_CHUNK, v.dtype), np.empty(_APPLY_CHUNK, v.dtype))
+                         for v in self.values.values()}
         self.steps = 0
         self.updates = 0
         self.skipped = 0
@@ -210,12 +219,29 @@ def sync_local(shared):
     return {k: Tensor(v, requires_grad=True) for k, v in snap.items()}
 
 
+def _rmsprop_chunk(values, ms, g, scale, hyper, step, tmp):
+    """One slice of the in-place update; ``step`` and ``tmp`` are scratch of the same length."""
+    if scale != 1.0:
+        g = np.multiply(g, scale, out=step)
+    np.multiply(ms, hyper.rmsprop_decay, out=ms)
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - hyper.rmsprop_decay
+    ms += tmp
+    np.add(ms, hyper.rmsprop_eps, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    np.multiply(g, hyper.lr, out=step)
+    step /= tmp
+    values -= step
+
+
 def apply_gradients(shared, grads, hyper, n_steps):
     """Clip to the global-norm budget, then shared RMSProp on the named tensors.
 
     Parameters absent from ``grads`` are untouched, statistics included.
     A non-finite gradient skips the update (the step counter still
-    advances) and reports None so the caller can flag it.
+    advances) and reports None so the caller can flag it.  The update runs
+    in place on the store's scratch buffers and gives the same bits as
+    ``ms = decay*ms + (1-decay)*g*g; w -= lr*g / sqrt(ms + eps)``.
     """
     sq = 0.0
     for g in grads.values():
@@ -226,15 +252,15 @@ def apply_gradients(shared, grads, hyper, n_steps):
         shared.advance_only(n_steps)
         return None
     scale = 1.0 if norm <= hyper.grad_clip_norm else hyper.grad_clip_norm / norm
-    lr, decay, eps = hyper.lr, hyper.rmsprop_decay, hyper.rmsprop_eps
     with shared._lock:
         for name, g in grads.items():
-            if scale != 1.0:
-                g = g * scale
-            ms = shared.ms[name]
-            np.multiply(ms, decay, out=ms)
-            ms += (1.0 - decay) * (g * g)
-            shared.values[name] -= lr * g / np.sqrt(ms + eps)
+            values, ms = shared.values[name].reshape(-1), shared.ms[name].reshape(-1)
+            step, tmp = shared._scratch[values.dtype]
+            g = g.reshape(-1)
+            for lo in range(0, values.size, _APPLY_CHUNK):
+                hi = min(lo + _APPLY_CHUNK, values.size)
+                _rmsprop_chunk(values[lo:hi], ms[lo:hi], g[lo:hi], scale, hyper,
+                               step[:hi - lo], tmp[:hi - lo])
         shared.steps += n_steps
         shared.updates += 1
         return norm

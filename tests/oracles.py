@@ -8,7 +8,9 @@ it checks.
 import numpy as np
 
 from maskac import autodiff as ad
-from maskac.network import forward
+from maskac.envs import make_env
+from maskac.network import RecurrentState, forward
+from maskac.training import sample_action
 
 
 def conv2d_oracle(x, k, b, stride, padding):
@@ -132,3 +134,47 @@ def per_step_a3c_loss(rollout, weights, config, returns, advantages, entropy_coe
                              ad.mul(entropy, -float(entropy_coef))))
         total = term if total is None else ad.add(total, term)
     return total
+
+
+def per_episode_evaluate(weights, config, env_spec, episodes, mask_transform="identity",
+                         seed=0, greedy=True):
+    """(return, length) of each episode, from one unbatched ``forward`` per step,
+    one episode after another.
+
+    The episode seeds, action rngs and argmax/sampling rule are those of
+    ``analysis.evaluate``, which plays the same episodes in lockstep.
+    """
+    weights = {k: ad.Tensor(v.data if isinstance(v, ad.Tensor) else v) for k, v in weights.items()}
+    dtype = weights["fe1.w"].dtype
+    env = make_env(env_spec)
+    returns = []
+    for ep in range(episodes):
+        env.reset(seed=int(np.random.SeedSequence([seed, ep]).generate_state(1)[0]))
+        rng = np.random.default_rng([seed, ep, 1])
+        state = RecurrentState.zeros(config, dtype)
+        while not env.done:
+            trace = forward(env.observe(), state, weights, config, mask_transform=mask_transform)
+            probs = trace.policy.data
+            action = int(np.argmax(probs)) if greedy else sample_action(probs, rng)
+            env.step(action)
+            state = trace.next_state
+        returns.append((env.score, env.frame))
+    return returns
+
+
+def rmsprop_apply_oracle(values, ms, grads, hyper):
+    """Clip to the global norm, then ``w -= lr*g / sqrt(ms + eps)`` with fresh temporaries.
+
+    Updates ``values`` and ``ms`` (dicts of arrays) in place; the formula
+    ``apply_gradients`` must reproduce bit for bit.
+    """
+    norm = float(np.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads.values())))
+    scale = 1.0 if norm <= hyper.grad_clip_norm else hyper.grad_clip_norm / norm
+    decay = hyper.rmsprop_decay
+    for name, g in grads.items():
+        if scale != 1.0:
+            g = g * scale
+        np.multiply(ms[name], decay, out=ms[name])
+        ms[name] += (1.0 - decay) * (g * g)
+        values[name] -= hyper.lr * g / np.sqrt(ms[name] + hyper.rmsprop_eps)
+    return scale

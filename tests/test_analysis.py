@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from maskac import netpbm
+from maskac import analysis, netpbm
 from maskac.analysis import (EpisodeStats, compare_variants, decrease_rate,
                              evaluate, injection_response, overlay_rgb,
                              policy_entropy, random_baseline, record_heatmaps,
@@ -14,7 +14,7 @@ from maskac.envs import EnvSpec, InjectionSpec
 from maskac.network import NetworkConfig, init_weights, weight_names
 from maskac.training import Hyperparams
 
-from oracles import catch_random_expectation
+from oracles import catch_random_expectation, per_episode_evaluate
 
 
 def cfg(policy=True, value=True, n_actions=3, **kw):
@@ -80,6 +80,25 @@ def test_evaluate_ones_equals_weight_shared_vanilla():
                       mask_transform="ones")
     plain = evaluate(w_v, vanilla, EnvSpec(name="catch"), episodes=15, seed=7)
     assert masked.returns == plain.returns
+
+
+@pytest.mark.parametrize("env", ["catch", "fuel"])
+def test_lockstep_evaluate_matches_per_episode_loop(env, monkeypatch):
+    # groups of 3 over 7 episodes: two full groups and one partial group
+    monkeypatch.setattr(analysis, "EVAL_GROUP", 3)
+    spec = EnvSpec(name=env, episode_cap=50)
+    config = cfg(n_actions=spec.n_actions, fe_channels=(4, 4, 8), lstm_channels=8,
+                 branch_channels=4)
+    w = init_weights(config, seed=2, dtype=np.float64)
+    ragged = False
+    for transform in ("identity", "inverse", "ones"):
+        for greedy in (True, False):
+            expected = per_episode_evaluate(w, config, spec, 7, transform, seed=4,
+                                            greedy=greedy)
+            stats = evaluate(w, config, spec, 7, transform, seed=4, greedy=greedy)
+            assert stats.returns == [r for r, _ in expected]
+            ragged |= any(len({n for _, n in expected[g:g + 3]}) > 1 for g in (0, 3, 6))
+    assert ragged or env == "catch", "no group had episodes ending at different steps"
 
 
 def test_random_baseline_reproducible_and_bounded():

@@ -377,10 +377,29 @@ def test_grad_softmax_family():
 
 def test_grad_structural_ops():
     rng = np.random.default_rng(16)
-    c = t64(rng.normal(size=(5, 2, 2)))
-    params = {"a": t64(rng.normal(size=(3, 2, 2))), "b": t64(rng.normal(size=(2, 2, 2)))}
-    _check(lambda p: ad.sum_all(ad.mul(ad.concat_channels(p["a"], p["b"]), c)), params)
-    c2 = t64(rng.normal(size=(2, 2, 2)))
-    _check(lambda p: ad.sum_all(ad.mul(ad.slice_channels(p["a"], 1, 3), c2)), params)
-    c3 = t64(rng.normal(size=12))
-    _check(lambda p: ad.sum_all(ad.mul(ad.reshape(p["a"], (12,)), c3)), params)
+    for batch in ((), (3,)):
+        c = t64(rng.normal(size=batch + (5, 2, 2)))
+        params = {"a": t64(rng.normal(size=batch + (3, 2, 2))),
+                  "b": t64(rng.normal(size=batch + (2, 2, 2)))}
+        _check(lambda p: ad.sum_all(ad.mul(ad.concat_channels(p["a"], p["b"]), c)), params)
+        c2 = t64(rng.normal(size=batch + (2, 2, 2)))
+        _check(lambda p: ad.sum_all(ad.mul(ad.slice_channels(p["a"], 1, 3), c2)), params)
+        n = params["a"].data.size
+        c3 = t64(rng.normal(size=n))
+        _check(lambda p: ad.sum_all(ad.mul(ad.reshape(p["a"], (n,)), c3)), params)
+
+
+def test_batched_structural_ops_match_per_sample():
+    rng = np.random.default_rng(17)
+    a, b = rng.normal(size=(3, 4, 2, 2)), rng.normal(size=(3, 1, 2, 2))
+    cat = ad.concat_channels(t64(a), t64(b)).data
+    sl = ad.slice_channels(t64(a), 1, 3).data
+    for i in range(3):
+        np.testing.assert_array_equal(cat[i], ad.concat_channels(t64(a[i]), t64(b[i])).data)
+        np.testing.assert_array_equal(sl[i], ad.slice_channels(t64(a[i]), 1, 3).data)
+    with pytest.raises(ad.ShapeError):
+        ad.concat_channels(t64(a), t64(b[:2]))          # batch sizes differ
+    with pytest.raises(ad.ShapeError):
+        ad.concat_channels(t64(a), t64(b[0]))           # batched with unbatched
+    with pytest.raises(ad.ShapeError):
+        ad.slice_channels(t64(a), 2, 5)

@@ -1,11 +1,16 @@
 """Checkpoint format, config parsing, and the command-line surface."""
 
+import errno
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from maskac import netpbm
+from maskac import checkpoint, netpbm
 from maskac.analysis import EpisodeStats
 from maskac.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from maskac.cli import (CONFIG_DEFAULTS, EXIT_ARGUMENT, EXIT_CHECKPOINT,
@@ -84,6 +89,119 @@ def test_checkpoint_name_set_must_match_config(tmp_path):
     save_checkpoint(weights, config, path)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def tiny_cfg(**kw):
+    return NetworkConfig(fe_channels=(1, 1, 1), lstm_channels=1, branch_channels=1, **kw)
+
+
+def with_crc(body):
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def rewrite_config(path, edit):
+    """Replace the config block of a checkpoint by ``edit(block)``, with a valid CRC."""
+    body = open(path, "rb").read()[:-4]
+    (n,) = struct.unpack_from("<I", body, 8)
+    block = edit(body[12:12 + n])
+    open(path, "wb").write(with_crc(body[:8] + struct.pack("<I", len(block)) + block
+                                    + body[12 + n:]))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda b: b.replace(b"lstm_channels=1", b"lstm_channels=one"),
+    lambda b: b.replace(b"input_hw=20", b"input_hw=2\xff0"),
+    lambda b: b.replace(b"n_actions=3", b"n_actions=0"),
+    lambda b: b.replace(b"conv_stride=2", b"conv_stride=0"),
+    lambda b: b.replace(b"fe_channels=1,1,1", b"fe_channels=1,1"),
+    lambda b: b + b"\ncolour=blue",
+], ids=["non-int", "non-utf8", "n_actions-0", "stride-0", "two-fe-channels", "unknown-key"])
+def test_checkpoint_bad_config_raises_checkpoint_error(tmp_path, capsys, edit):
+    config = tiny_cfg()
+    path = str(tmp_path / "w.ma3c")
+    save_checkpoint(init_weights(config, seed=0), config, path)
+    rewrite_config(path, edit)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+    assert main(["eval", "--ckpt", path, "--episodes", "1"]) == EXIT_CHECKPOINT
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_checkpoint_dims_whose_product_wraps_int64_are_rejected(tmp_path):
+    # 2**31 * 2**31 * 4 is 2**64, which an int64 product wraps to 0 bytes
+    config = tiny_cfg()
+    path = str(tmp_path / "w.ma3c")
+    save_checkpoint(init_weights(config, seed=0), config, path)
+    body = open(path, "rb").read()[:-4]
+    (n,) = struct.unpack_from("<I", body, 8)
+    head = body[:12 + n]
+    record = struct.pack("<H", 5) + b"fe1.w" + struct.pack("<B3I", 3, 2**31, 2**31, 4)
+    open(path, "wb").write(with_crc(head + struct.pack("<I", 1) + record))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    config = tiny_cfg()
+    path = str(tmp_path_factory.mktemp("ckpt") / "w.ma3c")
+    save_checkpoint(init_weights(config, seed=0), config, path)
+    return path, open(path, "rb").read()
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_checkpoint_bytes_raise_only_checkpoint_error(tiny_checkpoint, data):
+    path, raw = tiny_checkpoint
+    body = bytearray(raw[:-4])
+    for pos, value in data.draw(st.lists(st.tuples(st.integers(0, len(body) - 1),
+                                                   st.integers(0, 255)), max_size=6)):
+        body[pos] = value
+    cut = data.draw(st.integers(0, len(body)))
+    body[cut:cut] = data.draw(st.binary(max_size=12))
+    body = body[:data.draw(st.integers(0, len(body)))] if data.draw(st.booleans()) else body
+    mutated = path + ".mutated"
+    with open(mutated, "wb") as fh:
+        fh.write(with_crc(bytes(body)))
+    try:
+        load_checkpoint(mutated)
+    except CheckpointError:
+        pass
+
+
+class _FailingFile:
+    """File stand-in whose second write fails as a full disk would."""
+
+    def __init__(self, fh):
+        self._fh, self._writes = fh, 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def test_checkpoint_save_failing_partway_leaves_no_file(tmp_path, monkeypatch):
+    config = tiny_cfg()
+    weights = init_weights(config, seed=0)
+    kept = str(tmp_path / "ckpt_5.ma3c")
+    save_checkpoint(weights, config, kept)
+    before = open(kept, "rb").read()
+    monkeypatch.setattr(checkpoint, "open", lambda *a: _FailingFile(open(*a)), raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(weights, config, str(tmp_path / "ckpt_10.ma3c"))
+    with pytest.raises(OSError):
+        save_checkpoint(init_weights(config, seed=1), config, kept)
+    assert os.listdir(tmp_path) == ["ckpt_5.ma3c"]
+    assert open(kept, "rb").read() == before
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +404,31 @@ def test_inject_out_of_bounds_sprite(tmp_path):
     sprite = write_sprite(tmp_path)
     assert main(["inject", "--ckpt", ckpt, "--sprite", sprite, "--pos", "19,5",
                  "--frame", "2", "--window", "0,4", "--env", "fuel"]) == EXIT_ARGUMENT
+
+
+@pytest.mark.parametrize("case", ["duration-abc", "missing-sprite", "not-p5", "oversized-header"])
+def test_inject_bad_duration_or_sprite_exit_5_with_one_line(tmp_path, capsys, case):
+    spec_cfg = NetworkConfig(n_actions=6, fe_channels=(4, 4, 8), lstm_channels=8,
+                             branch_channels=4)
+    ckpt = str(tmp_path / "w.ma3c")
+    save_checkpoint(init_weights(spec_cfg, seed=0), spec_cfg, ckpt)
+    sprite, duration = write_sprite(tmp_path), "3"
+    if case == "duration-abc":
+        duration = "abc"
+    elif case == "missing-sprite":
+        sprite = str(tmp_path / "absent.pgm")
+    elif case == "not-p5":
+        sprite = str(tmp_path / "sprite.ppm")
+        netpbm.write_ppm(sprite, np.zeros((3, 20, 3)))
+    else:
+        sprite = str(tmp_path / "huge.pgm")
+        open(sprite, "wb").write(b"P5\n99999999 99999999\n255\n\x00")
+    assert main(["inject", "--ckpt", ckpt, "--sprite", sprite, "--pos", "17,0",
+                 "--frame", "2", "--window", "0,4", "--env", "fuel",
+                 "--duration", duration]) == EXIT_ARGUMENT
+    err = capsys.readouterr().err
+    assert err.startswith("invalid argument:") and len(err.strip().splitlines()) == 1
+    assert ("--duration" if case == "duration-abc" else "--sprite") in err
 
 
 def test_inject_zero_intensity_full_stencil(tmp_path):

@@ -175,12 +175,30 @@ def test_convlstm_matches_gate_oracle():
     np.testing.assert_allclose(nxt.c.data, c_ref, atol=1e-10, rtol=0)
 
 
+def test_convlstm_batch_matches_gate_oracle_per_row():
+    rng = np.random.default_rng(23)
+    w = _small_lstm_weights(rng)
+    h0, c0 = rng.normal(size=(3, 2, 2, 2)), rng.normal(size=(3, 2, 2, 2))
+    x = rng.normal(size=(3, 2, 2, 2))
+    h, nxt = net.convlstm_step(Tensor(x), RecurrentState(Tensor(h0), Tensor(c0)), w)
+    assert h.shape == nxt.c.shape == (3, 2, 2, 2)
+    for i in range(3):
+        h_ref, c_ref = convlstm_oracle(x[i], h0[i], c0[i], w["lstm.w"].data, w["lstm.b"].data)
+        np.testing.assert_allclose(h.data[i], h_ref, atol=1e-10, rtol=0)
+        np.testing.assert_allclose(nxt.c.data[i], c_ref, atol=1e-10, rtol=0)
+
+
 def test_convlstm_rejects_mismatched_state():
     rng = np.random.default_rng(22)
     w = _small_lstm_weights(rng)
     state = RecurrentState(Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros((2, 3, 3))))
     with pytest.raises(ad.ShapeError):
         net.convlstm_step(Tensor(np.zeros((2, 2, 2))), state, w)
+    batched = RecurrentState(Tensor(np.zeros((3, 2, 2, 2))), Tensor(np.zeros((3, 2, 2, 2))))
+    with pytest.raises(ad.ShapeError):
+        net.convlstm_step(Tensor(np.zeros((4, 2, 2, 2))), batched, w)
+    with pytest.raises(ad.ShapeError):
+        net.convlstm_step(Tensor(np.zeros((2, 2, 2))), batched, w)
 
 
 # ---------------------------------------------------------------------------
@@ -336,3 +354,57 @@ def test_gradient_flows_through_mask_path():
     assert w["policy_mask.w"].grad is not None
     assert np.abs(w["policy_mask.w"].grad).max() > 0
     assert np.abs(w["value_mask.w"].grad).max() > 0
+
+
+# ---------------------------------------------------------------------------
+# batched forward
+
+def _random_states(config, n, rng, dtype):
+    shape = RecurrentState.zeros(config).h.shape
+    return [RecurrentState(Tensor(rng.normal(scale=0.5, size=shape).astype(dtype)),
+                           Tensor(rng.normal(scale=0.5, size=shape).astype(dtype)))
+            for _ in range(n)]
+
+
+def _stack_states(states):
+    return RecurrentState(Tensor(np.stack([s.h.data for s in states])),
+                          Tensor(np.stack([s.c.data for s in states])))
+
+
+def _forward_rows(trace):
+    rows = [trace.policy, trace.value, trace.next_state.h, trace.next_state.c]
+    return [t.data for t in rows + [m for m in (trace.m_p, trace.m_v) if m is not None]]
+
+
+@pytest.mark.parametrize("dtype, rtol, atol", [(np.float64, 1e-12, 1e-15),
+                                               (np.float32, 0.0, 1e-6)])
+@pytest.mark.parametrize("variant", ["vanilla", "both"])
+def test_batched_forward_rows_match_per_sample_forward(variant, dtype, rtol, atol):
+    # two steps, so the second runs from the batched forward's own next state
+    config = cfg(variant)
+    w = net.init_weights(config, seed=15, dtype=dtype)
+    rng = np.random.default_rng(16)
+    n = 4
+    states = _random_states(config, n, rng, dtype)
+    batch_state = _stack_states(states)
+    for step in range(2):
+        obs = rng.uniform(0, 1, size=(n, 1, config.input_hw, config.input_hw)).astype(dtype)
+        for transform in net.MASK_TRANSFORMS:
+            if transform == "inverse" and not config.policy_mask_enabled:
+                continue
+            batch = net.forward(obs, batch_state, w, config, mask_transform=transform)
+            assert batch.policy.shape == (n, config.n_actions) and batch.value.shape == (n, 1)
+            singles = [net.forward(obs[i], states[i], w, config, mask_transform=transform)
+                       for i in range(n)]
+            for i, single in enumerate(singles):
+                for got, want in zip(_forward_rows(batch), _forward_rows(single)):
+                    np.testing.assert_allclose(got[i], want, rtol=rtol, atol=atol)
+        states = [t.next_state for t in singles]
+        batch_state = batch.next_state
+
+
+def test_recurrent_state_zeros_batch_shape():
+    config = cfg()
+    state = RecurrentState.zeros(config, np.float64, batch=5)
+    assert state.h.shape == state.c.shape == (5,) + RecurrentState.zeros(config).h.shape
+    assert state.h.dtype == np.float64 and not state.h.data.any()

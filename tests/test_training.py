@@ -17,7 +17,7 @@ from maskac.training import (Hyperparams, Rollout, RolloutStep, SharedParams,
                              a3c_loss, apply_gradients, collect_rollout,
                              compute_returns, sync_local, train)
 
-from oracles import discounted_returns_oracle, per_step_a3c_loss
+from oracles import discounted_returns_oracle, per_step_a3c_loss, rmsprop_apply_oracle
 
 
 def small_cfg(**kw):
@@ -333,6 +333,33 @@ def test_clipping_equals_prescaled_gradient():
                     Hyperparams(grad_clip_norm=1e18), n_steps=1)
     for k in clipped.values:
         np.testing.assert_allclose(clipped.values[k], manual.values[k], atol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("clip_scale", [None, 0.37])
+def test_in_place_rmsprop_is_bit_identical_to_the_formula(clip_scale, dtype):
+    rng = np.random.default_rng(5)
+    # c.w spans three slices of the update, the last one partial
+    weights = {"a.w": Tensor(rng.normal(size=(3, 3)).astype(dtype)),
+               "b.w": Tensor(rng.normal(size=(4,)).astype(dtype)),
+               "c.w": Tensor(rng.normal(size=(2 * tr._APPLY_CHUNK + 7,)).astype(dtype))}
+    shared = SharedParams(weights)
+    values = {k: t.data.copy() for k, t in weights.items()}
+    ms = {k: np.zeros_like(v) for k, v in values.items()}
+    for _ in range(5):
+        grads = {k: rng.normal(size=v.shape).astype(dtype) for k, v in values.items()}
+        hyper = Hyperparams(lr=0.01, grad_clip_norm=1e9)
+        if clip_scale is not None:
+            norm = float(np.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads.values())))
+            hyper = Hyperparams(lr=0.01, grad_clip_norm=clip_scale * norm)
+        kept = {k: g.copy() for k, g in grads.items()}
+        apply_gradients(shared, grads, hyper, n_steps=1)
+        scale = rmsprop_apply_oracle(values, ms, grads, hyper)
+        assert scale == pytest.approx(clip_scale or 1.0)
+        for k in values:
+            np.testing.assert_array_equal(grads[k], kept[k])     # caller's grads untouched
+            assert shared.values[k].tobytes() == values[k].tobytes()
+            assert shared.ms[k].tobytes() == ms[k].tobytes()
 
 
 def test_disjoint_support_updates_commute_exactly():
