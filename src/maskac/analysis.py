@@ -20,7 +20,9 @@ from .network import NetworkConfig, RecurrentState, forward, weight_names
 from .training import sample_action, train
 
 OVERLAY_ALPHA = 0.5
-# Most episodes ``evaluate`` steps in lockstep; bounds the batch's im2col memory.
+# Most episodes ``evaluate`` steps in lockstep.  32 rows halve the
+# per-observation cost of a one-row forward, larger groups measured at most
+# 15% cheaper, and the cap bounds the batch's im2col memory.
 EVAL_GROUP = 32
 VARIANTS = (
     ("vanilla", False, False),
