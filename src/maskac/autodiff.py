@@ -36,8 +36,8 @@ class GraphError(RuntimeError):
 class Tensor:
     """Dense n-d array with an optional gradient buffer.
 
-    Tensors are confined to one worker thread at a time; they may be
-    handed off between threads but never shared mutably.
+    Training builds each cycle's graph on a fresh copy of the shared
+    weights (``training.sync_local``), so no tensor is shared between cycles.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op",

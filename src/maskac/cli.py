@@ -19,7 +19,7 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .envs import ENV_NAMES, EnvSpec, InjectionSpec, default_episode_cap
 from .netpbm import read_pgm
 from .network import NetworkConfig
-from .training import Hyperparams, train, worker_count
+from .training import Hyperparams, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -140,9 +140,9 @@ class ResolvedConfig:
             episode_cap = default_episode_cap(env, size)
         else:
             episode_cap = _as_int(raw, "episode_cap")
-        self.env_spec = EnvSpec(name=env, size=size, episode_cap=episode_cap,
-                                seed=_as_int(raw, "seed"))
         try:
+            self.env_spec = EnvSpec(name=env, size=size, episode_cap=episode_cap,
+                                    seed=_as_int(raw, "seed"))
             self.network = NetworkConfig(
                 input_hw=size,
                 fe_channels=tuple(_as_int_list(raw, "fe_channels")),
@@ -166,7 +166,6 @@ class ResolvedConfig:
                 episode_step_cap=_as_int(raw, "episode_step_cap"),
                 rmsprop_decay=_as_float(raw, "rmsprop_decay"),
                 rmsprop_eps=_as_float(raw, "rmsprop_eps"))
-            worker_count(self.hyper.n_workers)  # rejects a malformed MASKAC_THREADS
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         self.precision = raw["precision"]
@@ -203,7 +202,10 @@ def _load_ckpt(path):
 
 
 def _env_spec_from_args(args, n_actions_hint=None):
-    spec = EnvSpec(name=args.env, size=args.size, seed=0)
+    try:
+        spec = EnvSpec(name=args.env, size=args.size, seed=0)
+    except ValueError as exc:
+        raise ArgumentProblem(f"--size: {exc}") from None
     if n_actions_hint is not None and spec.n_actions != n_actions_hint:
         raise VariantError(
             f"checkpoint expects {n_actions_hint} actions but env {args.env!r} "
@@ -405,7 +407,7 @@ def build_parser():
 
     p = sub.add_parser("viz", help="write mask heat-map files for episodes")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--episodes", type=int, default=1)
+    p.add_argument("--episodes", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--greedy", action="store_true")
     _add_env_flags(p)

@@ -14,6 +14,7 @@ Observations can additionally be overdrawn with injected sprites
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,10 @@ class EnvSpec:
     def __post_init__(self):
         if self.name not in ENV_NAMES:
             raise ValueError(f"unknown env {self.name!r}; choose from {ENV_NAMES}")
-        expected = {"catch": 3, "collector": 5, "fuel": 6}[self.name]
+        cls = _ENV_CLASSES[self.name]
+        if self.size < cls.MIN_SIZE:
+            raise ValueError(f"{self.name} needs size >= {cls.MIN_SIZE}, got {self.size}")
+        expected = len(cls.action_names)
         if self.n_actions is None:
             self.n_actions = expected
         elif self.n_actions != expected:
@@ -163,6 +167,7 @@ class CatchEnv(_BaseEnv):
 
     action_names = ("left", "stay", "right")
     PADDLE_HALF = 3
+    MIN_SIZE = 2 * PADDLE_HALF + 1   # the whole paddle fits the bottom row
 
     def __init__(self, spec):
         super().__init__(spec, default_cap=default_episode_cap("catch", spec.size))
@@ -202,6 +207,10 @@ class CollectorEnv(_BaseEnv):
     action_names = ("up", "down", "left", "right", "stay")
     MOVES = {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1), 4: (0, 0)}
     N_PELLETS = 8
+    # The interior (size-2)^2 must hold the agent, the chaser and every pellet;
+    # on such a grid some interior cells lie size // 2 apart, so the chaser
+    # placement in _reset_layout ends.
+    MIN_SIZE = 2 + math.isqrt(N_PELLETS + 1) + 1
 
     def __init__(self, spec):
         super().__init__(spec, default_cap=default_episode_cap("collector", spec.size))
@@ -272,6 +281,7 @@ class FuelEnv(_BaseEnv):
     action_names = ("up", "down", "left", "right", "stay", "collect")
     MOVES = {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1), 4: (0, 0), 5: (0, 0)}
     BAR_ROWS = 3
+    MIN_SIZE = 2 * BAR_ROWS + 3   # leaves the dive rows size // 2 .. bottom - 1 non-empty
 
     def __init__(self, spec):
         super().__init__(spec, default_cap=default_episode_cap("fuel", spec.size))
@@ -328,8 +338,10 @@ def default_episode_cap(name, size):
     return {"catch": size, "collector": 300, "fuel": 200}[name]
 
 
+_ENV_CLASSES = {"catch": CatchEnv, "collector": CollectorEnv, "fuel": FuelEnv}
+
+
 def make_env(spec: EnvSpec):
-    cls = {"catch": CatchEnv, "collector": CollectorEnv, "fuel": FuelEnv}[spec.name]
-    env = cls(spec)
+    env = _ENV_CLASSES[spec.name](spec)
     env.reset()
     return env

@@ -1,11 +1,13 @@
-"""n-step advantage actor-critic training with asynchronous worker threads.
+"""n-step advantage actor-critic training with round-robin actor-learners.
 
-Each worker repeatedly snapshots the shared parameters, collects a
-bounded rollout segment with its own environment, backpropagates the
+N worker records, each with its own environment, action rng and
+recurrent state, take turns in the fixed order 0..N-1.  A turn snapshots
+the shared parameters, so it sees the update the previous worker just
+applied, collects a bounded rollout segment, backpropagates the
 actor-critic loss through the segment (truncated through time at the
-segment boundary), and applies the clipped gradients to the shared
-store under a coarse lock.  Workers never barrier-synchronize; the
-global step counter is the only coupling.
+segment boundary) and applies the clipped gradients to the shared store.
+This keeps A3C's order of snapshot, rollout and update per worker, and a
+fixed seed reproduces a run whatever the worker count.
 
 The rollout builds no graph: it keeps the observations, actions,
 rewards, values and action probabilities, plus the recurrent state the
@@ -17,8 +19,8 @@ backpropagates that single graph.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
-import threading
 import time
 from dataclasses import dataclass
 
@@ -174,14 +176,11 @@ _APPLY_CHUNK = 16384
 class SharedParams:
     """Global weights plus per-parameter RMSProp statistics and a step counter.
 
-    Snapshot reads and updates each take one coarse exclusive lock, so a
-    snapshot is always some globally-applied version of the weights.  Two
-    scratch buffers of ``_APPLY_CHUNK`` elements per dtype hold the RMSProp
-    intermediates and are touched only under that lock.
+    Two scratch buffers of ``_APPLY_CHUNK`` elements per dtype hold the
+    RMSProp intermediates.
     """
 
     def __init__(self, weights):
-        self._lock = threading.Lock()
         self.values = {k: np.array(t.data, copy=True) for k, t in weights.items()}
         self.ms = {k: np.zeros_like(v) for k, v in self.values.items()}
         self._scratch = {v.dtype: (np.empty(_APPLY_CHUNK, v.dtype), np.empty(_APPLY_CHUNK, v.dtype))
@@ -189,34 +188,11 @@ class SharedParams:
         self.steps = 0
         self.updates = 0
         self.skipped = 0
-        self._ckpt_marks = set()
-
-    def snapshot(self):
-        with self._lock:
-            return {k: v.copy() for k, v in self.values.items()}
-
-    def step_count(self):
-        with self._lock:
-            return self.steps
-
-    def advance_only(self, n_steps):
-        with self._lock:
-            self.steps += n_steps
-            self.skipped += 1
-            return self.steps
-
-    def claim_checkpoint(self, mark):
-        with self._lock:
-            if mark in self._ckpt_marks:
-                return False
-            self._ckpt_marks.add(mark)
-            return True
 
 
 def sync_local(shared):
     """Fresh, unaliased tensor snapshot of the global weights."""
-    snap = shared.snapshot()
-    return {k: Tensor(v, requires_grad=True) for k, v in snap.items()}
+    return {k: Tensor(v.copy(), requires_grad=True) for k, v in shared.values.items()}
 
 
 def _rmsprop_chunk(values, ms, g, scale, hyper, step, tmp):
@@ -248,120 +224,94 @@ def apply_gradients(shared, grads, hyper, n_steps):
         flat = g.ravel()
         sq += float(np.dot(flat, flat))
     norm = float(np.sqrt(sq))
+    shared.steps += n_steps
     if not np.isfinite(norm):
-        shared.advance_only(n_steps)
+        shared.skipped += 1
         return None
     scale = 1.0 if norm <= hyper.grad_clip_norm else hyper.grad_clip_norm / norm
-    with shared._lock:
-        for name, g in grads.items():
-            values, ms = shared.values[name].reshape(-1), shared.ms[name].reshape(-1)
-            step, tmp = shared._scratch[values.dtype]
-            g = g.reshape(-1)
-            for lo in range(0, values.size, _APPLY_CHUNK):
-                hi = min(lo + _APPLY_CHUNK, values.size)
-                _rmsprop_chunk(values[lo:hi], ms[lo:hi], g[lo:hi], scale, hyper,
-                               step[:hi - lo], tmp[:hi - lo])
-        shared.steps += n_steps
-        shared.updates += 1
-        return norm
+    for name, g in grads.items():
+        values, ms = shared.values[name].reshape(-1), shared.ms[name].reshape(-1)
+        step, tmp = shared._scratch[values.dtype]
+        g = g.reshape(-1)
+        for lo in range(0, values.size, _APPLY_CHUNK):
+            hi = min(lo + _APPLY_CHUNK, values.size)
+            _rmsprop_chunk(values[lo:hi], ms[lo:hi], g[lo:hi], scale, hyper,
+                           step[:hi - lo], tmp[:hi - lo])
+    shared.updates += 1
+    return norm
 
 
 class MetricsWriter:
-    """Append-only CSV channel shared by the workers."""
+    """Append-only CSV of one row per rollout."""
 
     HEADER = "step,worker,episode_return,policy_loss,value_loss,entropy,grad_norm"
 
     def __init__(self, path):
         self._fh = open(path, "w")
-        self._lock = threading.Lock()
         self._fh.write(self.HEADER + "\n")
 
     def log(self, step, worker, episode_return, policy_loss, value_loss, entropy, grad_norm):
         er = "" if episode_return is None else repr(float(episode_return))
         gn = "nan" if grad_norm is None else repr(float(grad_norm))
-        row = (f"{step},{worker},{er},{repr(float(policy_loss))},"
-               f"{repr(float(value_loss))},{repr(float(entropy))},{gn}\n")
-        with self._lock:
-            self._fh.write(row)
+        self._fh.write(f"{step},{worker},{er},{repr(float(policy_loss))},"
+                       f"{repr(float(value_loss))},{repr(float(entropy))},{gn}\n")
 
     def close(self):
-        with self._lock:
-            self._fh.close()
+        self._fh.close()
 
 
-def worker_count(requested):
-    """Requested worker threads, capped by the MASKAC_THREADS variable if set.
+@dataclass
+class Worker:
+    """One actor-learner: its environment, action rng and recurrent state."""
 
-    Raises ValueError naming the variable when it is not a positive integer.
-    """
-    cap = os.environ.get("MASKAC_THREADS")
-    if not cap:
-        return requested
-    try:
-        limit = int(cap)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise ValueError(f"MASKAC_THREADS must be a positive integer, got {cap!r}")
-    return min(requested, limit)
-
-
-# Workers hand off whole rollout+update cycles instead of interleaving at
-# numpy-call granularity: the engine is GIL-bound, and fine interleaving
-# convoys badly (measured ~4x aggregate slowdown with 4 threads).  The
-# gate serializes compute but keeps the workers' environments and update
-# schedules fully independent; there is still no barrier anywhere.
-_COMPUTE_GATE = threading.Lock()
-_GATE_DISABLED = bool(os.environ.get("MASKAC_NO_COMPUTE_GATE"))
+    index: int
+    env: object
+    rng: np.random.Generator
+    state: RecurrentState
 
 
 def _worker_env_seed(seed, worker_id):
     return int(np.random.SeedSequence([seed, worker_id, 17]).generate_state(1)[0])
 
 
-def _worker_loop(worker_id, shared, config, hyper, env_spec, seed, metrics, stop,
-                 dtype, save_snapshot, checkpoint_interval, errors):
-    try:
-        spec = dataclasses.replace(env_spec, seed=_worker_env_seed(seed, worker_id))
-        env = make_env(spec)
-        env.episode_cap = min(env.episode_cap, hyper.episode_step_cap)
-        rng = np.random.default_rng([seed, worker_id, 1])
-        state = RecurrentState.zeros(config, dtype)
-        gated = not _GATE_DISABLED
-        while not stop.is_set() and shared.step_count() < hyper.total_steps:
-            if gated:
-                _COMPUTE_GATE.acquire()
-            try:
-                weights = sync_local(shared)
-                rollout, state = collect_rollout(env, weights, config, state,
-                                                 hyper.t_max, rng)
-                episode_return = env.score if rollout.terminal else None
-                returns, advantages = compute_returns(rollout, hyper.gamma)
-                loss = a3c_loss(rollout, weights, config, returns, advantages,
-                                hyper.entropy_coef, hyper.value_coef)
-                ad.backward(loss)
-                grads = {k: t.grad for k, t in weights.items() if t.grad is not None}
-                norm = apply_gradients(shared, grads, hyper, len(rollout))
-            finally:
-                if gated:
-                    _COMPUTE_GATE.release()
-            step_now = shared.step_count()
-            p_loss, v_loss, entropy = loss_components(rollout, returns, advantages)
-            metrics.log(step_now, worker_id, episode_return, p_loss, v_loss, entropy, norm)
-            if checkpoint_interval:
-                mark = step_now // checkpoint_interval
-                if mark > 0 and shared.claim_checkpoint(mark):
-                    save_snapshot(shared.snapshot(), mark * checkpoint_interval)
-            if gated:
-                time.sleep(0)  # give a waiting sibling a chance at the gate
-    except Exception as exc:  # propagate to the spawning thread
-        errors.append((worker_id, exc))
-        stop.set()
+def _make_worker(index, config, hyper, env_spec, seed, dtype):
+    env = make_env(dataclasses.replace(env_spec, seed=_worker_env_seed(seed, index)))
+    env.episode_cap = min(env.episode_cap, hyper.episode_step_cap)
+    return Worker(index, env, np.random.default_rng([seed, index, 1]),
+                  RecurrentState.zeros(config, dtype))
+
+
+def _worker_loop(workers, shared, config, hyper, metrics, save_snapshot, checkpoint_interval):
+    """Give the workers one rollout-and-update cycle each, in turn, until the budget is met.
+
+    The budget is checked before every cycle, so the run ends below
+    ``total_steps + t_max``.  A checkpoint is saved whenever the step
+    count passes a multiple of ``checkpoint_interval`` not saved yet.
+    """
+    saved_mark = 0
+    for worker in itertools.cycle(workers):
+        if shared.steps >= hyper.total_steps:
+            return
+        weights = sync_local(shared)
+        rollout, worker.state = collect_rollout(worker.env, weights, config, worker.state,
+                                                hyper.t_max, worker.rng)
+        episode_return = worker.env.score if rollout.terminal else None
+        returns, advantages = compute_returns(rollout, hyper.gamma)
+        loss = a3c_loss(rollout, weights, config, returns, advantages,
+                        hyper.entropy_coef, hyper.value_coef)
+        ad.backward(loss)
+        grads = {k: t.grad for k, t in weights.items() if t.grad is not None}
+        norm = apply_gradients(shared, grads, hyper, len(rollout))
+        p_loss, v_loss, entropy = loss_components(rollout, returns, advantages)
+        metrics.log(shared.steps, worker.index, episode_return, p_loss, v_loss, entropy, norm)
+        if checkpoint_interval and shared.steps // checkpoint_interval > saved_mark:
+            saved_mark = shared.steps // checkpoint_interval
+            save_snapshot(saved_mark * checkpoint_interval)
 
 
 def train(config, hyper, env_spec, seed, out_dir, precision="single",
           checkpoint_interval=50_000, log=None):
-    """Run the asynchronous training loop until the global step budget is met.
+    """Run the round-robin training loop until the global step budget is met.
 
     Writes ckpt_<step>.ma3c files (including the initial ckpt_0) and a
     metrics.csv into ``out_dir``; returns the path of the final
@@ -372,40 +322,29 @@ def train(config, hyper, env_spec, seed, out_dir, precision="single",
     if precision not in ("single", "double"):
         raise ValueError("precision must be 'single' or 'double'")
     dtype = np.float64 if precision == "double" else np.float32
-    n_workers = worker_count(hyper.n_workers)
     os.makedirs(out_dir, exist_ok=True)
 
     shared = SharedParams(init_weights(config, seed, dtype))
 
-    def save_snapshot(values, step):
-        save_checkpoint(values, config, os.path.join(out_dir, f"ckpt_{step}.ma3c"))
+    def save_snapshot(step):
+        path = os.path.join(out_dir, f"ckpt_{step}.ma3c")
+        save_checkpoint(shared.values, config, path)
+        return path
 
-    save_snapshot(shared.snapshot(), 0)
+    final_path = save_snapshot(0)
     metrics = MetricsWriter(os.path.join(out_dir, "metrics.csv"))
-    stop = threading.Event()
-    errors = []
-    threads = [
-        threading.Thread(target=_worker_loop, name=f"worker-{i}",
-                         args=(i, shared, config, hyper, env_spec, seed, metrics, stop,
-                               dtype, save_snapshot, checkpoint_interval, errors))
-        for i in range(n_workers)
-    ]
     t0 = time.monotonic()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    metrics.close()
-    if errors:
-        worker_id, exc = errors[0]
-        raise RuntimeError(f"worker {worker_id} failed") from exc
+    try:
+        workers = [_make_worker(i, config, hyper, env_spec, seed, dtype)
+                   for i in range(hyper.n_workers)]
+        _worker_loop(workers, shared, config, hyper, metrics, save_snapshot,
+                     checkpoint_interval)
+    finally:
+        metrics.close()
 
-    final_step = shared.step_count()
-    final_path = os.path.join(out_dir, f"ckpt_{final_step}.ma3c")
+    final_step = shared.steps
     if final_step > 0:
-        save_snapshot(shared.snapshot(), final_step)
-    else:
-        final_path = os.path.join(out_dir, "ckpt_0.ma3c")
+        final_path = save_snapshot(final_step)
     elapsed = time.monotonic() - t0
     if log:
         rate = final_step / elapsed if elapsed > 0 else 0.0

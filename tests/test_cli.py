@@ -462,25 +462,48 @@ def test_zero_episodes_exit_5_with_one_line(tmp_path, capsys):
     config = cfg()
     ckpt = str(tmp_path / "w.ma3c")
     save_checkpoint(init_weights(config, seed=0), config, ckpt)
+    viz_dir = str(tmp_path / "viz")
     for argv in (["eval", "--ckpt", ckpt, "--episodes", "0"],
                  ["random-baseline", "--episodes", "0"],
-                 ["random-baseline", "--episodes", "-3"]):
+                 ["random-baseline", "--episodes", "-3"],
+                 ["viz", "--ckpt", ckpt, "--out", viz_dir, "--episodes", "0"],
+                 ["viz", "--ckpt", ckpt, "--out", viz_dir, "--episodes", "-1"]):
         assert main(argv) == EXIT_ARGUMENT
         err = capsys.readouterr().err
         assert err.startswith("invalid argument:") and "--episodes" in err
         assert len(err.strip().splitlines()) == 1
+    assert not os.path.exists(viz_dir)
     with pytest.raises(ValueError):
         EpisodeStats.from_returns([])
 
 
-def test_malformed_thread_cap_exit_2(tmp_path, monkeypatch, capsys):
-    cfg_path = write_config(tmp_path / "c.cfg", total_steps="0", n_workers="1",
-                            out_dir=str(tmp_path / "run"), **small_net_overrides())
-    for cap in ("x", "0"):
-        monkeypatch.setenv("MASKAC_THREADS", cap)
-        assert main(["train", cfg_path]) == EXIT_CONFIG
-        assert "MASKAC_THREADS" in capsys.readouterr().err
-    assert not (tmp_path / "run").exists() or not os.listdir(tmp_path / "run")
+# below these sizes an env's layout does not fit: a traceback before, and
+# collector at size 3 looped for ever placing its chaser
+@pytest.mark.parametrize("env,too_small,smallest", [
+    ("catch", (6, 1, 0, -5), 7),
+    ("collector", (5, 4, 3, 2, 1), 6),
+    ("fuel", (8, 3, 0), 9),
+])
+def test_size_an_env_cannot_lay_out_exits_5(env, too_small, smallest, capsys):
+    for size in too_small:
+        assert main(["random-baseline", "--env", env, "--size", str(size),
+                     "--episodes", "2"]) == EXIT_ARGUMENT
+        err = capsys.readouterr().err
+        assert err.startswith("invalid argument: --size") and f"size >= {smallest}" in err
+        assert len(err.strip().splitlines()) == 1
+    assert main(["random-baseline", "--env", env, "--size", str(smallest),
+                 "--episodes", "20"]) == EXIT_OK
+
+
+def test_config_size_an_env_cannot_lay_out_exits_2(tmp_path, capsys):
+    # stride 1 keeps a 6x6 input a valid network, so only the env rejects it
+    cfg_path = write_config(tmp_path / "c.cfg", env="catch", size="6", conv_stride="1",
+                            total_steps="20", out_dir=str(tmp_path / "run"),
+                            **small_net_overrides())
+    assert main(["train", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "size >= 7" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_compare_command(tmp_path, capsys):
