@@ -8,6 +8,7 @@ watches how masks and the action distribution react to planted pixels.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 from .autodiff import Tensor
 from .envs import make_env
 from .netpbm import write_pgm, write_ppm
-from .network import NetworkConfig, RecurrentState, forward, weight_names
+from .network import RecurrentState, forward, weight_names
 from .training import sample_action, train
 
 OVERLAY_ALPHA = 0.5
@@ -24,6 +25,8 @@ OVERLAY_ALPHA = 0.5
 # per-observation cost of a one-row forward, larger groups measured at most
 # 15% cheaper, and the cap bounds the batch's im2col memory.
 EVAL_GROUP = 32
+# evaluation seed of every run ``compare_variants`` scores
+EVAL_SEED = 1000
 VARIANTS = (
     ("vanilla", False, False),
     ("policy", True, False),
@@ -69,12 +72,8 @@ class InjectionReport:
     action_names: tuple
 
 
-def _as_tensors(weights, dtype=None):
-    out = {}
-    for k, v in weights.items():
-        data = v.data if isinstance(v, Tensor) else np.asarray(v)
-        out[k] = Tensor(data.astype(dtype) if dtype else data)
-    return out
+def _as_tensors(weights):
+    return {k: Tensor(v.data if isinstance(v, Tensor) else v) for k, v in weights.items()}
 
 
 def _episode_seed(seed, episode):
@@ -241,8 +240,8 @@ def stencil_region_cells(stencil, position, obs_size, grid_size):
     return region
 
 
-def injection_response(weights, config, env_spec, spec, window, seed, greedy=True):
-    """Run one rollout with an injected sprite and log masks and policy around it.
+def injection_response(weights, config, env_spec, spec, window, seed):
+    """Run one greedy rollout with an injected sprite and log masks and policy around it.
 
     ``window`` is an inclusive (first, last) frame range and must contain
     the injection start frame.
@@ -260,9 +259,7 @@ def injection_response(weights, config, env_spec, spec, window, seed, greedy=Tru
     env.inject(spec)
     region = stencil_region_cells(spec.stencil, spec.position, env_spec.size,
                                   config.feature_hw())
-    dtype = weights["fe1.w"].dtype
-    rng = np.random.default_rng([seed, 0, 1])
-    state = RecurrentState.zeros(config, dtype)
+    state = RecurrentState.zeros(config, weights["fe1.w"].dtype)
     rows = []
     for t in range(last + 1):
         trace = forward(env.observe(), state, weights, config)
@@ -277,7 +274,7 @@ def injection_response(weights, config, env_spec, spec, window, seed, greedy=Tru
                     row[f"region_mean_{branch}"] = (float(grid[region].mean())
                                                     if region.any() else float("nan"))
             rows.append(row)
-        action = int(np.argmax(probs)) if greedy else sample_action(probs, rng)
+        action = int(np.argmax(probs))
         state = trace.next_state
         if t == last or env.done:
             break
@@ -301,35 +298,34 @@ def _final_checkpoint(run_dir, min_steps):
     return best[1] if best else None
 
 
-def compare_variants(env_spec, seeds, hyper, episodes, out_dir, precision="single",
-                     reuse=True, eval_seed=1000, config_overrides=None, log=None):
-    """Train all four variants per seed, evaluate each, and tabulate max/mean.
+def compare_variants(env_spec, config, seeds, hyper, episodes, out_dir, precision="single",
+                     log=None):
+    """Train all four variants of ``config`` per seed, evaluate each, and tabulate max/mean.
 
     Returns the table rows (one per variant x seed, plus a best-of-seeds
     row per variant selected by mean) and writes variants.csv in out_dir.
-    Existing finished runs under out_dir are reused unless ``reuse`` is
-    false.
+    A run under out_dir whose final checkpoint reaches the step budget is
+    reused, not trained again.
     """
     from .checkpoint import load_checkpoint
 
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for variant, pol, val in VARIANTS:
+        variant_config = dataclasses.replace(config, policy_mask_enabled=pol,
+                                             value_mask_enabled=val)
         per_seed = []
         for seed in seeds:
-            config = NetworkConfig(input_hw=env_spec.size, n_actions=env_spec.n_actions,
-                                   policy_mask_enabled=pol, value_mask_enabled=val,
-                                   **(config_overrides or {}))
             run_dir = os.path.join(out_dir, variant, f"seed_{seed}")
-            ckpt = _final_checkpoint(run_dir, hyper.total_steps) if reuse else None
+            ckpt = _final_checkpoint(run_dir, hyper.total_steps)
             if ckpt is None:
                 if log:
                     log(f"training {variant} seed={seed} for {hyper.total_steps} steps")
-                ckpt = train(config, hyper, env_spec, seed, run_dir,
+                ckpt = train(variant_config, hyper, env_spec, seed, run_dir,
                              precision=precision, log=log)
             weights, ckpt_config = load_checkpoint(ckpt)
             stats = evaluate(weights, ckpt_config, env_spec, episodes,
-                             seed=eval_seed, greedy=True)
+                             seed=EVAL_SEED, greedy=True)
             row = {"variant": variant, "policy_mask": pol, "value_mask": val,
                    "seed": seed, "max": stats.max, "mean": stats.mean, "ckpt": ckpt}
             per_seed.append(row)

@@ -18,10 +18,10 @@ import numpy as np
 
 __all__ = [
     "Tensor", "ShapeError", "GraphError",
-    "add", "sub", "mul", "neg", "sigmoid", "tanh", "relu", "one_minus",
+    "add", "mul", "neg", "sigmoid", "tanh", "relu", "one_minus",
     "broadcast_mul_channelwise", "conv2d", "convlstm", "dense",
     "softmax", "log_softmax", "concat_channels", "slice_channels",
-    "reshape", "sum_all", "pick", "backward", "zero_grads", "grad_check",
+    "reshape", "sum_all", "backward", "zero_grads", "grad_check",
 ]
 
 
@@ -36,15 +36,16 @@ class GraphError(RuntimeError):
 class Tensor:
     """Dense n-d array with an optional gradient buffer.
 
-    Training builds each cycle's graph on a fresh copy of the shared
-    weights (``training.sync_local``), so no tensor is shared between cycles.
+    Training builds each cycle's graph on fresh leaf tensors over the
+    shared weight arrays (``training.sync_local``), so no tensor or
+    gradient buffer is shared between cycles.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op",
                  "_consumed", "_inv_src")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -64,27 +65,8 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def _make(data, parents, op):
@@ -133,22 +115,6 @@ def add(a, b):
                 _accum(a, out.grad)
             if b.requires_grad:
                 _accum(b, out.grad)
-        out._backward = _bw
-    return out
-
-
-def sub(a, b):
-    if not isinstance(b, Tensor):
-        return add(a, -b)
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
-    out = _make(a.data - b.data, (a, b), "sub")
-    if out.requires_grad:
-        def _bw():
-            if a.requires_grad:
-                _accum(a, out.grad)
-            if b.requires_grad:
-                _accum_owned(b, -out.grad)
         out._backward = _bw
     return out
 
@@ -568,22 +534,6 @@ def sum_all(a):
     if out.requires_grad:
         def _bw():
             _accum(a, np.broadcast_to(out.grad, a.shape))
-        out._backward = _bw
-    return out
-
-
-def pick(a, index):
-    """Single element of a 1-d vector, as a scalar tensor."""
-    if a.data.ndim != 1:
-        raise ShapeError(f"pick: need a 1-d vector, got shape {a.shape}")
-    if not (0 <= index < a.data.size):
-        raise IndexError(f"pick: index {index} out of range for length {a.data.size}")
-    out = _make(np.asarray(a.data[index]), (a,), "pick")
-    if out.requires_grad:
-        def _bw():
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[index] += out.grad
         out._backward = _bw
     return out
 

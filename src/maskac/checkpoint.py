@@ -16,6 +16,7 @@ from a double-precision run reproduces the weights only to float32.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import struct
@@ -28,45 +29,63 @@ from .network import NetworkConfig, weight_names, weight_shapes
 MAGIC = b"MA3C"
 VERSION = 1
 
-_CONFIG_FIELDS = (
-    "input_hw", "fe_channels", "lstm_channels", "branch_channels", "n_actions",
-    "policy_mask_enabled", "value_mask_enabled", "conv_kernel", "conv_stride", "conv_padding",
-)
-
 
 class CheckpointError(Exception):
     """The file is not a valid checkpoint (magic, version, checksum, or names)."""
 
 
+# The text form of a setting, shared by the checkpoint's config block and
+# the CLI's config files: its type is the type of the field's default.
+
+def format_value(value):
+    """true/false for a bool, comma-separated items for a tuple, else ``str``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+_KINDS = {int: "an integer", float: "a number", tuple: "comma-separated integers"}
+
+
+def parse_value(key, text, kind):
+    """Inverse of ``format_value`` for setting ``key`` of type ``kind``; raises ValueError."""
+    if kind is bool:
+        if text.lower() in ("true", "1", "yes"):
+            return True
+        if text.lower() in ("false", "0", "no"):
+            return False
+        raise ValueError(f"{key} must be true or false, got {text!r}")
+    try:
+        if kind is tuple:
+            return tuple(int(v) for v in text.split(",") if v.strip() != "")
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{key} must be {_KINDS[kind]}, got {text!r}") from None
+
+
+# the config block: every NetworkConfig field, in declaration order
+_CONFIG_KINDS = {f.name: type(f.default) for f in dataclasses.fields(NetworkConfig)}
+
+
 def _encode_config(config):
-    lines = []
-    for key in _CONFIG_FIELDS:
-        value = getattr(config, key)
-        if key == "fe_channels":
-            value = ",".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{key}={value}")
-    return "\n".join(lines).encode()
+    return "\n".join(f"{key}={format_value(getattr(config, key))}"
+                     for key in _CONFIG_KINDS).encode()
 
 
 def _decode_config(blob):
-    fields = {}
+    values = {}
     try:
         for line in blob.decode().splitlines():
-            key, _, raw = line.partition("=")
-            if key not in _CONFIG_FIELDS:
+            key, _, text = line.partition("=")
+            if key not in _CONFIG_KINDS:
                 raise CheckpointError(f"checkpoint config has unknown key {key!r}")
-            if key == "fe_channels":
-                fields[key] = tuple(int(v) for v in raw.split(","))
-            elif key in ("policy_mask_enabled", "value_mask_enabled"):
-                fields[key] = raw == "true"
-            else:
-                fields[key] = int(raw)
-        missing = set(_CONFIG_FIELDS) - set(fields)
+            values[key] = parse_value(key, text, _CONFIG_KINDS[key])
+        missing = _CONFIG_KINDS.keys() - values.keys()
         if missing:
             raise CheckpointError(f"checkpoint config block is missing {sorted(missing)}")
-        return NetworkConfig(**fields)
+        return NetworkConfig(**values)
     except ValueError as exc:   # also UnicodeDecodeError
         raise CheckpointError(f"checkpoint config is invalid: {exc}") from None
 

@@ -8,6 +8,7 @@ mismatch, 5 invalid argument.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -15,8 +16,8 @@ import numpy as np
 
 from .analysis import (compare_variants, evaluate, injection_response,
                        random_baseline, record_heatmaps)
-from .checkpoint import CheckpointError, load_checkpoint
-from .envs import ENV_NAMES, EnvSpec, InjectionSpec, default_episode_cap
+from .checkpoint import CheckpointError, format_value, load_checkpoint, parse_value
+from .envs import ENV_NAMES, EnvSpec, InjectionSpec
 from .netpbm import read_pgm
 from .network import NetworkConfig
 from .training import Hyperparams, train
@@ -44,6 +45,15 @@ class ArgumentProblem(Exception):
 
 # ---------------------------------------------------------------------------
 # flat key=value configuration
+#
+# Every Hyperparams field and every architecture field of NetworkConfig is a
+# config key of the same name, with the field's default as its default.
+
+# NetworkConfig fields that come from other keys: size, env and the two masks
+_DERIVED_NETWORK_FIELDS = ("input_hw", "n_actions", "policy_mask_enabled", "value_mask_enabled")
+_ARCH_DEFAULTS = {f.name: f.default for f in dataclasses.fields(NetworkConfig)
+                  if f.name not in _DERIVED_NETWORK_FIELDS}
+_HYPER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Hyperparams)}
 
 CONFIG_DEFAULTS = {
     "env": "catch",
@@ -51,23 +61,8 @@ CONFIG_DEFAULTS = {
     "episode_cap": "auto",
     "policy_mask": "true",
     "value_mask": "true",
-    "fe_channels": "32,32,64",
-    "lstm_channels": "64",
-    "branch_channels": "32",
-    "conv_kernel": "3",
-    "conv_stride": "2",
-    "conv_padding": "1",
-    "gamma": "0.99",
-    "lr": "0.0001",
-    "n_workers": "4",
-    "t_max": "20",
-    "entropy_coef": "0.01",
-    "value_coef": "0.5",
-    "grad_clip_norm": "40.0",
-    "total_steps": "200000",
-    "episode_step_cap": "10000",
-    "rmsprop_decay": "0.99",
-    "rmsprop_eps": "0.1",
+    **{k: format_value(v) for k, v in _ARCH_DEFAULTS.items()},
+    **{k: format_value(v) for k, v in _HYPER_DEFAULTS.items()},
     "precision": "single",
     "seed": "0",
     "seeds": "0,1,2,3,4",
@@ -97,34 +92,11 @@ def parse_config_file(path):
     return raw
 
 
-def _as_int(raw, key):
+def _value(raw, key, kind):
     try:
-        return int(raw[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {raw[key]!r}") from None
-
-
-def _as_float(raw, key):
-    try:
-        return float(raw[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw[key]!r}") from None
-
-
-def _as_bool(raw, key):
-    value = raw[key].lower()
-    if value in ("true", "1", "yes"):
-        return True
-    if value in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key} must be true or false, got {raw[key]!r}")
-
-
-def _as_int_list(raw, key):
-    try:
-        return [int(v) for v in raw[key].split(",") if v.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"{key} must be comma-separated integers, got {raw[key]!r}") from None
+        return parse_value(key, raw[key], kind)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 class ResolvedConfig:
@@ -135,52 +107,31 @@ class ResolvedConfig:
         env = raw["env"]
         if env not in ENV_NAMES:
             raise ConfigError(f"env must be one of {ENV_NAMES}, got {env!r}")
-        size = _as_int(raw, "size")
-        if raw["episode_cap"] == "auto":
-            episode_cap = default_episode_cap(env, size)
-        else:
-            episode_cap = _as_int(raw, "episode_cap")
+        size = _value(raw, "size", int)
+        episode_cap = None if raw["episode_cap"] == "auto" else _value(raw, "episode_cap", int)
+        self.seed = _value(raw, "seed", int)
+        arch = {k: _value(raw, k, type(v)) for k, v in _ARCH_DEFAULTS.items()}
+        hyper = {k: _value(raw, k, type(v)) for k, v in _HYPER_DEFAULTS.items()}
         try:
-            self.env_spec = EnvSpec(name=env, size=size, episode_cap=episode_cap,
-                                    seed=_as_int(raw, "seed"))
-            self.network = NetworkConfig(
-                input_hw=size,
-                fe_channels=tuple(_as_int_list(raw, "fe_channels")),
-                lstm_channels=_as_int(raw, "lstm_channels"),
-                branch_channels=_as_int(raw, "branch_channels"),
-                n_actions=self.env_spec.n_actions,
-                policy_mask_enabled=_as_bool(raw, "policy_mask"),
-                value_mask_enabled=_as_bool(raw, "value_mask"),
-                conv_kernel=_as_int(raw, "conv_kernel"),
-                conv_stride=_as_int(raw, "conv_stride"),
-                conv_padding=_as_int(raw, "conv_padding"))
-            self.hyper = Hyperparams(
-                gamma=_as_float(raw, "gamma"),
-                lr=_as_float(raw, "lr"),
-                n_workers=_as_int(raw, "n_workers"),
-                t_max=_as_int(raw, "t_max"),
-                entropy_coef=_as_float(raw, "entropy_coef"),
-                value_coef=_as_float(raw, "value_coef"),
-                grad_clip_norm=_as_float(raw, "grad_clip_norm"),
-                total_steps=_as_int(raw, "total_steps"),
-                episode_step_cap=_as_int(raw, "episode_step_cap"),
-                rmsprop_decay=_as_float(raw, "rmsprop_decay"),
-                rmsprop_eps=_as_float(raw, "rmsprop_eps"))
+            self.env_spec = EnvSpec(name=env, size=size, episode_cap=episode_cap, seed=self.seed)
+            self.network = NetworkConfig(input_hw=size, n_actions=self.env_spec.n_actions,
+                                         policy_mask_enabled=_value(raw, "policy_mask", bool),
+                                         value_mask_enabled=_value(raw, "value_mask", bool), **arch)
+            self.hyper = Hyperparams(**hyper)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         self.precision = raw["precision"]
         if self.precision not in ("single", "double"):
             raise ConfigError(f"precision must be single or double, got {self.precision!r}")
-        self.seed = _as_int(raw, "seed")
-        self.seeds = _as_int_list(raw, "seeds")
+        self.seeds = list(_value(raw, "seeds", tuple))
         if not self.seeds:
             raise ConfigError("seeds must name at least one seed")
         self.out_dir = raw["out_dir"]
-        self.checkpoint_interval = _as_int(raw, "checkpoint_interval")
-        self.eval_episodes = _as_int(raw, "eval_episodes")
+        self.checkpoint_interval = _value(raw, "checkpoint_interval", int)
+        self.eval_episodes = _value(raw, "eval_episodes", int)
         if self.eval_episodes < 1:
             raise ConfigError(f"eval_episodes must be at least 1, got {self.eval_episodes}")
-        self.raw["episode_cap"] = str(episode_cap)
+        self.raw["episode_cap"] = str(self.env_spec.episode_cap)
 
     def resolved_text(self):
         return "".join(f"{k}={self.raw[k]}\n" for k in sorted(self.raw))
@@ -328,13 +279,8 @@ def cmd_compare(args):
     out_dir = args.out or config.out_dir
     config.raw["out_dir"] = out_dir
     write_resolved(config, out_dir)
-    net = config.network
-    overrides = dict(fe_channels=net.fe_channels, lstm_channels=net.lstm_channels,
-                     branch_channels=net.branch_channels, conv_kernel=net.conv_kernel,
-                     conv_stride=net.conv_stride, conv_padding=net.conv_padding)
-    rows = compare_variants(config.env_spec, config.seeds, config.hyper,
-                            config.eval_episodes, out_dir,
-                            precision=config.precision, config_overrides=overrides,
+    rows = compare_variants(config.env_spec, config.network, config.seeds, config.hyper,
+                            config.eval_episodes, out_dir, precision=config.precision,
                             log=lambda msg: print(msg, flush=True))
     print(f"{'variant':<10} {'seed':>6} {'max':>10} {'mean':>10}")
     for r in rows:

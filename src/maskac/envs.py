@@ -30,11 +30,12 @@ ENV_NAMES = ("catch", "collector", "fuel")
 
 @dataclass
 class EnvSpec:
+    """Which environment to build; ``episode_cap=None`` means the env's default cap."""
+
     name: str = "catch"
     size: int = 20
     episode_cap: int | None = None
     seed: int = 0
-    n_actions: int | None = None
 
     def __post_init__(self):
         if self.name not in ENV_NAMES:
@@ -42,11 +43,14 @@ class EnvSpec:
         cls = _ENV_CLASSES[self.name]
         if self.size < cls.MIN_SIZE:
             raise ValueError(f"{self.name} needs size >= {cls.MIN_SIZE}, got {self.size}")
-        expected = len(cls.action_names)
-        if self.n_actions is None:
-            self.n_actions = expected
-        elif self.n_actions != expected:
-            raise ValueError(f"{self.name} has {expected} actions, spec says {self.n_actions}")
+        if self.episode_cap is None:
+            self.episode_cap = {"catch": self.size, "collector": 300, "fuel": 200}[self.name]
+        elif self.episode_cap < 1:
+            raise ValueError(f"episode_cap must be >= 1, got {self.episode_cap}")
+
+    @property
+    def n_actions(self):
+        return len(_ENV_CLASSES[self.name].action_names)
 
 
 @dataclass
@@ -54,7 +58,6 @@ class StepResult:
     obs: np.ndarray
     reward: float
     done: bool
-    info: dict
 
 
 @dataclass
@@ -98,9 +101,9 @@ class _BaseEnv:
 
     action_names: tuple = ()
 
-    def __init__(self, spec: EnvSpec, default_cap: int):
+    def __init__(self, spec: EnvSpec):
         self.size = spec.size
-        self.episode_cap = spec.episode_cap if spec.episode_cap else default_cap
+        self.episode_cap = spec.episode_cap
         self._rng = np.random.default_rng(spec.seed)
         self._injections: list[InjectionSpec] = []
         self.done = True
@@ -149,7 +152,7 @@ class _BaseEnv:
         if not self.done and self.frame >= self.episode_cap:
             self.done = True
         self.score += reward
-        return StepResult(self.observe(), reward, self.done, {"score": self.score})
+        return StepResult(self.observe(), reward, self.done)
 
     # subclass hooks
     def _reset_layout(self, rng):
@@ -168,9 +171,6 @@ class CatchEnv(_BaseEnv):
     action_names = ("left", "stay", "right")
     PADDLE_HALF = 3
     MIN_SIZE = 2 * PADDLE_HALF + 1   # the whole paddle fits the bottom row
-
-    def __init__(self, spec):
-        super().__init__(spec, default_cap=default_episode_cap("catch", spec.size))
 
     def _reset_layout(self, rng):
         self.ball_row = 0
@@ -211,9 +211,6 @@ class CollectorEnv(_BaseEnv):
     # on such a grid some interior cells lie size // 2 apart, so the chaser
     # placement in _reset_layout ends.
     MIN_SIZE = 2 + math.isqrt(N_PELLETS + 1) + 1
-
-    def __init__(self, spec):
-        super().__init__(spec, default_cap=default_episode_cap("collector", spec.size))
 
     def _interior(self):
         return [(r, c) for r in range(1, self.size - 1) for c in range(1, self.size - 1)]
@@ -284,7 +281,7 @@ class FuelEnv(_BaseEnv):
     MIN_SIZE = 2 * BAR_ROWS + 3   # leaves the dive rows size // 2 .. bottom - 1 non-empty
 
     def __init__(self, spec):
-        super().__init__(spec, default_cap=default_episode_cap("fuel", spec.size))
+        super().__init__(spec)
         self.fuel_max = 2 * self.size
         self.bottom = self.size - 1 - self.BAR_ROWS       # deepest playfield row
         self.depth_rows = (self.size // 2, self.bottom - 1)
@@ -332,10 +329,6 @@ class FuelEnv(_BaseEnv):
         cells.append((*self.target, TARGET))
         cells.append((*self.agent, AGENT))
         return cells
-
-
-def default_episode_cap(name, size):
-    return {"catch": size, "collector": 300, "fuel": 200}[name]
 
 
 _ENV_CLASSES = {"catch": CatchEnv, "collector": CollectorEnv, "fuel": FuelEnv}

@@ -49,10 +49,14 @@ class NetworkConfig:
         object.__setattr__(self, "fe_channels", tuple(self.fe_channels))
         if len(self.fe_channels) != 3:
             raise ValueError(f"fe_channels must have length 3, got {self.fe_channels}")
-        if self.n_actions < 1:
-            raise ValueError("n_actions must be >= 1")
-        if self.conv_stride < 1:
-            raise ValueError(f"conv_stride must be >= 1, got {self.conv_stride}")
+        if min(self.fe_channels) < 1:
+            raise ValueError(f"fe_channels must all be >= 1, got {self.fe_channels}")
+        for name in ("lstm_channels", "branch_channels", "n_actions", "conv_kernel",
+                     "conv_stride"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.conv_padding < 0:
+            raise ValueError(f"conv_padding must be >= 0, got {self.conv_padding}")
         if self.feature_hw() < 2:
             raise ValueError(
                 f"input_hw={self.input_hw} leaves a {self.feature_hw()}-pixel feature map; need >= 2")
@@ -63,11 +67,6 @@ class NetworkConfig:
         for _ in range(3):
             hw = conv_out_size(hw, self.conv_kernel, self.conv_stride, self.conv_padding)
         return hw
-
-    def variant_name(self):
-        return {(False, False): "vanilla", (True, False): "policy",
-                (False, True): "value", (True, True): "both"}[
-                    (self.policy_mask_enabled, self.value_mask_enabled)]
 
 
 @dataclass

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -42,15 +43,23 @@ class Hyperparams:
     value_coef: float = 0.5
     grad_clip_norm: float = 40.0
     total_steps: int = 200_000
-    episode_step_cap: int = 10_000
     rmsprop_decay: float = 0.99
     rmsprop_eps: float = 0.1
 
     def __post_init__(self):
+        # each check is written so that a nan value fails it
         if not (0.0 <= self.gamma <= 1.0):
-            raise ValueError("gamma must lie in [0, 1]")
-        if self.lr <= 0 or self.t_max < 1 or self.n_workers < 1:
-            raise ValueError("lr must be > 0, t_max >= 1, n_workers >= 1")
+            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
+        if not (0.0 < self.lr < math.inf):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if self.t_max < 1 or self.n_workers < 1:
+            raise ValueError("t_max and n_workers must be >= 1")
+        if not self.grad_clip_norm > 0:
+            raise ValueError(f"grad_clip_norm must be > 0, got {self.grad_clip_norm}")
+        if not self.rmsprop_eps > 0:
+            raise ValueError(f"rmsprop_eps must be > 0, got {self.rmsprop_eps}")
+        if not (0.0 <= self.rmsprop_decay < 1.0):
+            raise ValueError(f"rmsprop_decay must lie in [0, 1), got {self.rmsprop_decay}")
 
 
 @dataclass
@@ -191,8 +200,13 @@ class SharedParams:
 
 
 def sync_local(shared):
-    """Fresh, unaliased tensor snapshot of the global weights."""
-    return {k: Tensor(v.copy(), requires_grad=True) for k, v in shared.values.items()}
+    """Fresh gradient-tracking leaves over the global weights, sharing their arrays.
+
+    Nothing writes the store between this call and the cycle's backward
+    pass, so the leaves need no copy; each call gives new tensors, so no
+    gradient buffer carries over from one cycle to the next.
+    """
+    return {k: Tensor(v, requires_grad=True) for k, v in shared.values.items()}
 
 
 def _rmsprop_chunk(values, ms, g, scale, hyper, step, tmp):
@@ -274,9 +288,8 @@ def _worker_env_seed(seed, worker_id):
     return int(np.random.SeedSequence([seed, worker_id, 17]).generate_state(1)[0])
 
 
-def _make_worker(index, config, hyper, env_spec, seed, dtype):
+def _make_worker(index, config, env_spec, seed, dtype):
     env = make_env(dataclasses.replace(env_spec, seed=_worker_env_seed(seed, index)))
-    env.episode_cap = min(env.episode_cap, hyper.episode_step_cap)
     return Worker(index, env, np.random.default_rng([seed, index, 1]),
                   RecurrentState.zeros(config, dtype))
 
@@ -285,8 +298,9 @@ def _worker_loop(workers, shared, config, hyper, metrics, save_snapshot, checkpo
     """Give the workers one rollout-and-update cycle each, in turn, until the budget is met.
 
     The budget is checked before every cycle, so the run ends below
-    ``total_steps + t_max``.  A checkpoint is saved whenever the step
-    count passes a multiple of ``checkpoint_interval`` not saved yet.
+    ``total_steps + t_max``.  Whenever the step count passes a multiple
+    of ``checkpoint_interval`` not saved yet, the weights are saved under
+    the step count they hold.
     """
     saved_mark = 0
     for worker in itertools.cycle(workers):
@@ -306,7 +320,7 @@ def _worker_loop(workers, shared, config, hyper, metrics, save_snapshot, checkpo
         metrics.log(shared.steps, worker.index, episode_return, p_loss, v_loss, entropy, norm)
         if checkpoint_interval and shared.steps // checkpoint_interval > saved_mark:
             saved_mark = shared.steps // checkpoint_interval
-            save_snapshot(saved_mark * checkpoint_interval)
+            save_snapshot(shared.steps)
 
 
 def train(config, hyper, env_spec, seed, out_dir, precision="single",
@@ -335,7 +349,7 @@ def train(config, hyper, env_spec, seed, out_dir, precision="single",
     metrics = MetricsWriter(os.path.join(out_dir, "metrics.csv"))
     t0 = time.monotonic()
     try:
-        workers = [_make_worker(i, config, hyper, env_spec, seed, dtype)
+        workers = [_make_worker(i, config, env_spec, seed, dtype)
                    for i in range(hyper.n_workers)]
         _worker_loop(workers, shared, config, hyper, metrics, save_snapshot,
                      checkpoint_interval)

@@ -13,6 +13,13 @@ from maskac.network import RecurrentState, forward
 from maskac.training import sample_action
 
 
+def pick(a, index):
+    """Element ``index`` of a 1-d tensor, as a scalar tensor: the sum of ``a`` times a one-hot."""
+    onehot = np.zeros(a.shape, dtype=a.dtype)
+    onehot[index] = 1.0
+    return ad.sum_all(ad.mul(a, onehot))
+
+
 def conv2d_oracle(x, k, b, stride, padding):
     """Direct six-nested-loop convolution."""
     c_in, h, w = x.shape
@@ -126,9 +133,9 @@ def per_step_a3c_loss(rollout, weights, config, returns, advantages, entropy_coe
         trace = forward(step.obs, state, weights, config)
         state = trace.next_state
         logp = ad.log_softmax(trace.policy_logits)
-        picked = ad.pick(logp, step.action)
+        picked = pick(logp, step.action)
         entropy = ad.neg(ad.sum_all(ad.mul(trace.policy, logp)))
-        verr = ad.add(ad.neg(ad.pick(trace.value, 0)), float(ret))
+        verr = ad.add(ad.neg(pick(trace.value, 0)), float(ret))
         term = ad.add(ad.mul(picked, -float(adv)),
                       ad.add(ad.mul(ad.mul(verr, verr), float(value_coef)),
                              ad.mul(entropy, -float(entropy_coef))))

@@ -307,12 +307,14 @@ def test_stencil_region_majority_rule():
 # ---------------------------------------------------------------------------
 # variant comparison (tiny budget; learning quality is covered by acceptance)
 
+def small_base_config():
+    return NetworkConfig(fe_channels=(4, 4, 8), lstm_channels=8, branch_channels=4)
+
 def test_compare_variants_structure(tmp_path):
     spec = EnvSpec(name="catch")
     hyper = Hyperparams(total_steps=60, n_workers=1, t_max=10)
-    overrides = dict(fe_channels=(4, 4, 8), lstm_channels=8, branch_channels=4)
-    rows = compare_variants(spec, seeds=[0, 1], hyper=hyper, episodes=3,
-                            out_dir=str(tmp_path), config_overrides=overrides)
+    rows = compare_variants(spec, small_base_config(), seeds=[0, 1], hyper=hyper, episodes=3,
+                            out_dir=str(tmp_path))
     # 4 variants x (2 seeds + best row)
     assert len(rows) == 4 * 3
     variants = [r["variant"] for r in rows]
@@ -332,17 +334,16 @@ def test_compare_variants_structure(tmp_path):
 def test_compare_variants_reuses_existing_runs(tmp_path):
     spec = EnvSpec(name="catch")
     hyper = Hyperparams(total_steps=40, n_workers=1, t_max=10)
-    overrides = dict(fe_channels=(4, 4, 8), lstm_channels=8, branch_channels=4)
-    rows1 = compare_variants(spec, seeds=[0], hyper=hyper, episodes=2,
-                             out_dir=str(tmp_path), config_overrides=overrides)
+    rows1 = compare_variants(spec, small_base_config(), seeds=[0], hyper=hyper, episodes=2,
+                             out_dir=str(tmp_path))
     mtimes = {}
     for root, _, files in os.walk(tmp_path):
         for f in files:
             if f.endswith(".ma3c"):
                 p = os.path.join(root, f)
                 mtimes[p] = os.path.getmtime(p)
-    rows2 = compare_variants(spec, seeds=[0], hyper=hyper, episodes=2,
-                             out_dir=str(tmp_path), config_overrides=overrides)
+    rows2 = compare_variants(spec, small_base_config(), seeds=[0], hyper=hyper, episodes=2,
+                             out_dir=str(tmp_path))
     for p, m in mtimes.items():
         assert os.path.getmtime(p) == m  # nothing was retrained
     assert [r["mean"] for r in rows1] == [r["mean"] for r in rows2]

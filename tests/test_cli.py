@@ -16,7 +16,7 @@ from maskac.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from maskac.cli import (CONFIG_DEFAULTS, EXIT_ARGUMENT, EXIT_CHECKPOINT,
                         EXIT_CONFIG, EXIT_OK, EXIT_VARIANT, ResolvedConfig,
                         main, parse_config_file)
-from maskac.network import NetworkConfig, init_weights, weight_names
+from maskac.network import NetworkConfig, init_weights, weight_names, weight_shapes
 
 
 def cfg(policy=True, value=True, **kw):
@@ -127,6 +127,31 @@ def test_checkpoint_bad_config_raises_checkpoint_error(tmp_path, capsys, edit):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+def test_checkpoint_config_block_of_the_default_config(tmp_path):
+    path = str(tmp_path / "w.ma3c")
+    save_checkpoint({}, NetworkConfig(), path)
+    body = open(path, "rb").read()
+    (n,) = struct.unpack_from("<I", body, 8)
+    assert body[12:12 + n] == (
+        b"input_hw=20\nfe_channels=32,32,64\nlstm_channels=64\nbranch_channels=32\n"
+        b"n_actions=3\npolicy_mask_enabled=true\nvalue_mask_enabled=true\nconv_kernel=3\n"
+        b"conv_stride=2\nconv_padding=1")
+
+
+@pytest.mark.parametrize("field", ["lstm_channels", "branch_channels", "conv_kernel"])
+def test_checkpoint_whose_config_has_a_zero_size_loads_as_an_error(tmp_path, capsys, field):
+    # weights shaped to match, as a writer that skipped validation would save them
+    config = tiny_cfg()
+    object.__setattr__(config, field, 0)
+    path = str(tmp_path / "w.ma3c")
+    save_checkpoint({name: np.zeros(shape, np.float32)
+                     for name, shape in weight_shapes(config).items()}, config, path)
+    with pytest.raises(CheckpointError, match=field):
+        load_checkpoint(path)
+    assert main(["eval", "--ckpt", path, "--episodes", "1"]) == EXIT_CHECKPOINT
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
 def test_checkpoint_dims_whose_product_wraps_int64_are_rejected(tmp_path):
     # 2**31 * 2**31 * 4 is 2**64, which an int64 product wraps to 0 bytes
     config = tiny_cfg()
@@ -218,6 +243,40 @@ def test_config_defaults_and_overrides(tmp_path):
     assert resolved.env_spec.name == "fuel"
     assert resolved.network.n_actions == 6
     assert resolved.env_spec.episode_cap == 200  # auto-resolved
+
+
+def test_config_defaults_are_the_documented_keys_and_texts():
+    assert list(CONFIG_DEFAULTS.items()) == [
+        ("env", "catch"), ("size", "20"), ("episode_cap", "auto"),
+        ("policy_mask", "true"), ("value_mask", "true"),
+        ("fe_channels", "32,32,64"), ("lstm_channels", "64"), ("branch_channels", "32"),
+        ("conv_kernel", "3"), ("conv_stride", "2"), ("conv_padding", "1"),
+        ("gamma", "0.99"), ("lr", "0.0001"), ("n_workers", "4"), ("t_max", "20"),
+        ("entropy_coef", "0.01"), ("value_coef", "0.5"), ("grad_clip_norm", "40.0"),
+        ("total_steps", "200000"), ("rmsprop_decay", "0.99"), ("rmsprop_eps", "0.1"),
+        ("precision", "single"), ("seed", "0"), ("seeds", "0,1,2,3,4"),
+        ("out_dir", "runs/out"), ("checkpoint_interval", "50000"), ("eval_episodes", "100"),
+    ]
+
+
+# each of these crashed a run, trained on to a non-finite checkpoint or
+# flipped the sign of every update; episode_cap=0 meant the default cap,
+# and episode_step_cap is no longer a key
+@pytest.mark.parametrize("key,value", [
+    ("lstm_channels", "0"), ("lstm_channels", "-2"), ("branch_channels", "0"),
+    ("fe_channels", "0,4,4"), ("conv_kernel", "0"), ("conv_padding", "-1"),
+    ("lr", "nan"), ("rmsprop_eps", "0"), ("grad_clip_norm", "-1"), ("rmsprop_decay", "1"),
+    ("episode_cap", "0"), ("episode_step_cap", "10000"),
+])
+def test_config_value_that_breaks_a_run_exits_2_with_one_line(tmp_path, capsys, key, value):
+    settings = dict(total_steps="20", n_workers="1", conv_stride="1",
+                    out_dir=str(tmp_path / "run"), **small_net_overrides())
+    settings[key] = value
+    assert main(["train", write_config(tmp_path / "c.cfg", **settings)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_rejects_unknown_key(tmp_path):

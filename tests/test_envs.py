@@ -186,17 +186,17 @@ def test_collector_scripted_episode_matches_rules_oracle():
         env = make_env(EnvSpec(name="collector", seed=seed))
         i = 0
         while not env.done and i < len(actions):
-            res = env.step(actions[i])
+            env.step(actions[i])
             i += 1
-        assert res.info["score"] == collector_rules_oracle(seed, actions[:i])
+        assert env.score == collector_rules_oracle(seed, actions[:i])
 
 
 def test_collector_total_reward_bounded_by_pellets():
     env = make_env(EnvSpec(name="collector", seed=8))
     rng = np.random.default_rng(0)
     while not env.done:
-        res = env.step(int(rng.integers(5)))
-    assert res.info["score"] <= CollectorEnv.N_PELLETS
+        env.step(int(rng.integers(5)))
+    assert env.score <= CollectorEnv.N_PELLETS
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +319,10 @@ def test_injection_out_of_bounds_rejected():
 def test_env_spec_validation():
     with pytest.raises(ValueError):
         EnvSpec(name="pong")
-    with pytest.raises(ValueError):
-        EnvSpec(name="catch", n_actions=5)
     assert EnvSpec(name="fuel").n_actions == 6
+    # no cap means the env's own: the catch grid height, 300 and 200 steps
+    assert [EnvSpec(name=n, size=9).episode_cap for n in ("catch", "collector", "fuel")] \
+        == [9, 300, 200]
+    assert make_env(EnvSpec(name="fuel", episode_cap=7)).episode_cap == 7
+    with pytest.raises(ValueError):
+        EnvSpec(name="catch", episode_cap=0)

@@ -8,7 +8,7 @@ from maskac import network as net
 from maskac.autodiff import Tensor
 from maskac.network import NetworkConfig, RecurrentState
 
-from oracles import conv2d_oracle, convlstm_oracle
+from oracles import conv2d_oracle, convlstm_oracle, pick
 
 VARIANTS = {
     "vanilla": dict(policy_mask_enabled=False, value_mask_enabled=False),
@@ -348,7 +348,7 @@ def test_gradient_flows_through_mask_path():
         t.requires_grad = True
     trace = net.forward(random_obs(config, seed=14),
                         RecurrentState.zeros(config, np.float64), w, config)
-    loss = ad.add(ad.pick(ad.log_softmax(trace.policy_logits), 0),
+    loss = ad.add(pick(ad.log_softmax(trace.policy_logits), 0),
                   ad.mul(ad.sum_all(trace.value), 0.5))
     ad.backward(loss)
     assert w["policy_mask.w"].grad is not None

@@ -53,7 +53,7 @@ class ScriptedEnv:
         reward = 0.25
         self.done = self.done_at is not None and self.t >= self.done_at
         self.score += reward
-        return StepResult(self.observe(), reward, self.done, {"score": self.score})
+        return StepResult(self.observe(), reward, self.done)
 
 
 class NoisyEnv(ScriptedEnv):
@@ -388,13 +388,16 @@ def test_non_finite_gradient_skipped_and_flagged():
         np.testing.assert_array_equal(shared.values[k], before[k])
 
 
-def test_sync_local_snapshot_is_not_aliased():
+def test_sync_local_gives_new_gradless_leaves_over_the_store():
     shared = toy_shared()
-    snap = sync_local(shared)
-    np.testing.assert_array_equal(snap["a.w"].data, shared.values["a.w"])
-    shared.values["a.w"] += 1.0
-    assert not np.array_equal(snap["a.w"].data, shared.values["a.w"])
-    assert all(t.requires_grad for t in snap.values())
+    first = sync_local(shared)
+    for t in first.values():
+        t.grad = np.ones_like(t.data)
+    second = sync_local(shared)
+    for k, v in shared.values.items():
+        assert second[k] is not first[k] and second[k].data is v
+        assert second[k].grad is None and second[k].requires_grad
+        assert second[k]._parents == () and second[k]._backward is None
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +436,23 @@ def test_train_multiworker_finishes_with_finite_weights(tmp_path):
         lines = fh.read().strip().splitlines()
     assert lines[0] == tr.MetricsWriter.HEADER
     assert len(lines) > 1
+
+
+def test_periodic_checkpoints_are_named_after_the_step_they_hold(tmp_path):
+    # catch episodes are 19-step segments, so the step count passes the
+    # multiples of 30 at 38 and 76; a run whose budget is that step count
+    # ends there and must write the same bytes
+    config = small_cfg()
+    out = tmp_path / "long"
+    train(config, Hyperparams(total_steps=100, n_workers=1), EnvSpec(name="catch"), seed=7,
+          out_dir=str(out), checkpoint_interval=30)
+    with open(out / "metrics.csv") as fh:
+        steps = {int(line.split(",")[0]) for line in fh.read().splitlines()[1:]}
+    named = {int(f[5:-5]) for f in os.listdir(out) if f.endswith(".ma3c")}
+    assert named <= steps | {0} and {38, 76} <= named
+    short = train(config, Hyperparams(total_steps=38, n_workers=1), EnvSpec(name="catch"),
+                  seed=7, out_dir=str(tmp_path / "short"), checkpoint_interval=30)
+    assert open(short, "rb").read() == (out / "ckpt_38.ma3c").read_bytes()
 
 
 @pytest.mark.parametrize("n_workers", [2, 3])
