@@ -72,7 +72,33 @@ class InjectionReport:
     action_names: tuple
 
 
-def _as_tensors(weights):
+class VariantError(ValueError):
+    """The network does not fit the environment or the requested use of its masks."""
+
+
+def _checked_tensors(weights, config, env_spec, mask_transform="identity", need_mask=False):
+    """The weights as tensors, once ``config`` is known to fit them, the env and the mask use.
+
+    ``need_mask`` asks for at least one mask branch, as heat maps and
+    injection probes read the masks; ``mask_transform`` "inverse" needs
+    the policy mask and "ones" some mask to ablate.
+    """
+    expected = set(weight_names(config))
+    if set(weights) != expected:
+        raise VariantError(
+            f"weights do not match the config variant: missing "
+            f"{sorted(expected - set(weights))}, extra {sorted(set(weights) - expected)}")
+    if config.n_actions != env_spec.n_actions:
+        raise VariantError(f"network has {config.n_actions} actions but env "
+                           f"{env_spec.name!r} has {env_spec.n_actions}")
+    if config.input_hw != env_spec.size:
+        raise VariantError(f"network expects {config.input_hw}x{config.input_hw} "
+                           f"observations, env size is {env_spec.size}")
+    if mask_transform == "inverse" and not config.policy_mask_enabled:
+        raise VariantError("mask_transform='inverse' needs the policy mask branch")
+    if ((need_mask or mask_transform == "ones")
+            and not (config.policy_mask_enabled or config.value_mask_enabled)):
+        raise VariantError("this network has no mask branches")
     return {k: Tensor(v.data if isinstance(v, Tensor) else v) for k, v in weights.items()}
 
 
@@ -80,12 +106,47 @@ def _episode_seed(seed, episode):
     return int(np.random.SeedSequence([seed, episode]).generate_state(1)[0])
 
 
-def _check_weights_match(weights, config):
-    expected = set(weight_names(config))
-    if set(weights) != expected:
-        raise ValueError(
-            f"weights do not match the config variant: missing "
-            f"{sorted(expected - set(weights))}, extra {sorted(set(weights) - expected)}")
+def _seeded_episodes(env_spec, episodes, seed):
+    """An env and an action rng per episode index, each seeded as if that episode ran alone."""
+    envs, rngs = [], []
+    for ep in episodes:
+        env = make_env(env_spec)
+        env.reset(seed=_episode_seed(seed, ep))
+        envs.append(env)
+        rngs.append(np.random.default_rng([seed, ep, 1]))
+    return envs, rngs
+
+
+def _lockstep(weights, config, envs, rngs, mask_transform="identity", greedy=True):
+    """Play ``envs`` side by side to their ends, one batched ``forward`` per env step.
+
+    Yields ``(t, rows, obs, trace, actions)`` before each step: ``rows``
+    are the indices into ``envs`` still running, and ``obs``, ``trace``
+    and ``actions`` hold one row for each of them.  Finished envs drop
+    out of the batch; a batch of one computes what the unbatched
+    ``forward`` does, bit for bit.
+    """
+    rows = list(range(len(envs)))
+    obs = [env.observe() for env in envs]
+    state = RecurrentState.zeros(config, weights["fe1.w"].dtype, batch=len(envs))
+    t = 0
+    while rows:
+        obs = np.stack(obs)
+        trace = forward(obs[:, None], state, weights, config, mask_transform=mask_transform)
+        actions = [int(np.argmax(probs)) if greedy else sample_action(probs, rngs[i])
+                   for i, probs in zip(rows, trace.policy.data)]
+        yield t, rows, obs, trace, actions
+        obs, keep = [], []
+        for k, (i, action) in enumerate(zip(rows, actions)):
+            result = envs[i].step(action)
+            if not result.done:
+                obs.append(result.obs)
+                keep.append(k)
+        state = trace.next_state
+        if len(keep) < len(rows):
+            state = RecurrentState(Tensor(state.h.data[keep]), Tensor(state.c.data[keep]))
+            rows = [rows[k] for k in keep]
+        t += 1
 
 
 def evaluate(weights, config, env_spec, episodes, mask_transform="identity",
@@ -97,43 +158,15 @@ def evaluate(weights, config, env_spec, episodes, mask_transform="identity",
     ran alone, and each env step of the group is one batched ``forward``
     over the episodes still running.
     """
-    weights = _as_tensors(weights)
-    _check_weights_match(weights, config)
-    if mask_transform == "inverse" and not config.policy_mask_enabled:
-        raise ValueError("mask_transform='inverse' needs the policy mask branch")
+    weights = _checked_tensors(weights, config, env_spec, mask_transform)
     returns = []
     for first in range(0, episodes, EVAL_GROUP):
-        group = range(first, min(first + EVAL_GROUP, episodes))
-        returns.extend(_lockstep_returns(weights, config, env_spec, group,
-                                         mask_transform, seed, greedy))
+        envs, rngs = _seeded_episodes(env_spec, range(first, min(first + EVAL_GROUP, episodes)),
+                                      seed)
+        for _ in _lockstep(weights, config, envs, rngs, mask_transform, greedy):
+            pass
+        returns.extend(env.score for env in envs)
     return EpisodeStats.from_returns(returns)
-
-
-def _lockstep_returns(weights, config, env_spec, episodes, mask_transform, seed, greedy):
-    """Returns of the given episode indices, played side by side."""
-    envs, rngs, obs = [], [], []
-    for ep in episodes:
-        env = make_env(env_spec)
-        obs.append(env.reset(seed=_episode_seed(seed, ep)))
-        envs.append(env)
-        rngs.append(np.random.default_rng([seed, ep, 1]))
-    active = list(range(len(envs)))            # group positions still running
-    state = RecurrentState.zeros(config, weights["fe1.w"].dtype, batch=len(envs))
-    while active:
-        trace = forward(np.stack(obs)[:, None], state, weights, config,
-                        mask_transform=mask_transform)
-        obs, keep = [], []
-        for row, (i, probs) in enumerate(zip(active, trace.policy.data)):
-            action = int(np.argmax(probs)) if greedy else sample_action(probs, rngs[i])
-            result = envs[i].step(action)
-            if not result.done:
-                obs.append(result.obs)
-                keep.append(row)
-        state = trace.next_state
-        if len(keep) < len(active):
-            state = RecurrentState(Tensor(state.h.data[keep]), Tensor(state.c.data[keep]))
-            active = [active[row] for row in keep]
-    return [env.score for env in envs]
 
 
 def random_baseline(env_spec, episodes, seed):
@@ -183,42 +216,29 @@ def record_heatmaps(weights, config, env_spec, episodes, seed, out_dir, greedy=T
     Files: <branch>_<episode>_<t>.pgm, obs_<episode>_<t>.pgm,
     overlay_<branch>_<episode>_<t>.ppm, index_<episode>.csv.
     """
-    weights = _as_tensors(weights)
-    _check_weights_match(weights, config)
+    weights = _checked_tensors(weights, config, env_spec, need_mask=True)
     branches = [b for b, on in (("policy", config.policy_mask_enabled),
                                 ("value", config.value_mask_enabled)) if on]
-    if not branches:
-        raise ValueError("heat-map recording needs at least one mask branch enabled")
     os.makedirs(out_dir, exist_ok=True)
-    dtype = weights["fe1.w"].dtype
-    env = make_env(env_spec)
     written = []
     for ep in range(episodes):
-        env.reset(seed=_episode_seed(seed, ep))
-        rng = np.random.default_rng([seed, ep, 1])
-        state = RecurrentState.zeros(config, dtype)
+        envs, rngs = _seeded_episodes(env_spec, [ep], seed)
         index_rows = []
-        t = 0
-        while not env.done:
-            obs = env.observe()
-            trace = forward(obs, state, weights, config)
-            probs = trace.policy.data
-            action = int(np.argmax(probs)) if greedy else sample_action(probs, rng)
+        for t, _, obs, trace, (action,) in _lockstep(weights, config, envs, rngs, greedy=greedy):
+            obs, probs = obs[0], trace.policy.data[0]
+            value = float(trace.value.data[0, 0])
             for branch in branches:
-                mask = (trace.m_p if branch == "policy" else trace.m_v).data[0]
+                mask = (trace.m_p if branch == "policy" else trace.m_v).data[0, 0]
                 frame = HeatmapFrame(
                     timestep=t, branch=branch, mask=mask,
                     upsampled=upsample_nearest(mask, env_spec.size),
-                    observation=obs, action=action, value=trace.value_scalar)
+                    observation=obs, action=action, value=value)
                 write_pgm(os.path.join(out_dir, f"{branch}_{ep}_{t}.pgm"), frame.mask)
                 write_ppm(os.path.join(out_dir, f"overlay_{branch}_{ep}_{t}.ppm"),
                           overlay_rgb(frame.upsampled, frame.observation))
                 written.append(frame)
             write_pgm(os.path.join(out_dir, f"obs_{ep}_{t}.pgm"), obs)
-            index_rows.append(f"{t},{action},{trace.value_scalar!r},{policy_entropy(probs)!r}")
-            env.step(action)
-            state = trace.next_state
-            t += 1
+            index_rows.append(f"{t},{action},{value!r},{policy_entropy(probs)!r}")
         with open(os.path.join(out_dir, f"index_{ep}.csv"), "w") as fh:
             fh.write("t,action,value,policy_entropy\n")
             fh.write("\n".join(index_rows) + "\n")
@@ -246,41 +266,31 @@ def injection_response(weights, config, env_spec, spec, window, seed):
     ``window`` is an inclusive (first, last) frame range and must contain
     the injection start frame.
     """
-    weights = _as_tensors(weights)
-    _check_weights_match(weights, config)
-    if not (config.policy_mask_enabled or config.value_mask_enabled):
-        raise ValueError("injection response needs at least one mask branch enabled")
+    weights = _checked_tensors(weights, config, env_spec, need_mask=True)
     first, last = window
     if not (first <= spec.start_frame <= last) or first < 0:
         raise ValueError(f"window {window} does not cover injection frame {spec.start_frame}")
 
-    env = make_env(env_spec)
-    env.reset(seed=_episode_seed(seed, 0))
-    env.inject(spec)
+    envs, rngs = _seeded_episodes(env_spec, [0], seed)
+    envs[0].inject(spec)
     region = stencil_region_cells(spec.stencil, spec.position, env_spec.size,
                                   config.feature_hw())
-    state = RecurrentState.zeros(config, weights["fe1.w"].dtype)
     rows = []
-    for t in range(last + 1):
-        trace = forward(env.observe(), state, weights, config)
-        probs = trace.policy.data
-        if first <= t <= last:
+    for t, _, _, trace, _ in _lockstep(weights, config, envs, rngs):
+        if t >= first:
             row = {"t": t, "injected": spec.active(t),
-                   "value": trace.value_scalar,
-                   "probs": tuple(float(p) for p in probs)}
+                   "value": float(trace.value.data[0, 0]),
+                   "probs": tuple(float(p) for p in trace.policy.data[0])}
             for branch, m in (("policy", trace.m_p), ("value", trace.m_v)):
                 if m is not None:
-                    grid = m.data[0]
+                    grid = m.data[0, 0]
                     row[f"region_mean_{branch}"] = (float(grid[region].mean())
                                                     if region.any() else float("nan"))
             rows.append(row)
-        action = int(np.argmax(probs))
-        state = trace.next_state
-        if t == last or env.done:
+        if t == last:
             break
-        env.step(action)
     return InjectionReport(rows=rows, region=region, start_frame=spec.start_frame,
-                           action_names=tuple(env.action_names))
+                           action_names=tuple(envs[0].action_names))
 
 
 def _final_checkpoint(run_dir, min_steps):
@@ -298,8 +308,7 @@ def _final_checkpoint(run_dir, min_steps):
     return best[1] if best else None
 
 
-def compare_variants(env_spec, config, seeds, hyper, episodes, out_dir, precision="single",
-                     log=None):
+def compare_variants(env_spec, config, seeds, hyper, episodes, out_dir, log=None):
     """Train all four variants of ``config`` per seed, evaluate each, and tabulate max/mean.
 
     Returns the table rows (one per variant x seed, plus a best-of-seeds
@@ -321,8 +330,7 @@ def compare_variants(env_spec, config, seeds, hyper, episodes, out_dir, precisio
             if ckpt is None:
                 if log:
                     log(f"training {variant} seed={seed} for {hyper.total_steps} steps")
-                ckpt = train(variant_config, hyper, env_spec, seed, run_dir,
-                             precision=precision, log=log)
+                ckpt = train(variant_config, hyper, env_spec, seed, run_dir, log=log)
             weights, ckpt_config = load_checkpoint(ckpt)
             stats = evaluate(weights, ckpt_config, env_spec, episodes,
                              seed=EVAL_SEED, greedy=True)

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .analysis import (compare_variants, evaluate, injection_response,
+from .analysis import (VariantError, compare_variants, evaluate, injection_response,
                        random_baseline, record_heatmaps)
 from .checkpoint import CheckpointError, format_value, load_checkpoint, parse_value
 from .envs import ENV_NAMES, EnvSpec, InjectionSpec
@@ -32,10 +32,6 @@ MASK_MODES = {"normal": "identity", "inverse": "inverse", "ones": "ones"}
 
 
 class ConfigError(Exception):
-    pass
-
-
-class VariantError(Exception):
     pass
 
 
@@ -63,7 +59,6 @@ CONFIG_DEFAULTS = {
     "value_mask": "true",
     **{k: format_value(v) for k, v in _ARCH_DEFAULTS.items()},
     **{k: format_value(v) for k, v in _HYPER_DEFAULTS.items()},
-    "precision": "single",
     "seed": "0",
     "seeds": "0,1,2,3,4",
     "out_dir": "runs/out",
@@ -110,6 +105,8 @@ class ResolvedConfig:
         size = _value(raw, "size", int)
         episode_cap = None if raw["episode_cap"] == "auto" else _value(raw, "episode_cap", int)
         self.seed = _value(raw, "seed", int)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         arch = {k: _value(raw, k, type(v)) for k, v in _ARCH_DEFAULTS.items()}
         hyper = {k: _value(raw, k, type(v)) for k, v in _HYPER_DEFAULTS.items()}
         try:
@@ -120,12 +117,9 @@ class ResolvedConfig:
             self.hyper = Hyperparams(**hyper)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        self.precision = raw["precision"]
-        if self.precision not in ("single", "double"):
-            raise ConfigError(f"precision must be single or double, got {self.precision!r}")
         self.seeds = list(_value(raw, "seeds", tuple))
-        if not self.seeds:
-            raise ConfigError("seeds must name at least one seed")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError(f"seeds must name at least one seed, each >= 0, got {raw['seeds']!r}")
         self.out_dir = raw["out_dir"]
         self.checkpoint_interval = _value(raw, "checkpoint_interval", int)
         self.eval_episodes = _value(raw, "eval_episodes", int)
@@ -152,23 +146,11 @@ def _load_ckpt(path):
     return load_checkpoint(path)
 
 
-def _env_spec_from_args(args, n_actions_hint=None):
+def _env_spec_from_args(args):
     try:
-        spec = EnvSpec(name=args.env, size=args.size, seed=0)
+        return EnvSpec(name=args.env, size=args.size, seed=0)
     except ValueError as exc:
         raise ArgumentProblem(f"--size: {exc}") from None
-    if n_actions_hint is not None and spec.n_actions != n_actions_hint:
-        raise VariantError(
-            f"checkpoint expects {n_actions_hint} actions but env {args.env!r} "
-            f"has {spec.n_actions}")
-    return spec
-
-
-def _require_masked(config, need_policy=False):
-    if need_policy and not config.policy_mask_enabled:
-        raise VariantError("this checkpoint has no policy mask branch")
-    if not (config.policy_mask_enabled or config.value_mask_enabled):
-        raise VariantError("this checkpoint has no mask branches")
 
 
 def _write_episode_csv(path, stats):
@@ -187,7 +169,6 @@ def cmd_train(args):
     config.raw["out_dir"] = out_dir
     write_resolved(config, out_dir)
     final = train(config.network, config.hyper, config.env_spec, config.seed, out_dir,
-                  precision=config.precision,
                   checkpoint_interval=config.checkpoint_interval,
                   log=lambda msg: print(msg, flush=True))
     print(f"final checkpoint: {final}")
@@ -196,12 +177,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     weights, net_config = _load_ckpt(args.ckpt)
-    spec = _env_spec_from_args(args, n_actions_hint=net_config.n_actions)
-    if net_config.input_hw != spec.size:
-        raise VariantError(f"checkpoint expects {net_config.input_hw}x{net_config.input_hw} "
-                           f"observations, env size is {spec.size}")
-    if args.mask in ("inverse", "ones"):
-        _require_masked(net_config, need_policy=(args.mask == "inverse"))
+    spec = _env_spec_from_args(args)
     stats = evaluate(weights, net_config, spec, args.episodes,
                      mask_transform=MASK_MODES[args.mask], seed=args.seed,
                      greedy=args.greedy)
@@ -213,8 +189,7 @@ def cmd_eval(args):
 
 def cmd_viz(args):
     weights, net_config = _load_ckpt(args.ckpt)
-    _require_masked(net_config)
-    spec = _env_spec_from_args(args, n_actions_hint=net_config.n_actions)
+    spec = _env_spec_from_args(args)
     record_heatmaps(weights, net_config, spec, args.episodes, args.seed, args.out,
                     greedy=args.greedy)
     print(f"heat maps written to {args.out}")
@@ -244,8 +219,7 @@ def load_sprite(path, threshold):
 
 def cmd_inject(args):
     weights, net_config = _load_ckpt(args.ckpt)
-    _require_masked(net_config)
-    spec = _env_spec_from_args(args, n_actions_hint=net_config.n_actions)
+    spec = _env_spec_from_args(args)
     row, col = _parse_pair(args.pos, "--pos")
     first, last = _parse_pair(args.window, "--window")
     sprite, stencil = load_sprite(args.sprite, args.stencil_threshold)
@@ -254,6 +228,8 @@ def cmd_inject(args):
                             start_frame=args.frame, duration=args.duration)
         report = injection_response(weights, net_config, spec, inj,
                                     window=(first, last), seed=args.seed)
+    except VariantError:
+        raise
     except ValueError as exc:
         raise ArgumentProblem(str(exc)) from None
 
@@ -280,7 +256,7 @@ def cmd_compare(args):
     config.raw["out_dir"] = out_dir
     write_resolved(config, out_dir)
     rows = compare_variants(config.env_spec, config.network, config.seeds, config.hyper,
-                            config.eval_episodes, out_dir, precision=config.precision,
+                            config.eval_episodes, out_dir,
                             log=lambda msg: print(msg, flush=True))
     print(f"{'variant':<10} {'seed':>6} {'max':>10} {'mean':>10}")
     for r in rows:
@@ -306,14 +282,20 @@ class _Parser(argparse.ArgumentParser):
         raise ArgumentProblem(message)
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(lowest, what):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = lowest - 1
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_seed = _int_at_least(0, "non-negative")
 
 
 def _duration(text):
@@ -329,7 +311,7 @@ def _duration(text):
 def _add_env_flags(p):
     p.add_argument("--env", default="catch", choices=ENV_NAMES)
     p.add_argument("--size", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
 
 def build_parser():

@@ -54,6 +54,9 @@ class Hyperparams:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.t_max < 1 or self.n_workers < 1:
             raise ValueError("t_max and n_workers must be >= 1")
+        for name in ("entropy_coef", "value_coef"):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not self.grad_clip_norm > 0:
             raise ValueError(f"grad_clip_norm must be > 0, got {self.grad_clip_norm}")
         if not self.rmsprop_eps > 0:
@@ -288,10 +291,10 @@ def _worker_env_seed(seed, worker_id):
     return int(np.random.SeedSequence([seed, worker_id, 17]).generate_state(1)[0])
 
 
-def _make_worker(index, config, env_spec, seed, dtype):
+def _make_worker(index, config, env_spec, seed):
     env = make_env(dataclasses.replace(env_spec, seed=_worker_env_seed(seed, index)))
     return Worker(index, env, np.random.default_rng([seed, index, 1]),
-                  RecurrentState.zeros(config, dtype))
+                  RecurrentState.zeros(config))
 
 
 def _worker_loop(workers, shared, config, hyper, metrics, save_snapshot, checkpoint_interval):
@@ -323,9 +326,8 @@ def _worker_loop(workers, shared, config, hyper, metrics, save_snapshot, checkpo
             save_snapshot(shared.steps)
 
 
-def train(config, hyper, env_spec, seed, out_dir, precision="single",
-          checkpoint_interval=50_000, log=None):
-    """Run the round-robin training loop until the global step budget is met.
+def train(config, hyper, env_spec, seed, out_dir, checkpoint_interval=50_000, log=None):
+    """Run the round-robin training loop in float32 until the global step budget is met.
 
     Writes ckpt_<step>.ma3c files (including the initial ckpt_0) and a
     metrics.csv into ``out_dir``; returns the path of the final
@@ -333,32 +335,32 @@ def train(config, hyper, env_spec, seed, out_dir, precision="single",
     """
     from .checkpoint import save_checkpoint  # here to avoid an import cycle
 
-    if precision not in ("single", "double"):
-        raise ValueError("precision must be 'single' or 'double'")
-    dtype = np.float64 if precision == "double" else np.float32
     os.makedirs(out_dir, exist_ok=True)
 
-    shared = SharedParams(init_weights(config, seed, dtype))
+    shared = SharedParams(init_weights(config, seed))
+    last_saved = None
 
     def save_snapshot(step):
+        # every update advances the step count, so saving the same step again writes the same bytes
+        nonlocal last_saved
         path = os.path.join(out_dir, f"ckpt_{step}.ma3c")
-        save_checkpoint(shared.values, config, path)
+        if step != last_saved:
+            save_checkpoint(shared.values, config, path)
+            last_saved = step
         return path
 
-    final_path = save_snapshot(0)
+    save_snapshot(0)
     metrics = MetricsWriter(os.path.join(out_dir, "metrics.csv"))
     t0 = time.monotonic()
     try:
-        workers = [_make_worker(i, config, env_spec, seed, dtype)
-                   for i in range(hyper.n_workers)]
+        workers = [_make_worker(i, config, env_spec, seed) for i in range(hyper.n_workers)]
         _worker_loop(workers, shared, config, hyper, metrics, save_snapshot,
                      checkpoint_interval)
     finally:
         metrics.close()
 
     final_step = shared.steps
-    if final_step > 0:
-        final_path = save_snapshot(final_step)
+    final_path = save_snapshot(final_step)
     elapsed = time.monotonic() - t0
     if log:
         rate = final_step / elapsed if elapsed > 0 else 0.0

@@ -143,30 +143,40 @@ def per_step_a3c_loss(rollout, weights, config, returns, advantages, entropy_coe
     return total
 
 
-def per_episode_evaluate(weights, config, env_spec, episodes, mask_transform="identity",
-                         seed=0, greedy=True):
-    """(return, length) of each episode, from one unbatched ``forward`` per step,
-    one episode after another.
+def per_episode_replay(weights, config, env_spec, episodes, mask_transform="identity",
+                       seed=0, greedy=True):
+    """Per episode, its return and the (trace, action) of each step, from one
+    unbatched ``forward`` per step, one episode after another.
 
     The episode seeds, action rngs and argmax/sampling rule are those of
-    ``analysis.evaluate``, which plays the same episodes in lockstep.
+    ``analysis.evaluate`` and ``analysis.record_heatmaps``, which play the
+    same episodes through the batched lockstep driver.
     """
     weights = {k: ad.Tensor(v.data if isinstance(v, ad.Tensor) else v) for k, v in weights.items()}
     dtype = weights["fe1.w"].dtype
     env = make_env(env_spec)
-    returns = []
+    episodes_out = []
     for ep in range(episodes):
         env.reset(seed=int(np.random.SeedSequence([seed, ep]).generate_state(1)[0]))
         rng = np.random.default_rng([seed, ep, 1])
         state = RecurrentState.zeros(config, dtype)
+        steps = []
         while not env.done:
             trace = forward(env.observe(), state, weights, config, mask_transform=mask_transform)
             probs = trace.policy.data
             action = int(np.argmax(probs)) if greedy else sample_action(probs, rng)
             env.step(action)
+            steps.append((trace, action))
             state = trace.next_state
-        returns.append((env.score, env.frame))
-    return returns
+        episodes_out.append((env.score, steps))
+    return episodes_out
+
+
+def per_episode_evaluate(weights, config, env_spec, episodes, mask_transform="identity",
+                         seed=0, greedy=True):
+    """(return, length) of each episode of ``per_episode_replay``."""
+    return [(score, len(steps)) for score, steps in
+            per_episode_replay(weights, config, env_spec, episodes, mask_transform, seed, greedy)]
 
 
 def rmsprop_apply_oracle(values, ms, grads, hyper):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from maskac import analysis, netpbm
-from maskac.analysis import (EpisodeStats, compare_variants, decrease_rate,
+from maskac.analysis import (EpisodeStats, VariantError, compare_variants, decrease_rate,
                              evaluate, injection_response, overlay_rgb,
                              policy_entropy, random_baseline, record_heatmaps,
                              stencil_region_cells, upsample_nearest)
@@ -14,7 +14,7 @@ from maskac.envs import EnvSpec, InjectionSpec
 from maskac.network import NetworkConfig, init_weights, weight_names
 from maskac.training import Hyperparams
 
-from oracles import catch_random_expectation, per_episode_evaluate
+from oracles import catch_random_expectation, per_episode_evaluate, per_episode_replay
 
 
 def cfg(policy=True, value=True, n_actions=3, **kw):
@@ -215,6 +215,23 @@ def test_record_heatmaps_rejects_unmasked_variant(tmp_path):
                         episodes=1, seed=0, out_dir=str(tmp_path))
 
 
+def test_record_heatmaps_frames_equal_an_unbatched_replay(tmp_path):
+    spec = EnvSpec(name="fuel", episode_cap=60)
+    config = cfg(n_actions=6, fe_channels=(4, 4, 8), lstm_channels=8, branch_channels=4)
+    w = weights_for(config, seed=2)
+    frames = record_heatmaps(w, config, spec, episodes=3, seed=0, out_dir=str(tmp_path),
+                             greedy=False)
+    expected = per_episode_replay(w, config, spec, 3, seed=0, greedy=False)
+    assert len({len(steps) for _, steps in expected}) == 3, "episodes of equal length"
+    replayed = [(t, branch, trace, action) for _, steps in expected
+                for t, (trace, action) in enumerate(steps) for branch in ("policy", "value")]
+    assert len(frames) == len(replayed)
+    for frame, (t, branch, trace, action) in zip(frames, replayed):
+        mask = (trace.m_p if branch == "policy" else trace.m_v).data[0]
+        assert (frame.timestep, frame.branch, frame.action) == (t, branch, action)
+        assert np.array_equal(frame.mask, mask) and frame.value == trace.value_scalar
+
+
 def test_record_heatmaps_deterministic_bytes(tmp_path):
     config = cfg()
     w = weights_for(config)
@@ -238,7 +255,7 @@ def full_bar_injection(size=20, start=3, duration=None, rows=3):
 
 
 def test_injection_zero_duration_equals_uninjected():
-    config = cfg()
+    config = cfg(n_actions=6)
     w = weights_for(config)
     spec = EnvSpec(name="fuel")
     rep_inj = injection_response(w, config, spec, full_bar_injection(duration=0),
@@ -251,7 +268,7 @@ def test_injection_zero_duration_equals_uninjected():
 
 
 def test_injection_whole_frame_region_mean_is_global_mean():
-    config = cfg()
+    config = cfg(n_actions=6)
     w = weights_for(config)
     size = 20
     sprite = np.zeros((size, size), dtype=np.float32)
@@ -272,7 +289,7 @@ def test_injection_whole_frame_region_mean_is_global_mean():
 
 
 def test_injection_window_must_cover_start_frame():
-    config = cfg()
+    config = cfg(n_actions=6)
     with pytest.raises(ValueError):
         injection_response(weights_for(config), config, EnvSpec(name="fuel"),
                            full_bar_injection(start=50), window=(0, 10), seed=0)
@@ -290,6 +307,26 @@ def test_injection_report_carries_action_probabilities():
         assert 0.0 < row["region_mean_policy"] < 1.0
         assert 0.0 < row["region_mean_value"] < 1.0
     assert [r["injected"] for r in rep.rows] == [False, False] + [True] * 5
+
+
+@pytest.mark.parametrize("config", [
+    cfg(),                                       # 3 actions, fuel has 6
+    cfg(n_actions=6, input_hw=30),               # 30-pixel input, fuel is 20 pixels
+    cfg(policy=False, value=False, n_actions=6),  # no mask to probe
+])
+def test_injection_rejects_a_network_that_does_not_fit(config):
+    with pytest.raises(VariantError):
+        injection_response(weights_for(config), config, EnvSpec(name="fuel"),
+                           full_bar_injection(), window=(0, 4), seed=0)
+
+
+def test_injection_report_ends_with_the_episode():
+    # a catch episode makes 19 decisions; the terminal frame gets no forward
+    config = cfg()
+    sprite = InjectionSpec(np.full((2, 5), 0.6), np.ones((2, 5), bool), (3, 3), start_frame=2)
+    rep = injection_response(weights_for(config), config, EnvSpec(name="catch"), sprite,
+                             window=(0, 30), seed=1)
+    assert [r["t"] for r in rep.rows] == list(range(19))
 
 
 def test_stencil_region_majority_rule():

@@ -254,19 +254,21 @@ def test_config_defaults_are_the_documented_keys_and_texts():
         ("gamma", "0.99"), ("lr", "0.0001"), ("n_workers", "4"), ("t_max", "20"),
         ("entropy_coef", "0.01"), ("value_coef", "0.5"), ("grad_clip_norm", "40.0"),
         ("total_steps", "200000"), ("rmsprop_decay", "0.99"), ("rmsprop_eps", "0.1"),
-        ("precision", "single"), ("seed", "0"), ("seeds", "0,1,2,3,4"),
+        ("seed", "0"), ("seeds", "0,1,2,3,4"),
         ("out_dir", "runs/out"), ("checkpoint_interval", "50000"), ("eval_episodes", "100"),
     ]
 
 
-# each of these crashed a run, trained on to a non-finite checkpoint or
-# flipped the sign of every update; episode_cap=0 meant the default cap,
-# and episode_step_cap is no longer a key
+# each of these crashed a run, trained on to a non-finite checkpoint,
+# flipped the sign of every update or skipped every update; episode_cap=0
+# meant the default cap, and episode_step_cap and precision are no longer keys
 @pytest.mark.parametrize("key,value", [
     ("lstm_channels", "0"), ("lstm_channels", "-2"), ("branch_channels", "0"),
     ("fe_channels", "0,4,4"), ("conv_kernel", "0"), ("conv_padding", "-1"),
     ("lr", "nan"), ("rmsprop_eps", "0"), ("grad_clip_norm", "-1"), ("rmsprop_decay", "1"),
-    ("episode_cap", "0"), ("episode_step_cap", "10000"),
+    ("entropy_coef", "nan"), ("entropy_coef", "-0.01"), ("value_coef", "nan"),
+    ("value_coef", "inf"), ("seed", "-1"), ("seeds", "0,-1"),
+    ("episode_cap", "0"), ("episode_step_cap", "10000"), ("precision", "double"),
 ])
 def test_config_value_that_breaks_a_run_exits_2_with_one_line(tmp_path, capsys, key, value):
     settings = dict(total_steps="20", n_workers="1", conv_stride="1",
@@ -416,6 +418,25 @@ def test_viz_writes_files_and_rejects_vanilla(tmp_path):
                  "--out", str(tmp_path / "viz2")]) == EXIT_VARIANT
 
 
+@pytest.mark.parametrize("command", ["eval", "viz", "inject"])
+@pytest.mark.parametrize("n_actions,flags", [(6, ["--size", "30"]), (3, [])],
+                         ids=["size-30", "3-action-checkpoint"])
+def test_checkpoint_that_does_not_fit_the_env_exits_4_with_one_line(tmp_path, capsys,
+                                                                      command, n_actions, flags):
+    # a 20-pixel network on fuel, run at size 30 or with fuel's 6 actions against its 3
+    config = cfg(n_actions=n_actions, fe_channels=(4, 4, 8), lstm_channels=8, branch_channels=4)
+    ckpt = str(tmp_path / "w.ma3c")
+    save_checkpoint(init_weights(config, seed=0), config, ckpt)
+    argv = {"eval": ["--episodes", "1"],
+            "viz": ["--out", str(tmp_path / "viz")],
+            "inject": ["--sprite", write_sprite(tmp_path), "--pos", "17,0", "--frame", "2",
+                       "--window", "0,4"]}[command]
+    assert main([command, "--ckpt", ckpt, "--env", "fuel", *argv, *flags]) == EXIT_VARIANT
+    err = capsys.readouterr().err
+    assert err.startswith("variant mismatch:") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "viz").exists()
+
+
 def test_viz_rerun_byte_identical(tmp_path):
     out, ckpt = trained_tiny_run(tmp_path)
     blobs = []
@@ -510,6 +531,19 @@ def test_random_baseline_command(tmp_path, capsys):
     line = capsys.readouterr().out.strip().splitlines()[-1]
     assert "mean=" in line and line.endswith("n=50")
     assert len(open(csv).read().strip().splitlines()) == 51
+
+
+@pytest.mark.parametrize("command", ["eval", "viz", "inject", "random-baseline"])
+def test_negative_seed_exits_5_with_one_line(tmp_path, capsys, command):
+    argv = {"eval": ["--ckpt", "w.ma3c"],
+            "viz": ["--ckpt", "w.ma3c", "--out", "viz"],
+            "inject": ["--ckpt", "w.ma3c", "--sprite", "s.pgm", "--pos", "0,0",
+                       "--frame", "0", "--window", "0,1"],
+            "random-baseline": ["--episodes", "3"]}[command]
+    assert main([command, *argv, "--seed", "-1"]) == EXIT_ARGUMENT
+    err = capsys.readouterr().err
+    assert err.startswith("invalid argument:") and "--seed" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_bad_cli_arguments_exit_5():

@@ -455,6 +455,20 @@ def test_periodic_checkpoints_are_named_after_the_step_they_hold(tmp_path):
     assert open(short, "rb").read() == (out / "ckpt_38.ma3c").read_bytes()
 
 
+def test_each_checkpoint_is_written_once(tmp_path, monkeypatch):
+    # a 38-step budget ends right on the periodic save at step 38
+    from maskac import checkpoint
+    written, save = [], checkpoint.save_checkpoint
+    monkeypatch.setattr(checkpoint, "save_checkpoint",
+                        lambda w, c, path: (written.append(os.path.basename(path)), save(w, c, path)))
+    for steps, files in ((38, ["ckpt_0.ma3c", "ckpt_38.ma3c"]), (0, ["ckpt_0.ma3c"])):
+        written.clear()
+        final = train(small_cfg(), Hyperparams(total_steps=steps, n_workers=1),
+                      EnvSpec(name="catch"), seed=7, out_dir=str(tmp_path / str(steps)),
+                      checkpoint_interval=30)
+        assert written == files and os.path.basename(final) == files[-1]
+
+
 @pytest.mark.parametrize("n_workers", [2, 3])
 def test_train_multiworker_round_robin_is_bit_reproducible(tmp_path, n_workers):
     config = small_cfg()
