@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
+from .checkpoint import CheckpointError, load_checkpoint
 from .envs import make_env
 from .netpbm import write_pgm, write_ppm
 from .network import RecurrentState, forward, weight_names
-from .training import sample_action, train
+from .training import policy_entropy, sample_action, train
 
 OVERLAY_ALPHA = 0.5
 # Most episodes ``evaluate`` steps in lockstep.  32 rows halve the
@@ -205,11 +206,6 @@ def overlay_rgb(mask_up, obs, alpha=OVERLAY_ALPHA):
     return rgb
 
 
-def policy_entropy(probs):
-    p = probs[probs > 0]
-    return float(-(p * np.log(p)).sum())
-
-
 def record_heatmaps(weights, config, env_spec, episodes, seed, out_dir, greedy=True):
     """Write per-step mask PGMs, observation PGMs, overlay PPMs, and index CSVs.
 
@@ -293,19 +289,29 @@ def injection_response(weights, config, env_spec, spec, window, seed):
                            action_names=tuple(envs[0].action_names))
 
 
-def _final_checkpoint(run_dir, min_steps):
+def _final_checkpoint(run_dir, min_steps, config):
+    """The highest-step checkpoint in ``run_dir`` that reaches ``min_steps`` and stores ``config``.
+
+    A checkpoint that does not load counts as absent; None if none is left.
+    """
     if not os.path.isdir(run_dir):
         return None
-    best = None
+    found = []
     for name in os.listdir(run_dir):
         if name.startswith("ckpt_") and name.endswith(".ma3c"):
             try:
                 step = int(name[5:-5])
             except ValueError:
                 continue
-            if step >= min_steps and (best is None or step > best[0]):
-                best = (step, os.path.join(run_dir, name))
-    return best[1] if best else None
+            if step >= min_steps:
+                found.append((step, os.path.join(run_dir, name)))
+    for _, path in sorted(found, reverse=True):
+        try:
+            if load_checkpoint(path)[1] == config:
+                return path
+        except (CheckpointError, OSError):
+            continue
+    return None
 
 
 def compare_variants(env_spec, config, seeds, hyper, episodes, out_dir, log=None):
@@ -313,11 +319,10 @@ def compare_variants(env_spec, config, seeds, hyper, episodes, out_dir, log=None
 
     Returns the table rows (one per variant x seed, plus a best-of-seeds
     row per variant selected by mean) and writes variants.csv in out_dir.
-    A run under out_dir whose final checkpoint reaches the step budget is
-    reused, not trained again.
+    A run under out_dir with a checkpoint of the same network that reaches
+    the step budget is reused, not trained again; the other hyperparameters
+    are not stored in checkpoints and are not compared.
     """
-    from .checkpoint import load_checkpoint
-
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for variant, pol, val in VARIANTS:
@@ -326,7 +331,7 @@ def compare_variants(env_spec, config, seeds, hyper, episodes, out_dir, log=None
         per_seed = []
         for seed in seeds:
             run_dir = os.path.join(out_dir, variant, f"seed_{seed}")
-            ckpt = _final_checkpoint(run_dir, hyper.total_steps)
+            ckpt = _final_checkpoint(run_dir, hyper.total_steps, variant_config)
             if ckpt is None:
                 if log:
                     log(f"training {variant} seed={seed} for {hyper.total_steps} steps")

@@ -2,7 +2,8 @@
 
 Subcommands: train, eval, viz, inject, compare, random-baseline.
 Exit codes: 0 ok, 2 config problem, 3 checkpoint problem, 4 variant
-mismatch, 5 invalid argument.
+mismatch, 5 invalid argument.  An output path that cannot be written is an
+invalid argument from ``--out`` and a config problem from ``out_dir``.
 """
 
 from __future__ import annotations
@@ -131,12 +132,6 @@ class ResolvedConfig:
         return "".join(f"{k}={self.raw[k]}\n" for k in sorted(self.raw))
 
 
-def write_resolved(config, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.resolved"), "w") as fh:
-        fh.write(config.resolved_text())
-
-
 # ---------------------------------------------------------------------------
 # shared command helpers
 
@@ -153,6 +148,46 @@ def _env_spec_from_args(args):
         raise ArgumentProblem(f"--size: {exc}") from None
 
 
+def _unwritable(path, directory):
+    """Why ``path`` cannot be written as a file (or as a directory), or None; creates nothing."""
+    if not path:
+        return "the path is empty"
+    path = os.path.abspath(path)
+    if os.path.exists(path):
+        if os.path.isdir(path) != directory:
+            return "it is a directory" if os.path.isdir(path) else "it is not a directory"
+        return None if os.access(path, os.W_OK) else "permission denied"
+    parent = os.path.dirname(path)
+    while directory and not os.path.exists(parent):   # a run directory gets its parents made
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        return f"{parent} {'is not a directory' if os.path.exists(parent) else 'does not exist'}"
+    return None if os.access(parent, os.W_OK | os.X_OK) else f"permission denied in {parent}"
+
+
+def _check_out(path, directory=False):
+    """``path`` once it can be written; ``--out`` paths are checked before any work runs."""
+    reason = _unwritable(path, directory)
+    if reason:
+        raise ArgumentProblem(f"--out {path} cannot be written: {reason}")
+    return path
+
+
+def _prepare_out_dir(args, config):
+    """The run directory, ``--out`` or else the config's ``out_dir``, holding config.resolved."""
+    if args.out:
+        config.raw["out_dir"] = _check_out(args.out, directory=True)
+    else:
+        reason = _unwritable(config.out_dir, directory=True)
+        if reason:
+            raise ConfigError(f"out_dir {config.out_dir} cannot be written: {reason}")
+    out_dir = config.raw["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "config.resolved"), "w") as fh:
+        fh.write(config.resolved_text())
+    return out_dir
+
+
 def _write_episode_csv(path, stats):
     with open(path, "w") as fh:
         fh.write("episode,return\n")
@@ -165,9 +200,7 @@ def _write_episode_csv(path, stats):
 
 def cmd_train(args):
     config = ResolvedConfig(parse_config_file(args.config))
-    out_dir = args.out or config.out_dir
-    config.raw["out_dir"] = out_dir
-    write_resolved(config, out_dir)
+    out_dir = _prepare_out_dir(args, config)
     final = train(config.network, config.hyper, config.env_spec, config.seed, out_dir,
                   checkpoint_interval=config.checkpoint_interval,
                   log=lambda msg: print(msg, flush=True))
@@ -178,10 +211,10 @@ def cmd_train(args):
 def cmd_eval(args):
     weights, net_config = _load_ckpt(args.ckpt)
     spec = _env_spec_from_args(args)
+    out_csv = _check_out(args.out or f"{args.ckpt}.eval.csv")
     stats = evaluate(weights, net_config, spec, args.episodes,
                      mask_transform=MASK_MODES[args.mask], seed=args.seed,
                      greedy=args.greedy)
-    out_csv = args.out or f"{args.ckpt}.eval.csv"
     _write_episode_csv(out_csv, stats)
     print(f"max={stats.max!r} mean={stats.mean!r} n={stats.n_episodes}")
     return EXIT_OK
@@ -190,6 +223,7 @@ def cmd_eval(args):
 def cmd_viz(args):
     weights, net_config = _load_ckpt(args.ckpt)
     spec = _env_spec_from_args(args)
+    _check_out(args.out, directory=True)
     record_heatmaps(weights, net_config, spec, args.episodes, args.seed, args.out,
                     greedy=args.greedy)
     print(f"heat maps written to {args.out}")
@@ -223,6 +257,7 @@ def cmd_inject(args):
     row, col = _parse_pair(args.pos, "--pos")
     first, last = _parse_pair(args.window, "--window")
     sprite, stencil = load_sprite(args.sprite, args.stencil_threshold)
+    out_csv = _check_out(args.out or f"{args.ckpt}.inject.csv")
     try:
         inj = InjectionSpec(sprite, stencil, position=(row, col),
                             start_frame=args.frame, duration=args.duration)
@@ -233,7 +268,6 @@ def cmd_inject(args):
     except ValueError as exc:
         raise ArgumentProblem(str(exc)) from None
 
-    out_csv = args.out or f"{args.ckpt}.inject.csv"
     prob_cols = [f"p_{name}" for name in report.action_names]
     with open(out_csv, "w") as fh:
         fh.write("t,injected,region_mean_policy,region_mean_value,value,"
@@ -252,9 +286,7 @@ def cmd_inject(args):
 
 def cmd_compare(args):
     config = ResolvedConfig(parse_config_file(args.config))
-    out_dir = args.out or config.out_dir
-    config.raw["out_dir"] = out_dir
-    write_resolved(config, out_dir)
+    out_dir = _prepare_out_dir(args, config)
     rows = compare_variants(config.env_spec, config.network, config.seeds, config.hyper,
                             config.eval_episodes, out_dir,
                             log=lambda msg: print(msg, flush=True))
@@ -267,6 +299,8 @@ def cmd_compare(args):
 
 def cmd_random_baseline(args):
     spec = _env_spec_from_args(args)
+    if args.out:
+        _check_out(args.out)
     stats = random_baseline(spec, args.episodes, args.seed)
     if args.out:
         _write_episode_csv(args.out, stats)

@@ -88,14 +88,6 @@ class InjectionSpec:
         return self.duration is None or frame < self.start_frame + self.duration
 
 
-def render_cells(size, cells):
-    """Paint (row, col, value) triples onto a zero grid; later cells win."""
-    grid = np.zeros((size, size), dtype=np.float32)
-    for r, c, v in cells:
-        grid[r, c] = v
-    return grid
-
-
 class _BaseEnv:
     """Episode bookkeeping, rendering pipeline and the injection hook."""
 
@@ -133,7 +125,8 @@ class _BaseEnv:
         self._injections.append(spec)
 
     def observe(self):
-        obs = render_cells(self.size, self._entity_cells())
+        obs = np.zeros((self.size, self.size), dtype=np.float32)
+        self._draw(obs)
         for spec in self._injections:
             if spec.active(self.frame):
                 r, c = spec.position
@@ -161,7 +154,8 @@ class _BaseEnv:
     def _advance(self, action) -> float:
         raise NotImplementedError
 
-    def _entity_cells(self):
+    def _draw(self, grid):
+        """Paint the entities onto the zero frame ``grid``; a later write wins a shared cell."""
         raise NotImplementedError
 
 
@@ -180,7 +174,7 @@ class CatchEnv(_BaseEnv):
 
     def _advance(self, action):
         lo, hi = self.PADDLE_HALF, self.size - 1 - self.PADDLE_HALF
-        self.paddle = int(np.clip(self.paddle + (action - 1), lo, hi))
+        self.paddle = min(max(self.paddle + action - 1, lo), hi)
         self.ball_row += 1
         col = self.ball_col + self.drift
         if col < 0:
@@ -193,12 +187,9 @@ class CatchEnv(_BaseEnv):
             return 1.0 if abs(self.ball_col - self.paddle) <= self.PADDLE_HALF else -1.0
         return 0.0
 
-    def _entity_cells(self):
-        cells = [(self.ball_row, self.ball_col, TARGET)]
-        r = self.size - 1
-        cells += [(r, c, AGENT) for c in range(self.paddle - self.PADDLE_HALF,
-                                               self.paddle + self.PADDLE_HALF + 1)]
-        return cells
+    def _draw(self, grid):
+        grid[self.ball_row, self.ball_col] = TARGET
+        grid[-1, self.paddle - self.PADDLE_HALF:self.paddle + self.PADDLE_HALF + 1] = AGENT
 
 
 class CollectorEnv(_BaseEnv):
@@ -256,13 +247,13 @@ class CollectorEnv(_BaseEnv):
             self.done = True
         return reward
 
-    def _entity_cells(self):
-        cells = [(r, c, WALL) for r in range(self.size) for c in range(self.size)
-                 if self._blocked(r, c)]
-        cells += [(r, c, TARGET) for r, c in sorted(self.pellets)]
-        cells.append((*self.chaser, CHASER))
-        cells.append((*self.agent, AGENT))
-        return cells
+    def _draw(self, grid):
+        grid[::self.size - 1] = WALL     # top and bottom rows
+        grid[:, ::self.size - 1] = WALL  # left and right columns
+        for cell in self.pellets:
+            grid[cell] = TARGET
+        grid[self.chaser] = CHASER
+        grid[self.agent] = AGENT
 
 
 class FuelEnv(_BaseEnv):
@@ -301,9 +292,8 @@ class FuelEnv(_BaseEnv):
 
     def _advance(self, action):
         dr, dc = self.MOVES[action]
-        nr = int(np.clip(self.agent[0] + dr, 0, self.bottom))
-        nc = int(np.clip(self.agent[1] + dc, 0, self.size - 1))
-        self.agent = (nr, nc)
+        self.agent = (min(max(self.agent[0] + dr, 0), self.bottom),
+                      min(max(self.agent[1] + dc, 0), self.size - 1))
         reward = 0.0
         if action == 5 and self.agent == self.target:
             reward += 1.0
@@ -321,14 +311,10 @@ class FuelEnv(_BaseEnv):
         """Lit columns per gauge row."""
         return int(np.ceil(self.size * self.fuel / self.fuel_max))
 
-    def _entity_cells(self):
-        lit = self.fuel_bar_pixels()
-        cells = [(r, c, FUEL_BAR)
-                 for r in range(self.size - self.BAR_ROWS, self.size)
-                 for c in range(lit)]
-        cells.append((*self.target, TARGET))
-        cells.append((*self.agent, AGENT))
-        return cells
+    def _draw(self, grid):
+        grid[-self.BAR_ROWS:, :self.fuel_bar_pixels()] = FUEL_BAR
+        grid[self.target] = TARGET
+        grid[self.agent] = AGENT
 
 
 _ENV_CLASSES = {"catch": CatchEnv, "collector": CollectorEnv, "fuel": FuelEnv}

@@ -95,9 +95,17 @@ def sample_action(probs, rng):
     return min(idx, len(probs) - 1)
 
 
+def policy_entropy(probs):
+    """-sum p log p over the nonzero action probabilities."""
+    p = probs[probs > 0]
+    return float(-(p * np.log(p)).sum())
+
+
 def collect_rollout(env, weights, config, state, t_max, rng):
     """Run up to t_max policy steps without a graph; stop early on episode end.
 
+    The env renders each frame once: the segment's first frame comes from
+    ``observe`` (or ``reset``), every later one from the step that made it.
     On a terminal step the returned state resets to zeros and
     bootstrap_value is 0; otherwise the value of the successor state
     seeds the return.
@@ -105,13 +113,14 @@ def collect_rollout(env, weights, config, state, t_max, rng):
     dtype = weights["fe1.w"].dtype
     frozen = {k: Tensor(t.data) for k, t in weights.items()}   # no requires_grad: no graph
     if env.done:
-        env.reset()
+        obs = env.reset()
         state = RecurrentState.zeros(config, dtype)
+    else:
+        obs = env.observe()
     start = state
     steps = []
     terminal = False
     for _ in range(t_max):
-        obs = env.observe()
         trace = forward(obs, state, frozen, config)
         probs = trace.policy.data
         action = sample_action(probs, rng)
@@ -119,6 +128,7 @@ def collect_rollout(env, weights, config, state, t_max, rng):
         steps.append(RolloutStep(obs=obs, action=action, reward=res.reward,
                                  value=trace.value_scalar,
                                  log_prob=float(np.log(probs[action])), probs=probs))
+        obs = res.obs
         state = trace.next_state
         if res.done:
             terminal = True
@@ -127,7 +137,7 @@ def collect_rollout(env, weights, config, state, t_max, rng):
     if terminal:
         bootstrap = 0.0
     else:
-        bootstrap = forward(env.observe(), state, frozen, config).value_scalar
+        bootstrap = forward(obs, state, frozen, config).value_scalar
     return Rollout(steps, bootstrap, terminal, start), state
 
 
@@ -173,10 +183,7 @@ def loss_components(rollout, returns, advantages):
     t = len(rollout.steps)
     policy_loss = -sum(s.log_prob * a for s, a in zip(rollout.steps, advantages)) / t
     value_loss = sum((r - s.value) ** 2 for s, r in zip(rollout.steps, returns)) / t
-    entropy = 0.0
-    for s in rollout.steps:
-        nz = s.probs[s.probs > 0]
-        entropy += float(-(nz * np.log(nz)).sum())
+    entropy = sum(policy_entropy(s.probs) for s in rollout.steps)
     return policy_loss, value_loss, entropy / t
 
 

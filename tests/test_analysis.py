@@ -1,5 +1,6 @@
 """Evaluation protocols, heat-map emission, and the injection probe."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -10,6 +11,7 @@ from maskac.analysis import (EpisodeStats, VariantError, compare_variants, decre
                              evaluate, injection_response, overlay_rgb,
                              policy_entropy, random_baseline, record_heatmaps,
                              stencil_region_cells, upsample_nearest)
+from maskac.checkpoint import load_checkpoint
 from maskac.envs import EnvSpec, InjectionSpec
 from maskac.network import NetworkConfig, init_weights, weight_names
 from maskac.training import Hyperparams
@@ -384,3 +386,14 @@ def test_compare_variants_reuses_existing_runs(tmp_path):
     for p, m in mtimes.items():
         assert os.path.getmtime(p) == m  # nothing was retrained
     assert [r["mean"] for r in rows1] == [r["mean"] for r in rows2]
+
+
+def test_compare_variants_retrains_a_run_of_another_network(tmp_path):
+    spec = EnvSpec(name="catch")
+    hyper = Hyperparams(total_steps=40, n_workers=1, t_max=10)
+    for lstm_channels in (8, 4):
+        config = dataclasses.replace(small_base_config(), lstm_channels=lstm_channels)
+        rows = compare_variants(spec, config, seeds=[0], hyper=hyper, episodes=2,
+                                out_dir=str(tmp_path))
+        for row in rows:
+            assert load_checkpoint(row["ckpt"])[1].lstm_channels == lstm_channels

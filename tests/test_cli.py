@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from maskac import checkpoint, netpbm
+from maskac import checkpoint, cli, netpbm
 from maskac.analysis import EpisodeStats
 from maskac.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from maskac.cli import (CONFIG_DEFAULTS, EXIT_ARGUMENT, EXIT_CHECKPOINT,
@@ -609,3 +609,61 @@ def test_compare_command(tmp_path, capsys):
     text = capsys.readouterr().out
     for v in ("vanilla", "policy", "value", "both"):
         assert v in text
+
+
+# ---------------------------------------------------------------------------
+# output paths that cannot be written
+
+# the function each subcommand does its work in; it must not run
+_WORK = {"train": "train", "compare": "compare_variants", "eval": "evaluate",
+         "viz": "record_heatmaps", "inject": "injection_response",
+         "random-baseline": "random_baseline"}
+
+
+def _refuse_work(monkeypatch, command):
+    def work(*args, **kwargs):
+        raise AssertionError(f"{command} ran its work before checking its output path")
+    monkeypatch.setattr(cli, _WORK[command], work)
+
+
+@pytest.mark.parametrize("command,out", [
+    ("train", "file"), ("compare", "file"), ("viz", "file"),
+    ("eval", "missing-dir"), ("eval", "dir"), ("inject", "missing-dir"),
+    ("random-baseline", "missing-dir"),
+])
+def test_unwritable_out_exits_5_before_the_work(tmp_path, capsys, monkeypatch, command, out):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    out_path = {"file": blocker, "dir": tmp_path,
+                "missing-dir": tmp_path / "missing" / "out.csv"}[out]
+    config = cfg(fe_channels=(4, 4, 8), lstm_channels=8, branch_channels=4)
+    ckpt = str(tmp_path / "w.ma3c")
+    save_checkpoint(init_weights(config, seed=0), config, ckpt)
+    cfg_path = write_config(tmp_path / "c.cfg", total_steps="20", seeds="0",
+                            **small_net_overrides())
+    argv = {"train": [cfg_path], "compare": [cfg_path],
+            "eval": ["--ckpt", ckpt], "viz": ["--ckpt", ckpt],
+            "inject": ["--ckpt", ckpt, "--sprite", write_sprite(tmp_path), "--pos", "17,0",
+                       "--frame", "2", "--window", "0,4"],
+            "random-baseline": ["--episodes", "2"]}[command]
+    _refuse_work(monkeypatch, command)
+    before = sorted(os.listdir(tmp_path))
+    assert main([command, *argv, "--out", str(out_path)]) == EXIT_ARGUMENT
+    err = capsys.readouterr().err
+    assert err.startswith("invalid argument: --out") and len(err.strip().splitlines()) == 1
+    assert sorted(os.listdir(tmp_path)) == before
+    assert blocker.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_unwritable_config_out_dir_exits_2_before_the_work(tmp_path, capsys, monkeypatch,
+                                                           command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    cfg_path = write_config(tmp_path / "c.cfg", out_dir=str(blocker / "run"),
+                            **small_net_overrides())
+    _refuse_work(monkeypatch, command)
+    assert main([command, cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out_dir") and len(err.strip().splitlines()) == 1
+    assert sorted(os.listdir(tmp_path)) == ["blocker", "c.cfg"]

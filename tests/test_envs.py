@@ -1,11 +1,14 @@
 """Environment rules, rendering, determinism, and the injection hook."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
 from maskac.envs import (AGENT, CHASER, FUEL_BAR, TARGET, WALL,
                          CatchEnv, CollectorEnv, EnvSpec, FuelEnv,
-                         InjectionSpec, make_env, render_cells)
+                         InjectionSpec, make_env)
 
 
 def collector_rules_oracle(seed, actions, size=20, n_pellets=8):
@@ -53,20 +56,53 @@ def collector_rules_oracle(seed, actions, size=20, n_pellets=8):
 # ---------------------------------------------------------------------------
 # rendering
 
-def test_render_empty_world_is_all_zeros():
-    np.testing.assert_array_equal(render_cells(5, []), np.zeros((5, 5), dtype=np.float32))
+def scripted_run_digest(name, size):
+    """SHA-256 over the frames, rewards and done flags of three episodes of seeded random play.
+
+    A partly stenciled sprite shows in frames 2-6 of the first episode.
+    """
+    env = make_env(EnvSpec(name=name, size=size, seed=31))
+    env.inject(InjectionSpec(np.full((2, 3), 0.45, dtype=np.float32),
+                             np.array([[1, 0, 1], [1, 1, 0]], dtype=bool),
+                             position=(size - 2, 1), start_frame=2, duration=5))
+    rng = np.random.default_rng(17)
+    digest = hashlib.sha256()
+    for episode in range(3):
+        if episode:
+            env.reset()
+        digest.update(env.observe().tobytes())
+        while not env.done:
+            res = env.step(int(rng.integers(env.n_actions)))
+            digest.update(res.obs.tobytes())
+            digest.update(struct.pack("<d?", res.reward, res.done))
+    return digest.hexdigest()
 
 
-def test_render_two_entities_at_distinct_cells():
-    grid = render_cells(6, [(1, 2, TARGET), (4, 5, CHASER)])
-    assert grid[1, 2] == np.float32(TARGET)
-    assert grid[4, 5] == np.float32(CHASER)
-    assert np.count_nonzero(grid) == 2
+# Digests of the earlier renderer, which painted a list of (row, col, value) cells.
+@pytest.mark.parametrize("name,size,expected", [
+    ("catch", CatchEnv.MIN_SIZE,
+     "69889a84c720e9d225506ce6d3af7a33a770a056911d9dfbc334ee0d4c353e32"),
+    ("catch", 20, "f9a01527bf90b696b40edc5025cb07c2762c4d3bfefd4eb827d0735d88ad3571"),
+    ("collector", CollectorEnv.MIN_SIZE,
+     "f54e07f974845deea05cf8487852ddbc53da36c0bbc0087f8e22da608d69c344"),
+    ("collector", 20, "a56ed7a0c67af6d8048ed3fe86c716722113ebd995c78587134c38ced745c755"),
+    ("fuel", FuelEnv.MIN_SIZE,
+     "201ebe395b9f7139df38e5153c50bab1db5d5ed9280ea7608d9f19c10e8db5f5"),
+    ("fuel", 20, "09316afa0a17c9a2df7da75d34a35b57e55ed636cc93e0edbad701156c92dc8b"),
+])
+def test_scripted_run_matches_golden_digest(name, size, expected):
+    assert scripted_run_digest(name, size) == expected
 
 
-def test_render_overlap_later_entity_wins():
-    grid = render_cells(4, [(2, 2, TARGET), (2, 2, AGENT)])
-    assert grid[2, 2] == np.float32(AGENT)
+def test_collector_agent_is_drawn_over_the_chaser_that_caught_it():
+    env = make_env(EnvSpec(name="collector", seed=2))
+    env.agent, env.chaser, env.pellets = (4, 4), (4, 5), {(1, 1)}
+    assert not env.step(4).done     # frame 1: the chaser waits
+    res = env.step(4)               # frame 2: it steps onto the agent
+    assert res.done and res.reward == -1.0
+    assert env.chaser == env.agent
+    assert res.obs[4, 4] == np.float32(AGENT)
+    assert np.count_nonzero(res.obs == np.float32(CHASER)) == 0
 
 
 # ---------------------------------------------------------------------------

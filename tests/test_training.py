@@ -9,7 +9,7 @@ from maskac import autodiff as ad
 from maskac import training as tr
 from maskac.autodiff import Tensor
 from maskac.checkpoint import load_checkpoint
-from maskac.envs import EnvSpec, StepResult, make_env
+from maskac.envs import EnvSpec, StepResult, _BaseEnv, make_env
 from maskac.network import NetworkConfig, RecurrentState, forward, init_weights
 from maskac.training import (Hyperparams, Rollout, RolloutStep, SharedParams,
                              a3c_loss, apply_gradients, collect_rollout,
@@ -277,6 +277,22 @@ def test_collect_rollout_builds_no_graph():
             assert isinstance(step.probs, np.ndarray)
             assert abs(step.log_prob - np.log(step.probs[step.action])) < 1e-12
     assert all(t.grad is None for t in weights.values())
+
+
+@pytest.mark.parametrize("start_done", [False, True], ids=["carried", "reset"])
+def test_collect_rollout_renders_each_frame_once(monkeypatch, start_done):
+    config = small_cfg(n_actions=6)
+    weights = init_weights(config, seed=0, dtype=np.float32)
+    env = make_env(EnvSpec(name="fuel", seed=4))
+    env.done = start_done
+    calls = []
+    observe = _BaseEnv.observe
+    monkeypatch.setattr(_BaseEnv, "observe", lambda self: calls.append(1) or observe(self))
+    t_max = 5
+    rollout, _ = collect_rollout(env, weights, config, RecurrentState.zeros(config), t_max,
+                                 np.random.default_rng(0))
+    assert len(rollout) == t_max and not rollout.terminal
+    assert len(calls) <= t_max + 1
 
 
 def test_collect_rollout_deterministic_given_seed():
