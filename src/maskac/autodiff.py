@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over dense numpy tensors.
 
 Supplies exactly the operator set the masked actor-critic network needs:
-conv2d, dense, the elementwise family, softmax / log-softmax, channel
-concat / slice, reshape, scalar reductions.  Each op records a backward
-closure on its output; ``backward()`` replays the recorded graph in
-reverse topological order and accumulates into ``.grad`` buffers.
+conv2d, the fused ConvLSTM, dense, the elementwise family, softmax /
+log-softmax, channel concat / slice, row gather, reshape, scalar
+reductions.  Each op records a backward closure on its output;
+``backward()`` replays the recorded graph in reverse topological order
+and accumulates into ``.grad`` buffers.
 
 Precision is carried by the tensors themselves: build weights in float64
 for gradient checking, float32 for training.  Ops never change dtype.
@@ -21,7 +22,7 @@ __all__ = [
     "add", "mul", "neg", "sigmoid", "tanh", "relu", "one_minus",
     "broadcast_mul_channelwise", "conv2d", "convlstm", "dense",
     "softmax", "log_softmax", "concat_channels", "slice_channels",
-    "reshape", "sum_all", "backward", "zero_grads", "grad_check",
+    "take_rows", "reshape", "sum_all", "backward", "zero_grads", "grad_check",
 ]
 
 
@@ -36,9 +37,9 @@ class GraphError(RuntimeError):
 class Tensor:
     """Dense n-d array with an optional gradient buffer.
 
-    Training builds each cycle's graph on fresh leaf tensors over the
+    Training builds each round's graph on fresh leaf tensors over the
     shared weight arrays (``training.sync_local``), so no tensor or
-    gradient buffer is shared between cycles.
+    gradient buffer is shared between rounds.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op",
@@ -337,43 +338,52 @@ def conv2d(x, k, b, stride=1, padding=0):
 
 
 def convlstm(x, k, b, h0, c0):
-    """ConvLSTM over a whole sequence, as one op: x [T,C,H,W] -> hidden states [T,L,H,W].
+    """ConvLSTM over N sequences of T steps, as one op: x [N,T,C,H,W] -> hidden states [N,T,L,H,W].
 
     The gates i, f, o, g of step t come from a 3x3 same-padding conv over
     (x_t, h_{t-1}) with kernel k [4L, C+L, 3, 3] and bias b [4L].  The
     kernel splits as W_x*x_t + W_h*h_{t-1} (Shi et al. 2015): the x-half
-    runs as one matmul over all T steps and only the h-half is sequential.
-    h0, c0 [L,H,W] are constant arrays, so gradients stop at the start of
-    the sequence.  Backward is a hand-written BPTT whose weight gradient
-    is one matmul over all T steps.
+    runs as one matmul over all N*T frames, and only the h-half is
+    sequential, one matmul per step over the patch rows of all N
+    sequences.  h0, c0 [N,L,H,W] are constant arrays, so gradients stop at
+    the start of each sequence.  Backward is a hand-written BPTT whose
+    weight gradient is one matmul over all N*T frames.  A batch of one
+    sequence computes what it would alone, bit for bit.
     """
-    if x.data.ndim != 4 or k.data.ndim != 4:
-        raise ShapeError(f"convlstm: need [T,C,H,W] input and 4-d kernel, got {x.shape}, {k.shape}")
-    n_steps, c_in, h, w = x.shape
-    n_hidden = h0.shape[0]
-    L4 = 4 * n_hidden
-    if h0.shape != (n_hidden, h, w) or c0.shape != h0.shape:
+    if x.data.ndim != 5 or k.data.ndim != 4:
+        raise ShapeError(f"convlstm: need [N,T,C,H,W] input and 4-d kernel, got {x.shape}, {k.shape}")
+    n_seq, n_steps, c_in, h, w = x.shape
+    L4 = k.shape[0]
+    n_hidden = L4 // 4
+    if h0.shape != (n_seq, n_hidden, h, w) or c0.shape != h0.shape:
         raise ShapeError(f"convlstm: state {h0.shape}/{c0.shape} incompatible with input {x.shape}")
-    if k.shape != (L4, c_in + n_hidden, 3, 3) or b.shape != (L4,):
+    if k.shape != (4 * n_hidden, c_in + n_hidden, 3, 3) or b.shape != (L4,):
         raise ShapeError(f"convlstm: kernel {k.shape} / bias {b.shape} do not fit "
                          f"{c_in} input and {n_hidden} hidden channels")
     dtype = x.data.dtype
     p = h * w
+    rows = n_seq * p                          # patch rows of one step, sequence-major
     k_x = k.data[:, :c_in].reshape(L4, -1)
     k_h = k.data[:, c_in:].reshape(L4, -1)
-    px = _im2col(x.data, 3, 3, 1, 1)                            # [T*P, C*9]
-    zx = (k_x @ px.T).reshape(L4, n_steps, p)
+    # step-major frames, so that step t's x-half is one contiguous block of columns
+    xt = x.data.transpose(1, 0, 2, 3, 4).reshape(n_steps * n_seq, c_in, h, w)
+    px = _im2col(xt, 3, 3, 1, 1)                                # [T*N*P, C*9]
+    zx = (k_x @ px.T).reshape(L4, n_steps, rows)
     zx += b.data[:, None, None]
 
+    # patch rows of the N padded maps in hp, one map after another
     h_idx = _patch_index(n_hidden, h + 2, w + 2, 3, 3, 1, 0)
-    hp = np.zeros((n_hidden, h + 2, w + 2), dtype=dtype)        # padded h_{t-1}
-    hp[:, 1:-1, 1:-1] = h0
-    ph = np.empty((n_steps, p, n_hidden * 9), dtype=dtype)      # h_{t-1} patches
-    gates = np.empty((n_steps, L4, p), dtype=dtype)             # i, f, o, g
-    cs = np.empty((n_steps + 1, n_hidden, p), dtype=dtype)      # c_{t-1} at t
-    tcs = np.empty((n_steps, n_hidden, p), dtype=dtype)         # tanh(c_t)
-    hs = np.empty((n_steps, n_hidden, p), dtype=dtype)
-    cs[0] = c0.reshape(n_hidden, p)
+    h_idx = (np.arange(n_seq)[:, None, None] * (n_hidden * (h + 2) * (w + 2))
+             + h_idx).reshape(rows, -1)
+    hp = np.zeros((n_seq, n_hidden, h + 2, w + 2), dtype=dtype)   # padded h_{t-1}
+    hp_inner = hp[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)         # [L,N,H,W] view
+    hp_inner[...] = h0.transpose(1, 0, 2, 3)
+    ph = np.empty((n_steps, rows, n_hidden * 9), dtype=dtype)   # h_{t-1} patches
+    gates = np.empty((n_steps, L4, rows), dtype=dtype)          # i, f, o, g
+    cs = np.empty((n_steps + 1, n_hidden, rows), dtype=dtype)   # c_{t-1} at t
+    tcs = np.empty((n_steps, n_hidden, rows), dtype=dtype)      # tanh(c_t)
+    hs = np.empty((n_steps, n_hidden, rows), dtype=dtype)
+    cs[0] = c0.transpose(1, 0, 2, 3).reshape(n_hidden, rows)
     s3 = 3 * n_hidden
     for t in range(n_steps):
         np.take(hp.reshape(-1), h_idx, out=ph[t])
@@ -388,15 +398,16 @@ def convlstm(x, k, b, h0, c0):
         c += i * g
         np.tanh(c, out=tcs[t])
         np.multiply(o, tcs[t], out=hs[t])
-        hp[:, 1:-1, 1:-1] = hs[t].reshape(n_hidden, h, w)
+        hp_inner[...] = hs[t].reshape(n_hidden, n_seq, h, w)
 
-    out = _make(hs.reshape(n_steps, n_hidden, h, w), (x, k, b), "convlstm")
+    ys = np.ascontiguousarray(hs.reshape(n_steps, n_hidden, n_seq, h, w).transpose(2, 0, 1, 3, 4))
+    out = _make(ys, (x, k, b), "convlstm")
     if out.requires_grad:
         def _bw():
-            dhs = out.grad.reshape(n_steps, n_hidden, p)
-            dz = np.empty((n_steps, L4, p), dtype=dtype)
-            dh = np.zeros((n_hidden, p), dtype=dtype)   # from step t+1 through W_h
-            dc = np.zeros((n_hidden, p), dtype=dtype)   # from step t+1 through f
+            dhs = out.grad.transpose(1, 2, 0, 3, 4).reshape(n_steps, n_hidden, rows)
+            dz = np.empty((n_steps, L4, rows), dtype=dtype)
+            dh = np.zeros((n_hidden, rows), dtype=dtype)   # from step t+1 through W_h
+            dc = np.zeros((n_hidden, rows), dtype=dtype)   # from step t+1 through f
             for t in range(n_steps - 1, -1, -1):
                 z = gates[t]
                 i, f, o, g = z[:n_hidden], z[n_hidden:2 * n_hidden], z[2 * n_hidden:s3], z[s3:]
@@ -410,9 +421,9 @@ def convlstm(x, k, b, h0, c0):
                 dzt[s3:] = dc * i * (1.0 - g * g)
                 dc *= f
                 if t:
-                    ghp = _col2im(dzt.T @ k_h, (1, n_hidden, h + 2, w + 2), 3, 3, 1, h, w)
-                    dh = ghp[0, :, 1:-1, 1:-1].reshape(n_hidden, p)
-            gm = dz.transpose(1, 0, 2).reshape(L4, -1)           # [4L, T*P]
+                    ghp = _col2im(dzt.T @ k_h, (n_seq, n_hidden, h + 2, w + 2), 3, 3, 1, h, w)
+                    dh = ghp[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3).reshape(n_hidden, rows)
+            gm = dz.transpose(1, 0, 2).reshape(L4, -1)           # [4L, T*N*P]
             if k.requires_grad:
                 gkx = (gm @ px).reshape(L4, c_in, 3, 3)
                 gkh = (gm @ ph.reshape(-1, n_hidden * 9)).reshape(L4, n_hidden, 3, 3)
@@ -420,8 +431,9 @@ def convlstm(x, k, b, h0, c0):
             if b.requires_grad:
                 _accum_owned(b, gm.sum(axis=1))
             if x.requires_grad:
-                gxp = _col2im(gm.T @ k_x, (n_steps, c_in, h + 2, w + 2), 3, 3, 1, h, w)
-                _accum_owned(x, _unpad(gxp, 1))
+                gxp = _col2im(gm.T @ k_x, (n_steps * n_seq, c_in, h + 2, w + 2), 3, 3, 1, h, w)
+                gx = _unpad(gxp, 1).reshape(n_steps, n_seq, c_in, h, w).transpose(1, 0, 2, 3, 4)
+                _accum_owned(x, np.ascontiguousarray(gx))
         out._backward = _bw
     return out
 
@@ -515,6 +527,19 @@ def slice_channels(a, lo, hi):
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
             a.grad[..., lo:hi, :, :] += out.grad
+        out._backward = _bw
+    return out
+
+
+def take_rows(a, rows):
+    """Rows ``rows`` (distinct indices) of ``a`` along its first axis; the others get no gradient."""
+    rows = np.asarray(rows)
+    out = _make(a.data[rows], (a,), "take_rows")
+    if out.requires_grad:
+        def _bw():
+            g = np.zeros_like(a.data)
+            g[rows] = out.grad
+            _accum_owned(a, g)
         out._backward = _bw
     return out
 

@@ -69,22 +69,36 @@ CONFIG_DEFAULTS = {
 
 
 def parse_config_file(path):
-    """Defaults overlaid with key=value lines; unknown keys are rejected."""
+    """Defaults overlaid with the key=value lines of a UTF-8 file.
+
+    An unknown key, or a key given twice, is rejected.
+    """
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     raw = dict(CONFIG_DEFAULTS)
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            key, sep, value = text.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or not key:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line.strip()!r}")
-            if key not in CONFIG_DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            raw[key] = value
+    seen = {}
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        key, sep, value = text.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not key:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line.strip()!r}")
+        if key not in CONFIG_DEFAULTS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}: key {key!r} is given twice, "
+                              f"on lines {seen[key]} and {lineno}")
+        seen[key] = lineno
+        raw[key] = value
     return raw
 
 
@@ -123,6 +137,9 @@ class ResolvedConfig:
             raise ConfigError(f"seeds must name at least one seed, each >= 0, got {raw['seeds']!r}")
         self.out_dir = raw["out_dir"]
         self.checkpoint_interval = _value(raw, "checkpoint_interval", int)
+        if self.checkpoint_interval < 0:
+            raise ConfigError(f"checkpoint_interval must be >= 0 (0 saves no periodic "
+                              f"checkpoint), got {self.checkpoint_interval}")
         self.eval_episodes = _value(raw, "eval_episodes", int)
         if self.eval_episodes < 1:
             raise ConfigError(f"eval_episodes must be at least 1, got {self.eval_episodes}")

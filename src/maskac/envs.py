@@ -30,7 +30,13 @@ ENV_NAMES = ("catch", "collector", "fuel")
 
 @dataclass
 class EnvSpec:
-    """Which environment to build; ``episode_cap=None`` means the env's default cap."""
+    """Which environment to build; ``episode_cap=None`` means the env's default cap.
+
+    ``size`` must lie between the env's ``MIN_SIZE``, the smallest grid its
+    layout fits, and ``MAX_SIZE``, which bounds a frame at 1 MB of float32.
+    """
+
+    MAX_SIZE = 512
 
     name: str = "catch"
     size: int = 20
@@ -43,6 +49,8 @@ class EnvSpec:
         cls = _ENV_CLASSES[self.name]
         if self.size < cls.MIN_SIZE:
             raise ValueError(f"{self.name} needs size >= {cls.MIN_SIZE}, got {self.size}")
+        if self.size > self.MAX_SIZE:
+            raise ValueError(f"size must be <= {self.MAX_SIZE}, got {self.size}")
         if self.episode_cap is None:
             self.episode_cap = {"catch": self.size, "collector": 300, "fuel": 200}[self.name]
         elif self.episode_cap < 1:

@@ -90,7 +90,8 @@ class ForwardTrace:
     """Everything one forward pass produced, graph references included.
 
     From a batched ``forward`` every tensor carries a leading batch axis;
-    from ``forward_segment`` a leading time axis, and ``next_state`` is None.
+    from ``forward_segment`` a leading axis over the steps of its segments,
+    and ``next_state`` is None.
     """
 
     f_p: Tensor
@@ -103,10 +104,6 @@ class ForwardTrace:
     next_state: RecurrentState
     m_p: Tensor | None = None
     m_v: Tensor | None = None
-
-    @property
-    def value_scalar(self):
-        return float(self.value.data[0])
 
 
 # tensor names, in a fixed order so initialization streams are stable
@@ -296,17 +293,26 @@ def forward(obs, state, w, config, mask_transform="identity"):
     return _heads(h, next_state, w, config, mask_transform, dtype)
 
 
-def forward_segment(obs, state, w, config):
-    """``forward`` over a whole rollout segment at once, for the learner.
+def forward_segment(obs, state, w, config, lengths):
+    """``forward`` over the rollout segments of one round at once, for the learner.
 
-    ``obs`` is the segment's [T,H,W] observations and ``state`` the
-    recurrent state before its first step, taken as a constant: gradients
-    flow through time inside the segment and stop at its start.  Every
-    layer runs as one op over the time axis except the recurrence, which
-    is the fused ``autodiff.convlstm``.  Masks are used as computed.
+    ``obs`` holds N segments' observations [N,T,H,W], each padded to the
+    longest, and ``lengths`` each segment's real step count.  ``state``
+    [N,L,h,w] holds the recurrent states before the segments' first
+    steps, taken as constants: gradients flow through time inside a
+    segment and stop at its start.  The extractor runs as one op
+    over all N*T frames and the ConvLSTM as the fused ``autodiff.convlstm``
+    over [N,T,...]; the branches and heads then run on the real steps
+    only, so the trace has one row per real step, segment after segment,
+    and a padded step gets no gradient.  Masks are used as computed.
     """
     dtype = w["fe1.w"].dtype
-    obs = Tensor(np.asarray(obs, dtype=dtype)[:, None])
-    x = feature_extract(obs, w, config)
-    h = ad.convlstm(x, w["lstm.w"], w["lstm.b"], state.h.data, state.c.data)
+    obs = np.asarray(obs, dtype=dtype)
+    n, t = obs.shape[:2]
+    x = feature_extract(Tensor(obs.reshape((n * t, 1) + obs.shape[2:])), w, config)
+    h = ad.convlstm(ad.reshape(x, (n, t) + x.shape[1:]), w["lstm.w"], w["lstm.b"],
+                    state.h.data, state.c.data)
+    h = ad.reshape(h, (n * t,) + h.shape[2:])
+    if min(lengths) < t:
+        h = ad.take_rows(h, [i * t + j for i, steps in enumerate(lengths) for j in range(steps)])
     return _heads(h, None, w, config, "identity", dtype)

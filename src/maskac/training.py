@@ -1,25 +1,25 @@
-"""n-step advantage actor-critic training with round-robin actor-learners.
+"""n-step advantage actor-critic training with lockstep actors and one learner.
 
-N worker records, each with its own environment, action rng and
-recurrent state, take turns in the fixed order 0..N-1.  A turn snapshots
-the shared parameters, so it sees the update the previous worker just
-applied, collects a bounded rollout segment, backpropagates the
-actor-critic loss through the segment (truncated through time at the
-segment boundary) and applies the clipped gradients to the shared store.
-This keeps A3C's order of snapshot, rollout and update per worker, and a
-fixed seed reproduces a run whatever the worker count.
+N workers, each with its own environment, action rng and recurrent
+state, play in lockstep rounds (synchronous A2C, or PAAC: Clemente et
+al. 2017).  A round snapshots the shared parameters, steps all N envs
+together for up to ``t_max`` steps, one batched ``forward`` per step,
+backpropagates the sum of the N segments' actor-critic losses
+(truncated through time at each segment's start) and applies the
+clipped gradient to the shared store once.  A fixed seed reproduces a
+run whatever the worker count, and with one worker a round is one A3C
+cycle.
 
-The rollout builds no graph: it keeps the observations, actions,
-rewards, values and action probabilities, plus the recurrent state the
-segment started from.  The learner then recomputes the segment once
-with ``forward_segment``, every layer batched over the time axis, and
-backpropagates that single graph.
+The rollout builds no graph: it keeps each step's observation, action,
+reward, value and action probabilities, plus the recurrent state each
+segment started from.  The learner then recomputes all N segments with
+one ``forward_segment`` over [N,T,...] and backpropagates that single
+graph.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import os
 import time
@@ -101,44 +101,62 @@ def policy_entropy(probs):
     return float(-(p * np.log(p)).sum())
 
 
-def collect_rollout(env, weights, config, state, t_max, rng):
-    """Run up to t_max policy steps without a graph; stop early on episode end.
+def collect_rollout(envs, weights, config, state, t_max, rngs):
+    """Step ``envs`` in lockstep for up to t_max steps without a graph; one rollout per env.
 
-    The env renders each frame once: the segment's first frame comes from
-    ``observe`` (or ``reset``), every later one from the step that made it.
-    On a terminal step the returned state resets to zeros and
-    bootstrap_value is 0; otherwise the value of the successor state
-    seeds the return.
+    ``state`` [N,L,h,w] holds each env's recurrent state, and ``rngs`` its
+    action rng.  Each step is one batched ``forward`` over the envs still
+    running; an env whose episode ends drops out, its state resets to
+    zeros and its bootstrap value is 0.  One more batched ``forward`` gives
+    the bootstrap values of the envs that did not finish.  An env that
+    starts the round done is reset first.  The envs render each frame
+    once: a segment's first frame comes from ``observe`` (or ``reset``),
+    every later one from the step that made it.  Returns the rollouts, in
+    env order, and the [N,...] state to carry into the next round.
     """
-    dtype = weights["fe1.w"].dtype
     frozen = {k: Tensor(t.data) for k, t in weights.items()}   # no requires_grad: no graph
-    if env.done:
-        obs = env.reset()
-        state = RecurrentState.zeros(config, dtype)
-    else:
-        obs = env.observe()
-    start = state
-    steps = []
-    terminal = False
+    h, c = state.h.data.copy(), state.c.data.copy()
+    obs = []
+    for i, env in enumerate(envs):
+        if env.done:
+            obs.append(env.reset())
+            h[i] = 0
+            c[i] = 0
+        else:
+            obs.append(env.observe())
+    rollouts = [Rollout([], 0.0, False, RecurrentState(Tensor(h[i]), Tensor(c[i])))
+                for i in range(len(envs))]
+    rows = list(range(len(envs)))          # the envs still running, in batch order
+    live = RecurrentState(Tensor(h), Tensor(c))
     for _ in range(t_max):
-        trace = forward(obs, state, frozen, config)
-        probs = trace.policy.data
-        action = sample_action(probs, rng)
-        res = env.step(action)
-        steps.append(RolloutStep(obs=obs, action=action, reward=res.reward,
-                                 value=trace.value_scalar,
-                                 log_prob=float(np.log(probs[action])), probs=probs))
-        obs = res.obs
-        state = trace.next_state
-        if res.done:
-            terminal = True
-            state = RecurrentState.zeros(config, dtype)
+        trace = forward(np.array(obs)[:, None], live, frozen, config)
+        values = trace.value.data[:, 0].tolist()
+        frames, obs, keep = obs, [], []
+        for k, i in enumerate(rows):
+            probs = trace.policy.data[k]
+            action = sample_action(probs, rngs[i])
+            res = envs[i].step(action)
+            rollouts[i].steps.append(RolloutStep(
+                obs=frames[k], action=action, reward=res.reward, value=values[k],
+                log_prob=float(np.log(probs[action])), probs=probs))
+            if res.done:
+                rollouts[i].terminal = True
+            else:
+                obs.append(res.obs)
+                keep.append(k)
+        live = trace.next_state
+        if len(keep) < len(rows):
+            live = RecurrentState(Tensor(live.h.data[keep]), Tensor(live.c.data[keep]))
+            rows = [rows[k] for k in keep]
+        if not rows:
             break
-    if terminal:
-        bootstrap = 0.0
-    else:
-        bootstrap = forward(obs, state, frozen, config).value_scalar
-    return Rollout(steps, bootstrap, terminal, start), state
+    h, c = np.zeros_like(h), np.zeros_like(c)
+    if rows:
+        h[rows], c[rows] = live.h.data, live.c.data
+        values = forward(np.array(obs)[:, None], live, frozen, config).value.data[:, 0]
+        for i, value in zip(rows, values.tolist()):
+            rollouts[i].bootstrap_value = value
+    return rollouts, RecurrentState(Tensor(h), Tensor(c))
 
 
 def compute_returns(rollout, gamma):
@@ -153,37 +171,48 @@ def compute_returns(rollout, gamma):
     return returns, advantages
 
 
-def a3c_loss(rollout, weights, config, returns, advantages, entropy_coef, value_coef):
-    """Sum over the segment of policy, value, and entropy terms.
+def a3c_loss(rollouts, weights, config, returns, advantages, entropy_coef, value_coef):
+    """Sum over a round's segments of their policy, value, and entropy terms.
 
-    Recomputes the segment with a graph through ``forward_segment``.
+    ``returns`` and ``advantages`` hold one list per segment.  All segments
+    are recomputed with a graph through one ``forward_segment``, their
+    observations padded to the longest; a padded step enters no term.
     Advantages and returns enter as constants: the policy term pushes
     log-probabilities only, the value term pushes the critic only.
     """
-    n = len(rollout.steps)
-    if not (n == len(returns) == len(advantages)):
-        raise ValueError("rollout, returns and advantages must have equal length")
-    trace = forward_segment(np.stack([s.obs for s in rollout.steps]), rollout.start_state,
-                            weights, config)
-    logits = trace.policy_logits                                  # [T, K]
+    lengths = [len(r) for r in rollouts]
+    if lengths != [len(x) for x in returns] or lengths != [len(x) for x in advantages]:
+        raise ValueError("rollouts, returns and advantages must have equal lengths")
+    steps = [s for r in rollouts for s in r.steps]
+    n = len(steps)
+    dtype = weights["fe1.w"].dtype
+    obs = np.zeros((len(rollouts), max(lengths)) + np.shape(steps[0].obs), dtype=dtype)
+    for i, r in enumerate(rollouts):
+        obs[i, :len(r)] = [s.obs for s in r.steps]
+    start = RecurrentState(Tensor(np.stack([r.start_state.h.data for r in rollouts])),
+                           Tensor(np.stack([r.start_state.c.data for r in rollouts])))
+    trace = forward_segment(obs, start, weights, config, lengths)
+    logits = trace.policy_logits                                  # [steps, K]
     logp = ad.log_softmax(logits)
-    dtype = logits.dtype
     weighted = np.zeros(logits.shape, dtype=dtype)   # -A_t at the action taken
-    weighted[np.arange(n), [s.action for s in rollout.steps]] = -np.asarray(advantages)
+    weighted[np.arange(n), [s.action for s in steps]] = -np.concatenate(advantages)
     policy_term = ad.sum_all(ad.mul(logp, weighted))
-    verr = ad.add(ad.neg(ad.reshape(trace.value, (n,))), np.asarray(returns, dtype=dtype))
+    verr = ad.add(ad.neg(ad.reshape(trace.value, (n,))), np.concatenate(returns).astype(dtype))
     value_term = ad.sum_all(ad.mul(verr, verr))
     neg_entropy = ad.sum_all(ad.mul(trace.policy, logp))
     return ad.add(policy_term, ad.add(ad.mul(value_term, float(value_coef)),
                                       ad.mul(neg_entropy, float(entropy_coef))))
 
 
-def loss_components(rollout, returns, advantages):
-    """Per-step means of the three loss pieces, for the metrics log."""
-    t = len(rollout.steps)
-    policy_loss = -sum(s.log_prob * a for s, a in zip(rollout.steps, advantages)) / t
-    value_loss = sum((r - s.value) ** 2 for s, r in zip(rollout.steps, returns)) / t
-    entropy = sum(policy_entropy(s.probs) for s in rollout.steps)
+def loss_components(rollouts, returns, advantages):
+    """Per-step means over a round's segments of the three loss pieces, for the metrics log."""
+    steps = [s for r in rollouts for s in r.steps]
+    t = len(steps)
+    advantages = [a for seg in advantages for a in seg]
+    returns = [r for seg in returns for r in seg]
+    policy_loss = -sum(s.log_prob * a for s, a in zip(steps, advantages)) / t
+    value_loss = sum((r - s.value) ** 2 for s, r in zip(steps, returns)) / t
+    entropy = sum(policy_entropy(s.probs) for s in steps)
     return policy_loss, value_loss, entropy / t
 
 
@@ -212,9 +241,9 @@ class SharedParams:
 def sync_local(shared):
     """Fresh gradient-tracking leaves over the global weights, sharing their arrays.
 
-    Nothing writes the store between this call and the cycle's backward
+    Nothing writes the store between this call and the round's backward
     pass, so the leaves need no copy; each call gives new tensors, so no
-    gradient buffer carries over from one cycle to the next.
+    gradient buffer carries over from one round to the next.
     """
     return {k: Tensor(v, requires_grad=True) for k, v in shared.values.items()}
 
@@ -266,75 +295,59 @@ def apply_gradients(shared, grads, hyper, n_steps):
 
 
 class MetricsWriter:
-    """Append-only CSV of one row per rollout."""
+    """Append-only CSV of one row per update."""
 
-    HEADER = "step,worker,episode_return,policy_loss,value_loss,entropy,grad_norm"
+    HEADER = "step,episode_return,policy_loss,value_loss,entropy,grad_norm"
 
     def __init__(self, path):
         self._fh = open(path, "w")
         self._fh.write(self.HEADER + "\n")
 
-    def log(self, step, worker, episode_return, policy_loss, value_loss, entropy, grad_norm):
+    def log(self, step, episode_return, policy_loss, value_loss, entropy, grad_norm):
         er = "" if episode_return is None else repr(float(episode_return))
         gn = "nan" if grad_norm is None else repr(float(grad_norm))
-        self._fh.write(f"{step},{worker},{er},{repr(float(policy_loss))},"
+        self._fh.write(f"{step},{er},{repr(float(policy_loss))},"
                        f"{repr(float(value_loss))},{repr(float(entropy))},{gn}\n")
 
     def close(self):
         self._fh.close()
 
 
-@dataclass
-class Worker:
-    """One actor-learner: its environment, action rng and recurrent state."""
-
-    index: int
-    env: object
-    rng: np.random.Generator
-    state: RecurrentState
-
-
 def _worker_env_seed(seed, worker_id):
     return int(np.random.SeedSequence([seed, worker_id, 17]).generate_state(1)[0])
 
 
-def _make_worker(index, config, env_spec, seed):
-    env = make_env(dataclasses.replace(env_spec, seed=_worker_env_seed(seed, index)))
-    return Worker(index, env, np.random.default_rng([seed, index, 1]),
-                  RecurrentState.zeros(config))
+def _worker_loop(envs, rngs, shared, config, hyper, metrics, save_snapshot, checkpoint_interval):
+    """Play lockstep rounds of all workers, one summed update each, until the budget is met.
 
-
-def _worker_loop(workers, shared, config, hyper, metrics, save_snapshot, checkpoint_interval):
-    """Give the workers one rollout-and-update cycle each, in turn, until the budget is met.
-
-    The budget is checked before every cycle, so the run ends below
-    ``total_steps + t_max``.  Whenever the step count passes a multiple
-    of ``checkpoint_interval`` not saved yet, the weights are saved under
-    the step count they hold.
+    The budget is checked before every round, and a round takes at most
+    ``t_max`` steps per worker, so the run ends below
+    ``total_steps + n_workers * t_max``.  Whenever the step count passes a
+    multiple of ``checkpoint_interval`` not saved yet, the weights are
+    saved under the step count they hold.
     """
+    state = RecurrentState.zeros(config, batch=len(envs))
     saved_mark = 0
-    for worker in itertools.cycle(workers):
-        if shared.steps >= hyper.total_steps:
-            return
+    while shared.steps < hyper.total_steps:
         weights = sync_local(shared)
-        rollout, worker.state = collect_rollout(worker.env, weights, config, worker.state,
-                                                hyper.t_max, worker.rng)
-        episode_return = worker.env.score if rollout.terminal else None
-        returns, advantages = compute_returns(rollout, hyper.gamma)
-        loss = a3c_loss(rollout, weights, config, returns, advantages,
+        rollouts, state = collect_rollout(envs, weights, config, state, hyper.t_max, rngs)
+        ended = [env.score for env, r in zip(envs, rollouts) if r.terminal]
+        returns, advantages = zip(*(compute_returns(r, hyper.gamma) for r in rollouts))
+        loss = a3c_loss(rollouts, weights, config, returns, advantages,
                         hyper.entropy_coef, hyper.value_coef)
         ad.backward(loss)
         grads = {k: t.grad for k, t in weights.items() if t.grad is not None}
-        norm = apply_gradients(shared, grads, hyper, len(rollout))
-        p_loss, v_loss, entropy = loss_components(rollout, returns, advantages)
-        metrics.log(shared.steps, worker.index, episode_return, p_loss, v_loss, entropy, norm)
+        norm = apply_gradients(shared, grads, hyper, sum(len(r) for r in rollouts))
+        p_loss, v_loss, entropy = loss_components(rollouts, returns, advantages)
+        metrics.log(shared.steps, float(np.mean(ended)) if ended else None,
+                    p_loss, v_loss, entropy, norm)
         if checkpoint_interval and shared.steps // checkpoint_interval > saved_mark:
             saved_mark = shared.steps // checkpoint_interval
             save_snapshot(shared.steps)
 
 
 def train(config, hyper, env_spec, seed, out_dir, checkpoint_interval=50_000, log=None):
-    """Run the round-robin training loop in float32 until the global step budget is met.
+    """Run the lockstep training loop in float32 until the global step budget is met.
 
     Writes ckpt_<step>.ma3c files (including the initial ckpt_0) and a
     metrics.csv into ``out_dir``; returns the path of the final
@@ -360,8 +373,10 @@ def train(config, hyper, env_spec, seed, out_dir, checkpoint_interval=50_000, lo
     metrics = MetricsWriter(os.path.join(out_dir, "metrics.csv"))
     t0 = time.monotonic()
     try:
-        workers = [_make_worker(i, config, env_spec, seed) for i in range(hyper.n_workers)]
-        _worker_loop(workers, shared, config, hyper, metrics, save_snapshot,
+        envs = [make_env(dataclasses.replace(env_spec, seed=_worker_env_seed(seed, i)))
+                for i in range(hyper.n_workers)]
+        rngs = [np.random.default_rng([seed, i, 1]) for i in range(hyper.n_workers)]
+        _worker_loop(envs, rngs, shared, config, hyper, metrics, save_snapshot,
                      checkpoint_interval)
     finally:
         metrics.close()

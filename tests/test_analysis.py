@@ -231,7 +231,7 @@ def test_record_heatmaps_frames_equal_an_unbatched_replay(tmp_path):
     for frame, (t, branch, trace, action) in zip(frames, replayed):
         mask = (trace.m_p if branch == "policy" else trace.m_v).data[0]
         assert (frame.timestep, frame.branch, frame.action) == (t, branch, action)
-        assert np.array_equal(frame.mask, mask) and frame.value == trace.value_scalar
+        assert np.array_equal(frame.mask, mask) and frame.value == float(trace.value.data[0])
 
 
 def test_record_heatmaps_deterministic_bytes(tmp_path):

@@ -289,23 +289,76 @@ def test_grad_conv2d():
 
 
 def test_grad_convlstm_sequence_extended_precision():
-    # the hand-written BPTT against central differences; grads must stay
-    # in the working dtype (col2im accumulates without a float64 downcast)
+    # the hand-written BPTT against central differences over a batch of
+    # two sequences; grads must stay in the working dtype (col2im
+    # accumulates without a float64 downcast)
     rng = np.random.default_rng(31)
-    n_steps, c_in, hidden, hw = 4, 2, 2, 3
+    n_seq, n_steps, c_in, hidden, hw = 2, 4, 2, 2, 3
     ld = np.longdouble
     params = {
-        "x": Tensor(rng.normal(size=(n_steps, c_in, hw, hw)).astype(ld)),
+        "x": Tensor(rng.normal(size=(n_seq, n_steps, c_in, hw, hw)).astype(ld)),
         "k": Tensor(rng.normal(scale=0.5, size=(4 * hidden, c_in + hidden, 3, 3)).astype(ld)),
         "b": Tensor(rng.normal(scale=0.5, size=4 * hidden).astype(ld)),
     }
-    h0 = rng.normal(size=(hidden, hw, hw)).astype(ld)
-    c0 = rng.normal(size=(hidden, hw, hw)).astype(ld)
-    r = Tensor(rng.normal(size=(n_steps, hidden, hw, hw)).astype(ld))
+    h0 = rng.normal(size=(n_seq, hidden, hw, hw)).astype(ld)
+    c0 = rng.normal(size=(n_seq, hidden, hw, hw)).astype(ld)
+    r = Tensor(rng.normal(size=(n_seq, n_steps, hidden, hw, hw)).astype(ld))
     f = lambda p: ad.sum_all(ad.mul(ad.convlstm(p["x"], p["k"], p["b"], h0, c0), r))
     err = ad.grad_check(f, params, eps=1e-6, n_samples=150, rng=np.random.default_rng(0))
     assert err < 1e-4, err
     assert all(t.grad.dtype == ld for t in params.values())
+
+
+def test_convlstm_batch_rows_equal_each_sequence_alone():
+    # outputs and all three gradients of an [N,T,...] batch, row by row,
+    # against the same op on one sequence at a time
+    rng = np.random.default_rng(34)
+    n_seq, n_steps, c_in, hidden, hw = 3, 5, 2, 3, 4
+    x = rng.normal(size=(n_seq, n_steps, c_in, hw, hw))
+    k = rng.normal(scale=0.5, size=(4 * hidden, c_in + hidden, 3, 3))
+    b = rng.normal(scale=0.5, size=4 * hidden)
+    h0 = rng.normal(size=(n_seq, hidden, hw, hw))
+    c0 = rng.normal(size=(n_seq, hidden, hw, hw))
+    r = rng.normal(size=(n_seq, n_steps, hidden, hw, hw))
+
+    def run(rows):
+        p = [Tensor(x[rows], requires_grad=True), Tensor(k, requires_grad=True),
+             Tensor(b, requires_grad=True)]
+        out = ad.convlstm(*p, h0[rows], c0[rows])
+        ad.backward(ad.sum_all(ad.mul(out, r[rows])))
+        return out.data, [t.grad for t in p]
+
+    out, (gx, gk, gb) = run(slice(None))
+    sum_gk, sum_gb = np.zeros_like(k), np.zeros_like(b)
+    for i in range(n_seq):
+        out_i, (gx_i, gk_i, gb_i) = run(slice(i, i + 1))
+        np.testing.assert_allclose(out[i:i + 1], out_i, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(gx[i:i + 1], gx_i, rtol=1e-10, atol=1e-13)
+        sum_gk += gk_i
+        sum_gb += gb_i
+    np.testing.assert_allclose(gk, sum_gk, rtol=1e-10, atol=1e-13)
+    np.testing.assert_allclose(gb, sum_gb, rtol=1e-10, atol=1e-13)
+
+
+def test_convlstm_rejects_inputs_that_do_not_line_up():
+    k, b = Tensor(np.zeros((8, 3, 3, 3))), Tensor(np.zeros(8))
+    x = Tensor(np.zeros((2, 4, 1, 3, 3)))
+    state = np.zeros((2, 2, 3, 3))
+    ad.convlstm(x, k, b, state, state)
+    for bad_x, bad_state in ((Tensor(np.zeros((4, 1, 3, 3))), np.zeros((2, 3, 3))),
+                             (x, np.zeros((1, 2, 3, 3))), (x, np.zeros((2, 3, 3, 3)))):
+        with pytest.raises(ad.ShapeError):
+            ad.convlstm(bad_x, k, b, bad_state, bad_state)
+    with pytest.raises(ad.ShapeError):
+        ad.convlstm(x, Tensor(np.zeros((8, 4, 3, 3))), b, state, state)
+
+
+def test_take_rows_gathers_and_scatters_back():
+    a = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+    out = ad.take_rows(a, [0, 2, 3])
+    np.testing.assert_array_equal(out.data, a.data[[0, 2, 3]])
+    ad.backward(ad.sum_all(ad.mul(out, np.arange(9.0).reshape(3, 3))))
+    np.testing.assert_array_equal(a.grad, [[0, 1, 2], [0, 0, 0], [3, 4, 5], [6, 7, 8]])
 
 
 def test_grad_conv2d_batch_keeps_extended_precision():

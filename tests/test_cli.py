@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from maskac import checkpoint, cli, netpbm
 from maskac.analysis import EpisodeStats
 from maskac.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from maskac.envs import EnvSpec
 from maskac.cli import (CONFIG_DEFAULTS, EXIT_ARGUMENT, EXIT_CHECKPOINT,
                         EXIT_CONFIG, EXIT_OK, EXIT_VARIANT, ResolvedConfig,
                         main, parse_config_file)
@@ -261,7 +262,9 @@ def test_config_defaults_are_the_documented_keys_and_texts():
 
 # each of these crashed a run, trained on to a non-finite checkpoint,
 # flipped the sign of every update or skipped every update; episode_cap=0
-# meant the default cap, and episode_step_cap and precision are no longer keys
+# meant the default cap, episode_step_cap and precision are no longer keys,
+# a negative checkpoint_interval saved no periodic checkpoint and a huge
+# size overflowed numpy
 @pytest.mark.parametrize("key,value", [
     ("lstm_channels", "0"), ("lstm_channels", "-2"), ("branch_channels", "0"),
     ("fe_channels", "0,4,4"), ("conv_kernel", "0"), ("conv_padding", "-1"),
@@ -269,6 +272,7 @@ def test_config_defaults_are_the_documented_keys_and_texts():
     ("entropy_coef", "nan"), ("entropy_coef", "-0.01"), ("value_coef", "nan"),
     ("value_coef", "inf"), ("seed", "-1"), ("seeds", "0,-1"),
     ("episode_cap", "0"), ("episode_step_cap", "10000"), ("precision", "double"),
+    ("checkpoint_interval", "-5"), ("size", "513"), ("size", "99999999999999999999"),
 ])
 def test_config_value_that_breaks_a_run_exits_2_with_one_line(tmp_path, capsys, key, value):
     settings = dict(total_steps="20", n_workers="1", conv_stride="1",
@@ -279,6 +283,50 @@ def test_config_value_that_breaks_a_run_exits_2_with_one_line(tmp_path, capsys, 
     assert err.startswith("config error:") and key in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("text,names", [
+    (b"env=catch\xff\n", ["not UTF-8"]),
+    (b"env=catch\nlr=0.001\n# env=collector\nenv=fuel\n", ["'env'", "lines 1 and 4"]),
+], ids=["non-utf8", "repeated-key"])
+def test_config_text_that_is_not_utf8_or_repeats_a_key_exits_2_with_one_line(
+        tmp_path, capsys, text, names):
+    path = tmp_path / "c.cfg"
+    path.write_bytes(text)
+    assert main(["train", str(path), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err
+    assert all(name in err for name in names)
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+# a config text is made of lines of these kinds; every example must end in
+# a ResolvedConfig or a ConfigError, never in another exception
+_config_lines = st.one_of(
+    st.tuples(st.sampled_from(sorted(CONFIG_DEFAULTS)),
+              st.one_of(st.sampled_from(["0", "-1", "1", "3", "20", "513", "1e999", "nan",
+                                         "-inf", "0.5", "true", "no", "1,2,3", ",", "auto",
+                                         "", "99999999999999999999", "x" * 40]),
+                        st.text(max_size=12)))
+    .map(lambda kv: f"{kv[0]}={kv[1]}".encode("utf-8", "surrogatepass")),
+    st.text(max_size=20).map(lambda t: t.encode("utf-8", "surrogatepass")),   # often no '='
+    st.binary(max_size=20),
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(lines=st.lists(_config_lines, max_size=8), repeat=st.booleans())
+def test_generated_config_texts_resolve_or_raise_only_config_error(tmp_path_factory, lines,
+                                                                    repeat):
+    if repeat and lines:
+        lines.append(lines[0])
+    path = tmp_path_factory.mktemp("cfg") / "c.cfg"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    try:
+        ResolvedConfig(parse_config_file(str(path)))
+    except cli.ConfigError:
+        pass
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -586,6 +634,16 @@ def test_size_an_env_cannot_lay_out_exits_5(env, too_small, smallest, capsys):
         assert len(err.strip().splitlines()) == 1
     assert main(["random-baseline", "--env", env, "--size", str(smallest),
                  "--episodes", "20"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("env", ["catch", "collector", "fuel"])
+def test_size_above_max_size_exits_5_with_one_line(env, capsys):
+    for size in (EnvSpec.MAX_SIZE + 1, 99999999999999999999):
+        assert main(["random-baseline", "--env", env, "--size", str(size),
+                     "--episodes", "2"]) == EXIT_ARGUMENT
+        err = capsys.readouterr().err
+        assert err.startswith("invalid argument: --size") and f"<= {EnvSpec.MAX_SIZE}" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_config_size_an_env_cannot_lay_out_exits_2(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Returns/loss math, the shared RMSProp store, and the round-robin training loop."""
+"""Returns/loss math, the shared RMSProp store, and the lockstep training loop."""
 
 import os
 
@@ -57,11 +57,22 @@ class ScriptedEnv:
 
 
 class NoisyEnv(ScriptedEnv):
-    """ScriptedEnv whose observations are uniform noise fixed by the step index."""
+    """ScriptedEnv whose observations are uniform noise fixed by the step index and ``salt``."""
+
+    def __init__(self, n_actions=1, done_at=None, size=20, salt=0):
+        super().__init__(n_actions, done_at, size)
+        self.salt = salt
 
     def observe(self):
-        rng = np.random.default_rng([self.t, 5])
+        rng = np.random.default_rng([self.t, 5, self.salt])
         return rng.uniform(0, 1, size=(self.size, self.size))
+
+
+def collect_one(env, weights, config, state, t_max, rng):
+    """``collect_rollout`` on a round of one env, with an unbatched state."""
+    batched = RecurrentState(Tensor(state.h.data[None]), Tensor(state.c.data[None]))
+    (rollout,), state = collect_rollout([env], weights, config, batched, t_max, [rng])
+    return rollout, RecurrentState(Tensor(state.h.data[0]), Tensor(state.c.data[0]))
 
 
 def zero_head_rollout(k_actions, t_steps):
@@ -118,21 +129,22 @@ def test_loss_reduces_to_entropy_term():
     rollout, weights, config = zero_head_rollout(k, t)
     returns = [0.0] * t        # value head predicts 0 exactly
     advantages = [0.0] * t
-    loss = a3c_loss(rollout, weights, config, returns, advantages,
+    loss = a3c_loss([rollout], weights, config, [returns], [advantages],
                     entropy_coef=coef, value_coef=0.5)
     assert abs(loss.item() - (-coef * t * np.log(k))) < 1e-12
 
 
 def test_loss_single_step_policy_term_only():
     rollout, weights, config = zero_head_rollout(3, 1)
-    loss = a3c_loss(rollout, weights, config, [1.7], [2.5], entropy_coef=0.0, value_coef=0.0)
+    loss = a3c_loss([rollout], weights, config, [[1.7]], [[2.5]], entropy_coef=0.0,
+                    value_coef=0.0)
     assert abs(loss.item() - (-np.log(1 / 3) * 2.5)) < 1e-12
 
 
 def test_loss_rejects_length_mismatch():
     rollout, weights, config = zero_head_rollout(3, 2)
     with pytest.raises(ValueError):
-        a3c_loss(rollout, weights, config, [0.0], [0.0, 0.0], 0.0, 0.0)
+        a3c_loss([rollout], weights, config, [[0.0]], [[0.0, 0.0]], 0.0, 0.0)
 
 
 def frozen_loss_fn(config, obs_seq, actions, returns, advantages, hyper, dtype):
@@ -142,7 +154,7 @@ def frozen_loss_fn(config, obs_seq, actions, returns, advantages, hyper, dtype):
     rollout = Rollout(steps, 0.0, False, RecurrentState.zeros(config, dtype))
 
     def f(weights):
-        return a3c_loss(rollout, weights, config, returns, advantages,
+        return a3c_loss([rollout], weights, config, [returns], [advantages],
                         hyper.entropy_coef, hyper.value_coef)
     return f
 
@@ -203,32 +215,55 @@ def _grads(loss_fn, weights):
     return {k: t.grad for k, t in w.items()}
 
 
+def round_cases(t_max):
+    """Steps to episode end, per env of a two-env round, counted from the round's start."""
+    cases = [(None, None), (t_max, t_max), (t_max, None)]   # equal lengths
+    if t_max > 1:
+        cases.append((None, t_max // 2))                     # ragged: one env ends mid-round
+    return cases
+
+
 @pytest.mark.parametrize("t_max", [1, 20])
 @pytest.mark.parametrize("variant", [(False, False), (True, False), (False, True), (True, True)],
                          ids=["vanilla", "policy", "value", "both"])
 def test_segment_grads_match_per_step_oracle(variant, t_max):
+    # the grads of one round's batched loss equal the sum over its envs of
+    # the per-step oracle's grads
     config = small_cfg(policy_mask_enabled=variant[0], value_mask_enabled=variant[1])
     weights = init_weights(config, seed=11, dtype=np.float64)
     hyper = Hyperparams()
-    for warmup in (0, 3):                 # zero and carried-over start state
-        for terminal in (True, False):    # terminal and bootstrapped segment
-            env = NoisyEnv(n_actions=3, done_at=warmup + t_max if terminal else None)
-            env.reset()
-            rng = np.random.default_rng(2)
-            state = RecurrentState.zeros(config, np.float64)
+    for warmup in (0, 3):                 # zero and carried-over start states
+        for ends in round_cases(t_max):   # terminal and bootstrapped segments
+            envs = [NoisyEnv(n_actions=3, done_at=None if e is None else warmup + e, salt=i)
+                    for i, e in enumerate(ends)]
+            for env in envs:
+                env.reset()
+            rngs = [np.random.default_rng([2, i]) for i in range(len(envs))]
+            state = RecurrentState.zeros(config, np.float64, batch=len(envs))
             if warmup:
-                _, state = collect_rollout(env, weights, config, state, warmup, rng)
-            rollout, _ = collect_rollout(env, weights, config, state, t_max, rng)
-            assert len(rollout) == t_max and rollout.terminal == terminal
-            assert (np.abs(rollout.start_state.c.data).max() > 0) == bool(warmup)
-            returns, advantages = compute_returns(rollout, hyper.gamma)
-            args = (config, returns, advantages, hyper.entropy_coef, hyper.value_coef)
-            batched = _grads(lambda w: a3c_loss(rollout, w, *args), weights)
-            oracle = _grads(lambda w: per_step_a3c_loss(rollout, w, *args), weights)
+                _, state = collect_rollout(envs, weights, config, state, warmup, rngs)
+            rollouts, _ = collect_rollout(envs, weights, config, state, t_max, rngs)
+            assert [len(r) for r in rollouts] == [t_max if e is None else e for e in ends]
+            assert [r.terminal for r in rollouts] == [e is not None for e in ends]
+            for r in rollouts:
+                assert (np.abs(r.start_state.c.data).max() > 0) == bool(warmup)
+            returns, advantages = zip(*(compute_returns(r, hyper.gamma) for r in rollouts))
+            coefs = (hyper.entropy_coef, hyper.value_coef)
+            batched = _grads(lambda w: a3c_loss(rollouts, w, config, returns, advantages,
+                                                *coefs), weights)
+
+            def oracle_loss(w):
+                total = None
+                for r, ret, adv in zip(rollouts, returns, advantages):
+                    term = per_step_a3c_loss(r, w, config, ret, adv, *coefs)
+                    total = term if total is None else ad.add(total, term)
+                return total
+
+            oracle = _grads(oracle_loss, weights)
             assert set(batched) == set(oracle)
             for name in oracle:
                 np.testing.assert_allclose(batched[name], oracle[name], rtol=1e-10, atol=0,
-                                           err_msg=f"{name} warmup={warmup} terminal={terminal}")
+                                           err_msg=f"{name} warmup={warmup} ends={ends}")
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +274,7 @@ def test_collect_rollout_fixed_length_single_action():
     weights = init_weights(config, seed=0, dtype=np.float64)
     env = ScriptedEnv(n_actions=1)
     env.reset()
-    rollout, _ = collect_rollout(env, weights, config,
+    rollout, _ = collect_one(env, weights, config,
                                  RecurrentState.zeros(config, np.float64), 3,
                                  np.random.default_rng(0))
     assert len(rollout) == 3
@@ -253,7 +288,7 @@ def test_collect_rollout_stops_at_terminal():
     weights = init_weights(config, seed=0, dtype=np.float64)
     env = ScriptedEnv(n_actions=1, done_at=2)
     env.reset()
-    rollout, _ = collect_rollout(env, weights, config,
+    rollout, _ = collect_one(env, weights, config,
                                  RecurrentState.zeros(config, np.float64), 5,
                                  np.random.default_rng(0))
     assert len(rollout) == 2
@@ -265,15 +300,17 @@ def test_collect_rollout_builds_no_graph():
     config = small_cfg()
     weights = {k: Tensor(t.data, requires_grad=True)
                for k, t in init_weights(config, seed=0, dtype=np.float64).items()}
-    env = NoisyEnv(n_actions=3)
-    env.reset()
-    state = RecurrentState.zeros(config, np.float64)
+    envs = [NoisyEnv(n_actions=3, done_at=6, salt=i) for i in range(2)]
+    for env in envs:
+        env.reset()
+    state = RecurrentState.zeros(config, np.float64, batch=2)
+    rngs = [np.random.default_rng(i) for i in range(2)]
     for _ in range(2):
-        rollout, state = collect_rollout(env, weights, config, state, 4,
-                                         np.random.default_rng(0))
-        for t in (state.h, state.c, rollout.start_state.h, rollout.start_state.c):
+        rollouts, state = collect_rollout(envs, weights, config, state, 4, rngs)
+        starts = [t for r in rollouts for t in (r.start_state.h, r.start_state.c)]
+        for t in (state.h, state.c, *starts):
             assert t._parents == () and not t.requires_grad
-        for step in rollout.steps:
+        for step in (s for r in rollouts for s in r.steps):
             assert isinstance(step.probs, np.ndarray)
             assert abs(step.log_prob - np.log(step.probs[step.action])) < 1e-12
     assert all(t.grad is None for t in weights.values())
@@ -289,10 +326,39 @@ def test_collect_rollout_renders_each_frame_once(monkeypatch, start_done):
     observe = _BaseEnv.observe
     monkeypatch.setattr(_BaseEnv, "observe", lambda self: calls.append(1) or observe(self))
     t_max = 5
-    rollout, _ = collect_rollout(env, weights, config, RecurrentState.zeros(config), t_max,
+    rollout, _ = collect_one(env, weights, config, RecurrentState.zeros(config), t_max,
                                  np.random.default_rng(0))
     assert len(rollout) == t_max and not rollout.terminal
     assert len(calls) <= t_max + 1
+
+
+def test_collect_rollout_lockstep_rows_equal_each_env_alone():
+    # three envs with episodes of different lengths: each env's segments,
+    # bootstrap values and carried states equal those of a round of that env alone
+    config = small_cfg()
+    weights = init_weights(config, seed=3, dtype=np.float64)
+    ends = (None, 5, 9)
+    envs = [NoisyEnv(n_actions=3, done_at=e, salt=i) for i, e in enumerate(ends)]
+    alone = [NoisyEnv(n_actions=3, done_at=e, salt=i) for i, e in enumerate(ends)]
+    rngs = [np.random.default_rng([4, i]) for i in range(3)]
+    alone_rngs = [np.random.default_rng([4, i]) for i in range(3)]
+    state = RecurrentState.zeros(config, np.float64, batch=3)
+    alone_states = [RecurrentState.zeros(config, np.float64) for _ in range(3)]
+    for _ in range(3):   # env 1 ends in round 2 and restarts in round 3, env 2 ends in round 3
+        rollouts, state = collect_rollout(envs, weights, config, state, 4, rngs)
+        for i in range(3):
+            ref, alone_states[i] = collect_one(alone[i], weights, config, alone_states[i], 4,
+                                               alone_rngs[i])
+            got = rollouts[i]
+            assert [s.action for s in got.steps] == [s.action for s in ref.steps]
+            assert got.terminal == ref.terminal and len(got) == len(ref)
+            np.testing.assert_allclose([s.value for s in got.steps],
+                                       [s.value for s in ref.steps], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(got.bootstrap_value, ref.bootstrap_value,
+                                       rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(state.c.data[i], alone_states[i].c.data,
+                                       rtol=1e-12, atol=1e-15)
+    assert [env.t for env in envs] == [12, 4, 9]
 
 
 def test_collect_rollout_deterministic_given_seed():
@@ -301,7 +367,7 @@ def test_collect_rollout_deterministic_given_seed():
     outs = []
     for _ in range(2):
         env = make_env(EnvSpec(name="catch", seed=9))
-        rollout, _ = collect_rollout(env, weights, config,
+        rollout, _ = collect_one(env, weights, config,
                                      RecurrentState.zeros(config, np.float32), 10,
                                      np.random.default_rng(33))
         outs.append(([s.action for s in rollout.steps],
@@ -486,7 +552,7 @@ def test_each_checkpoint_is_written_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("n_workers", [2, 3])
-def test_train_multiworker_round_robin_is_bit_reproducible(tmp_path, n_workers):
+def test_train_multiworker_lockstep_is_bit_reproducible(tmp_path, n_workers):
     config = small_cfg()
     hyper = Hyperparams(total_steps=100, n_workers=n_workers, t_max=8)
     runs = []
@@ -499,8 +565,16 @@ def test_train_multiworker_round_robin_is_bit_reproducible(tmp_path, n_workers):
     assert runs[0] == runs[1]
     final, files = runs[0]
     assert {"ckpt_0.ma3c", final, "metrics.csv"} < set(files)   # periodic ones too
-    rows = [line.split(",") for line in files["metrics.csv"].decode().splitlines()[1:]]
-    assert [int(r[1]) for r in rows] == [i % n_workers for i in range(len(rows))]
-    final_step = int(rows[-1][0])
+    lines = files["metrics.csv"].decode().splitlines()
+    assert lines[0] == tr.MetricsWriter.HEADER
+    rows = [line.split(",") for line in lines[1:]]
+    # every catch episode lasts 19 steps, so the workers' segments stay in
+    # lockstep: rounds of 8, 8 and 3 steps per worker, and each third round
+    # ends all n_workers episodes at once
+    steps = [int(r[0]) for r in rows]
+    rounds = [n_workers * t for t in (8, 8, 3)] * len(rows)
+    assert np.diff([0] + steps).tolist() == rounds[:len(rows)]
+    assert [r[1] != "" for r in rows] == [i % 3 == 2 for i in range(len(rows))]
+    final_step = steps[-1]
     assert final == f"ckpt_{final_step}.ma3c"
-    assert hyper.total_steps <= final_step < hyper.total_steps + hyper.t_max
+    assert hyper.total_steps <= final_step < hyper.total_steps + n_workers * hyper.t_max
