@@ -12,7 +12,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .envs import EnvSpec, InjectionSpec, make_env
 from .network import (ForwardTrace, NetworkConfig, RecurrentState, forward,
                       init_weights, invert_mask)
-from .training import Hyperparams, SharedParams, train
+from .training import Hyperparams, train
 
 __all__ = [
     "EpisodeStats", "InjectionReport", "compare_variants", "decrease_rate",
@@ -21,7 +21,7 @@ __all__ = [
     "EnvSpec", "InjectionSpec", "make_env",
     "ForwardTrace", "NetworkConfig", "RecurrentState", "forward",
     "init_weights", "invert_mask",
-    "Hyperparams", "SharedParams", "train",
+    "Hyperparams", "train",
 ]
 
 __version__ = "0.1.0"

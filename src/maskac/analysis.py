@@ -111,9 +111,7 @@ def _seeded_episodes(env_spec, episodes, seed):
     """An env and an action rng per episode index, each seeded as if that episode ran alone."""
     envs, rngs = [], []
     for ep in episodes:
-        env = make_env(env_spec)
-        env.reset(seed=_episode_seed(seed, ep))
-        envs.append(env)
+        envs.append(make_env(dataclasses.replace(env_spec, seed=_episode_seed(seed, ep))))
         rngs.append(np.random.default_rng([seed, ep, 1]))
     return envs, rngs
 
@@ -171,12 +169,10 @@ def evaluate(weights, config, env_spec, episodes, mask_transform="identity",
 
 
 def random_baseline(env_spec, episodes, seed):
-    """Uniform-random action scores under the same episode protocol."""
-    env = make_env(env_spec)
+    """Uniform-random action scores under the same episode protocol, one episode at a time."""
     returns = []
     for ep in range(episodes):
-        env.reset(seed=_episode_seed(seed, ep))
-        rng = np.random.default_rng([seed, ep, 1])
+        (env,), (rng,) = _seeded_episodes(env_spec, [ep], seed)
         while not env.done:
             env.step(int(rng.integers(env.n_actions)))
         returns.append(env.score)
@@ -314,7 +310,8 @@ def _final_checkpoint(run_dir, min_steps, config):
     return None
 
 
-def compare_variants(env_spec, config, seeds, hyper, episodes, out_dir, log=None):
+def compare_variants(env_spec, config, seeds, hyper, episodes, out_dir,
+                     checkpoint_interval=50_000, log=None):
     """Train all four variants of ``config`` per seed, evaluate each, and tabulate max/mean.
 
     Returns the table rows (one per variant x seed, plus a best-of-seeds
@@ -335,7 +332,8 @@ def compare_variants(env_spec, config, seeds, hyper, episodes, out_dir, log=None
             if ckpt is None:
                 if log:
                     log(f"training {variant} seed={seed} for {hyper.total_steps} steps")
-                ckpt = train(variant_config, hyper, env_spec, seed, run_dir, log=log)
+                ckpt = train(variant_config, hyper, env_spec, seed, run_dir,
+                             checkpoint_interval=checkpoint_interval, log=log)
             weights, ckpt_config = load_checkpoint(ckpt)
             stats = evaluate(weights, ckpt_config, env_spec, episodes,
                              seed=EVAL_SEED, greedy=True)

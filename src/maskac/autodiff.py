@@ -1,9 +1,10 @@
 """Reverse-mode automatic differentiation over dense numpy tensors.
 
 Supplies exactly the operator set the masked actor-critic network needs:
-conv2d, the fused ConvLSTM, dense, the elementwise family, softmax /
-log-softmax, channel concat / slice, row gather, reshape, scalar
-reductions.  Each op records a backward closure on its output;
+conv2d, the fused ConvLSTM, dense, add / mul (by a tensor or a constant),
+sigmoid / tanh / relu, the channel-broadcast mask multiply, softmax /
+log-softmax, channel concat / slice, row gather, reshape and the scalar
+sum.  Each op records a backward closure on its output;
 ``backward()`` replays the recorded graph in reverse topological order
 and accumulates into ``.grad`` buffers.
 
@@ -19,10 +20,10 @@ import numpy as np
 
 __all__ = [
     "Tensor", "ShapeError", "GraphError",
-    "add", "mul", "neg", "sigmoid", "tanh", "relu", "one_minus",
+    "add", "mul", "sigmoid", "tanh", "relu",
     "broadcast_mul_channelwise", "conv2d", "convlstm", "dense",
     "softmax", "log_softmax", "concat_channels", "slice_channels",
-    "take_rows", "reshape", "sum_all", "backward", "zero_grads", "grad_check",
+    "take_rows", "reshape", "sum_all", "backward",
 ]
 
 
@@ -43,7 +44,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op",
-                 "_consumed", "_inv_src")
+                 "_consumed")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data)
@@ -53,7 +54,6 @@ class Tensor:
         self._backward = None
         self._op = "leaf"
         self._consumed = False
-        self._inv_src = None
 
     @property
     def shape(self):
@@ -62,9 +62,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self):
-        return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
@@ -116,15 +113,6 @@ def add(a, b):
                 _accum(a, out.grad)
             if b.requires_grad:
                 _accum(b, out.grad)
-        out._backward = _bw
-    return out
-
-
-def neg(a):
-    out = _make(-a.data, (a,), "neg")
-    if out.requires_grad:
-        def _bw():
-            _accum_owned(a, -out.grad)
         out._backward = _bw
     return out
 
@@ -204,28 +192,6 @@ def broadcast_mul_channelwise(f, m):
                 _accum_owned(f, out.grad * m.data)
             if m.requires_grad:
                 _accum_owned(m, (out.grad * f.data).sum(axis=-3, keepdims=True))
-        out._backward = _bw
-    return out
-
-
-def one_minus(a):
-    """1 - a elementwise, with double application exact.
-
-    Floating subtraction alone does not satisfy 1-(1-x) == x (e.g. x=0.3
-    in float64), so the op remembers its source values and recognizes its
-    own output: inverting an inversion restores the original bits, which
-    is also the algebraically exact result.  The derivative is -1 either
-    way.
-    """
-    if a._inv_src is not None:
-        data = a._inv_src.copy()
-    else:
-        data = 1.0 - a.data
-    out = _make(data, (a,), "one_minus")
-    out._inv_src = a.data.copy()
-    if out.requires_grad:
-        def _bw():
-            _accum_owned(a, -out.grad)
         out._backward = _bw
     return out
 
@@ -564,14 +530,15 @@ def sum_all(a):
 
 
 # ---------------------------------------------------------------------------
-# backward pass and gradient checking
+# backward pass
 
 def backward(loss):
     """Populate .grad on every requires_grad leaf reachable from ``loss``.
 
-    Grads accumulate across calls until cleared with ``zero_grads``.  A
-    given graph may be traversed once; rerunning it, or any graph that
-    shares an already traversed interior node, raises GraphError.
+    Grads add to what ``.grad`` already holds; training builds fresh
+    leaves for every round, so nothing carries over.  A given graph may
+    be traversed once; rerunning it, or any graph that shares an already
+    traversed interior node, raises GraphError.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -607,53 +574,3 @@ def backward(loss):
             node._backward = None
             node._consumed = True
 
-
-def zero_grads(tensors):
-    """Drop gradient buffers on an iterable or mapping of tensors."""
-    if hasattr(tensors, "values"):
-        tensors = tensors.values()
-    for t in tensors:
-        t.grad = None
-
-
-def grad_check(f, params, eps=1e-5, n_samples=100, rng=None):
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f`` maps the parameter dict to a scalar loss tensor and must be
-    deterministic.  Coordinates are sampled uniformly over all parameter
-    elements; relative error uses |a - n| / max(|a|, |n|, 1e-8).
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    for t in params.values():
-        t.requires_grad = True
-    zero_grads(params)
-    backward(f(params))
-    analytic = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-                for name, t in params.items()}
-
-    names = sorted(params)
-    sizes = np.array([params[n].data.size for n in names])
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    total = int(sizes.sum())
-    coords = rng.choice(total, size=min(n_samples, total), replace=False)
-
-    worst = 0.0
-    for c in coords:
-        ti = int(np.searchsorted(offsets, c, side="right") - 1)
-        name = names[ti]
-        flat = params[name].data.reshape(-1)
-        i = int(c - offsets[ti])
-        saved = flat[i]
-        flat[i] = saved + eps
-        hi = f(params).data.reshape(())
-        flat[i] = saved - eps
-        lo = f(params).data.reshape(())
-        flat[i] = saved
-        # difference in the working dtype: float() here would clip an
-        # extended-precision run back to double and reintroduce noise
-        numeric = float((hi - lo) / (2.0 * eps))
-        a = float(analytic[name].reshape(-1)[i])
-        err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-        worst = max(worst, err)
-    return worst

@@ -306,6 +306,7 @@ def cmd_compare(args):
     out_dir = _prepare_out_dir(args, config)
     rows = compare_variants(config.env_spec, config.network, config.seeds, config.hyper,
                             config.eval_episodes, out_dir,
+                            checkpoint_interval=config.checkpoint_interval,
                             log=lambda msg: print(msg, flush=True))
     print(f"{'variant':<10} {'seed':>6} {'max':>10} {'mean':>10}")
     for r in rows:

@@ -16,10 +16,6 @@ def quantize(values):
     return np.clip(v, 0, 255).astype(np.uint8)
 
 
-def dequantize(bytes_):
-    return np.asarray(bytes_, dtype=np.float64) / 255.0
-
-
 def write_pgm(path, values):
     """Grayscale [H,W] intensities in [0,1] as a binary P5 file."""
     data = quantize(values)

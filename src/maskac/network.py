@@ -87,17 +87,14 @@ class RecurrentState:
 
 @dataclass
 class ForwardTrace:
-    """Everything one forward pass produced, graph references included.
+    """The outputs of one forward pass, graph references included.
 
     From a batched ``forward`` every tensor carries a leading batch axis;
     from ``forward_segment`` a leading axis over the steps of its segments,
-    and ``next_state`` is None.
+    and ``next_state`` is None.  A mask is None where its branch has none
+    or the "ones" transform ablates it.
     """
 
-    f_p: Tensor
-    f_v: Tensor
-    f_p_masked: Tensor
-    f_v_masked: Tensor
     policy: Tensor
     policy_logits: Tensor
     value: Tensor
@@ -213,12 +210,8 @@ def convlstm_step(x, state, w):
 
 def compute_mask(h, w, branch):
     """Sigmoid of a 1x1 conv over the ConvLSTM output; one channel, values in (0,1)."""
-    if branch not in ("policy", "value"):
-        raise ValueError(f"unknown branch {branch!r}")
-    key = f"{branch}_mask.w"
-    if key not in w:
-        raise ValueError(f"{branch} mask branch is not enabled in these weights")
-    return ad.sigmoid(ad.conv2d(h, w[key], w[f"{branch}_mask.b"], stride=1, padding=0))
+    return ad.sigmoid(ad.conv2d(h, w[f"{branch}_mask.w"], w[f"{branch}_mask.b"],
+                                stride=1, padding=0))
 
 
 def apply_mask(f, m):
@@ -227,44 +220,42 @@ def apply_mask(f, m):
 
 
 def invert_mask(m):
-    """Gaze inversion: 1 - M elementwise.  Applying it twice restores M exactly."""
+    """Gaze inversion: 1 - M elementwise, formed as (-M) + 1 with the same bits; gradient -1.
+
+    Inverting twice need not restore M bit for bit: 1 - (1 - 0.3) != 0.3 in float64.
+    """
     if float(m.data.min()) < 0.0 or float(m.data.max()) > 1.0:
         raise ValueError(
             f"invert_mask: values must lie in [0,1], got range "
             f"[{float(m.data.min())}, {float(m.data.max())}]")
-    return ad.one_minus(m)
+    return ad.add(ad.mul(m, -1.0), 1.0)
 
 
-def _branch(h, w, config, branch, transform, dtype):
-    """Feature conv + optional mask for one branch; returns (f, m, f_masked)."""
+def _branch(h, w, config, branch, transform):
+    """Feature conv of one branch times its mask, and the mask (None if unmasked or "ones")."""
     f = ad.relu(ad.conv2d(h, w[f"{branch}_branch.w"], w[f"{branch}_branch.b"],
                           stride=1, padding=_CELL_PADDING))
     enabled = (config.policy_mask_enabled if branch == "policy"
                else config.value_mask_enabled)
-    if not enabled:
-        return f, None, f
-    if transform == "ones":
-        m = Tensor(np.ones(f.shape[:-3] + (1,) + f.shape[-2:], dtype=dtype))
-    else:
-        m = compute_mask(h, w, branch)
-        if transform == "inverse":
-            m = invert_mask(m)
-    return f, m, apply_mask(f, m)
+    if not enabled or transform == "ones":
+        return f, None
+    m = compute_mask(h, w, branch)
+    if transform == "inverse":
+        m = invert_mask(m)
+    return apply_mask(f, m), m
 
 
-def _heads(h, next_state, w, config, mask_transform, dtype):
+def _heads(h, next_state, w, config, mask_transform):
     """Masked branches and output heads over one ConvLSTM output [L,H,W], or [N,L,H,W] of them."""
     value_transform = "ones" if mask_transform == "ones" else "identity"
-    f_p, m_p, f_p_masked = _branch(h, w, config, "policy", mask_transform, dtype)
-    f_v, m_v, f_v_masked = _branch(h, w, config, "value", value_transform, dtype)
+    f_p, m_p = _branch(h, w, config, "policy", mask_transform)
+    f_v, m_v = _branch(h, w, config, "value", value_transform)
 
-    flat = f_p_masked.shape[:-3] + (-1,)
-    logits = ad.dense(ad.reshape(f_p_masked, flat), w["policy_out.w"], w["policy_out.b"])
+    flat = f_p.shape[:-3] + (-1,)
+    logits = ad.dense(ad.reshape(f_p, flat), w["policy_out.w"], w["policy_out.b"])
     policy = ad.softmax(logits)
-    value = ad.dense(ad.reshape(f_v_masked, flat), w["value_out.w"], w["value_out.b"])
-
-    return ForwardTrace(f_p=f_p, f_v=f_v, f_p_masked=f_p_masked, f_v_masked=f_v_masked,
-                        policy=policy, policy_logits=logits, value=value,
+    value = ad.dense(ad.reshape(f_v, flat), w["value_out.w"], w["value_out.b"])
+    return ForwardTrace(policy=policy, policy_logits=logits, value=value,
                         next_state=next_state, m_p=m_p, m_v=m_v)
 
 
@@ -277,8 +268,8 @@ def forward(obs, state, w, config, mask_transform="identity"):
 
     ``mask_transform`` drives the policy mask: "identity" uses the mask
     as computed, "inverse" applies gaze inversion, "ones" ablates the
-    attention mechanism entirely (both branches), making a masked variant
-    compute exactly what the vanilla one would with shared weights.
+    attention mechanism entirely (both branches): the masks are not
+    computed, so a masked variant runs the vanilla path on shared weights.
     """
     if mask_transform not in MASK_TRANSFORMS:
         raise ValueError(f"mask_transform must be one of {MASK_TRANSFORMS}")
@@ -290,7 +281,7 @@ def forward(obs, state, w, config, mask_transform="identity"):
         obs = Tensor(obs.data[None, :, :])
 
     h, next_state = convlstm_step(feature_extract(obs, w, config), state, w)
-    return _heads(h, next_state, w, config, mask_transform, dtype)
+    return _heads(h, next_state, w, config, mask_transform)
 
 
 def forward_segment(obs, state, w, config, lengths):
@@ -315,4 +306,4 @@ def forward_segment(obs, state, w, config, lengths):
     h = ad.reshape(h, (n * t,) + h.shape[2:])
     if min(lengths) < t:
         h = ad.take_rows(h, [i * t + j for i, steps in enumerate(lengths) for j in range(steps)])
-    return _heads(h, None, w, config, "identity", dtype)
+    return _heads(h, None, w, config, "identity")

@@ -197,7 +197,8 @@ def a3c_loss(rollouts, weights, config, returns, advantages, entropy_coef, value
     weighted = np.zeros(logits.shape, dtype=dtype)   # -A_t at the action taken
     weighted[np.arange(n), [s.action for s in steps]] = -np.concatenate(advantages)
     policy_term = ad.sum_all(ad.mul(logp, weighted))
-    verr = ad.add(ad.neg(ad.reshape(trace.value, (n,))), np.concatenate(returns).astype(dtype))
+    # V - R: its square is the bits of (R - V)^2, as rounding is sign-symmetric
+    verr = ad.add(ad.reshape(trace.value, (n,)), -np.concatenate(returns).astype(dtype))
     value_term = ad.sum_all(ad.mul(verr, verr))
     neg_entropy = ad.sum_all(ad.mul(trace.policy, logp))
     return ad.add(policy_term, ad.add(ad.mul(value_term, float(value_coef)),

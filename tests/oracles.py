@@ -20,6 +20,62 @@ def pick(a, index):
     return ad.sum_all(ad.mul(a, onehot))
 
 
+def zero_grads(tensors):
+    """Drop gradient buffers on an iterable or mapping of tensors."""
+    if hasattr(tensors, "values"):
+        tensors = tensors.values()
+    for t in tensors:
+        t.grad = None
+
+
+def grad_check(f, params, eps=1e-5, n_samples=100, rng=None):
+    """Max relative error between analytic and central-difference gradients.
+
+    ``f`` maps the parameter dict to a scalar loss tensor and must be
+    deterministic.  Coordinates are sampled uniformly over all parameter
+    elements; relative error uses |a - n| / max(|a|, |n|, 1e-8).
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    for t in params.values():
+        t.requires_grad = True
+    zero_grads(params)
+    ad.backward(f(params))
+    analytic = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
+                for name, t in params.items()}
+
+    names = sorted(params)
+    sizes = np.array([params[n].data.size for n in names])
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    total = int(sizes.sum())
+    coords = rng.choice(total, size=min(n_samples, total), replace=False)
+
+    worst = 0.0
+    for c in coords:
+        ti = int(np.searchsorted(offsets, c, side="right") - 1)
+        name = names[ti]
+        flat = params[name].data.reshape(-1)
+        i = int(c - offsets[ti])
+        saved = flat[i]
+        flat[i] = saved + eps
+        hi = f(params).data.reshape(())
+        flat[i] = saved - eps
+        lo = f(params).data.reshape(())
+        flat[i] = saved
+        # difference in the working dtype: float() here would clip an
+        # extended-precision run back to double and reintroduce noise
+        numeric = float((hi - lo) / (2.0 * eps))
+        a = float(analytic[name].reshape(-1)[i])
+        err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+        worst = max(worst, err)
+    return worst
+
+
+def dequantize(bytes_):
+    """Netpbm bytes back to intensities in [0,1]."""
+    return np.asarray(bytes_, dtype=np.float64) / 255.0
+
+
 def conv2d_oracle(x, k, b, stride, padding):
     """Direct six-nested-loop convolution."""
     c_in, h, w = x.shape
@@ -134,8 +190,8 @@ def per_step_a3c_loss(rollout, weights, config, returns, advantages, entropy_coe
         state = trace.next_state
         logp = ad.log_softmax(trace.policy_logits)
         picked = pick(logp, step.action)
-        entropy = ad.neg(ad.sum_all(ad.mul(trace.policy, logp)))
-        verr = ad.add(ad.neg(pick(trace.value, 0)), float(ret))
+        entropy = ad.mul(ad.sum_all(ad.mul(trace.policy, logp)), -1.0)
+        verr = ad.add(pick(trace.value, 0), -float(ret))
         term = ad.add(ad.mul(picked, -float(adv)),
                       ad.add(ad.mul(ad.mul(verr, verr), float(value_coef)),
                              ad.mul(entropy, -float(entropy_coef))))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from maskac import analysis, netpbm
-from maskac.analysis import (EpisodeStats, VariantError, compare_variants, decrease_rate,
+from maskac.analysis import (VariantError, compare_variants, decrease_rate,
                              evaluate, injection_response, overlay_rgb,
                              policy_entropy, random_baseline, record_heatmaps,
                              stencil_region_cells, upsample_nearest)
@@ -16,7 +16,8 @@ from maskac.envs import EnvSpec, InjectionSpec
 from maskac.network import NetworkConfig, init_weights, weight_names
 from maskac.training import Hyperparams
 
-from oracles import catch_random_expectation, per_episode_evaluate, per_episode_replay
+from oracles import (catch_random_expectation, dequantize, per_episode_evaluate,
+                     per_episode_replay)
 
 
 def cfg(policy=True, value=True, n_actions=3, **kw):
@@ -150,7 +151,7 @@ def test_pgm_roundtrip_within_one_level(tmp_path):
     values = rng.uniform(0, 1, size=(9, 9))
     path = str(tmp_path / "m.pgm")
     netpbm.write_pgm(path, values)
-    back = netpbm.dequantize(netpbm.read_pgm(path))
+    back = dequantize(netpbm.read_pgm(path))
     assert np.abs(back - values).max() <= 1.0 / 255.0
 
 
@@ -195,7 +196,7 @@ def test_record_heatmaps_writes_expected_files(tmp_path):
     assert len(lines) - 1 == episode_len
     # a written mask dequantizes back to the trace mask within one level
     frame = frames[0]
-    back = netpbm.dequantize(netpbm.read_pgm(tmp_path / "policy_0_0.pgm"))
+    back = dequantize(netpbm.read_pgm(tmp_path / "policy_0_0.pgm"))
     assert np.abs(back - frame.mask).max() <= 1.0 / 255.0
 
 

@@ -3,6 +3,7 @@
 import errno
 import os
 import struct
+from pathlib import Path
 import zlib
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from maskac import checkpoint, cli, netpbm
 from maskac.analysis import EpisodeStats
 from maskac.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from maskac.envs import EnvSpec
+from maskac.envs import ENV_NAMES, EnvSpec
 from maskac.cli import (CONFIG_DEFAULTS, EXIT_ARGUMENT, EXIT_CHECKPOINT,
                         EXIT_CONFIG, EXIT_OK, EXIT_VARIANT, ResolvedConfig,
                         main, parse_config_file)
@@ -51,16 +52,16 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
         # saving what was loaded reproduces the same bytes
         path2 = str(tmp_path / "again.ma3c")
         save_checkpoint(loaded, loaded_config, path2)
-        assert open(path, "rb").read() == open(path2, "rb").read()
+        assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
 def test_checkpoint_detects_single_bit_corruption(tmp_path):
     config = cfg()
     path = str(tmp_path / "w.ma3c")
     save_checkpoint(init_weights(config, seed=0), config, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[len(blob) // 2] ^= 0x01
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
@@ -69,15 +70,15 @@ def test_checkpoint_detects_truncation(tmp_path):
     config = cfg()
     path = str(tmp_path / "w.ma3c")
     save_checkpoint(init_weights(config, seed=0), config, path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-9])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:-9])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = str(tmp_path / "w.ma3c")
-    open(path, "wb").write(b"NOPE" + b"\x00" * 64)
+    Path(path).write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
@@ -102,10 +103,10 @@ def with_crc(body):
 
 def rewrite_config(path, edit):
     """Replace the config block of a checkpoint by ``edit(block)``, with a valid CRC."""
-    body = open(path, "rb").read()[:-4]
+    body = Path(path).read_bytes()[:-4]
     (n,) = struct.unpack_from("<I", body, 8)
     block = edit(body[12:12 + n])
-    open(path, "wb").write(with_crc(body[:8] + struct.pack("<I", len(block)) + block
+    Path(path).write_bytes(with_crc(body[:8] + struct.pack("<I", len(block)) + block
                                     + body[12 + n:]))
 
 
@@ -131,7 +132,7 @@ def test_checkpoint_bad_config_raises_checkpoint_error(tmp_path, capsys, edit):
 def test_checkpoint_config_block_of_the_default_config(tmp_path):
     path = str(tmp_path / "w.ma3c")
     save_checkpoint({}, NetworkConfig(), path)
-    body = open(path, "rb").read()
+    body = Path(path).read_bytes()
     (n,) = struct.unpack_from("<I", body, 8)
     assert body[12:12 + n] == (
         b"input_hw=20\nfe_channels=32,32,64\nlstm_channels=64\nbranch_channels=32\n"
@@ -158,11 +159,11 @@ def test_checkpoint_dims_whose_product_wraps_int64_are_rejected(tmp_path):
     config = tiny_cfg()
     path = str(tmp_path / "w.ma3c")
     save_checkpoint(init_weights(config, seed=0), config, path)
-    body = open(path, "rb").read()[:-4]
+    body = Path(path).read_bytes()[:-4]
     (n,) = struct.unpack_from("<I", body, 8)
     head = body[:12 + n]
     record = struct.pack("<H", 5) + b"fe1.w" + struct.pack("<B3I", 3, 2**31, 2**31, 4)
-    open(path, "wb").write(with_crc(head + struct.pack("<I", 1) + record))
+    Path(path).write_bytes(with_crc(head + struct.pack("<I", 1) + record))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
@@ -172,7 +173,7 @@ def tiny_checkpoint(tmp_path_factory):
     config = tiny_cfg()
     path = str(tmp_path_factory.mktemp("ckpt") / "w.ma3c")
     save_checkpoint(init_weights(config, seed=0), config, path)
-    return path, open(path, "rb").read()
+    return path, Path(path).read_bytes()
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None,
@@ -220,14 +221,14 @@ def test_checkpoint_save_failing_partway_leaves_no_file(tmp_path, monkeypatch):
     weights = init_weights(config, seed=0)
     kept = str(tmp_path / "ckpt_5.ma3c")
     save_checkpoint(weights, config, kept)
-    before = open(kept, "rb").read()
+    before = Path(kept).read_bytes()
     monkeypatch.setattr(checkpoint, "open", lambda *a: _FailingFile(open(*a)), raising=False)
     with pytest.raises(OSError):
         save_checkpoint(weights, config, str(tmp_path / "ckpt_10.ma3c"))
     with pytest.raises(OSError):
         save_checkpoint(init_weights(config, seed=1), config, kept)
     assert os.listdir(tmp_path) == ["ckpt_5.ma3c"]
-    assert open(kept, "rb").read() == before
+    assert Path(kept).read_bytes() == before
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +397,7 @@ def test_eval_prints_stats_and_writes_csv(tmp_path, capsys):
                  "--greedy", "--out", csv]) == EXIT_OK
     line = capsys.readouterr().out.strip().splitlines()[-1]
     assert line.startswith("max=") and "mean=" in line and line.endswith("n=3")
-    rows = open(csv).read().strip().splitlines()
+    rows = Path(csv).read_text().strip().splitlines()
     assert rows[0] == "episode,return"
     assert len(rows) == 4
 
@@ -408,15 +409,15 @@ def test_eval_deterministic_byte_identical(tmp_path):
         csv = str(tmp_path / name)
         assert main(["eval", "--ckpt", ckpt, "--episodes", "4", "--seed", "2",
                      "--greedy", "--out", csv]) == EXIT_OK
-        blobs.append(open(csv, "rb").read())
+        blobs.append(Path(csv).read_bytes())
     assert blobs[0] == blobs[1]
 
 
 def test_eval_corrupted_checkpoint_exit_3(tmp_path):
     out, ckpt = trained_tiny_run(tmp_path)
-    blob = bytearray(open(ckpt, "rb").read())
+    blob = bytearray(Path(ckpt).read_bytes())
     blob[100] ^= 0x10
-    open(ckpt, "wb").write(bytes(blob))
+    Path(ckpt).write_bytes(bytes(blob))
     assert main(["eval", "--ckpt", ckpt, "--episodes", "1"]) == EXIT_CHECKPOINT
 
 
@@ -444,7 +445,7 @@ def test_eval_mask_ones_matches_vanilla_twin(tmp_path, capsys):
                      "--greedy", "--mask", mask,
                      "--out", str(tmp_path / "o.csv")]) == EXIT_OK
         outs.append((capsys.readouterr().out.strip().splitlines()[-1],
-                     open(tmp_path / "o.csv").read()))
+                     (tmp_path / "o.csv").read_text()))
     assert outs[0] == outs[1]
 
 
@@ -512,7 +513,7 @@ def test_inject_report_csv(tmp_path):
     assert main(["inject", "--ckpt", ckpt, "--sprite", sprite, "--pos", "17,0",
                  "--frame", "4", "--window", "0,8", "--env", "fuel",
                  "--seed", "1", "--out", csv]) == EXIT_OK
-    rows = open(csv).read().strip().splitlines()
+    rows = Path(csv).read_text().strip().splitlines()
     assert rows[0] == ("t,injected,region_mean_policy,region_mean_value,value,"
                        "p_up,p_down,p_left,p_right,p_stay,p_collect")
     assert len(rows) == 10
@@ -550,7 +551,7 @@ def test_inject_bad_duration_or_sprite_exit_5_with_one_line(tmp_path, capsys, ca
         netpbm.write_ppm(sprite, np.zeros((3, 20, 3)))
     else:
         sprite = str(tmp_path / "huge.pgm")
-        open(sprite, "wb").write(b"P5\n99999999 99999999\n255\n\x00")
+        Path(sprite).write_bytes(b"P5\n99999999 99999999\n255\n\x00")
     assert main(["inject", "--ckpt", ckpt, "--sprite", sprite, "--pos", "17,0",
                  "--frame", "2", "--window", "0,4", "--env", "fuel",
                  "--duration", duration]) == EXIT_ARGUMENT
@@ -566,7 +567,7 @@ def test_inject_zero_intensity_full_stencil(tmp_path):
     assert main(["inject", "--ckpt", ckpt, "--sprite", sprite, "--pos", "17,0",
                  "--frame", "2", "--window", "0,4", "--env", "fuel",
                  "--stencil-threshold", "0", "--out", csv]) == EXIT_OK
-    assert len(open(csv).read().strip().splitlines()) == 6
+    assert len(Path(csv).read_text().strip().splitlines()) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +579,7 @@ def test_random_baseline_command(tmp_path, capsys):
                  "--seed", "3", "--out", csv]) == EXIT_OK
     line = capsys.readouterr().out.strip().splitlines()[-1]
     assert "mean=" in line and line.endswith("n=50")
-    assert len(open(csv).read().strip().splitlines()) == 51
+    assert len(Path(csv).read_text().strip().splitlines()) == 51
 
 
 @pytest.mark.parametrize("command", ["eval", "viz", "inject", "random-baseline"])
@@ -669,6 +670,21 @@ def test_compare_command(tmp_path, capsys):
         assert v in text
 
 
+def test_compare_runs_save_the_periodic_checkpoints_train_saves(tmp_path):
+    settings = dict(total_steps="100", checkpoint_interval="40", n_workers="1", t_max="10",
+                    **small_net_overrides())
+    assert main(["train", write_config(tmp_path / "t.cfg", **settings),
+                 "--out", str(tmp_path / "train")]) == EXIT_OK
+    trained = {f for f in os.listdir(tmp_path / "train") if f.endswith(".ma3c")}
+    assert len(trained) >= 3          # ckpt_0, a periodic one and the final one
+    assert main(["compare", write_config(tmp_path / "c.cfg", seeds="0", eval_episodes="2",
+                                         **settings),
+                 "--out", str(tmp_path / "cmp")]) == EXIT_OK
+    for variant in ("vanilla", "policy", "value", "both"):
+        run = tmp_path / "cmp" / variant / "seed_0"
+        assert {f for f in os.listdir(run) if f.endswith(".ma3c")} == trained
+
+
 # ---------------------------------------------------------------------------
 # output paths that cannot be written
 
@@ -725,3 +741,96 @@ def test_unwritable_config_out_dir_exits_2_before_the_work(tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert err.startswith("config error: out_dir") and len(err.strip().splitlines()) == 1
     assert sorted(os.listdir(tmp_path)) == ["blocker", "c.cfg"]
+
+
+# ---------------------------------------------------------------------------
+# argument fuzz: any argument list ends in a documented exit code
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    """A tiny both-mask checkpoint per env, a vanilla and a corrupt one, and a 3x5 sprite."""
+    root = tmp_path_factory.mktemp("fuzz")
+    small = dict(fe_channels=(2, 2, 2), lstm_channels=2, branch_channels=2)
+    for env in ENV_NAMES:
+        config = cfg(n_actions=EnvSpec(name=env).n_actions, **small)
+        save_checkpoint(init_weights(config, seed=0), config, str(root / f"{env}.ma3c"))
+    vanilla = cfg(False, False, **small)
+    save_checkpoint(init_weights(vanilla, seed=0), vanilla, str(root / "vanilla.ma3c"))
+    (root / "corrupt.ma3c").write_bytes((root / "catch.ma3c").read_bytes()[:-9])
+    write_sprite(root, shape=(3, 5))
+    return root
+
+
+_HUGE = 10**30
+_TEXT = st.sampled_from(["", "x", "1.5", "1,2,3"])
+
+
+def _arg_text(value):
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+@st.composite
+def _argv(draw, root):
+    """(argv, broken): a command line valid in every option but ``broken``, if it is not None.
+
+    Valid values keep the work small (at most 2 episodes, sizes up to 64);
+    a broken value may be huge, as it is rejected before any work runs.
+    """
+    command = draw(st.sampled_from(["eval", "viz", "inject", "random-baseline"]))
+    env = draw(st.sampled_from(ENV_NAMES))
+    frame = draw(st.integers(0, 30))
+    huge_pair = st.tuples(st.integers(-_HUGE, _HUGE), st.integers(-_HUGE, _HUGE))
+    options = {     # flag: (valid values, broken values)
+        "--env": (st.just(env), st.just("pong")),
+        "--size": (st.integers(9, 64) if command == "random-baseline" else st.just(20),
+                   st.one_of(st.integers(-_HUGE, 5), st.integers(EnvSpec.MAX_SIZE + 1, _HUGE),
+                             _TEXT)),
+        "--seed": (st.integers(0, _HUGE), st.one_of(st.integers(-_HUGE, -1), _TEXT)),
+        "--out": (st.just(str(root / f"{command}.out")), st.just(str(root / "sprite.pgm" / "x"))),
+    }
+    if command != "inject":
+        options["--episodes"] = (st.integers(1, 2), st.one_of(st.integers(-_HUGE, 0), _TEXT))
+    if command != "random-baseline":
+        other = [name for name in ENV_NAMES if name != env]
+        options["--ckpt"] = (st.just(str(root / f"{env}.ma3c")),
+                             st.sampled_from([str(root / f"{name}.ma3c") for name in
+                                              ["vanilla", "corrupt", "missing", *other]]))
+    if command == "eval":
+        options["--mask"] = (st.sampled_from(["normal", "inverse", "ones"]), st.just("none"))
+    if command == "inject":
+        options.update({
+            "--sprite": (st.just(str(root / "sprite.pgm")),
+                         st.sampled_from([str(root / "missing.pgm"), str(root / "catch.ma3c")])),
+            "--pos": (st.tuples(st.integers(0, 17), st.integers(0, 15)), huge_pair),
+            "--frame": (st.just(frame), st.one_of(st.integers(-_HUGE, -1), _TEXT)),
+            "--window": (st.tuples(st.integers(0, frame), st.integers(frame, frame + 10)),
+                         st.one_of(huge_pair, _TEXT)),
+            "--duration": (st.one_of(st.integers(0, 30), st.just("permanent")),
+                           st.one_of(st.integers(-_HUGE, -1), _TEXT)),
+            "--stencil-threshold": (st.integers(0, 255), st.integers(-_HUGE, _HUGE)),
+        })
+    always = {"--env", "--ckpt", "--episodes", "--sprite", "--pos", "--frame", "--window"}
+    if command == "viz":
+        always.add("--out")
+    broken = draw(st.sampled_from([None, *options]))
+    argv = [command]
+    for flag, (valid, bad) in options.items():
+        if flag == broken:
+            argv += [flag, _arg_text(draw(bad))]
+        elif flag in always or draw(st.booleans()):
+            argv += [flag, _arg_text(draw(valid))]
+    if command in ("eval", "viz") and draw(st.booleans()):
+        argv.append("--greedy")
+    return argv, broken
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_argument_list_ends_in_a_documented_exit_code(fuzz_root, data):
+    argv, broken = data.draw(_argv(fuzz_root), label="argv")
+    code = main(argv)
+    if broken is None:
+        assert code == EXIT_OK
+    else:
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CHECKPOINT, EXIT_VARIANT, EXIT_ARGUMENT)

@@ -8,7 +8,7 @@ from maskac import network as net
 from maskac.autodiff import Tensor
 from maskac.network import NetworkConfig, RecurrentState
 
-from oracles import conv2d_oracle, convlstm_oracle, pick
+from oracles import conv2d_oracle, convlstm_oracle, matvec_oracle, pick
 
 VARIANTS = {
     "vanilla": dict(policy_mask_enabled=False, value_mask_enabled=False),
@@ -223,11 +223,6 @@ def test_compute_mask_preserves_spatial_size_and_matches_oracle():
     np.testing.assert_allclose(m.data[0], expect, atol=1e-12, rtol=0)
 
 
-def test_compute_mask_requires_enabled_branch():
-    with pytest.raises(ValueError):
-        net.compute_mask(Tensor(np.zeros((64, 3, 3))), {}, "policy")
-
-
 def test_apply_mask_limits():
     rng = np.random.default_rng(24)
     f = Tensor(rng.normal(size=(32, 3, 3)))
@@ -240,13 +235,18 @@ def test_apply_mask_limits():
     np.testing.assert_array_equal(net.apply_mask(twos, quarter).data, np.full((32, 3, 3), 0.5))
 
 
-def test_invert_mask_values_and_involution():
-    m = Tensor(np.array([[[0.0, 1.0], [0.3, 0.5]]]))
-    inv = net.invert_mask(m)
-    np.testing.assert_array_equal(inv.data, [[[1.0, 0.0], [0.7, 0.5]]])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_invert_mask_is_one_minus_m_bit_for_bit(dtype):
+    m = Tensor(np.array([[[0.0, 1.0], [0.3, 0.5]]], dtype=dtype))
+    np.testing.assert_array_equal(net.invert_mask(m).data,
+                                  np.array([[[1.0, 0.0], [0.7, 0.5]]], dtype=dtype))
     rng = np.random.default_rng(25)
-    m2 = Tensor(rng.uniform(0, 1, size=(1, 7, 7)))
-    assert np.array_equal(net.invert_mask(net.invert_mask(m2)).data, m2.data)
+    m2 = Tensor(rng.uniform(0, 1, size=(2, 1, 7, 7)).astype(dtype), requires_grad=True)
+    inv = net.invert_mask(m2)
+    assert inv.dtype == dtype
+    assert np.array_equal(inv.data, 1.0 - m2.data)
+    ad.backward(ad.sum_all(inv))
+    np.testing.assert_array_equal(m2.grad, np.full(m2.shape, -1.0, dtype=dtype))
 
 
 def test_invert_mask_rejects_out_of_range():
@@ -262,16 +262,26 @@ def test_forward_vanilla_has_no_masks():
     w = net.init_weights(config, seed=0, dtype=np.float64)
     trace = net.forward(random_obs(config), RecurrentState.zeros(config, np.float64), w, config)
     assert trace.m_p is None and trace.m_v is None
-    assert trace.f_p_masked is trace.f_p
-    assert trace.f_v_masked is trace.f_v
 
 
 def test_forward_trace_mask_consistency():
+    # the heads are dense(flatten(relu(conv(h)) * M)) over the ConvLSTM output h
     config = cfg("both")
     w = net.init_weights(config, seed=1, dtype=np.float64)
     trace = net.forward(random_obs(config), RecurrentState.zeros(config, np.float64), w, config)
-    np.testing.assert_array_equal(trace.f_p_masked.data, trace.f_p.data * trace.m_p.data)
-    np.testing.assert_array_equal(trace.f_v_masked.data, trace.f_v.data * trace.m_v.data)
+    h = trace.next_state.h.data
+    heads = {}
+    for branch in ("policy", "value"):
+        k = w[f"{branch}_mask.w"].data[0, :, 0, 0]
+        m = 1.0 / (1.0 + np.exp(-(np.tensordot(k, h, axes=1) + w[f"{branch}_mask.b"].data[0])))
+        f = np.maximum(conv2d_oracle(h, w[f"{branch}_branch.w"].data,
+                                     w[f"{branch}_branch.b"].data, stride=1, padding=1), 0.0)
+        heads[branch] = matvec_oracle((f * m).reshape(-1), w[f"{branch}_out.w"].data,
+                                      w[f"{branch}_out.b"].data)
+        mask = trace.m_p if branch == "policy" else trace.m_v
+        np.testing.assert_allclose(mask.data[0], m, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(trace.policy_logits.data, heads["policy"], rtol=1e-10, atol=1e-14)
+    np.testing.assert_allclose(trace.value.data, heads["value"], rtol=1e-10, atol=1e-14)
     assert np.all(trace.m_p.data > 0) and np.all(trace.m_p.data < 1)
     assert np.all(trace.m_v.data > 0) and np.all(trace.m_v.data < 1)
 
@@ -287,8 +297,9 @@ def test_ones_mask_equals_vanilla_with_shared_weights(variant):
         tm = net.forward(obs, RecurrentState.zeros(config_m, np.float64), w, config_m,
                          mask_transform="ones")
         tv = net.forward(obs, RecurrentState.zeros(config_v, np.float64), w_vanilla, config_v)
-        np.testing.assert_allclose(tm.policy.data, tv.policy.data, atol=1e-6, rtol=0)
-        np.testing.assert_allclose(tm.value.data, tv.value.data, atol=1e-6, rtol=0)
+        assert tm.m_p is None and tm.m_v is None
+        np.testing.assert_array_equal(tm.policy.data, tv.policy.data)
+        np.testing.assert_array_equal(tm.value.data, tv.value.data)
 
 
 def test_policy_sums_to_one_under_all_transforms():

@@ -1,6 +1,7 @@
 """Returns/loss math, the shared RMSProp store, and the lockstep training loop."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from maskac import training as tr
 from maskac.autodiff import Tensor
 from maskac.checkpoint import load_checkpoint
 from maskac.envs import EnvSpec, StepResult, _BaseEnv, make_env
-from maskac.network import NetworkConfig, RecurrentState, forward, init_weights
+from maskac.network import NetworkConfig, RecurrentState, init_weights
 from maskac.training import (Hyperparams, Rollout, RolloutStep, SharedParams,
                              a3c_loss, apply_gradients, collect_rollout,
                              compute_returns, sync_local, train)
 
-from oracles import discounted_returns_oracle, per_step_a3c_loss, rmsprop_apply_oracle
+from oracles import (discounted_returns_oracle, grad_check, per_step_a3c_loss,
+                     rmsprop_apply_oracle, zero_grads)
 
 
 def small_cfg(**kw):
@@ -131,14 +133,14 @@ def test_loss_reduces_to_entropy_term():
     advantages = [0.0] * t
     loss = a3c_loss([rollout], weights, config, [returns], [advantages],
                     entropy_coef=coef, value_coef=0.5)
-    assert abs(loss.item() - (-coef * t * np.log(k))) < 1e-12
+    assert abs(float(loss.data) - (-coef * t * np.log(k))) < 1e-12
 
 
 def test_loss_single_step_policy_term_only():
     rollout, weights, config = zero_head_rollout(3, 1)
     loss = a3c_loss([rollout], weights, config, [[1.7]], [[2.5]], entropy_coef=0.0,
                     value_coef=0.0)
-    assert abs(loss.item() - (-np.log(1 / 3) * 2.5)) < 1e-12
+    assert abs(float(loss.data) - (-np.log(1 / 3) * 2.5)) < 1e-12
 
 
 def test_loss_rejects_length_mismatch():
@@ -183,8 +185,8 @@ def test_loss_gradient_matches_finite_differences():
     weights, obs_seq, actions, returns, advantages = random_frozen_rollout(config, seed=5)
     weights = {k: Tensor(t.data.astype(np.longdouble)) for k, t in weights.items()}
     f = frozen_loss_fn(config, obs_seq, actions, returns, advantages, hyper, np.longdouble)
-    err = ad.grad_check(f, weights, eps=1e-5, n_samples=150,
-                        rng=np.random.default_rng(1))
+    err = grad_check(f, weights, eps=1e-5, n_samples=150,
+                     rng=np.random.default_rng(1))
     assert err < 1e-4, err
 
 
@@ -197,7 +199,7 @@ def test_advantage_is_stop_gradient_in_policy_term():
     f = frozen_loss_fn(config, obs_seq, actions, returns, advantages, hyper, np.float64)
 
     def policy_grad(w):
-        ad.zero_grads(w)
+        zero_grads(w)
         for t in w.values():
             t.requires_grad = True
         ad.backward(f(w))
@@ -534,7 +536,7 @@ def test_periodic_checkpoints_are_named_after_the_step_they_hold(tmp_path):
     assert named <= steps | {0} and {38, 76} <= named
     short = train(config, Hyperparams(total_steps=38, n_workers=1), EnvSpec(name="catch"),
                   seed=7, out_dir=str(tmp_path / "short"), checkpoint_interval=30)
-    assert open(short, "rb").read() == (out / "ckpt_38.ma3c").read_bytes()
+    assert Path(short).read_bytes() == (out / "ckpt_38.ma3c").read_bytes()
 
 
 def test_each_checkpoint_is_written_once(tmp_path, monkeypatch):
