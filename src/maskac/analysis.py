@@ -19,7 +19,7 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .envs import make_env
 from .netpbm import write_pgm, write_ppm
 from .network import RecurrentState, forward, weight_names
-from .training import policy_entropy, sample_action, train
+from .training import sample_action, train
 
 OVERLAY_ALPHA = 0.5
 # Most episodes ``evaluate`` steps in lockstep.  32 rows halve the
@@ -116,14 +116,16 @@ def _seeded_episodes(env_spec, episodes, seed):
     return envs, rngs
 
 
-def _lockstep(weights, config, envs, rngs, mask_transform="identity", greedy=True):
+def _lockstep(weights, config, envs, rngs, mask_transform="identity", greedy=True,
+              with_value=True):
     """Play ``envs`` side by side to their ends, one batched ``forward`` per env step.
 
     Yields ``(t, rows, obs, trace, actions)`` before each step: ``rows``
     are the indices into ``envs`` still running, and ``obs``, ``trace``
     and ``actions`` hold one row for each of them.  Finished envs drop
     out of the batch; a batch of one computes what the unbatched
-    ``forward`` does, bit for bit.
+    ``forward`` does, bit for bit.  ``with_value=False`` skips the value
+    branch, which no action reads.
     """
     rows = list(range(len(envs)))
     obs = [env.observe() for env in envs]
@@ -131,7 +133,8 @@ def _lockstep(weights, config, envs, rngs, mask_transform="identity", greedy=Tru
     t = 0
     while rows:
         obs = np.stack(obs)
-        trace = forward(obs[:, None], state, weights, config, mask_transform=mask_transform)
+        trace = forward(obs[:, None], state, weights, config, mask_transform=mask_transform,
+                        with_value=with_value)
         actions = [int(np.argmax(probs)) if greedy else sample_action(probs, rngs[i])
                    for i, probs in zip(rows, trace.policy.data)]
         yield t, rows, obs, trace, actions
@@ -155,14 +158,16 @@ def evaluate(weights, config, env_spec, episodes, mask_transform="identity",
     Episodes run in lockstep groups of up to ``EVAL_GROUP``: each has its
     own environment and action rng, seeded by its index exactly as if it
     ran alone, and each env step of the group is one batched ``forward``
-    over the episodes still running.
+    over the episodes still running.  The value branch is skipped: no
+    score depends on it.
     """
     weights = _checked_tensors(weights, config, env_spec, mask_transform)
     returns = []
     for first in range(0, episodes, EVAL_GROUP):
         envs, rngs = _seeded_episodes(env_spec, range(first, min(first + EVAL_GROUP, episodes)),
                                       seed)
-        for _ in _lockstep(weights, config, envs, rngs, mask_transform, greedy):
+        for _ in _lockstep(weights, config, envs, rngs, mask_transform, greedy,
+                           with_value=False):
             pass
         returns.extend(env.score for env in envs)
     return EpisodeStats.from_returns(returns)
@@ -177,6 +182,12 @@ def random_baseline(env_spec, episodes, seed):
             env.step(int(rng.integers(env.n_actions)))
         returns.append(env.score)
     return EpisodeStats.from_returns(returns)
+
+
+def policy_entropy(probs):
+    """-sum p log p over the nonzero action probabilities."""
+    p = probs[probs > 0]
+    return float(-(p * np.log(p)).sum())
 
 
 def decrease_rate(normal_mean, inverse_mean):

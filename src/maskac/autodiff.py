@@ -250,6 +250,29 @@ def _col2im(dpatch, xp_shape, kh, kw, stride, h_out, w_out):
     return g.transpose(0, 3, 1, 2)
 
 
+@functools.lru_cache(maxsize=64)
+def _tap_sum_index(c, n, h, w):
+    """Gather index that sums per-tap gradients onto the input of a 3x3 same-padding conv.
+
+    The gradient source is a flat [9*C*N*H*W] block of rows (tap, c) over
+    output positions (n, y', x'), followed by one zero.  Row ``tap`` of the
+    [9, C*N*H*W] index gives, for each input position (c, n, y, x), the
+    entry that tap (ki, kj) carries there from output (y-ki+1, x-kj+1), or
+    the zero where that lies outside the map.  Summing the gathered rows
+    is the adjoint of the patch gather at a cost linear in the map size.
+    Built on first use for each geometry; read-only because the cache shares it.
+    """
+    ki, kj = np.divmod(np.arange(9), 3)
+    y = np.arange(h)[:, None] - ki[:, None, None, None, None] + 1     # y' as [9,1,1,H,1]
+    x = np.arange(w) - kj[:, None, None, None, None] + 1              # x' as [9,1,1,1,W]
+    plane = ((np.arange(9)[:, None, None, None, None] * c + np.arange(c)[:, None, None, None]) * n
+             + np.arange(n)[:, None, None]) * (h * w)
+    inside = (y >= 0) & (y < h) & (x >= 0) & (x < w)
+    idx = np.where(inside, plane + y * w + x, 9 * c * n * h * w).reshape(9, -1)
+    idx.flags.writeable = False
+    return idx
+
+
 def _unpad(g, padding):
     return g[:, :, padding:-padding, padding:-padding] if padding else g
 
@@ -356,8 +379,11 @@ def convlstm(x, k, b, h0, c0):
         z = gates[t]
         np.matmul(k_h, ph[t].T, out=z)
         z += zx[:, t]
-        z[:s3] = _sigmoid(z[:s3])
-        np.tanh(z[s3:], out=z[s3:])
+        # sigmoid(v) = (tanh(v/2) + 1) / 2 on i, f, o: one tanh over all four gates
+        z[:s3] *= 0.5
+        np.tanh(z, out=z)
+        z[:s3] += 1.0
+        z[:s3] *= 0.5
         i, f, o, g = z[:n_hidden], z[n_hidden:2 * n_hidden], z[2 * n_hidden:s3], z[s3:]
         c = cs[t + 1]
         np.multiply(f, cs[t], out=c)
@@ -371,29 +397,41 @@ def convlstm(x, k, b, h0, c0):
     if out.requires_grad:
         def _bw():
             dhs = out.grad.transpose(1, 2, 0, 3, 4).reshape(n_steps, n_hidden, rows)
-            dz = np.empty((n_steps, L4, rows), dtype=dtype)
+            i, f, o, g = (gates[:, j * n_hidden:(j + 1) * n_hidden] for j in range(4))
+            # dL/dz_t is a factor known from the forward times dc_t (gates i, f, g)
+            # or dh_t (gate o); the factors of all steps are formed at once
+            dz = np.empty_like(gates)                                  # [T, 4L, N*P]
+            dz[:, :n_hidden] = g * i * (1.0 - i)
+            dz[:, n_hidden:2 * n_hidden] = cs[:-1] * f * (1.0 - f)
+            dz[:, 2 * n_hidden:s3] = tcs * o * (1.0 - o)
+            dz[:, s3:] = i * (1.0 - g * g)
+            dtc = o * (1.0 - tcs * tcs)                                # dh_t -> dc_t
+            # W_h^T dz_t, one row block per kernel tap, then each tap's block
+            # summed onto the h_{t-1} positions that tap reads
+            k_taps = np.ascontiguousarray(k_h.reshape(L4, n_hidden, 9).transpose(2, 1, 0))
+            k_taps = k_taps.reshape(9 * n_hidden, L4)
+            tap_idx = _tap_sum_index(n_hidden, n_seq, h, w)
+            taps = np.zeros(9 * n_hidden * rows + 1, dtype=dtype)     # the last entry stays 0
             dh = np.zeros((n_hidden, rows), dtype=dtype)   # from step t+1 through W_h
             dc = np.zeros((n_hidden, rows), dtype=dtype)   # from step t+1 through f
             for t in range(n_steps - 1, -1, -1):
-                z = gates[t]
-                i, f, o, g = z[:n_hidden], z[n_hidden:2 * n_hidden], z[2 * n_hidden:s3], z[s3:]
                 dh += dhs[t]
-                tc = tcs[t]
-                dc += dh * o * (1.0 - tc * tc)
+                dc += dh * dtc[t]
                 dzt = dz[t]
-                dzt[:n_hidden] = dc * g * i * (1.0 - i)
-                dzt[n_hidden:2 * n_hidden] = dc * cs[t] * f * (1.0 - f)
-                dzt[2 * n_hidden:s3] = dh * tc * o * (1.0 - o)
-                dzt[s3:] = dc * i * (1.0 - g * g)
-                dc *= f
+                dzt[:n_hidden] *= dc
+                dzt[n_hidden:2 * n_hidden] *= dc
+                dzt[2 * n_hidden:s3] *= dh
+                dzt[s3:] *= dc
+                dc *= f[t]
                 if t:
-                    ghp = _col2im(dzt.T @ k_h, (n_seq, n_hidden, h + 2, w + 2), 3, 3, 1, h, w)
-                    dh = ghp[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3).reshape(n_hidden, rows)
-            gm = dz.transpose(1, 0, 2).reshape(L4, -1)           # [4L, T*N*P]
+                    np.matmul(k_taps, dzt, out=taps[:-1].reshape(9 * n_hidden, rows))
+                    dh = np.take(taps, tap_idx).sum(axis=0).reshape(n_hidden, rows)
+            gm = dz.transpose(1, 0, 2).reshape(L4, -1)                 # [4L, T*N*P]
             if k.requires_grad:
-                gkx = (gm @ px).reshape(L4, c_in, 3, 3)
-                gkh = (gm @ ph.reshape(-1, n_hidden * 9)).reshape(L4, n_hidden, 3, 3)
-                _accum_owned(k, np.concatenate((gkx, gkh), axis=1))
+                gk = np.empty((L4, (c_in + n_hidden) * 9), dtype=dtype)
+                np.matmul(gm, px, out=gk[:, :c_in * 9])
+                np.matmul(gm, ph.reshape(-1, n_hidden * 9), out=gk[:, c_in * 9:])
+                _accum_owned(k, gk.reshape(k.shape))
             if b.requires_grad:
                 _accum_owned(b, gm.sum(axis=1))
             if x.requires_grad:

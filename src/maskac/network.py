@@ -92,12 +92,13 @@ class ForwardTrace:
     From a batched ``forward`` every tensor carries a leading batch axis;
     from ``forward_segment`` a leading axis over the steps of its segments,
     and ``next_state`` is None.  A mask is None where its branch has none
-    or the "ones" transform ablates it.
+    or the "ones" transform ablates it; ``value`` and ``m_v`` are None when
+    the value branch was skipped.
     """
 
     policy: Tensor
     policy_logits: Tensor
-    value: Tensor
+    value: Tensor | None
     next_state: RecurrentState
     m_p: Tensor | None = None
     m_v: Tensor | None = None
@@ -245,21 +246,21 @@ def _branch(h, w, config, branch, transform):
     return apply_mask(f, m), m
 
 
-def _heads(h, next_state, w, config, mask_transform):
+def _heads(h, next_state, w, config, mask_transform, with_value=True):
     """Masked branches and output heads over one ConvLSTM output [L,H,W], or [N,L,H,W] of them."""
-    value_transform = "ones" if mask_transform == "ones" else "identity"
     f_p, m_p = _branch(h, w, config, "policy", mask_transform)
-    f_v, m_v = _branch(h, w, config, "value", value_transform)
-
     flat = f_p.shape[:-3] + (-1,)
     logits = ad.dense(ad.reshape(f_p, flat), w["policy_out.w"], w["policy_out.b"])
-    policy = ad.softmax(logits)
-    value = ad.dense(ad.reshape(f_v, flat), w["value_out.w"], w["value_out.b"])
-    return ForwardTrace(policy=policy, policy_logits=logits, value=value,
-                        next_state=next_state, m_p=m_p, m_v=m_v)
+    trace = ForwardTrace(policy=ad.softmax(logits), policy_logits=logits, value=None,
+                         next_state=next_state, m_p=m_p)
+    if with_value:
+        value_transform = "ones" if mask_transform == "ones" else "identity"
+        f_v, trace.m_v = _branch(h, w, config, "value", value_transform)
+        trace.value = ad.dense(ad.reshape(f_v, flat), w["value_out.w"], w["value_out.b"])
+    return trace
 
 
-def forward(obs, state, w, config, mask_transform="identity"):
+def forward(obs, state, w, config, mask_transform="identity", with_value=True):
     """Full pass: extractor -> ConvLSTM -> masked branches -> (policy, value).
 
     ``obs`` is one [H,W] or [1,H,W] observation with state [L,h,w], or a
@@ -270,6 +271,10 @@ def forward(obs, state, w, config, mask_transform="identity"):
     as computed, "inverse" applies gaze inversion, "ones" ablates the
     attention mechanism entirely (both branches): the masks are not
     computed, so a masked variant runs the vanilla path on shared weights.
+
+    ``with_value=False`` skips the value branch (its conv, mask and head),
+    which no action choice reads; the policy outputs and the next state
+    are the same bits either way.
     """
     if mask_transform not in MASK_TRANSFORMS:
         raise ValueError(f"mask_transform must be one of {MASK_TRANSFORMS}")
@@ -281,7 +286,7 @@ def forward(obs, state, w, config, mask_transform="identity"):
         obs = Tensor(obs.data[None, :, :])
 
     h, next_state = convlstm_step(feature_extract(obs, w, config), state, w)
-    return _heads(h, next_state, w, config, mask_transform)
+    return _heads(h, next_state, w, config, mask_transform, with_value)
 
 
 def forward_segment(obs, state, w, config, lengths):

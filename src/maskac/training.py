@@ -10,10 +10,11 @@ clipped gradient to the shared store once.  A fixed seed reproduces a
 run whatever the worker count, and with one worker a round is one A3C
 cycle.
 
-The rollout builds no graph: it keeps each step's observation, action,
-reward, value and action probabilities, plus the recurrent state each
+The rollout builds no graph and skips the value branch: it keeps each
+step's observation, action and reward, plus the recurrent state each
 segment started from.  The learner then recomputes all N segments with
-one ``forward_segment`` over [N,T,...] and backpropagates that single
+one ``forward_segment`` over [N,T,...], takes the values, log-probs,
+entropies and advantages from that pass, and backpropagates that single
 graph.
 """
 
@@ -70,9 +71,6 @@ class RolloutStep:
     obs: np.ndarray
     action: int
     reward: float
-    value: float
-    log_prob: float
-    probs: np.ndarray
 
 
 @dataclass
@@ -95,21 +93,15 @@ def sample_action(probs, rng):
     return min(idx, len(probs) - 1)
 
 
-def policy_entropy(probs):
-    """-sum p log p over the nonzero action probabilities."""
-    p = probs[probs > 0]
-    return float(-(p * np.log(p)).sum())
-
-
 def collect_rollout(envs, weights, config, state, t_max, rngs):
     """Step ``envs`` in lockstep for up to t_max steps without a graph; one rollout per env.
 
     ``state`` [N,L,h,w] holds each env's recurrent state, and ``rngs`` its
-    action rng.  Each step is one batched ``forward`` over the envs still
-    running; an env whose episode ends drops out, its state resets to
-    zeros and its bootstrap value is 0.  One more batched ``forward`` gives
-    the bootstrap values of the envs that did not finish.  An env that
-    starts the round done is reset first.  The envs render each frame
+    action rng.  Each step is one batched ``forward`` without the value
+    branch over the envs still running; an env whose episode ends drops
+    out, its state resets to zeros and its bootstrap value is 0.  One more
+    batched full ``forward`` gives the bootstrap values of the envs that
+    did not finish.  An env that starts the round done is reset first.  The envs render each frame
     once: a segment's first frame comes from ``observe`` (or ``reset``),
     every later one from the step that made it.  Returns the rollouts, in
     env order, and the [N,...] state to carry into the next round.
@@ -129,16 +121,12 @@ def collect_rollout(envs, weights, config, state, t_max, rngs):
     rows = list(range(len(envs)))          # the envs still running, in batch order
     live = RecurrentState(Tensor(h), Tensor(c))
     for _ in range(t_max):
-        trace = forward(np.array(obs)[:, None], live, frozen, config)
-        values = trace.value.data[:, 0].tolist()
+        trace = forward(np.array(obs)[:, None], live, frozen, config, with_value=False)
         frames, obs, keep = obs, [], []
         for k, i in enumerate(rows):
-            probs = trace.policy.data[k]
-            action = sample_action(probs, rngs[i])
+            action = sample_action(trace.policy.data[k], rngs[i])
             res = envs[i].step(action)
-            rollouts[i].steps.append(RolloutStep(
-                obs=frames[k], action=action, reward=res.reward, value=values[k],
-                log_prob=float(np.log(probs[action])), probs=probs))
+            rollouts[i].steps.append(RolloutStep(frames[k], action, res.reward))
             if res.done:
                 rollouts[i].terminal = True
             else:
@@ -160,31 +148,32 @@ def collect_rollout(envs, weights, config, state, t_max, rngs):
 
 
 def compute_returns(rollout, gamma):
-    """R_t = r_t + gamma * R_{t+1}, seeded with the bootstrap value; A_t = R_t - V_t."""
+    """R_t = r_t + gamma * R_{t+1}, seeded with the bootstrap value."""
     acc = rollout.bootstrap_value
     returns = []
     for step in reversed(rollout.steps):
         acc = step.reward + gamma * acc
         returns.append(acc)
     returns.reverse()
-    advantages = [r - s.value for r, s in zip(returns, rollout.steps)]
-    return returns, advantages
+    return returns
 
 
-def a3c_loss(rollouts, weights, config, returns, advantages, entropy_coef, value_coef):
-    """Sum over a round's segments of their policy, value, and entropy terms.
+def a3c_loss(rollouts, weights, config, returns, entropy_coef, value_coef, advantages=None):
+    """Sum over a round's segments of their policy, value, and entropy terms, and their log row.
 
-    ``returns`` and ``advantages`` hold one list per segment.  All segments
-    are recomputed with a graph through one ``forward_segment``, their
-    observations padded to the longest; a padded step enters no term.
-    Advantages and returns enter as constants: the policy term pushes
-    log-probabilities only, the value term pushes the critic only.
+    ``returns`` holds one list per segment.  All segments are recomputed
+    with a graph through one ``forward_segment``, their observations
+    padded to the longest; a padded step enters no term.  The advantages
+    are R - V from that pass's values, unless ``advantages`` (one list per
+    segment) fixes them.  Advantages and returns enter as constants: the
+    policy term pushes log-probabilities only, the value term pushes the
+    critic only.  Returns the loss and ``loss_components``' log row.
     """
     lengths = [len(r) for r in rollouts]
-    if lengths != [len(x) for x in returns] or lengths != [len(x) for x in advantages]:
+    if lengths != [len(x) for x in returns] or (
+            advantages is not None and lengths != [len(x) for x in advantages]):
         raise ValueError("rollouts, returns and advantages must have equal lengths")
     steps = [s for r in rollouts for s in r.steps]
-    n = len(steps)
     dtype = weights["fe1.w"].dtype
     obs = np.zeros((len(rollouts), max(lengths)) + np.shape(steps[0].obs), dtype=dtype)
     for i, r in enumerate(rollouts):
@@ -192,29 +181,49 @@ def a3c_loss(rollouts, weights, config, returns, advantages, entropy_coef, value
     start = RecurrentState(Tensor(np.stack([r.start_state.h.data for r in rollouts])),
                            Tensor(np.stack([r.start_state.c.data for r in rollouts])))
     trace = forward_segment(obs, start, weights, config, lengths)
+    (policy_term, value_term, neg_entropy), row = loss_components(
+        trace, [s.action for s in steps], np.concatenate(returns),
+        None if advantages is None else np.concatenate(advantages))
+    loss = ad.add(policy_term, ad.add(ad.mul(value_term, float(value_coef)),
+                                      ad.mul(neg_entropy, float(entropy_coef))))
+    return loss, row
+
+
+def loss_components(trace, actions, returns, advantages=None):
+    """The three loss sums of a round from the learner's trace, and their log row.
+
+    ``trace`` is ``forward_segment``'s, one row per real step; ``actions``,
+    ``returns`` and ``advantages`` run over the same steps.  Without
+    ``advantages`` they are R - V from the trace's values.  Returns the
+    policy term -sum A*log pi(a), the value term sum (R - V)^2 and
+    sum pi*log pi (the negated entropy) as graph tensors, and a dict of
+    their per-step means (policy_loss, value_loss, entropy) with, per
+    branch, the mean of its mask and its spatial std averaged over the
+    steps (None for a branch without a mask).
+    """
+    n = len(actions)
     logits = trace.policy_logits                                  # [steps, K]
+    dtype = logits.dtype
+    returns = np.asarray(returns)
+    if advantages is None:
+        advantages = returns - trace.value.data[:, 0]
     logp = ad.log_softmax(logits)
     weighted = np.zeros(logits.shape, dtype=dtype)   # -A_t at the action taken
-    weighted[np.arange(n), [s.action for s in steps]] = -np.concatenate(advantages)
+    weighted[np.arange(n), actions] = -advantages
     policy_term = ad.sum_all(ad.mul(logp, weighted))
     # V - R: its square is the bits of (R - V)^2, as rounding is sign-symmetric
-    verr = ad.add(ad.reshape(trace.value, (n,)), -np.concatenate(returns).astype(dtype))
+    verr = ad.add(ad.reshape(trace.value, (n,)), -returns.astype(dtype))
     value_term = ad.sum_all(ad.mul(verr, verr))
     neg_entropy = ad.sum_all(ad.mul(trace.policy, logp))
-    return ad.add(policy_term, ad.add(ad.mul(value_term, float(value_coef)),
-                                      ad.mul(neg_entropy, float(entropy_coef))))
-
-
-def loss_components(rollouts, returns, advantages):
-    """Per-step means over a round's segments of the three loss pieces, for the metrics log."""
-    steps = [s for r in rollouts for s in r.steps]
-    t = len(steps)
-    advantages = [a for seg in advantages for a in seg]
-    returns = [r for seg in returns for r in seg]
-    policy_loss = -sum(s.log_prob * a for s, a in zip(steps, advantages)) / t
-    value_loss = sum((r - s.value) ** 2 for s, r in zip(steps, returns)) / t
-    entropy = sum(policy_entropy(s.probs) for s in steps)
-    return policy_loss, value_loss, entropy / t
+    row = {"policy_loss": float(policy_term.data) / n, "value_loss": float(value_term.data) / n,
+           "entropy": -float(neg_entropy.data) / n}
+    for branch, m in (("policy", trace.m_p), ("value", trace.m_v)):
+        mean = std = None
+        if m is not None:
+            frames = m.data.reshape(n, -1)
+            mean, std = float(frames.mean()), float(frames.std(axis=1).mean())
+        row[f"{branch}_mask_mean"], row[f"{branch}_mask_std"] = mean, std
+    return (policy_term, value_term, neg_entropy), row
 
 
 # Elements per slice of the in-place RMSProp update: slices keep its two
@@ -295,20 +304,27 @@ def apply_gradients(shared, grads, hyper, n_steps):
     return norm
 
 
+def _cell(value):
+    return "" if value is None else repr(float(value))
+
+
 class MetricsWriter:
     """Append-only CSV of one row per update."""
 
-    HEADER = "step,episode_return,policy_loss,value_loss,entropy,grad_norm"
+    LOSS_COLUMNS = ("policy_loss", "value_loss", "entropy")
+    MASK_COLUMNS = ("policy_mask_mean", "policy_mask_std", "value_mask_mean", "value_mask_std")
+    HEADER = ",".join(("step", "episode_return", *LOSS_COLUMNS, "grad_norm", *MASK_COLUMNS))
 
     def __init__(self, path):
         self._fh = open(path, "w")
         self._fh.write(self.HEADER + "\n")
 
-    def log(self, step, episode_return, policy_loss, value_loss, entropy, grad_norm):
-        er = "" if episode_return is None else repr(float(episode_return))
-        gn = "nan" if grad_norm is None else repr(float(grad_norm))
-        self._fh.write(f"{step},{er},{repr(float(policy_loss))},"
-                       f"{repr(float(value_loss))},{repr(float(entropy))},{gn}\n")
+    def log(self, step, episode_return, row, grad_norm):
+        """One update: ``row`` is ``loss_components``' dict; a None grad_norm (skipped) logs nan."""
+        cells = [str(step), _cell(episode_return), *(_cell(row[k]) for k in self.LOSS_COLUMNS),
+                 "nan" if grad_norm is None else repr(float(grad_norm)),
+                 *(_cell(row[k]) for k in self.MASK_COLUMNS)]
+        self._fh.write(",".join(cells) + "\n")
 
     def close(self):
         self._fh.close()
@@ -318,6 +334,10 @@ def _worker_env_seed(seed, worker_id):
     return int(np.random.SeedSequence([seed, worker_id, 17]).generate_state(1)[0])
 
 
+# phases of a round, in the order the ``train`` log line reports their shares
+PHASES = ("rollout", "learner_forward", "backward", "apply")
+
+
 def _worker_loop(envs, rngs, shared, config, hyper, metrics, save_snapshot, checkpoint_interval):
     """Play lockstep rounds of all workers, one summed update each, until the budget is met.
 
@@ -325,26 +345,36 @@ def _worker_loop(envs, rngs, shared, config, hyper, metrics, save_snapshot, chec
     ``t_max`` steps per worker, so the run ends below
     ``total_steps + n_workers * t_max``.  Whenever the step count passes a
     multiple of ``checkpoint_interval`` not saved yet, the weights are
-    saved under the step count they hold.
+    saved under the step count they hold.  Returns the seconds spent in
+    each of ``PHASES``: the rollout, the learner's ``forward_segment``
+    pass with its loss, backward, and the update.
     """
+    seconds = dict.fromkeys(PHASES, 0.0)
     state = RecurrentState.zeros(config, batch=len(envs))
     saved_mark = 0
     while shared.steps < hyper.total_steps:
+        t0 = time.perf_counter()
         weights = sync_local(shared)
         rollouts, state = collect_rollout(envs, weights, config, state, hyper.t_max, rngs)
-        ended = [env.score for env, r in zip(envs, rollouts) if r.terminal]
-        returns, advantages = zip(*(compute_returns(r, hyper.gamma) for r in rollouts))
-        loss = a3c_loss(rollouts, weights, config, returns, advantages,
-                        hyper.entropy_coef, hyper.value_coef)
+        t1 = time.perf_counter()
+        returns = [compute_returns(r, hyper.gamma) for r in rollouts]
+        loss, row = a3c_loss(rollouts, weights, config, returns,
+                             hyper.entropy_coef, hyper.value_coef)
+        t2 = time.perf_counter()
         ad.backward(loss)
+        del loss                      # frees the round's graph before the update
+        t3 = time.perf_counter()
         grads = {k: t.grad for k, t in weights.items() if t.grad is not None}
         norm = apply_gradients(shared, grads, hyper, sum(len(r) for r in rollouts))
-        p_loss, v_loss, entropy = loss_components(rollouts, returns, advantages)
-        metrics.log(shared.steps, float(np.mean(ended)) if ended else None,
-                    p_loss, v_loss, entropy, norm)
+        t4 = time.perf_counter()
+        for phase, dt in zip(PHASES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+            seconds[phase] += dt
+        ended = [env.score for env, r in zip(envs, rollouts) if r.terminal]
+        metrics.log(shared.steps, float(np.mean(ended)) if ended else None, row, norm)
         if checkpoint_interval and shared.steps // checkpoint_interval > saved_mark:
             saved_mark = shared.steps // checkpoint_interval
             save_snapshot(shared.steps)
+    return seconds
 
 
 def train(config, hyper, env_spec, seed, out_dir, checkpoint_interval=50_000, log=None):
@@ -352,7 +382,9 @@ def train(config, hyper, env_spec, seed, out_dir, checkpoint_interval=50_000, lo
 
     Writes ckpt_<step>.ma3c files (including the initial ckpt_0) and a
     metrics.csv into ``out_dir``; returns the path of the final
-    checkpoint.
+    checkpoint.  ``log`` gets one closing line: steps, steps/s, updates
+    and skipped updates, then each of ``PHASES`` as a share of the wall
+    time.
     """
     from .checkpoint import save_checkpoint  # here to avoid an import cycle
 
@@ -372,21 +404,24 @@ def train(config, hyper, env_spec, seed, out_dir, checkpoint_interval=50_000, lo
 
     save_snapshot(0)
     metrics = MetricsWriter(os.path.join(out_dir, "metrics.csv"))
-    t0 = time.monotonic()
+    t0 = time.perf_counter()
     try:
         envs = [make_env(dataclasses.replace(env_spec, seed=_worker_env_seed(seed, i)))
                 for i in range(hyper.n_workers)]
         rngs = [np.random.default_rng([seed, i, 1]) for i in range(hyper.n_workers)]
-        _worker_loop(envs, rngs, shared, config, hyper, metrics, save_snapshot,
-                     checkpoint_interval)
+        seconds = _worker_loop(envs, rngs, shared, config, hyper, metrics, save_snapshot,
+                               checkpoint_interval)
     finally:
         metrics.close()
 
     final_step = shared.steps
     final_path = save_snapshot(final_step)
-    elapsed = time.monotonic() - t0
+    elapsed = max(time.perf_counter() - t0, 1e-9)
     if log:
-        rate = final_step / elapsed if elapsed > 0 else 0.0
+        # shares of the wall time, rounded down so that they never sum past 1
+        shares = ", ".join(f"{phase} {math.floor(1000 * seconds[phase] / elapsed) / 1000:.3f}"
+                           for phase in PHASES)
         log(f"trained {final_step} steps in {elapsed:.1f}s "
-            f"({rate:.0f} steps/s, {shared.updates} updates, {shared.skipped} skipped)")
+            f"({final_step / elapsed:.0f} steps/s, {shared.updates} updates, "
+            f"{shared.skipped} skipped); time shares: {shares}")
     return final_path

@@ -175,19 +175,21 @@ def catch_random_expectation(size=20, paddle_half=3):
     return total / n_cases
 
 
-def per_step_a3c_loss(rollout, weights, config, returns, advantages, entropy_coef, value_coef):
+def per_step_a3c_loss(rollout, weights, config, returns, entropy_coef, value_coef):
     """The segment's actor-critic loss built one step at a time.
 
     One graph-building ``forward`` per step, carrying the recurrent state
     with its graph from the segment's start state, then per-step policy,
-    value and entropy terms added up one by one.  The batched learner
-    must produce the same gradients.
+    value and entropy terms added up one by one.  Each step's advantage
+    R - V takes V from that step's own forward, as a constant.  The
+    batched learner must produce the same gradients.
     """
     state = rollout.start_state
     total = None
-    for step, ret, adv in zip(rollout.steps, returns, advantages):
+    for step, ret in zip(rollout.steps, returns):
         trace = forward(step.obs, state, weights, config)
         state = trace.next_state
+        adv = ret - float(trace.value.data[0])
         logp = ad.log_softmax(trace.policy_logits)
         picked = pick(logp, step.action)
         entropy = ad.mul(ad.sum_all(ad.mul(trace.policy, logp)), -1.0)

@@ -104,6 +104,22 @@ def test_lockstep_evaluate_matches_per_episode_loop(env, monkeypatch):
     assert ragged or env == "catch", "no group had episodes ending at different steps"
 
 
+def test_evaluate_skips_the_value_branch(monkeypatch, tmp_path):
+    # no score reads the value, so evaluate's forwards skip its branch;
+    # heat maps log the value and keep it
+    spec = EnvSpec(name="catch")
+    config = cfg(fe_channels=(4, 4, 8), lstm_channels=8, branch_channels=4)
+    w = init_weights(config, seed=2, dtype=np.float32)
+    calls, forward = [], analysis.forward
+    monkeypatch.setattr(analysis, "forward",
+                        lambda *a, **kw: calls.append(kw["with_value"]) or forward(*a, **kw))
+    evaluate(w, config, spec, 3, seed=1)
+    assert calls and not any(calls)
+    calls.clear()
+    record_heatmaps(w, config, spec, 1, seed=1, out_dir=str(tmp_path))
+    assert calls and all(calls)
+
+
 def test_random_baseline_reproducible_and_bounded():
     spec = EnvSpec(name="catch")
     a = random_baseline(spec, episodes=50, seed=2)

@@ -419,3 +419,30 @@ def test_recurrent_state_zeros_batch_shape():
     state = RecurrentState.zeros(config, np.float64, batch=5)
     assert state.h.shape == state.c.shape == (5,) + RecurrentState.zeros(config).h.shape
     assert state.h.dtype == np.float64 and not state.h.data.any()
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["B=1", "B=3"])
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_forward_without_value_branch_keeps_policy_outputs_bit_for_bit(variant, batch):
+    # float32, as the rollout and evaluation run it, from a nonzero state
+    config = cfg(variant)
+    w = net.init_weights(config, seed=17, dtype=np.float32)
+    rng = np.random.default_rng(18)
+    state = _random_states(config, 1 if batch is None else batch, rng, np.float32)
+    state = state[0] if batch is None else _stack_states(state)
+    shape = (1, config.input_hw, config.input_hw) if batch is None else \
+        (batch, 1, config.input_hw, config.input_hw)
+    obs = rng.uniform(0, 1, size=shape).astype(np.float32)
+    for transform in net.MASK_TRANSFORMS:
+        if transform == "inverse" and not config.policy_mask_enabled:
+            continue
+        full = net.forward(obs, state, w, config, mask_transform=transform)
+        lean = net.forward(obs, state, w, config, mask_transform=transform, with_value=False)
+        assert lean.value is None and lean.m_v is None
+        assert (lean.m_p is None) == (full.m_p is None)
+        pairs = [(lean.policy, full.policy), (lean.policy_logits, full.policy_logits),
+                 (lean.next_state.h, full.next_state.h), (lean.next_state.c, full.next_state.c)]
+        if full.m_p is not None:
+            pairs.append((lean.m_p, full.m_p))
+        for got, want in pairs:
+            assert got.shape == want.shape and got.data.tobytes() == want.data.tobytes()

@@ -1,6 +1,8 @@
 """Returns/loss math, the shared RMSProp store, and the lockstep training loop."""
 
+import csv
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +13,13 @@ from maskac import training as tr
 from maskac.autodiff import Tensor
 from maskac.checkpoint import load_checkpoint
 from maskac.envs import EnvSpec, StepResult, _BaseEnv, make_env
-from maskac.network import NetworkConfig, RecurrentState, init_weights
+from maskac.network import NetworkConfig, RecurrentState, forward, init_weights
 from maskac.training import (Hyperparams, Rollout, RolloutStep, SharedParams,
                              a3c_loss, apply_gradients, collect_rollout,
                              compute_returns, sync_local, train)
 
 from oracles import (discounted_returns_oracle, grad_check, per_step_a3c_loss,
-                     rmsprop_apply_oracle, zero_grads)
+                     rmsprop_apply_oracle)
 
 
 def small_cfg(**kw):
@@ -84,8 +86,7 @@ def zero_head_rollout(k_actions, t_steps):
     for name in ("policy_out.w", "policy_out.b", "value_out.w", "value_out.b"):
         weights[name].data[...] = 0.0
     env = NoisyEnv()
-    steps = [RolloutStep(obs=env.reset(), action=0, reward=0.0, value=0.0, log_prob=0.0,
-                         probs=None) for _ in range(t_steps)]
+    steps = [RolloutStep(obs=env.reset(), action=0, reward=0.0) for _ in range(t_steps)]
     return Rollout(steps, 0.0, True, RecurrentState.zeros(config, np.float64)), weights, config
 
 
@@ -93,16 +94,14 @@ def zero_head_rollout(k_actions, t_steps):
 # returns
 
 def test_returns_gamma_zero_copies_rewards():
-    steps = [RolloutStep(None, 0, r, 0.0, 0.0, None) for r in (1.0, -0.5, 2.0)]
-    returns, _ = compute_returns(Rollout(steps, 5.0, False), gamma=0.0)
-    assert returns == [1.0, -0.5, 2.0]
+    steps = [RolloutStep(None, 0, r) for r in (1.0, -0.5, 2.0)]
+    assert compute_returns(Rollout(steps, 5.0, False), gamma=0.0) == [1.0, -0.5, 2.0]
 
 
 def test_returns_single_step_bootstrap():
-    steps = [RolloutStep(None, 0, 1.0, 0.0, 0.0, None)]
-    returns, advantages = compute_returns(Rollout(steps, 2.0, False), gamma=0.99)
+    steps = [RolloutStep(None, 0, 1.0)]
+    returns = compute_returns(Rollout(steps, 2.0, False), gamma=0.99)
     assert abs(returns[0] - 2.98) < 1e-12
-    assert abs(advantages[0] - 2.98) < 1e-12
 
 
 def test_returns_match_direct_sum_oracle_exhaustively():
@@ -110,17 +109,11 @@ def test_returns_match_direct_sum_oracle_exhaustively():
     for length in range(1, 9):
         for terminal in (True, False):
             rewards = rng.uniform(-1, 1, size=length).tolist()
-            values = rng.uniform(-1, 1, size=length).tolist()
             bootstrap = 0.0 if terminal else float(rng.uniform(-2, 2))
-            steps = [RolloutStep(None, 0, r, v, 0.0, None)
-                     for r, v in zip(rewards, values)]
-            returns, advantages = compute_returns(
-                Rollout(steps, bootstrap, terminal), gamma=0.97)
+            steps = [RolloutStep(None, 0, r) for r in rewards]
+            returns = compute_returns(Rollout(steps, bootstrap, terminal), gamma=0.97)
             expected = discounted_returns_oracle(rewards, bootstrap, 0.97)
             np.testing.assert_allclose(returns, expected, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(advantages,
-                                       [e - v for e, v in zip(expected, values)],
-                                       atol=1e-12, rtol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -129,40 +122,56 @@ def test_returns_match_direct_sum_oracle_exhaustively():
 def test_loss_reduces_to_entropy_term():
     k, t, coef = 4, 3, 0.01
     rollout, weights, config = zero_head_rollout(k, t)
-    returns = [0.0] * t        # value head predicts 0 exactly
-    advantages = [0.0] * t
-    loss = a3c_loss([rollout], weights, config, [returns], [advantages],
-                    entropy_coef=coef, value_coef=0.5)
+    returns = [0.0] * t        # value head predicts 0 exactly, so every advantage is 0
+    loss, row = a3c_loss([rollout], weights, config, [returns], entropy_coef=coef,
+                         value_coef=0.5)
     assert abs(float(loss.data) - (-coef * t * np.log(k))) < 1e-12
+    assert row["policy_loss"] == 0.0 and row["value_loss"] == 0.0
+    assert abs(row["entropy"] - np.log(k)) < 1e-12
 
 
 def test_loss_single_step_policy_term_only():
     rollout, weights, config = zero_head_rollout(3, 1)
-    loss = a3c_loss([rollout], weights, config, [[1.7]], [[2.5]], entropy_coef=0.0,
-                    value_coef=0.0)
+    loss, _ = a3c_loss([rollout], weights, config, [[1.7]], entropy_coef=0.0, value_coef=0.0,
+                       advantages=[[2.5]])
     assert abs(float(loss.data) - (-np.log(1 / 3) * 2.5)) < 1e-12
+
+
+def test_loss_derives_the_advantage_from_the_learner_value():
+    # the value head predicts 0, so the derived advantage R - V is the return
+    rollout, weights, config = zero_head_rollout(3, 1)
+    loss, row = a3c_loss([rollout], weights, config, [[1.7]], entropy_coef=0.0,
+                         value_coef=0.0)
+    assert abs(float(loss.data) - (-np.log(1 / 3) * 1.7)) < 1e-12
+    assert abs(row["policy_loss"] - float(loss.data)) < 1e-12
+    assert abs(row["value_loss"] - 1.7 ** 2) < 1e-12
 
 
 def test_loss_rejects_length_mismatch():
     rollout, weights, config = zero_head_rollout(3, 2)
     with pytest.raises(ValueError):
-        a3c_loss([rollout], weights, config, [[0.0]], [[0.0, 0.0]], 0.0, 0.0)
+        a3c_loss([rollout], weights, config, [[0.0]], 0.0, 0.0)
+    with pytest.raises(ValueError):
+        a3c_loss([rollout], weights, config, [[0.0, 0.0]], 0.0, 0.0, advantages=[[0.0]])
 
 
 def frozen_loss_fn(config, obs_seq, actions, returns, advantages, hyper, dtype):
-    """Replays the recorded decisions under fresh weights; fd-checkable."""
-    steps = [RolloutStep(obs, action, 0.0, 0.0, 0.0, None)
-             for obs, action in zip(obs_seq, actions)]
+    """Replays the recorded decisions under fresh weights with fixed advantages; fd-checkable.
+
+    Advantages derived from the weights' own values would move with every
+    perturbed weight, so finite differences would see through their stop-gradient.
+    """
+    steps = [RolloutStep(obs, action, 0.0) for obs, action in zip(obs_seq, actions)]
     rollout = Rollout(steps, 0.0, False, RecurrentState.zeros(config, dtype))
 
     def f(weights):
-        return a3c_loss([rollout], weights, config, [returns], [advantages],
-                        hyper.entropy_coef, hyper.value_coef)
+        return a3c_loss([rollout], weights, config, [returns], hyper.entropy_coef,
+                        hyper.value_coef, advantages=[advantages])[0]
     return f
 
 
 def random_frozen_rollout(config, seed, n_steps=3):
-    """Random observations, actions, rewards; returns frozen loss constants."""
+    """Random observations, actions, rewards and values; returns frozen loss constants."""
     rng = np.random.default_rng(seed)
     weights = init_weights(config, seed=seed, dtype=np.float64)
     obs_seq = [rng.uniform(0, 1, size=(config.input_hw, config.input_hw))
@@ -171,9 +180,9 @@ def random_frozen_rollout(config, seed, n_steps=3):
     rewards = rng.uniform(-1, 1, size=n_steps).tolist()
     values = rng.uniform(-1, 1, size=n_steps).tolist()
     bootstrap = float(rng.uniform(-1, 1))
-    steps = [RolloutStep(o, a, r, v, 0.0, None)
-             for o, a, r, v in zip(obs_seq, actions, rewards, values)]
-    returns, advantages = compute_returns(Rollout(steps, bootstrap, False), 0.99)
+    steps = [RolloutStep(o, a, r) for o, a, r in zip(obs_seq, actions, rewards)]
+    returns = compute_returns(Rollout(steps, bootstrap, False), 0.99)
+    advantages = [r - v for r, v in zip(returns, values)]
     return weights, obs_seq, actions, returns, advantages
 
 
@@ -191,24 +200,18 @@ def test_loss_gradient_matches_finite_differences():
 
 
 def test_advantage_is_stop_gradient_in_policy_term():
-    # perturbing the value head changes the value loss but leaves the
-    # policy-term gradient on the policy head untouched for fixed traces
+    # the advantages R - V come from the learner's own values, yet with the
+    # value and entropy terms switched off no gradient reaches the critic:
+    # the policy term pushes log-probabilities only
     config = small_cfg()
-    weights, obs_seq, actions, returns, advantages = random_frozen_rollout(config, seed=6)
-    hyper = Hyperparams(value_coef=0.0, entropy_coef=0.0)
-    f = frozen_loss_fn(config, obs_seq, actions, returns, advantages, hyper, np.float64)
-
-    def policy_grad(w):
-        zero_grads(w)
-        for t in w.values():
-            t.requires_grad = True
-        ad.backward(f(w))
-        return w["policy_out.w"].grad.copy()
-
-    g1 = policy_grad(weights)
-    weights["value_out.w"].data += 0.05
-    g2 = policy_grad(weights)
-    np.testing.assert_allclose(g1, g2, atol=1e-12)
+    weights, obs_seq, actions, returns, _ = random_frozen_rollout(config, seed=6)
+    steps = [RolloutStep(obs, action, 0.0) for obs, action in zip(obs_seq, actions)]
+    rollout = Rollout(steps, 0.0, False, RecurrentState.zeros(config, np.float64))
+    grads = _grads(lambda w: a3c_loss([rollout], w, config, [returns], 0.0, 0.0)[0], weights)
+    for name in ("value_branch.w", "value_branch.b", "value_mask.w", "value_out.w",
+                 "value_out.b"):
+        assert not grads[name].any(), name
+    assert np.abs(grads["policy_out.w"]).max() > 0
 
 
 def _grads(loss_fn, weights):
@@ -225,47 +228,64 @@ def round_cases(t_max):
     return cases
 
 
+def assert_round_grads_match_per_step_oracle(config, weights, t_max, warmup, ends):
+    """The grads of one round's batched loss equal the sum over its envs of the oracle's grads.
+
+    ``ends`` gives per env the steps to its episode's end from the round's
+    start (None: it outlives the round); ``warmup`` steps run first, so a
+    nonzero warmup starts the segments from carried-over states.
+    """
+    hyper = Hyperparams()
+    envs = [NoisyEnv(n_actions=3, done_at=None if e is None else warmup + e, salt=i)
+            for i, e in enumerate(ends)]
+    for env in envs:
+        env.reset()
+    rngs = [np.random.default_rng([2, i]) for i in range(len(envs))]
+    state = RecurrentState.zeros(config, np.float64, batch=len(envs))
+    if warmup:
+        _, state = collect_rollout(envs, weights, config, state, warmup, rngs)
+    rollouts, _ = collect_rollout(envs, weights, config, state, t_max, rngs)
+    assert [len(r) for r in rollouts] == [t_max if e is None else e for e in ends]
+    assert [r.terminal for r in rollouts] == [e is not None for e in ends]
+    for r in rollouts:
+        assert (np.abs(r.start_state.c.data).max() > 0) == bool(warmup)
+    returns = [compute_returns(r, hyper.gamma) for r in rollouts]
+    coefs = (hyper.entropy_coef, hyper.value_coef)
+    # each side derives its advantages from its own values
+    batched = _grads(lambda w: a3c_loss(rollouts, w, config, returns, *coefs)[0], weights)
+
+    def oracle_loss(w):
+        total = None
+        for r, ret in zip(rollouts, returns):
+            term = per_step_a3c_loss(r, w, config, ret, *coefs)
+            total = term if total is None else ad.add(total, term)
+        return total
+
+    oracle = _grads(oracle_loss, weights)
+    assert set(batched) == set(oracle)
+    for name in oracle:
+        np.testing.assert_allclose(batched[name], oracle[name], rtol=1e-10, atol=0,
+                                   err_msg=f"{name} warmup={warmup} ends={ends}")
+
+
 @pytest.mark.parametrize("t_max", [1, 20])
 @pytest.mark.parametrize("variant", [(False, False), (True, False), (False, True), (True, True)],
                          ids=["vanilla", "policy", "value", "both"])
 def test_segment_grads_match_per_step_oracle(variant, t_max):
-    # the grads of one round's batched loss equal the sum over its envs of
-    # the per-step oracle's grads
     config = small_cfg(policy_mask_enabled=variant[0], value_mask_enabled=variant[1])
     weights = init_weights(config, seed=11, dtype=np.float64)
-    hyper = Hyperparams()
     for warmup in (0, 3):                 # zero and carried-over start states
         for ends in round_cases(t_max):   # terminal and bootstrapped segments
-            envs = [NoisyEnv(n_actions=3, done_at=None if e is None else warmup + e, salt=i)
-                    for i, e in enumerate(ends)]
-            for env in envs:
-                env.reset()
-            rngs = [np.random.default_rng([2, i]) for i in range(len(envs))]
-            state = RecurrentState.zeros(config, np.float64, batch=len(envs))
-            if warmup:
-                _, state = collect_rollout(envs, weights, config, state, warmup, rngs)
-            rollouts, _ = collect_rollout(envs, weights, config, state, t_max, rngs)
-            assert [len(r) for r in rollouts] == [t_max if e is None else e for e in ends]
-            assert [r.terminal for r in rollouts] == [e is not None for e in ends]
-            for r in rollouts:
-                assert (np.abs(r.start_state.c.data).max() > 0) == bool(warmup)
-            returns, advantages = zip(*(compute_returns(r, hyper.gamma) for r in rollouts))
-            coefs = (hyper.entropy_coef, hyper.value_coef)
-            batched = _grads(lambda w: a3c_loss(rollouts, w, config, returns, advantages,
-                                                *coefs), weights)
+            assert_round_grads_match_per_step_oracle(config, weights, t_max, warmup, ends)
 
-            def oracle_loss(w):
-                total = None
-                for r, ret, adv in zip(rollouts, returns, advantages):
-                    term = per_step_a3c_loss(r, w, config, ret, adv, *coefs)
-                    total = term if total is None else ad.add(total, term)
-                return total
 
-            oracle = _grads(oracle_loss, weights)
-            assert set(batched) == set(oracle)
-            for name in oracle:
-                np.testing.assert_allclose(batched[name], oracle[name], rtol=1e-10, atol=0,
-                                           err_msg=f"{name} warmup={warmup} ends={ends}")
+def test_segment_grads_match_per_step_oracle_on_a_5x5_map():
+    # conv_padding=2 leaves a 5x5 ConvLSTM map, so the recurrent gradient's
+    # tap sums run past the corners and edges of the 3x3 default
+    config = small_cfg(conv_padding=2)
+    assert config.feature_hw() == 5
+    weights = init_weights(config, seed=12, dtype=np.float64)
+    assert_round_grads_match_per_step_oracle(config, weights, 6, 3, (None, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +333,26 @@ def test_collect_rollout_builds_no_graph():
         for t in (state.h, state.c, *starts):
             assert t._parents == () and not t.requires_grad
         for step in (s for r in rollouts for s in r.steps):
-            assert isinstance(step.probs, np.ndarray)
-            assert abs(step.log_prob - np.log(step.probs[step.action])) < 1e-12
+            assert set(vars(step)) == {"obs", "action", "reward"}
     assert all(t.grad is None for t in weights.values())
+
+
+def test_collect_rollout_steps_skip_the_value_branch(monkeypatch):
+    # each step's forward skips the value branch; only the bootstrap forward runs it
+    config = small_cfg()
+    weights = init_weights(config, seed=0, dtype=np.float64)
+    calls, forward = [], tr.forward
+    monkeypatch.setattr(tr, "forward", lambda *a, **kw: calls.append(kw.get("with_value", True))
+                        or forward(*a, **kw))
+    envs = [NoisyEnv(n_actions=3, done_at=e, salt=i) for i, e in enumerate((None, 2))]
+    for env in envs:
+        env.reset()
+    rollouts, _ = collect_rollout(envs, weights, config,
+                                  RecurrentState.zeros(config, np.float64, batch=2), 4,
+                                  [np.random.default_rng(i) for i in range(2)])
+    assert [len(r) for r in rollouts] == [4, 2]
+    assert calls == [False] * 4 + [True]
+    assert rollouts[0].bootstrap_value != 0.0 and rollouts[1].bootstrap_value == 0.0
 
 
 @pytest.mark.parametrize("start_done", [False, True], ids=["carried", "reset"])
@@ -354,8 +391,6 @@ def test_collect_rollout_lockstep_rows_equal_each_env_alone():
             got = rollouts[i]
             assert [s.action for s in got.steps] == [s.action for s in ref.steps]
             assert got.terminal == ref.terminal and len(got) == len(ref)
-            np.testing.assert_allclose([s.value for s in got.steps],
-                                       [s.value for s in ref.steps], rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(got.bootstrap_value, ref.bootstrap_value,
                                        rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(state.c.data[i], alone_states[i].c.data,
@@ -373,8 +408,7 @@ def test_collect_rollout_deterministic_given_seed():
                                      RecurrentState.zeros(config, np.float32), 10,
                                      np.random.default_rng(33))
         outs.append(([s.action for s in rollout.steps],
-                     [s.reward for s in rollout.steps],
-                     [s.value for s in rollout.steps]))
+                     [s.reward for s in rollout.steps], rollout.bootstrap_value))
     assert outs[0] == outs[1]
 
 
@@ -520,6 +554,66 @@ def test_train_multiworker_finishes_with_finite_weights(tmp_path):
         lines = fh.read().strip().splitlines()
     assert lines[0] == tr.MetricsWriter.HEADER
     assert len(lines) > 1
+
+
+def test_train_log_line_splits_the_wall_time_into_phases(tmp_path):
+    messages = []
+    train(small_cfg(), Hyperparams(total_steps=60, n_workers=2, t_max=8), EnvSpec(name="catch"),
+          seed=2, out_dir=str(tmp_path), log=messages.append)
+    (line,) = messages
+    # the text before the shares is what benchmark scripts parse
+    assert re.search(r"\(\d+ steps/s, \d+ updates, 0 skipped\); time shares: ", line), line
+    shares = dict(re.findall(r"(\w+) (\d\.\d{3})", line.split("time shares: ")[1]))
+    assert list(shares) == list(tr.PHASES)
+    values = [float(v) for v in shares.values()]
+    assert all(0.0 <= v <= 1.0 for v in values) and sum(values) <= 1.0
+    assert values[0] > 0 and values[2] > 0    # rollout and backward took measurable time
+
+
+@pytest.mark.parametrize("variant, masks", [((False, False), ()), ((True, False), ("policy",)),
+                                            ((True, True), ("policy", "value"))],
+                         ids=["vanilla", "policy", "both"])
+def test_metrics_log_mask_telemetry_per_update(tmp_path, variant, masks):
+    config = small_cfg(policy_mask_enabled=variant[0], value_mask_enabled=variant[1])
+    train(config, Hyperparams(total_steps=40, n_workers=2, t_max=8), EnvSpec(name="catch"),
+          seed=4, out_dir=str(tmp_path))
+    with open(tmp_path / "metrics.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and list(rows[0]) == tr.MetricsWriter.HEADER.split(",")
+    for row in rows:
+        for branch in ("policy", "value"):
+            mean, std = row[f"{branch}_mask_mean"], row[f"{branch}_mask_std"]
+            if branch in masks:
+                assert 0.0 < float(mean) < 1.0 and 0.0 <= float(std) < 0.5
+            else:
+                assert mean == std == ""
+
+
+def test_loss_components_mask_statistics_are_over_the_real_steps():
+    # a ragged round: per branch, the mean over all real steps' mask cells
+    # and the mean over those steps of each mask's spatial std
+    config = small_cfg()
+    weights = init_weights(config, seed=9, dtype=np.float64)
+    envs = [NoisyEnv(n_actions=3, done_at=e, salt=i) for i, e in enumerate((None, 2))]
+    for env in envs:
+        env.reset()
+    rollouts, _ = collect_rollout(envs, weights, config,
+                                  RecurrentState.zeros(config, np.float64, batch=2), 5,
+                                  [np.random.default_rng(i) for i in range(2)])
+    returns = [compute_returns(r, 0.99) for r in rollouts]
+    _, row = a3c_loss(rollouts, weights, config, returns, 0.01, 0.5)
+    for branch, name in (("policy", "m_p"), ("value", "m_v")):
+        masks = []
+        for r in rollouts:
+            state = r.start_state
+            for step in r.steps:
+                trace = forward(step.obs, state, weights, config)
+                state = trace.next_state
+                masks.append(getattr(trace, name).data[0])
+        assert len(masks) == 7
+        np.testing.assert_allclose(row[f"{branch}_mask_mean"], np.mean(masks), rtol=1e-12)
+        np.testing.assert_allclose(row[f"{branch}_mask_std"],
+                                   np.mean([m.std() for m in masks]), rtol=1e-10)
 
 
 def test_periodic_checkpoints_are_named_after_the_step_they_hold(tmp_path):
