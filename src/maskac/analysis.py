@@ -4,6 +4,7 @@ Four instruments over a trained (or random) agent: greedy/sampled score
 evaluation under a mask transform, random-action baselines, heat-map
 recording of the mask maps, and the observation-injection probe that
 watches how masks and the action distribution react to planted pixels.
+They and the training rollout play their envs through one driver, ``lockstep``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .envs import make_env
 from .netpbm import write_pgm, write_ppm
 from .network import RecurrentState, forward, weight_names
-from .training import sample_action, train
 
 OVERLAY_ALPHA = 0.5
 # Most episodes ``evaluate`` steps in lockstep.  32 rows halve the
@@ -116,34 +116,42 @@ def _seeded_episodes(env_spec, episodes, seed):
     return envs, rngs
 
 
-def _lockstep(weights, config, envs, rngs, mask_transform="identity", greedy=True,
-              with_value=True):
+def sample_action(probs, rng):
+    """Categorical draw via the cumulative distribution."""
+    u = rng.random()
+    idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+    return min(idx, len(probs) - 1)
+
+
+def lockstep(weights, config, envs, rngs, mask_transform="identity", greedy=True,
+             with_value=True, state=None, obs=None):
     """Play ``envs`` side by side to their ends, one batched ``forward`` per env step.
 
-    Yields ``(t, rows, obs, trace, actions)`` before each step: ``rows``
-    are the indices into ``envs`` still running, and ``obs``, ``trace``
-    and ``actions`` hold one row for each of them.  Finished envs drop
-    out of the batch; a batch of one computes what the unbatched
-    ``forward`` does, bit for bit.  ``with_value=False`` skips the value
-    branch, which no action reads.
+    ``state`` [N,L,h,w] and ``obs`` (one frame per env) pick up envs where
+    a caller left them; by default the state is zeros and the frames come
+    from ``observe``.  Yields ``(t, rows, obs, trace, actions, results)``
+    after each step: ``rows`` are the indices into ``envs`` that stepped,
+    and ``obs`` [B,H,W], ``trace``, ``actions`` and the envs' step
+    ``results`` hold one row for each of them.  Finished envs drop out of
+    the batch; a batch of one computes what the unbatched ``forward``
+    does, bit for bit.  ``with_value=False`` skips the value branch, which
+    no action reads.
     """
     rows = list(range(len(envs)))
-    obs = [env.observe() for env in envs]
-    state = RecurrentState.zeros(config, weights["fe1.w"].dtype, batch=len(envs))
+    obs = [env.observe() for env in envs] if obs is None else obs
+    if state is None:
+        state = RecurrentState.zeros(config, weights["fe1.w"].dtype, batch=len(envs))
     t = 0
     while rows:
-        obs = np.stack(obs)
+        obs = np.array(obs)
         trace = forward(obs[:, None], state, weights, config, mask_transform=mask_transform,
                         with_value=with_value)
         actions = [int(np.argmax(probs)) if greedy else sample_action(probs, rngs[i])
                    for i, probs in zip(rows, trace.policy.data)]
-        yield t, rows, obs, trace, actions
-        obs, keep = [], []
-        for k, (i, action) in enumerate(zip(rows, actions)):
-            result = envs[i].step(action)
-            if not result.done:
-                obs.append(result.obs)
-                keep.append(k)
+        results = [envs[i].step(action) for i, action in zip(rows, actions)]
+        yield t, rows, obs, trace, actions, results
+        keep = [k for k, result in enumerate(results) if not result.done]
+        obs = [results[k].obs for k in keep]
         state = trace.next_state
         if len(keep) < len(rows):
             state = RecurrentState(Tensor(state.h.data[keep]), Tensor(state.c.data[keep]))
@@ -166,8 +174,8 @@ def evaluate(weights, config, env_spec, episodes, mask_transform="identity",
     for first in range(0, episodes, EVAL_GROUP):
         envs, rngs = _seeded_episodes(env_spec, range(first, min(first + EVAL_GROUP, episodes)),
                                       seed)
-        for _ in _lockstep(weights, config, envs, rngs, mask_transform, greedy,
-                           with_value=False):
+        for _ in lockstep(weights, config, envs, rngs, mask_transform, greedy,
+                          with_value=False):
             pass
         returns.extend(env.score for env in envs)
     return EpisodeStats.from_returns(returns)
@@ -227,7 +235,7 @@ def record_heatmaps(weights, config, env_spec, episodes, seed, out_dir, greedy=T
     for ep in range(episodes):
         envs, rngs = _seeded_episodes(env_spec, [ep], seed)
         index_rows = []
-        for t, _, obs, trace, (action,) in _lockstep(weights, config, envs, rngs, greedy=greedy):
+        for t, _, obs, trace, (action,), _ in lockstep(weights, config, envs, rngs, greedy=greedy):
             obs, probs = obs[0], trace.policy.data[0]
             value = float(trace.value.data[0, 0])
             for branch in branches:
@@ -279,7 +287,7 @@ def injection_response(weights, config, env_spec, spec, window, seed):
     region = stencil_region_cells(spec.stencil, spec.position, env_spec.size,
                                   config.feature_hw())
     rows = []
-    for t, _, _, trace, _ in _lockstep(weights, config, envs, rngs):
+    for t, _, _, trace, _, _ in lockstep(weights, config, envs, rngs):
         if t >= first:
             row = {"t": t, "injected": spec.active(t),
                    "value": float(trace.value.data[0, 0]),
@@ -331,6 +339,8 @@ def compare_variants(env_spec, config, seeds, hyper, episodes, out_dir,
     the step budget is reused, not trained again; the other hyperparameters
     are not stored in checkpoints and are not compared.
     """
+    from .training import train  # here to avoid an import cycle
+
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for variant, pol, val in VARIANTS:

@@ -3,19 +3,20 @@
 N workers, each with its own environment, action rng and recurrent
 state, play in lockstep rounds (synchronous A2C, or PAAC: Clemente et
 al. 2017).  A round snapshots the shared parameters, steps all N envs
-together for up to ``t_max`` steps, one batched ``forward`` per step,
+together for up to ``t_max`` steps through ``analysis.lockstep``, the
+driver the analysis instruments play their episodes with, and
 backpropagates the sum of the N segments' actor-critic losses
 (truncated through time at each segment's start) and applies the
 clipped gradient to the shared store once.  A fixed seed reproduces a
 run whatever the worker count, and with one worker a round is one A3C
 cycle.
 
-The rollout builds no graph and skips the value branch: it keeps each
-step's observation, action and reward, plus the recurrent state each
-segment started from.  The learner then recomputes all N segments with
-one ``forward_segment`` over [N,T,...], takes the values, log-probs,
-entropies and advantages from that pass, and backpropagates that single
-graph.
+The rollout builds no graph and skips the value branch: it returns the
+round as a ``Round`` of arrays, each step's observation, action and
+reward plus the recurrent state each segment started from.  The learner
+then recomputes all N segments with one ``forward_segment`` over
+[N,T,...], takes the values, log-probs, entropies and advantages from
+that pass, and backpropagates that single graph.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .analysis import lockstep
 from .autodiff import Tensor
 from .envs import make_env
 from .network import RecurrentState, forward, forward_segment, init_weights
@@ -55,6 +57,8 @@ class Hyperparams:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.t_max < 1 or self.n_workers < 1:
             raise ValueError("t_max and n_workers must be >= 1")
+        if self.total_steps < 0:
+            raise ValueError(f"total_steps must be >= 0, got {self.total_steps}")
         for name in ("entropy_coef", "value_coef"):
             if not (0.0 <= getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
@@ -67,123 +71,95 @@ class Hyperparams:
 
 
 @dataclass
-class RolloutStep:
+class Round:
+    """The N segments of one lockstep round, each as wide as the longest, T steps.
+
+    ``obs`` [N,T,H,W], ``actions`` and ``rewards`` [N,T] are zero past each
+    segment's ``lengths`` [N].  ``terminal`` [N] marks the segments that
+    ended their episode, ``bootstrap`` [N] holds the value of the state
+    after each one (0 where it ended), and ``start_state`` [N,L,h,w] the
+    recurrent state before its first step.
+    """
+
     obs: np.ndarray
-    action: int
-    reward: float
-
-
-@dataclass
-class Rollout:
-    """One segment; ``start_state`` is the recurrent state before its first step."""
-
-    steps: list
-    bootstrap_value: float
-    terminal: bool
-    start_state: RecurrentState | None = None
-
-    def __len__(self):
-        return len(self.steps)
-
-
-def sample_action(probs, rng):
-    """Categorical draw via the cumulative distribution."""
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    return min(idx, len(probs) - 1)
+    actions: np.ndarray
+    rewards: np.ndarray
+    lengths: np.ndarray
+    terminal: np.ndarray
+    bootstrap: np.ndarray
+    start_state: RecurrentState
 
 
 def collect_rollout(envs, weights, config, state, t_max, rngs):
-    """Step ``envs`` in lockstep for up to t_max steps without a graph; one rollout per env.
+    """Step ``envs`` in lockstep for up to t_max steps without a graph; one segment per env.
 
     ``state`` [N,L,h,w] holds each env's recurrent state, and ``rngs`` its
-    action rng.  Each step is one batched ``forward`` without the value
-    branch over the envs still running; an env whose episode ends drops
-    out, its state resets to zeros and its bootstrap value is 0.  One more
-    batched full ``forward`` gives the bootstrap values of the envs that
-    did not finish.  An env that starts the round done is reset first.  The envs render each frame
+    action rng.  The steps run through ``lockstep`` without the value
+    branch; an env whose episode ends drops out, its state resets to zeros
+    and its bootstrap value is 0.  One more batched full ``forward`` gives
+    the bootstrap values of the envs that did not finish.  An env that
+    starts the round done is reset first.  The envs render each frame
     once: a segment's first frame comes from ``observe`` (or ``reset``),
-    every later one from the step that made it.  Returns the rollouts, in
-    env order, and the [N,...] state to carry into the next round.
+    every later one from the step that made it.  Returns the ``Round``
+    and the [N,...] state to carry into the next round.
     """
     frozen = {k: Tensor(t.data) for k, t in weights.items()}   # no requires_grad: no graph
     h, c = state.h.data.copy(), state.c.data.copy()
-    obs = []
-    for i, env in enumerate(envs):
-        if env.done:
-            obs.append(env.reset())
-            h[i] = 0
-            c[i] = 0
-        else:
-            obs.append(env.observe())
-    rollouts = [Rollout([], 0.0, False, RecurrentState(Tensor(h[i]), Tensor(c[i])))
-                for i in range(len(envs))]
-    rows = list(range(len(envs)))          # the envs still running, in batch order
-    live = RecurrentState(Tensor(h), Tensor(c))
-    for _ in range(t_max):
-        trace = forward(np.array(obs)[:, None], live, frozen, config, with_value=False)
-        frames, obs, keep = obs, [], []
-        for k, i in enumerate(rows):
-            action = sample_action(trace.policy.data[k], rngs[i])
-            res = envs[i].step(action)
-            rollouts[i].steps.append(RolloutStep(frames[k], action, res.reward))
-            if res.done:
-                rollouts[i].terminal = True
-            else:
-                obs.append(res.obs)
-                keep.append(k)
-        live = trace.next_state
-        if len(keep) < len(rows):
-            live = RecurrentState(Tensor(live.h.data[keep]), Tensor(live.c.data[keep]))
-            rows = [rows[k] for k in keep]
-        if not rows:
+    fresh = [i for i, env in enumerate(envs) if env.done]
+    h[fresh] = c[fresh] = 0
+    obs = [env.reset() if env.done else env.observe() for env in envs]
+    start = RecurrentState(Tensor(h), Tensor(c))
+    steps = []              # per step: its rows' envs, step index, frames, actions, rewards
+    for t, rows, frames, trace, actions, results in lockstep(
+            frozen, config, envs, rngs, greedy=False, with_value=False, state=start, obs=obs):
+        steps.append((rows, [t] * len(rows), frames, actions, [r.reward for r in results]))
+        if t + 1 == t_max:
             break
+    # the envs still running after the last step carry their state and get a bootstrap value
+    live = [k for k, r in enumerate(results) if not r.done]
+    ends = [rows[k] for k in live]
+    env_of, step_of, frames, actions, rewards = (np.concatenate(part) for part in zip(*steps))
+    n, nt = len(envs), (len(envs), len(steps))                  # nt: the [N,T] shape
+    rnd = Round(np.zeros(nt + frames.shape[1:], frames.dtype), np.zeros(nt, np.int64),
+                np.zeros(nt), np.bincount(env_of, minlength=n),
+                np.array([env.done for env in envs]), np.zeros(n), start)
+    at = (env_of, step_of)
+    rnd.obs[at], rnd.actions[at], rnd.rewards[at] = frames, actions, rewards
     h, c = np.zeros_like(h), np.zeros_like(c)
-    if rows:
-        h[rows], c[rows] = live.h.data, live.c.data
-        values = forward(np.array(obs)[:, None], live, frozen, config).value.data[:, 0]
-        for i, value in zip(rows, values.tolist()):
-            rollouts[i].bootstrap_value = value
-    return rollouts, RecurrentState(Tensor(h), Tensor(c))
+    if live:
+        h[ends], c[ends] = trace.next_state.h.data[live], trace.next_state.c.data[live]
+        last = np.stack([results[k].obs for k in live])[:, None]
+        rnd.bootstrap[ends] = forward(last, RecurrentState(Tensor(h[ends]), Tensor(c[ends])),
+                                      frozen, config).value.data[:, 0]
+    return rnd, RecurrentState(Tensor(h), Tensor(c))
 
 
-def compute_returns(rollout, gamma):
-    """R_t = r_t + gamma * R_{t+1}, seeded with the bootstrap value."""
-    acc = rollout.bootstrap_value
-    returns = []
-    for step in reversed(rollout.steps):
-        acc = step.reward + gamma * acc
-        returns.append(acc)
-    returns.reverse()
+def compute_returns(rnd, gamma):
+    """[N,T] R_t = r_t + gamma * R_{t+1} per segment, from its bootstrap; 0 past its length."""
+    returns = np.zeros_like(rnd.rewards)
+    acc = rnd.bootstrap
+    for t in reversed(range(returns.shape[1])):
+        real = t < rnd.lengths
+        acc = np.where(real, rnd.rewards[:, t] + gamma * acc, acc)
+        returns[real, t] = acc[real]
     return returns
 
 
-def a3c_loss(rollouts, weights, config, returns, entropy_coef, value_coef, advantages=None):
+def a3c_loss(rnd, weights, config, returns, entropy_coef, value_coef):
     """Sum over a round's segments of their policy, value, and entropy terms, and their log row.
 
-    ``returns`` holds one list per segment.  All segments are recomputed
-    with a graph through one ``forward_segment``, their observations
-    padded to the longest; a padded step enters no term.  The advantages
-    are R - V from that pass's values, unless ``advantages`` (one list per
-    segment) fixes them.  Advantages and returns enter as constants: the
-    policy term pushes log-probabilities only, the value term pushes the
-    critic only.  Returns the loss and ``loss_components``' log row.
+    ``returns`` are ``rnd``'s [N,T] returns.  All segments are recomputed
+    with a graph through one ``forward_segment``; a step past a segment's
+    length enters no term.  The advantages are R - V from that pass's
+    values.  Advantages and returns enter as constants: the policy term
+    pushes log-probabilities only, the value term pushes the critic only.
     """
-    lengths = [len(r) for r in rollouts]
-    if lengths != [len(x) for x in returns] or (
-            advantages is not None and lengths != [len(x) for x in advantages]):
-        raise ValueError("rollouts, returns and advantages must have equal lengths")
-    steps = [s for r in rollouts for s in r.steps]
-    dtype = weights["fe1.w"].dtype
-    obs = np.zeros((len(rollouts), max(lengths)) + np.shape(steps[0].obs), dtype=dtype)
-    for i, r in enumerate(rollouts):
-        obs[i, :len(r)] = [s.obs for s in r.steps]
-    start = RecurrentState(Tensor(np.stack([r.start_state.h.data for r in rollouts])),
-                           Tensor(np.stack([r.start_state.c.data for r in rollouts])))
-    trace = forward_segment(obs, start, weights, config, lengths)
+    if np.shape(returns) != rnd.actions.shape:
+        raise ValueError(f"returns must be [N,T] = {rnd.actions.shape}, got {np.shape(returns)}")
+    real = np.arange(rnd.actions.shape[1]) < rnd.lengths[:, None]
+    trace = forward_segment(rnd.obs, rnd.start_state, weights, config, rnd.lengths)
     (policy_term, value_term, neg_entropy), row = loss_components(
-        trace, [s.action for s in steps], np.concatenate(returns),
-        None if advantages is None else np.concatenate(advantages))
+        trace, rnd.actions[real], returns[real])
     loss = ad.add(policy_term, ad.add(ad.mul(value_term, float(value_coef)),
                                       ad.mul(neg_entropy, float(entropy_coef))))
     return loss, row
@@ -355,21 +331,20 @@ def _worker_loop(envs, rngs, shared, config, hyper, metrics, save_snapshot, chec
     while shared.steps < hyper.total_steps:
         t0 = time.perf_counter()
         weights = sync_local(shared)
-        rollouts, state = collect_rollout(envs, weights, config, state, hyper.t_max, rngs)
+        rnd, state = collect_rollout(envs, weights, config, state, hyper.t_max, rngs)
         t1 = time.perf_counter()
-        returns = [compute_returns(r, hyper.gamma) for r in rollouts]
-        loss, row = a3c_loss(rollouts, weights, config, returns,
-                             hyper.entropy_coef, hyper.value_coef)
+        returns = compute_returns(rnd, hyper.gamma)
+        loss, row = a3c_loss(rnd, weights, config, returns, hyper.entropy_coef, hyper.value_coef)
         t2 = time.perf_counter()
         ad.backward(loss)
         del loss                      # frees the round's graph before the update
         t3 = time.perf_counter()
         grads = {k: t.grad for k, t in weights.items() if t.grad is not None}
-        norm = apply_gradients(shared, grads, hyper, sum(len(r) for r in rollouts))
+        norm = apply_gradients(shared, grads, hyper, int(rnd.lengths.sum()))
         t4 = time.perf_counter()
         for phase, dt in zip(PHASES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
             seconds[phase] += dt
-        ended = [env.score for env, r in zip(envs, rollouts) if r.terminal]
+        ended = [env.score for env, done in zip(envs, rnd.terminal) if done]
         metrics.log(shared.steps, float(np.mean(ended)) if ended else None, row, norm)
         if checkpoint_interval and shared.steps // checkpoint_interval > saved_mark:
             saved_mark = shared.steps // checkpoint_interval

@@ -8,9 +8,9 @@ it checks.
 import numpy as np
 
 from maskac import autodiff as ad
+from maskac.analysis import sample_action
 from maskac.envs import make_env
 from maskac.network import RecurrentState, forward
-from maskac.training import sample_action
 
 
 def pick(a, index):
@@ -175,8 +175,9 @@ def catch_random_expectation(size=20, paddle_half=3):
     return total / n_cases
 
 
-def per_step_a3c_loss(rollout, weights, config, returns, entropy_coef, value_coef):
-    """The segment's actor-critic loss built one step at a time.
+def per_step_a3c_loss(obs, actions, start_state, weights, config, returns, entropy_coef,
+                      value_coef):
+    """The actor-critic loss of one segment's frames and actions, built one step at a time.
 
     One graph-building ``forward`` per step, carrying the recurrent state
     with its graph from the segment's start state, then per-step policy,
@@ -184,14 +185,14 @@ def per_step_a3c_loss(rollout, weights, config, returns, entropy_coef, value_coe
     R - V takes V from that step's own forward, as a constant.  The
     batched learner must produce the same gradients.
     """
-    state = rollout.start_state
+    state = start_state
     total = None
-    for step, ret in zip(rollout.steps, returns):
-        trace = forward(step.obs, state, weights, config)
+    for frame, action, ret in zip(obs, actions, returns):
+        trace = forward(frame, state, weights, config)
         state = trace.next_state
         adv = ret - float(trace.value.data[0])
         logp = ad.log_softmax(trace.policy_logits)
-        picked = pick(logp, step.action)
+        picked = pick(logp, action)
         entropy = ad.mul(ad.sum_all(ad.mul(trace.policy, logp)), -1.0)
         verr = ad.add(pick(trace.value, 0), -float(ret))
         term = ad.add(ad.mul(picked, -float(adv)),

@@ -273,7 +273,8 @@ def test_config_defaults_are_the_documented_keys_and_texts():
     ("entropy_coef", "nan"), ("entropy_coef", "-0.01"), ("value_coef", "nan"),
     ("value_coef", "inf"), ("seed", "-1"), ("seeds", "0,-1"),
     ("episode_cap", "0"), ("episode_step_cap", "10000"), ("precision", "double"),
-    ("checkpoint_interval", "-5"), ("size", "513"), ("size", "99999999999999999999"),
+    ("checkpoint_interval", "-5"), ("total_steps", "-5"), ("size", "513"),
+    ("size", "99999999999999999999"),
 ])
 def test_config_value_that_breaks_a_run_exits_2_with_one_line(tmp_path, capsys, key, value):
     settings = dict(total_steps="20", n_workers="1", conv_stride="1",

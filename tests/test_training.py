@@ -1,6 +1,7 @@
 """Returns/loss math, the shared RMSProp store, and the lockstep training loop."""
 
 import csv
+import dataclasses
 import os
 import re
 from pathlib import Path
@@ -8,15 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from maskac import analysis
 from maskac import autodiff as ad
 from maskac import training as tr
 from maskac.autodiff import Tensor
 from maskac.checkpoint import load_checkpoint
 from maskac.envs import EnvSpec, StepResult, _BaseEnv, make_env
-from maskac.network import NetworkConfig, RecurrentState, forward, init_weights
-from maskac.training import (Hyperparams, Rollout, RolloutStep, SharedParams,
-                             a3c_loss, apply_gradients, collect_rollout,
-                             compute_returns, sync_local, train)
+from maskac.network import NetworkConfig, RecurrentState, forward, forward_segment, init_weights
+from maskac.training import (Hyperparams, Round, SharedParams, a3c_loss, apply_gradients,
+                             collect_rollout, compute_returns, loss_components, sync_local,
+                             train)
 
 from oracles import (discounted_returns_oracle, grad_check, per_step_a3c_loss,
                      rmsprop_apply_oracle)
@@ -75,45 +77,69 @@ class NoisyEnv(ScriptedEnv):
 def collect_one(env, weights, config, state, t_max, rng):
     """``collect_rollout`` on a round of one env, with an unbatched state."""
     batched = RecurrentState(Tensor(state.h.data[None]), Tensor(state.c.data[None]))
-    (rollout,), state = collect_rollout([env], weights, config, batched, t_max, [rng])
-    return rollout, RecurrentState(Tensor(state.h.data[0]), Tensor(state.c.data[0]))
+    rnd, state = collect_rollout([env], weights, config, batched, t_max, [rng])
+    return rnd, RecurrentState(Tensor(state.h.data[0]), Tensor(state.c.data[0]))
 
 
-def zero_head_rollout(k_actions, t_steps):
-    """A real segment under weights whose output heads are zero: uniform policy, zero value."""
+def make_round(rewards, bootstrap=None, obs=None, actions=None, start_state=None):
+    """A ``Round`` of the segments given as per-segment lists, zero-padded to the longest."""
+    lengths = np.array([len(r) for r in rewards])
+
+    def padded(segments, dtype):
+        out = np.zeros((len(rewards), lengths.max()) + np.shape(segments[0][0]), dtype=dtype)
+        for i, segment in enumerate(segments):
+            out[i, :len(segment)] = segment
+        return out
+
+    return Round(obs=None if obs is None else padded(obs, np.float64),
+                 actions=padded(actions or [[0] * len(r) for r in rewards], np.int64),
+                 rewards=padded(rewards, np.float64), lengths=lengths,
+                 terminal=np.zeros(len(rewards), dtype=bool),
+                 bootstrap=np.zeros(len(rewards)) if bootstrap is None else np.array(bootstrap),
+                 start_state=start_state)
+
+
+def zero_head_round(k_actions, t_steps):
+    """A one-segment round under weights whose output heads are zero: uniform policy, zero value."""
     config = small_cfg(n_actions=k_actions)
     weights = init_weights(config, seed=0, dtype=np.float64)
     for name in ("policy_out.w", "policy_out.b", "value_out.w", "value_out.b"):
         weights[name].data[...] = 0.0
-    env = NoisyEnv()
-    steps = [RolloutStep(obs=env.reset(), action=0, reward=0.0) for _ in range(t_steps)]
-    return Rollout(steps, 0.0, True, RecurrentState.zeros(config, np.float64)), weights, config
+    obs = NoisyEnv().reset()
+    rnd = make_round([[0.0] * t_steps], obs=[[obs] * t_steps],
+                     start_state=RecurrentState.zeros(config, np.float64, batch=1))
+    return rnd, weights, config
 
 
 # ---------------------------------------------------------------------------
 # returns
 
 def test_returns_gamma_zero_copies_rewards():
-    steps = [RolloutStep(None, 0, r) for r in (1.0, -0.5, 2.0)]
-    assert compute_returns(Rollout(steps, 5.0, False), gamma=0.0) == [1.0, -0.5, 2.0]
+    returns = compute_returns(make_round([[1.0, -0.5, 2.0]], [5.0]), gamma=0.0)
+    assert returns.tolist() == [[1.0, -0.5, 2.0]]
 
 
 def test_returns_single_step_bootstrap():
-    steps = [RolloutStep(None, 0, 1.0)]
-    returns = compute_returns(Rollout(steps, 2.0, False), gamma=0.99)
-    assert abs(returns[0] - 2.98) < 1e-12
+    returns = compute_returns(make_round([[1.0]], [2.0]), gamma=0.99)
+    assert returns.shape == (1, 1) and abs(returns[0, 0] - 2.98) < 1e-12
 
 
 def test_returns_match_direct_sum_oracle_exhaustively():
     rng = np.random.default_rng(0)
+    segments = []          # (rewards, bootstrap): one round each, then all as one ragged round
     for length in range(1, 9):
         for terminal in (True, False):
             rewards = rng.uniform(-1, 1, size=length).tolist()
-            bootstrap = 0.0 if terminal else float(rng.uniform(-2, 2))
-            steps = [RolloutStep(None, 0, r) for r in rewards]
-            returns = compute_returns(Rollout(steps, bootstrap, terminal), gamma=0.97)
-            expected = discounted_returns_oracle(rewards, bootstrap, 0.97)
-            np.testing.assert_allclose(returns, expected, atol=1e-12, rtol=0)
+            segments.append((rewards, 0.0 if terminal else float(rng.uniform(-2, 2))))
+    rounds = [[segment] for segment in segments] + [segments]
+    for round_segments in rounds:
+        rewards, bootstraps = zip(*round_segments)
+        returns = compute_returns(make_round(list(rewards), list(bootstraps)), gamma=0.97)
+        assert returns.shape == (len(rewards), max(len(r) for r in rewards))
+        for row, r, b in zip(returns, rewards, bootstraps):
+            expected = discounted_returns_oracle(r, b, 0.97)
+            np.testing.assert_allclose(row[:len(r)], expected, atol=1e-12, rtol=0)
+            assert not row[len(r):].any()
 
 
 # ---------------------------------------------------------------------------
@@ -121,26 +147,25 @@ def test_returns_match_direct_sum_oracle_exhaustively():
 
 def test_loss_reduces_to_entropy_term():
     k, t, coef = 4, 3, 0.01
-    rollout, weights, config = zero_head_rollout(k, t)
-    returns = [0.0] * t        # value head predicts 0 exactly, so every advantage is 0
-    loss, row = a3c_loss([rollout], weights, config, [returns], entropy_coef=coef,
-                         value_coef=0.5)
+    rnd, weights, config = zero_head_round(k, t)
+    returns = np.zeros((1, t))   # value head predicts 0 exactly, so every advantage is 0
+    loss, row = a3c_loss(rnd, weights, config, returns, entropy_coef=coef, value_coef=0.5)
     assert abs(float(loss.data) - (-coef * t * np.log(k))) < 1e-12
     assert row["policy_loss"] == 0.0 and row["value_loss"] == 0.0
     assert abs(row["entropy"] - np.log(k)) < 1e-12
 
 
 def test_loss_single_step_policy_term_only():
-    rollout, weights, config = zero_head_rollout(3, 1)
-    loss, _ = a3c_loss([rollout], weights, config, [[1.7]], entropy_coef=0.0, value_coef=0.0,
-                       advantages=[[2.5]])
-    assert abs(float(loss.data) - (-np.log(1 / 3) * 2.5)) < 1e-12
+    rnd, weights, config = zero_head_round(3, 1)
+    trace = forward_segment(rnd.obs, rnd.start_state, weights, config, rnd.lengths)
+    (policy_term, _, _), _ = loss_components(trace, [0], [1.7], advantages=np.array([2.5]))
+    assert abs(float(policy_term.data) - (-np.log(1 / 3) * 2.5)) < 1e-12
 
 
 def test_loss_derives_the_advantage_from_the_learner_value():
     # the value head predicts 0, so the derived advantage R - V is the return
-    rollout, weights, config = zero_head_rollout(3, 1)
-    loss, row = a3c_loss([rollout], weights, config, [[1.7]], entropy_coef=0.0,
+    rnd, weights, config = zero_head_round(3, 1)
+    loss, row = a3c_loss(rnd, weights, config, np.array([[1.7]]), entropy_coef=0.0,
                          value_coef=0.0)
     assert abs(float(loss.data) - (-np.log(1 / 3) * 1.7)) < 1e-12
     assert abs(row["policy_loss"] - float(loss.data)) < 1e-12
@@ -148,25 +173,28 @@ def test_loss_derives_the_advantage_from_the_learner_value():
 
 
 def test_loss_rejects_length_mismatch():
-    rollout, weights, config = zero_head_rollout(3, 2)
-    with pytest.raises(ValueError):
-        a3c_loss([rollout], weights, config, [[0.0]], 0.0, 0.0)
-    with pytest.raises(ValueError):
-        a3c_loss([rollout], weights, config, [[0.0, 0.0]], 0.0, 0.0, advantages=[[0.0]])
+    rnd, weights, config = zero_head_round(3, 2)
+    for returns in (np.zeros((1, 1)), np.zeros((2, 2)), np.zeros(2)):
+        with pytest.raises(ValueError):
+            a3c_loss(rnd, weights, config, returns, 0.0, 0.0)
 
 
 def frozen_loss_fn(config, obs_seq, actions, returns, advantages, hyper, dtype):
     """Replays the recorded decisions under fresh weights with fixed advantages; fd-checkable.
 
     Advantages derived from the weights' own values would move with every
-    perturbed weight, so finite differences would see through their stop-gradient.
+    perturbed weight, so finite differences would see through their
+    stop-gradient; so the loss is ``a3c_loss``'s sum built from
+    ``forward_segment`` and ``loss_components`` with the advantages given.
     """
-    steps = [RolloutStep(obs, action, 0.0) for obs, action in zip(obs_seq, actions)]
-    rollout = Rollout(steps, 0.0, False, RecurrentState.zeros(config, dtype))
+    start = RecurrentState.zeros(config, dtype, batch=1)
 
     def f(weights):
-        return a3c_loss([rollout], weights, config, [returns], hyper.entropy_coef,
-                        hyper.value_coef, advantages=[advantages])[0]
+        trace = forward_segment(np.array(obs_seq)[None], start, weights, config, [len(obs_seq)])
+        (policy_term, value_term, neg_entropy), _ = loss_components(
+            trace, actions, np.asarray(returns), np.asarray(advantages))
+        return ad.add(policy_term, ad.add(ad.mul(value_term, hyper.value_coef),
+                                          ad.mul(neg_entropy, hyper.entropy_coef)))
     return f
 
 
@@ -180,8 +208,7 @@ def random_frozen_rollout(config, seed, n_steps=3):
     rewards = rng.uniform(-1, 1, size=n_steps).tolist()
     values = rng.uniform(-1, 1, size=n_steps).tolist()
     bootstrap = float(rng.uniform(-1, 1))
-    steps = [RolloutStep(o, a, r) for o, a, r in zip(obs_seq, actions, rewards)]
-    returns = compute_returns(Rollout(steps, bootstrap, False), 0.99)
+    returns = compute_returns(make_round([rewards], [bootstrap]), 0.99)[0].tolist()
     advantages = [r - v for r, v in zip(returns, values)]
     return weights, obs_seq, actions, returns, advantages
 
@@ -205,9 +232,10 @@ def test_advantage_is_stop_gradient_in_policy_term():
     # the policy term pushes log-probabilities only
     config = small_cfg()
     weights, obs_seq, actions, returns, _ = random_frozen_rollout(config, seed=6)
-    steps = [RolloutStep(obs, action, 0.0) for obs, action in zip(obs_seq, actions)]
-    rollout = Rollout(steps, 0.0, False, RecurrentState.zeros(config, np.float64))
-    grads = _grads(lambda w: a3c_loss([rollout], w, config, [returns], 0.0, 0.0)[0], weights)
+    rnd = make_round([[0.0] * len(actions)], obs=[obs_seq], actions=[actions],
+                     start_state=RecurrentState.zeros(config, np.float64, batch=1))
+    grads = _grads(lambda w: a3c_loss(rnd, w, config, np.array([returns]), 0.0, 0.0)[0],
+                   weights)
     for name in ("value_branch.w", "value_branch.b", "value_mask.w", "value_out.w",
                  "value_out.b"):
         assert not grads[name].any(), name
@@ -244,20 +272,23 @@ def assert_round_grads_match_per_step_oracle(config, weights, t_max, warmup, end
     state = RecurrentState.zeros(config, np.float64, batch=len(envs))
     if warmup:
         _, state = collect_rollout(envs, weights, config, state, warmup, rngs)
-    rollouts, _ = collect_rollout(envs, weights, config, state, t_max, rngs)
-    assert [len(r) for r in rollouts] == [t_max if e is None else e for e in ends]
-    assert [r.terminal for r in rollouts] == [e is not None for e in ends]
-    for r in rollouts:
-        assert (np.abs(r.start_state.c.data).max() > 0) == bool(warmup)
-    returns = [compute_returns(r, hyper.gamma) for r in rollouts]
+    rnd, _ = collect_rollout(envs, weights, config, state, t_max, rngs)
+    assert rnd.lengths.tolist() == [t_max if e is None else e for e in ends]
+    assert rnd.terminal.tolist() == [e is not None for e in ends]
+    for c in rnd.start_state.c.data:
+        assert (np.abs(c).max() > 0) == bool(warmup)
+    returns = compute_returns(rnd, hyper.gamma)
     coefs = (hyper.entropy_coef, hyper.value_coef)
     # each side derives its advantages from its own values
-    batched = _grads(lambda w: a3c_loss(rollouts, w, config, returns, *coefs)[0], weights)
+    batched = _grads(lambda w: a3c_loss(rnd, w, config, returns, *coefs)[0], weights)
 
     def oracle_loss(w):
         total = None
-        for r, ret in zip(rollouts, returns):
-            term = per_step_a3c_loss(r, w, config, ret, *coefs)
+        for i, n in enumerate(rnd.lengths):
+            start = RecurrentState(Tensor(rnd.start_state.h.data[i]),
+                                   Tensor(rnd.start_state.c.data[i]))
+            term = per_step_a3c_loss(rnd.obs[i, :n], rnd.actions[i, :n], start, w, config,
+                                     returns[i, :n], *coefs)
             total = term if total is None else ad.add(total, term)
         return total
 
@@ -296,13 +327,14 @@ def test_collect_rollout_fixed_length_single_action():
     weights = init_weights(config, seed=0, dtype=np.float64)
     env = ScriptedEnv(n_actions=1)
     env.reset()
-    rollout, _ = collect_one(env, weights, config,
-                                 RecurrentState.zeros(config, np.float64), 3,
-                                 np.random.default_rng(0))
-    assert len(rollout) == 3
-    assert [s.action for s in rollout.steps] == [0, 0, 0]
-    assert not rollout.terminal
-    assert rollout.bootstrap_value != 0.0 or True  # bootstrap computed, not forced to 0
+    rnd, state = collect_one(env, weights, config, RecurrentState.zeros(config, np.float64), 3,
+                             np.random.default_rng(0))
+    assert rnd.lengths.tolist() == [3] and rnd.obs.shape[:2] == (1, 3)
+    assert rnd.actions.tolist() == [[0, 0, 0]]
+    assert not rnd.terminal[0]
+    # the bootstrap is the value of the frame after the segment, from the carried state
+    value = forward(env.observe(), state, weights, config).value.data
+    assert rnd.bootstrap.tolist() == [float(value.ravel()[0])]
 
 
 def test_collect_rollout_stops_at_terminal():
@@ -310,12 +342,54 @@ def test_collect_rollout_stops_at_terminal():
     weights = init_weights(config, seed=0, dtype=np.float64)
     env = ScriptedEnv(n_actions=1, done_at=2)
     env.reset()
-    rollout, _ = collect_one(env, weights, config,
-                                 RecurrentState.zeros(config, np.float64), 5,
-                                 np.random.default_rng(0))
-    assert len(rollout) == 2
-    assert rollout.terminal
-    assert rollout.bootstrap_value == 0.0
+    rnd, _ = collect_one(env, weights, config, RecurrentState.zeros(config, np.float64), 5,
+                         np.random.default_rng(0))
+    assert rnd.lengths.tolist() == [2] and rnd.obs.shape[:2] == (1, 2)
+    assert rnd.terminal[0]
+    assert rnd.bootstrap[0] == 0.0
+
+
+def test_collect_rollout_round_is_as_wide_as_the_steps_taken():
+    # a catch episode ends after 19 steps, whatever the step budget
+    config = small_cfg()
+    weights = init_weights(config, seed=0)
+    env = make_env(EnvSpec(name="catch", seed=1))
+    rnd, _ = collect_one(env, weights, config, RecurrentState.zeros(config), 10 ** 6,
+                         np.random.default_rng(0))
+    assert rnd.obs.shape == (1, 19, 20, 20)
+    assert rnd.actions.shape == rnd.rewards.shape == (1, 19)
+    assert rnd.lengths.tolist() == [19] and rnd.terminal.tolist() == [True]
+
+
+def test_round_padding_is_zero_and_moves_no_loss_or_gradient():
+    config = small_cfg()
+    weights = init_weights(config, seed=8, dtype=np.float64)
+    envs = [NoisyEnv(n_actions=3, done_at=e, salt=i) for i, e in enumerate((None, 2))]
+    for env in envs:
+        env.reset()
+    rnd, _ = collect_rollout(envs, weights, config,
+                             RecurrentState.zeros(config, np.float64, batch=2), 5,
+                             [np.random.default_rng(i) for i in range(2)])
+    assert rnd.lengths.tolist() == [5, 2]
+    for field in (rnd.obs, rnd.actions, rnd.rewards):
+        assert not field[1, 2:].any()
+
+    def loss_and_grads(r):
+        w = {k: Tensor(t.data.copy(), requires_grad=True) for k, t in weights.items()}
+        loss, _ = a3c_loss(r, w, config, compute_returns(r, 0.99), 0.01, 0.5)
+        ad.backward(loss)
+        return float(loss.data), {k: t.grad for k, t in w.items()}
+
+    rng = np.random.default_rng(3)
+    noisy = dataclasses.replace(rnd, obs=rnd.obs.copy(), actions=rnd.actions.copy(),
+                                rewards=rnd.rewards.copy())
+    noisy.obs[1, 2:] = rng.uniform(0, 1, size=noisy.obs[1, 2:].shape)
+    noisy.actions[1, 2:] = 2
+    noisy.rewards[1, 2:] = 7.0
+    (loss, grads), (noisy_loss, noisy_grads) = loss_and_grads(rnd), loss_and_grads(noisy)
+    assert noisy_loss == loss
+    for name, g in grads.items():
+        np.testing.assert_array_equal(noisy_grads[name], g, err_msg=name)
 
 
 def test_collect_rollout_builds_no_graph():
@@ -328,12 +402,11 @@ def test_collect_rollout_builds_no_graph():
     state = RecurrentState.zeros(config, np.float64, batch=2)
     rngs = [np.random.default_rng(i) for i in range(2)]
     for _ in range(2):
-        rollouts, state = collect_rollout(envs, weights, config, state, 4, rngs)
-        starts = [t for r in rollouts for t in (r.start_state.h, r.start_state.c)]
-        for t in (state.h, state.c, *starts):
+        rnd, state = collect_rollout(envs, weights, config, state, 4, rngs)
+        for t in (state.h, state.c, rnd.start_state.h, rnd.start_state.c):
             assert t._parents == () and not t.requires_grad
-        for step in (s for r in rollouts for s in r.steps):
-            assert set(vars(step)) == {"obs", "action", "reward"}
+        for name, value in vars(rnd).items():
+            assert name == "start_state" or type(value) is np.ndarray, name
     assert all(t.grad is None for t in weights.values())
 
 
@@ -341,18 +414,21 @@ def test_collect_rollout_steps_skip_the_value_branch(monkeypatch):
     # each step's forward skips the value branch; only the bootstrap forward runs it
     config = small_cfg()
     weights = init_weights(config, seed=0, dtype=np.float64)
+    # the steps run through the lockstep driver in analysis, the bootstrap in training
     calls, forward = [], tr.forward
-    monkeypatch.setattr(tr, "forward", lambda *a, **kw: calls.append(kw.get("with_value", True))
-                        or forward(*a, **kw))
+    for module in (tr, analysis):
+        monkeypatch.setattr(module, "forward",
+                            lambda *a, **kw: calls.append(kw.get("with_value", True))
+                            or forward(*a, **kw))
     envs = [NoisyEnv(n_actions=3, done_at=e, salt=i) for i, e in enumerate((None, 2))]
     for env in envs:
         env.reset()
-    rollouts, _ = collect_rollout(envs, weights, config,
-                                  RecurrentState.zeros(config, np.float64, batch=2), 4,
-                                  [np.random.default_rng(i) for i in range(2)])
-    assert [len(r) for r in rollouts] == [4, 2]
+    rnd, _ = collect_rollout(envs, weights, config,
+                             RecurrentState.zeros(config, np.float64, batch=2), 4,
+                             [np.random.default_rng(i) for i in range(2)])
+    assert rnd.lengths.tolist() == [4, 2]
     assert calls == [False] * 4 + [True]
-    assert rollouts[0].bootstrap_value != 0.0 and rollouts[1].bootstrap_value == 0.0
+    assert rnd.bootstrap[0] != 0.0 and rnd.bootstrap[1] == 0.0
 
 
 @pytest.mark.parametrize("start_done", [False, True], ids=["carried", "reset"])
@@ -365,9 +441,9 @@ def test_collect_rollout_renders_each_frame_once(monkeypatch, start_done):
     observe = _BaseEnv.observe
     monkeypatch.setattr(_BaseEnv, "observe", lambda self: calls.append(1) or observe(self))
     t_max = 5
-    rollout, _ = collect_one(env, weights, config, RecurrentState.zeros(config), t_max,
-                                 np.random.default_rng(0))
-    assert len(rollout) == t_max and not rollout.terminal
+    rnd, _ = collect_one(env, weights, config, RecurrentState.zeros(config), t_max,
+                         np.random.default_rng(0))
+    assert rnd.lengths.tolist() == [t_max] and not rnd.terminal[0]
     assert len(calls) <= t_max + 1
 
 
@@ -384,14 +460,14 @@ def test_collect_rollout_lockstep_rows_equal_each_env_alone():
     state = RecurrentState.zeros(config, np.float64, batch=3)
     alone_states = [RecurrentState.zeros(config, np.float64) for _ in range(3)]
     for _ in range(3):   # env 1 ends in round 2 and restarts in round 3, env 2 ends in round 3
-        rollouts, state = collect_rollout(envs, weights, config, state, 4, rngs)
+        rnd, state = collect_rollout(envs, weights, config, state, 4, rngs)
         for i in range(3):
             ref, alone_states[i] = collect_one(alone[i], weights, config, alone_states[i], 4,
                                                alone_rngs[i])
-            got = rollouts[i]
-            assert [s.action for s in got.steps] == [s.action for s in ref.steps]
-            assert got.terminal == ref.terminal and len(got) == len(ref)
-            np.testing.assert_allclose(got.bootstrap_value, ref.bootstrap_value,
+            n = ref.lengths[0]
+            assert rnd.lengths[i] == n and rnd.terminal[i] == ref.terminal[0]
+            assert rnd.actions[i, :n].tolist() == ref.actions[0].tolist()
+            np.testing.assert_allclose(rnd.bootstrap[i], ref.bootstrap[0],
                                        rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(state.c.data[i], alone_states[i].c.data,
                                        rtol=1e-12, atol=1e-15)
@@ -404,11 +480,9 @@ def test_collect_rollout_deterministic_given_seed():
     outs = []
     for _ in range(2):
         env = make_env(EnvSpec(name="catch", seed=9))
-        rollout, _ = collect_one(env, weights, config,
-                                     RecurrentState.zeros(config, np.float32), 10,
-                                     np.random.default_rng(33))
-        outs.append(([s.action for s in rollout.steps],
-                     [s.reward for s in rollout.steps], rollout.bootstrap_value))
+        rnd, _ = collect_one(env, weights, config, RecurrentState.zeros(config, np.float32), 10,
+                             np.random.default_rng(33))
+        outs.append((rnd.actions.tolist(), rnd.rewards.tolist(), rnd.bootstrap.tolist()))
     assert outs[0] == outs[1]
 
 
@@ -597,17 +671,17 @@ def test_loss_components_mask_statistics_are_over_the_real_steps():
     envs = [NoisyEnv(n_actions=3, done_at=e, salt=i) for i, e in enumerate((None, 2))]
     for env in envs:
         env.reset()
-    rollouts, _ = collect_rollout(envs, weights, config,
-                                  RecurrentState.zeros(config, np.float64, batch=2), 5,
-                                  [np.random.default_rng(i) for i in range(2)])
-    returns = [compute_returns(r, 0.99) for r in rollouts]
-    _, row = a3c_loss(rollouts, weights, config, returns, 0.01, 0.5)
+    rnd, _ = collect_rollout(envs, weights, config,
+                             RecurrentState.zeros(config, np.float64, batch=2), 5,
+                             [np.random.default_rng(i) for i in range(2)])
+    _, row = a3c_loss(rnd, weights, config, compute_returns(rnd, 0.99), 0.01, 0.5)
     for branch, name in (("policy", "m_p"), ("value", "m_v")):
         masks = []
-        for r in rollouts:
-            state = r.start_state
-            for step in r.steps:
-                trace = forward(step.obs, state, weights, config)
+        for i, n in enumerate(rnd.lengths):
+            state = RecurrentState(Tensor(rnd.start_state.h.data[i]),
+                                   Tensor(rnd.start_state.c.data[i]))
+            for obs in rnd.obs[i, :n]:
+                trace = forward(obs, state, weights, config)
                 state = trace.next_state
                 masks.append(getattr(trace, name).data[0])
         assert len(masks) == 7
