@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .checkpoint import CheckpointError, load_checkpoint
 from .envs import make_env
 from .netpbm import write_pgm, write_ppm
 from .network import RecurrentState, forward, weight_names
@@ -26,14 +25,6 @@ OVERLAY_ALPHA = 0.5
 # per-observation cost of a one-row forward, larger groups measured at most
 # 15% cheaper, and the cap bounds the batch's im2col memory.
 EVAL_GROUP = 32
-# evaluation seed of every run ``compare_variants`` scores
-EVAL_SEED = 1000
-VARIANTS = (
-    ("vanilla", False, False),
-    ("policy", True, False),
-    ("value", False, True),
-    ("both", True, True),
-)
 
 
 @dataclass
@@ -207,18 +198,21 @@ def decrease_rate(normal_mean, inverse_mean):
     return 100.0 * (normal_mean - inverse_mean) / normal_mean
 
 
+def pixel_cells(size, grid_size):
+    """The mask cell over each of ``size`` pixels, blocks as even as possible (20/3: 7+7+6)."""
+    return np.arange(size) * grid_size // size
+
+
 def upsample_nearest(grid, size):
-    """Nearest-neighbor blow-up with block sizes as even as possible (20 over 3 -> 7+7+6)."""
-    g = grid.shape[0]
-    idx = np.arange(size) * g // size
+    """Nearest-neighbor blow-up of a square mask grid to ``size`` pixels a side."""
+    idx = pixel_cells(size, grid.shape[0])
     return grid[np.ix_(idx, idx)]
 
 
-def overlay_rgb(mask_up, obs, alpha=OVERLAY_ALPHA):
-    """Red-channel mask overlay: R = a*M + (1-a)*obs, G = B = (1-a)*obs."""
-    base = (1.0 - alpha) * obs
-    rgb = np.stack([alpha * mask_up + base, base, base], axis=-1)
-    return rgb
+def overlay_rgb(mask_up, obs):
+    """Red-channel mask overlay: R = a*M + (1-a)*obs, G = B = (1-a)*obs, a = OVERLAY_ALPHA."""
+    base = (1.0 - OVERLAY_ALPHA) * obs
+    return np.stack([OVERLAY_ALPHA * mask_up + base, base, base], axis=-1)
 
 
 def record_heatmaps(weights, config, env_spec, episodes, seed, out_dir, greedy=True):
@@ -257,18 +251,13 @@ def record_heatmaps(weights, config, env_spec, episodes, seed, out_dir, greedy=T
 
 
 def stencil_region_cells(stencil, position, obs_size, grid_size):
-    """Mask cells whose pixel block is at least half covered by the stencil."""
-    full = np.zeros((obs_size, obs_size), dtype=bool)
-    r, c = position
-    h, w = stencil.shape
-    full[r:r + h, c:c + w] = stencil
-    idx = np.arange(obs_size) * grid_size // obs_size
-    region = np.zeros((grid_size, grid_size), dtype=bool)
-    for a in range(grid_size):
-        for b in range(grid_size):
-            block = full[np.ix_(idx == a, idx == b)]
-            region[a, b] = block.sum() * 2 >= block.size
-    return region
+    """Mask cells whose pixel block is at least half covered by the stencil (inside the frame)."""
+    idx = pixel_cells(obs_size, grid_size)
+    rows, cols = np.nonzero(stencil)
+    covered = np.bincount(idx[rows + position[0]] * grid_size + idx[cols + position[1]],
+                          minlength=grid_size * grid_size).reshape(grid_size, grid_size)
+    block = np.bincount(idx, minlength=grid_size)
+    return covered * 2 >= np.outer(block, block)
 
 
 def injection_response(weights, config, env_spec, spec, window, seed):
@@ -302,74 +291,3 @@ def injection_response(weights, config, env_spec, spec, window, seed):
             break
     return InjectionReport(rows=rows, region=region, start_frame=spec.start_frame,
                            action_names=tuple(envs[0].action_names))
-
-
-def _final_checkpoint(run_dir, min_steps, config):
-    """The highest-step checkpoint in ``run_dir`` that reaches ``min_steps`` and stores ``config``.
-
-    A checkpoint that does not load counts as absent; None if none is left.
-    """
-    if not os.path.isdir(run_dir):
-        return None
-    found = []
-    for name in os.listdir(run_dir):
-        if name.startswith("ckpt_") and name.endswith(".ma3c"):
-            try:
-                step = int(name[5:-5])
-            except ValueError:
-                continue
-            if step >= min_steps:
-                found.append((step, os.path.join(run_dir, name)))
-    for _, path in sorted(found, reverse=True):
-        try:
-            if load_checkpoint(path)[1] == config:
-                return path
-        except (CheckpointError, OSError):
-            continue
-    return None
-
-
-def compare_variants(env_spec, config, seeds, hyper, episodes, out_dir,
-                     checkpoint_interval=50_000, log=None):
-    """Train all four variants of ``config`` per seed, evaluate each, and tabulate max/mean.
-
-    Returns the table rows (one per variant x seed, plus a best-of-seeds
-    row per variant selected by mean) and writes variants.csv in out_dir.
-    A run under out_dir with a checkpoint of the same network that reaches
-    the step budget is reused, not trained again; the other hyperparameters
-    are not stored in checkpoints and are not compared.
-    """
-    from .training import train  # here to avoid an import cycle
-
-    os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    for variant, pol, val in VARIANTS:
-        variant_config = dataclasses.replace(config, policy_mask_enabled=pol,
-                                             value_mask_enabled=val)
-        per_seed = []
-        for seed in seeds:
-            run_dir = os.path.join(out_dir, variant, f"seed_{seed}")
-            ckpt = _final_checkpoint(run_dir, hyper.total_steps, variant_config)
-            if ckpt is None:
-                if log:
-                    log(f"training {variant} seed={seed} for {hyper.total_steps} steps")
-                ckpt = train(variant_config, hyper, env_spec, seed, run_dir,
-                             checkpoint_interval=checkpoint_interval, log=log)
-            weights, ckpt_config = load_checkpoint(ckpt)
-            stats = evaluate(weights, ckpt_config, env_spec, episodes,
-                             seed=EVAL_SEED, greedy=True)
-            row = {"variant": variant, "policy_mask": pol, "value_mask": val,
-                   "seed": seed, "max": stats.max, "mean": stats.mean, "ckpt": ckpt}
-            per_seed.append(row)
-            rows.append(row)
-            if log:
-                log(f"{variant} seed={seed}: max={stats.max} mean={stats.mean}")
-        best = max(per_seed, key=lambda r: r["mean"])
-        rows.append({**best, "seed": "best"})
-
-    with open(os.path.join(out_dir, "variants.csv"), "w") as fh:
-        fh.write("variant,policy_mask,value_mask,seed,max,mean\n")
-        for r in rows:
-            fh.write(f"{r['variant']},{int(r['policy_mask'])},{int(r['value_mask'])},"
-                     f"{r['seed']},{r['max']!r},{r['mean']!r}\n")
-    return rows

@@ -72,7 +72,7 @@ def _make(data, parents, op):
     for p in parents:
         if p.requires_grad:
             out.requires_grad = True
-            out._parents = parents if isinstance(parents, tuple) else tuple(parents)
+            out._parents = parents
             out._op = op
             break
     return out

@@ -15,13 +15,13 @@ import sys
 
 import numpy as np
 
-from .analysis import (VariantError, compare_variants, evaluate, injection_response,
-                       random_baseline, record_heatmaps)
+from .analysis import (VariantError, evaluate, injection_response, random_baseline,
+                       record_heatmaps)
 from .checkpoint import CheckpointError, format_value, load_checkpoint, parse_value
 from .envs import ENV_NAMES, EnvSpec, InjectionSpec
 from .netpbm import read_pgm
 from .network import NetworkConfig
-from .training import Hyperparams, train
+from .training import Hyperparams, compare_variants, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

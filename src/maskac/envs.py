@@ -114,9 +114,7 @@ class _BaseEnv:
     def n_actions(self):
         return len(self.action_names)
 
-    def reset(self, seed=None):
-        if seed is not None:
-            self._rng = np.random.default_rng(seed)
+    def reset(self):
         self._injections = []
         self.done = False
         self.frame = 0

@@ -11,6 +11,7 @@ ablated to all-ones at inference time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ def conv_out_size(size, kernel, stride, padding):
 @dataclass(frozen=True)
 class NetworkConfig:
     """Architecture switches; the two *_mask_enabled flags select the variant."""
+
+    MAX_WEIGHTS = 2 ** 25   # 93x the default network's weight count
 
     input_hw: int = 20
     fe_channels: tuple = (32, 32, 64)
@@ -60,6 +63,11 @@ class NetworkConfig:
         if self.feature_hw() < 2:
             raise ValueError(
                 f"input_hw={self.input_hw} leaves a {self.feature_hw()}-pixel feature map; need >= 2")
+        n = sum(math.prod(shape) for shape in weight_shapes(self).values())
+        if n > self.MAX_WEIGHTS:
+            raise ValueError(f"the network has {n} weights, more than {self.MAX_WEIGHTS}; shrink "
+                             f"fe_channels, lstm_channels, branch_channels, conv_kernel or the "
+                             f"feature map (conv_padding, conv_stride)")
 
     def feature_hw(self):
         """Spatial side length after the three extractor convolutions."""
@@ -215,11 +223,6 @@ def compute_mask(h, w, branch):
                                 stride=1, padding=0))
 
 
-def apply_mask(f, m):
-    """F' = F * M with the single-channel mask broadcast across channels."""
-    return ad.broadcast_mul_channelwise(f, m)
-
-
 def invert_mask(m):
     """Gaze inversion: 1 - M elementwise, formed as (-M) + 1 with the same bits; gradient -1.
 
@@ -243,7 +246,7 @@ def _branch(h, w, config, branch, transform):
     m = compute_mask(h, w, branch)
     if transform == "inverse":
         m = invert_mask(m)
-    return apply_mask(f, m), m
+    return ad.broadcast_mul_channelwise(f, m), m
 
 
 def _heads(h, next_state, w, config, mask_transform, with_value=True):

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .analysis import lockstep
+from . import checkpoint
+from .analysis import evaluate, lockstep
 from .autodiff import Tensor
 from .envs import make_env
 from .network import RecurrentState, forward, forward_segment, init_weights
@@ -361,8 +362,6 @@ def train(config, hyper, env_spec, seed, out_dir, checkpoint_interval=50_000, lo
     and skipped updates, then each of ``PHASES`` as a share of the wall
     time.
     """
-    from .checkpoint import save_checkpoint  # here to avoid an import cycle
-
     os.makedirs(out_dir, exist_ok=True)
 
     shared = SharedParams(init_weights(config, seed))
@@ -373,7 +372,7 @@ def train(config, hyper, env_spec, seed, out_dir, checkpoint_interval=50_000, lo
         nonlocal last_saved
         path = os.path.join(out_dir, f"ckpt_{step}.ma3c")
         if step != last_saved:
-            save_checkpoint(shared.values, config, path)
+            checkpoint.save_checkpoint(shared.values, config, path)
             last_saved = step
         return path
 
@@ -400,3 +399,82 @@ def train(config, hyper, env_spec, seed, out_dir, checkpoint_interval=50_000, lo
             f"({final_step / elapsed:.0f} steps/s, {shared.updates} updates, "
             f"{shared.skipped} skipped); time shares: {shares}")
     return final_path
+
+
+# evaluation seed of every run ``compare_variants`` scores
+EVAL_SEED = 1000
+VARIANTS = (
+    ("vanilla", False, False),
+    ("policy", True, False),
+    ("value", False, True),
+    ("both", True, True),
+)
+
+
+def _final_checkpoint(run_dir, min_steps, config):
+    """The highest-step checkpoint in ``run_dir`` that reaches ``min_steps`` and stores ``config``.
+
+    A checkpoint that does not load counts as absent; None if none is left.
+    """
+    if not os.path.isdir(run_dir):
+        return None
+    found = []
+    for name in os.listdir(run_dir):
+        if name.startswith("ckpt_") and name.endswith(".ma3c"):
+            try:
+                step = int(name[5:-5])
+            except ValueError:
+                continue
+            if step >= min_steps:
+                found.append((step, os.path.join(run_dir, name)))
+    for _, path in sorted(found, reverse=True):
+        try:
+            if checkpoint.load_checkpoint(path)[1] == config:
+                return path
+        except (checkpoint.CheckpointError, OSError):
+            continue
+    return None
+
+
+def compare_variants(env_spec, config, seeds, hyper, episodes, out_dir,
+                     checkpoint_interval=50_000, log=None):
+    """Train all four variants of ``config`` per seed, evaluate each, and tabulate max/mean.
+
+    Returns the table rows (one per variant x seed, plus a best-of-seeds
+    row per variant selected by mean) and writes variants.csv in out_dir.
+    A run under out_dir with a checkpoint of the same network that reaches
+    the step budget is reused, not trained again; the other hyperparameters
+    are not stored in checkpoints and are not compared.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    rows = []
+    for variant, pol, val in VARIANTS:
+        variant_config = dataclasses.replace(config, policy_mask_enabled=pol,
+                                             value_mask_enabled=val)
+        per_seed = []
+        for seed in seeds:
+            run_dir = os.path.join(out_dir, variant, f"seed_{seed}")
+            ckpt = _final_checkpoint(run_dir, hyper.total_steps, variant_config)
+            if ckpt is None:
+                if log:
+                    log(f"training {variant} seed={seed} for {hyper.total_steps} steps")
+                ckpt = train(variant_config, hyper, env_spec, seed, run_dir,
+                             checkpoint_interval=checkpoint_interval, log=log)
+            weights, ckpt_config = checkpoint.load_checkpoint(ckpt)
+            stats = evaluate(weights, ckpt_config, env_spec, episodes,
+                             seed=EVAL_SEED, greedy=True)
+            row = {"variant": variant, "policy_mask": pol, "value_mask": val,
+                   "seed": seed, "max": stats.max, "mean": stats.mean, "ckpt": ckpt}
+            per_seed.append(row)
+            rows.append(row)
+            if log:
+                log(f"{variant} seed={seed}: max={stats.max} mean={stats.mean}")
+        best = max(per_seed, key=lambda r: r["mean"])
+        rows.append({**best, "seed": "best"})
+
+    with open(os.path.join(out_dir, "variants.csv"), "w") as fh:
+        fh.write("variant,policy_mask,value_mask,seed,max,mean\n")
+        for r in rows:
+            fh.write(f"{r['variant']},{int(r['policy_mask'])},{int(r['value_mask'])},"
+                     f"{r['seed']},{r['max']!r},{r['mean']!r}\n")
+    return rows

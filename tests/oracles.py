@@ -5,6 +5,8 @@ loops, direct formulas) so it cannot share a bug with the library paths
 it checks.
 """
 
+import dataclasses
+
 import numpy as np
 
 from maskac import autodiff as ad
@@ -213,10 +215,10 @@ def per_episode_replay(weights, config, env_spec, episodes, mask_transform="iden
     """
     weights = {k: ad.Tensor(v.data if isinstance(v, ad.Tensor) else v) for k, v in weights.items()}
     dtype = weights["fe1.w"].dtype
-    env = make_env(env_spec)
     episodes_out = []
     for ep in range(episodes):
-        env.reset(seed=int(np.random.SeedSequence([seed, ep]).generate_state(1)[0]))
+        env_seed = int(np.random.SeedSequence([seed, ep]).generate_state(1)[0])
+        env = make_env(dataclasses.replace(env_spec, seed=env_seed))
         rng = np.random.default_rng([seed, ep, 1])
         state = RecurrentState.zeros(config, dtype)
         steps = []
@@ -254,3 +256,18 @@ def rmsprop_apply_oracle(values, ms, grads, hyper):
         ms[name] += (1.0 - decay) * (g * g)
         values[name] -= hyper.lr * g / np.sqrt(ms[name] + hyper.rmsprop_eps)
     return scale
+
+
+def stencil_region_cells_oracle(stencil, position, obs_size, grid_size):
+    """``analysis.stencil_region_cells`` one mask cell at a time over a full-frame stencil."""
+    full = np.zeros((obs_size, obs_size), dtype=bool)
+    r, c = position
+    h, w = stencil.shape
+    full[r:r + h, c:c + w] = stencil
+    idx = np.arange(obs_size) * grid_size // obs_size
+    region = np.zeros((grid_size, grid_size), dtype=bool)
+    for a in range(grid_size):
+        for b in range(grid_size):
+            block = full[np.ix_(idx == a, idx == b)]
+            region[a, b] = block.sum() * 2 >= block.size
+    return region

@@ -1,23 +1,19 @@
 """Evaluation protocols, heat-map emission, and the injection probe."""
 
-import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from maskac import analysis, netpbm
-from maskac.analysis import (VariantError, compare_variants, decrease_rate,
-                             evaluate, injection_response, overlay_rgb,
-                             policy_entropy, random_baseline, record_heatmaps,
+from maskac.analysis import (VariantError, decrease_rate, evaluate, injection_response,
+                             overlay_rgb, policy_entropy, random_baseline, record_heatmaps,
                              stencil_region_cells, upsample_nearest)
-from maskac.checkpoint import load_checkpoint
 from maskac.envs import EnvSpec, InjectionSpec
 from maskac.network import NetworkConfig, init_weights, weight_names
-from maskac.training import Hyperparams
 
 from oracles import (catch_random_expectation, dequantize, per_episode_evaluate,
-                     per_episode_replay)
+                     per_episode_replay, stencil_region_cells_oracle)
 
 
 def cfg(policy=True, value=True, n_actions=3, **kw):
@@ -185,7 +181,7 @@ def test_upsample_blocks_are_7_7_6():
 def test_overlay_formula():
     mask_up = np.full((4, 4), 0.8)
     obs = np.full((4, 4), 0.2)
-    rgb = overlay_rgb(mask_up, obs, alpha=0.5)
+    rgb = overlay_rgb(mask_up, obs)
     np.testing.assert_allclose(rgb[..., 0], 0.5 * 0.8 + 0.5 * 0.2)
     np.testing.assert_allclose(rgb[..., 1], 0.5 * 0.2)
     np.testing.assert_allclose(rgb[..., 2], 0.5 * 0.2)
@@ -300,8 +296,7 @@ def test_injection_whole_frame_region_mean_is_global_mean():
     from maskac.network import RecurrentState, forward
     from maskac.envs import make_env
     from maskac.analysis import _episode_seed
-    env = make_env(EnvSpec(name="fuel"))
-    env.reset(seed=_episode_seed(5, 0))
+    env = make_env(EnvSpec(name="fuel", seed=_episode_seed(5, 0)))
     trace = forward(env.observe(), RecurrentState.zeros(config, np.float32),
                     {k: v for k, v in w.items()}, config)
     assert abs(rep.rows[0]["region_mean_policy"] - float(trace.m_p.data.mean())) < 1e-6
@@ -360,57 +355,15 @@ def test_stencil_region_majority_rule():
     assert region2[0, 1]
 
 
-# ---------------------------------------------------------------------------
-# variant comparison (tiny budget; learning quality is covered by acceptance)
-
-def small_base_config():
-    return NetworkConfig(fe_channels=(4, 4, 8), lstm_channels=8, branch_channels=4)
-
-def test_compare_variants_structure(tmp_path):
-    spec = EnvSpec(name="catch")
-    hyper = Hyperparams(total_steps=60, n_workers=1, t_max=10)
-    rows = compare_variants(spec, small_base_config(), seeds=[0, 1], hyper=hyper, episodes=3,
-                            out_dir=str(tmp_path))
-    # 4 variants x (2 seeds + best row)
-    assert len(rows) == 4 * 3
-    variants = [r["variant"] for r in rows]
-    for v in ("vanilla", "policy", "value", "both"):
-        assert variants.count(v) == 3
-    best_rows = [r for r in rows if r["seed"] == "best"]
-    assert len(best_rows) == 4
-    for r in best_rows:
-        seeds_of_variant = [x["mean"] for x in rows
-                            if x["variant"] == r["variant"] and x["seed"] != "best"]
-        assert r["mean"] == max(seeds_of_variant)
-    table = (tmp_path / "variants.csv").read_text().strip().splitlines()
-    assert table[0] == "variant,policy_mask,value_mask,seed,max,mean"
-    assert len(table) == 1 + 12
-
-
-def test_compare_variants_reuses_existing_runs(tmp_path):
-    spec = EnvSpec(name="catch")
-    hyper = Hyperparams(total_steps=40, n_workers=1, t_max=10)
-    rows1 = compare_variants(spec, small_base_config(), seeds=[0], hyper=hyper, episodes=2,
-                             out_dir=str(tmp_path))
-    mtimes = {}
-    for root, _, files in os.walk(tmp_path):
-        for f in files:
-            if f.endswith(".ma3c"):
-                p = os.path.join(root, f)
-                mtimes[p] = os.path.getmtime(p)
-    rows2 = compare_variants(spec, small_base_config(), seeds=[0], hyper=hyper, episodes=2,
-                             out_dir=str(tmp_path))
-    for p, m in mtimes.items():
-        assert os.path.getmtime(p) == m  # nothing was retrained
-    assert [r["mean"] for r in rows1] == [r["mean"] for r in rows2]
-
-
-def test_compare_variants_retrains_a_run_of_another_network(tmp_path):
-    spec = EnvSpec(name="catch")
-    hyper = Hyperparams(total_steps=40, n_workers=1, t_max=10)
-    for lstm_channels in (8, 4):
-        config = dataclasses.replace(small_base_config(), lstm_channels=lstm_channels)
-        rows = compare_variants(spec, config, seeds=[0], hyper=hyper, episodes=2,
-                                out_dir=str(tmp_path))
-        for row in rows:
-            assert load_checkpoint(row["ckpt"])[1].lstm_channels == lstm_channels
+@pytest.mark.parametrize("grid_size", [3, 5])
+@pytest.mark.parametrize("stencil", [
+    np.ones((1, 1), bool), np.ones((3, 3), bool), np.ones((7, 9), bool),
+    np.array([[1, 0, 1], [0, 1, 0]], bool), np.random.default_rng(3).random((5, 4)) < 0.5,
+], ids=["pixel", "3x3", "7x9", "checker", "random"])
+def test_stencil_region_matches_the_per_cell_oracle_at_every_position(grid_size, stencil):
+    h, w = stencil.shape
+    for r in range(20 - h + 1):
+        for c in range(20 - w + 1):
+            np.testing.assert_array_equal(
+                stencil_region_cells(stencil, (r, c), 20, grid_size),
+                stencil_region_cells_oracle(stencil, (r, c), 20, grid_size))

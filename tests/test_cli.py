@@ -117,7 +117,9 @@ def rewrite_config(path, edit):
     lambda b: b.replace(b"conv_stride=2", b"conv_stride=0"),
     lambda b: b.replace(b"fe_channels=1,1,1", b"fe_channels=1,1"),
     lambda b: b + b"\ncolour=blue",
-], ids=["non-int", "non-utf8", "n_actions-0", "stride-0", "two-fe-channels", "unknown-key"])
+    lambda b: b.replace(b"lstm_channels=1", b"lstm_channels=1000000000"),
+], ids=["non-int", "non-utf8", "n_actions-0", "stride-0", "two-fe-channels", "unknown-key",
+        "oversized"])
 def test_checkpoint_bad_config_raises_checkpoint_error(tmp_path, capsys, edit):
     config = tiny_cfg()
     path = str(tmp_path / "w.ma3c")
@@ -264,8 +266,9 @@ def test_config_defaults_are_the_documented_keys_and_texts():
 # each of these crashed a run, trained on to a non-finite checkpoint,
 # flipped the sign of every update or skipped every update; episode_cap=0
 # meant the default cap, episode_step_cap and precision are no longer keys,
-# a negative checkpoint_interval saved no periodic checkpoint and a huge
-# size overflowed numpy
+# a negative checkpoint_interval saved no periodic checkpoint, a huge
+# size overflowed numpy and a huge channel count asked numpy for more
+# memory than there is
 @pytest.mark.parametrize("key,value", [
     ("lstm_channels", "0"), ("lstm_channels", "-2"), ("branch_channels", "0"),
     ("fe_channels", "0,4,4"), ("conv_kernel", "0"), ("conv_padding", "-1"),
@@ -274,7 +277,8 @@ def test_config_defaults_are_the_documented_keys_and_texts():
     ("value_coef", "inf"), ("seed", "-1"), ("seeds", "0,-1"),
     ("episode_cap", "0"), ("episode_step_cap", "10000"), ("precision", "double"),
     ("checkpoint_interval", "-5"), ("total_steps", "-5"), ("size", "513"),
-    ("size", "99999999999999999999"),
+    ("size", "99999999999999999999"), ("lstm_channels", "1000000000"),
+    ("branch_channels", "100000000000"),
 ])
 def test_config_value_that_breaks_a_run_exits_2_with_one_line(tmp_path, capsys, key, value):
     settings = dict(total_steps="20", n_workers="1", conv_stride="1",

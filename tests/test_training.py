@@ -17,8 +17,8 @@ from maskac.checkpoint import load_checkpoint
 from maskac.envs import EnvSpec, StepResult, _BaseEnv, make_env
 from maskac.network import NetworkConfig, RecurrentState, forward, forward_segment, init_weights
 from maskac.training import (Hyperparams, Round, SharedParams, a3c_loss, apply_gradients,
-                             collect_rollout, compute_returns, loss_components, sync_local,
-                             train)
+                             collect_rollout, compare_variants, compute_returns,
+                             loss_components, sync_local, train)
 
 from oracles import (discounted_returns_oracle, grad_check, per_step_a3c_loss,
                      rmsprop_apply_oracle)
@@ -43,7 +43,7 @@ class ScriptedEnv:
         self.done = False
         self.score = 0.0
 
-    def reset(self, seed=None):
+    def reset(self):
         self.t = 0
         self.done = False
         self.score = 0.0
@@ -748,3 +748,59 @@ def test_train_multiworker_lockstep_is_bit_reproducible(tmp_path, n_workers):
     final_step = steps[-1]
     assert final == f"ckpt_{final_step}.ma3c"
     assert hyper.total_steps <= final_step < hyper.total_steps + n_workers * hyper.t_max
+
+
+# ---------------------------------------------------------------------------
+# variant comparison (tiny budget; learning quality is covered by acceptance)
+
+def small_base_config():
+    return NetworkConfig(fe_channels=(4, 4, 8), lstm_channels=8, branch_channels=4)
+
+def test_compare_variants_structure(tmp_path):
+    spec = EnvSpec(name="catch")
+    hyper = Hyperparams(total_steps=60, n_workers=1, t_max=10)
+    rows = compare_variants(spec, small_base_config(), seeds=[0, 1], hyper=hyper, episodes=3,
+                            out_dir=str(tmp_path))
+    # 4 variants x (2 seeds + best row)
+    assert len(rows) == 4 * 3
+    variants = [r["variant"] for r in rows]
+    for v in ("vanilla", "policy", "value", "both"):
+        assert variants.count(v) == 3
+    best_rows = [r for r in rows if r["seed"] == "best"]
+    assert len(best_rows) == 4
+    for r in best_rows:
+        seeds_of_variant = [x["mean"] for x in rows
+                            if x["variant"] == r["variant"] and x["seed"] != "best"]
+        assert r["mean"] == max(seeds_of_variant)
+    table = (tmp_path / "variants.csv").read_text().strip().splitlines()
+    assert table[0] == "variant,policy_mask,value_mask,seed,max,mean"
+    assert len(table) == 1 + 12
+
+
+def test_compare_variants_reuses_existing_runs(tmp_path):
+    spec = EnvSpec(name="catch")
+    hyper = Hyperparams(total_steps=40, n_workers=1, t_max=10)
+    rows1 = compare_variants(spec, small_base_config(), seeds=[0], hyper=hyper, episodes=2,
+                             out_dir=str(tmp_path))
+    mtimes = {}
+    for root, _, files in os.walk(tmp_path):
+        for f in files:
+            if f.endswith(".ma3c"):
+                p = os.path.join(root, f)
+                mtimes[p] = os.path.getmtime(p)
+    rows2 = compare_variants(spec, small_base_config(), seeds=[0], hyper=hyper, episodes=2,
+                             out_dir=str(tmp_path))
+    for p, m in mtimes.items():
+        assert os.path.getmtime(p) == m  # nothing was retrained
+    assert [r["mean"] for r in rows1] == [r["mean"] for r in rows2]
+
+
+def test_compare_variants_retrains_a_run_of_another_network(tmp_path):
+    spec = EnvSpec(name="catch")
+    hyper = Hyperparams(total_steps=40, n_workers=1, t_max=10)
+    for lstm_channels in (8, 4):
+        config = dataclasses.replace(small_base_config(), lstm_channels=lstm_channels)
+        rows = compare_variants(spec, config, seeds=[0], hyper=hyper, episodes=2,
+                                out_dir=str(tmp_path))
+        for row in rows:
+            assert load_checkpoint(row["ckpt"])[1].lstm_channels == lstm_channels
