@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import Tensor
 from .envs import make_env
 from .netpbm import write_pgm, write_ppm
-from .network import RecurrentState, forward, weight_names
+from .network import RecurrentState, check_weights, forward
 
 OVERLAY_ALPHA = 0.5
 # Most episodes ``evaluate`` steps in lockstep.  32 rows halve the
@@ -48,8 +48,6 @@ class HeatmapFrame:
     timestep: int
     branch: str
     mask: np.ndarray        # native mask grid
-    upsampled: np.ndarray   # nearest-neighbor blow-up to observation size
-    observation: np.ndarray
     action: int
     value: float
 
@@ -59,8 +57,6 @@ class InjectionReport:
     """Per-frame mask/action record around an observation injection."""
 
     rows: list              # dicts: t, injected, region means, probs, value
-    region: np.ndarray      # bool mask cells covered by the sprite stencil
-    start_frame: int
     action_names: tuple
 
 
@@ -75,11 +71,10 @@ def _checked_tensors(weights, config, env_spec, mask_transform="identity", need_
     injection probes read the masks; ``mask_transform`` "inverse" needs
     the policy mask and "ones" some mask to ablate.
     """
-    expected = set(weight_names(config))
-    if set(weights) != expected:
-        raise VariantError(
-            f"weights do not match the config variant: missing "
-            f"{sorted(expected - set(weights))}, extra {sorted(set(weights) - expected)}")
+    try:
+        check_weights(weights, config)
+    except ValueError as exc:
+        raise VariantError(str(exc)) from None
     if config.n_actions != env_spec.n_actions:
         raise VariantError(f"network has {config.n_actions} actions but env "
                            f"{env_spec.name!r} has {env_spec.n_actions}")
@@ -234,14 +229,11 @@ def record_heatmaps(weights, config, env_spec, episodes, seed, out_dir, greedy=T
             value = float(trace.value.data[0, 0])
             for branch in branches:
                 mask = (trace.m_p if branch == "policy" else trace.m_v).data[0, 0]
-                frame = HeatmapFrame(
-                    timestep=t, branch=branch, mask=mask,
-                    upsampled=upsample_nearest(mask, env_spec.size),
-                    observation=obs, action=action, value=value)
-                write_pgm(os.path.join(out_dir, f"{branch}_{ep}_{t}.pgm"), frame.mask)
+                write_pgm(os.path.join(out_dir, f"{branch}_{ep}_{t}.pgm"), mask)
                 write_ppm(os.path.join(out_dir, f"overlay_{branch}_{ep}_{t}.ppm"),
-                          overlay_rgb(frame.upsampled, frame.observation))
-                written.append(frame)
+                          overlay_rgb(upsample_nearest(mask, env_spec.size), obs))
+                written.append(HeatmapFrame(timestep=t, branch=branch, mask=mask,
+                                            action=action, value=value))
             write_pgm(os.path.join(out_dir, f"obs_{ep}_{t}.pgm"), obs)
             index_rows.append(f"{t},{action},{value!r},{policy_entropy(probs)!r}")
         with open(os.path.join(out_dir, f"index_{ep}.csv"), "w") as fh:
@@ -250,14 +242,14 @@ def record_heatmaps(weights, config, env_spec, episodes, seed, out_dir, greedy=T
     return written
 
 
-def stencil_region_cells(stencil, position, obs_size, grid_size):
-    """Mask cells whose pixel block is at least half covered by the stencil (inside the frame)."""
-    idx = pixel_cells(obs_size, grid_size)
+def region_mean(grid, stencil, position, size):
+    """Mean of ``grid``, blown up to ``size`` pixels, over the stencil's pixels at ``position``.
+
+    Each mask cell weighs as many times as the stencil sets pixels over it,
+    so a sprite smaller than a cell still reads the cell under it.
+    """
     rows, cols = np.nonzero(stencil)
-    covered = np.bincount(idx[rows + position[0]] * grid_size + idx[cols + position[1]],
-                          minlength=grid_size * grid_size).reshape(grid_size, grid_size)
-    block = np.bincount(idx, minlength=grid_size)
-    return covered * 2 >= np.outer(block, block)
+    return float(upsample_nearest(grid, size)[rows + position[0], cols + position[1]].mean())
 
 
 def injection_response(weights, config, env_spec, spec, window, seed):
@@ -273,8 +265,6 @@ def injection_response(weights, config, env_spec, spec, window, seed):
 
     envs, rngs = _seeded_episodes(env_spec, [0], seed)
     envs[0].inject(spec)
-    region = stencil_region_cells(spec.stencil, spec.position, env_spec.size,
-                                  config.feature_hw())
     rows = []
     for t, _, _, trace, _, _ in lockstep(weights, config, envs, rngs):
         if t >= first:
@@ -283,11 +273,9 @@ def injection_response(weights, config, env_spec, spec, window, seed):
                    "probs": tuple(float(p) for p in trace.policy.data[0])}
             for branch, m in (("policy", trace.m_p), ("value", trace.m_v)):
                 if m is not None:
-                    grid = m.data[0, 0]
-                    row[f"region_mean_{branch}"] = (float(grid[region].mean())
-                                                    if region.any() else float("nan"))
+                    row[f"region_mean_{branch}"] = region_mean(m.data[0, 0], spec.stencil,
+                                                               spec.position, env_spec.size)
             rows.append(row)
         if t == last:
             break
-    return InjectionReport(rows=rows, region=region, start_frame=spec.start_frame,
-                           action_names=tuple(envs[0].action_names))
+    return InjectionReport(rows=rows, action_names=tuple(envs[0].action_names))

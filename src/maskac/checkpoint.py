@@ -24,14 +24,14 @@ import zlib
 
 import numpy as np
 
-from .network import NetworkConfig, weight_names, weight_shapes
+from .network import NetworkConfig, check_weights
 
 MAGIC = b"MA3C"
 VERSION = 1
 
 
 class CheckpointError(Exception):
-    """The file is not a valid checkpoint (magic, version, checksum, or names)."""
+    """The file is not a valid checkpoint (magic, version, checksum, tensor names or shapes)."""
 
 
 # The text form of a setting, shared by the checkpoint's config block and
@@ -93,10 +93,12 @@ def _decode_config(blob):
 def save_checkpoint(weights, config, path):
     """Write the named tensors (Tensor or ndarray values) as float32 records.
 
-    The bytes go to ``<path>.tmp`` first and replace ``path`` only once
-    complete, so an interrupted save never leaves a truncated checkpoint
-    under a checkpoint name.
+    Weights that do not fit ``config`` raise ValueError before anything
+    is written.  The bytes go to ``<path>.tmp`` first and replace ``path``
+    only once complete, so an interrupted save never leaves a truncated
+    checkpoint under a checkpoint name.
     """
+    check_weights(weights, config)
     arrays = {}
     for name, value in weights.items():
         data = value.data if hasattr(value, "data") else value
@@ -186,14 +188,8 @@ def load_checkpoint(path):
     if r.pos != len(body):
         raise CheckpointError(f"{path}: trailing bytes after tensor records")
 
-    expected = set(weight_names(config))
-    if set(weights) != expected:
-        raise CheckpointError(
-            f"{path}: tensor names do not match the stored config "
-            f"(missing {sorted(expected - set(weights))}, "
-            f"extra {sorted(set(weights) - expected)})")
-    for name, shape in weight_shapes(config).items():
-        if weights[name].shape != shape:
-            raise CheckpointError(f"{path}: {name} has shape {weights[name].shape}, "
-                                  f"expected {shape}")
+    try:
+        check_weights(weights, config)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     return weights, config

@@ -87,6 +87,8 @@ class InjectionSpec:
         self.stencil = np.asarray(self.stencil, dtype=bool)
         if self.sprite.shape != self.stencil.shape or self.sprite.ndim != 2:
             raise ValueError("sprite and stencil must be 2-d arrays of the same shape")
+        if not self.stencil.any():
+            raise ValueError("the stencil sets no pixel, so the sprite would draw nothing")
         if self.start_frame < 0 or (self.duration is not None and self.duration < 0):
             raise ValueError("start_frame and duration must be non-negative")
 

@@ -112,38 +112,14 @@ class ForwardTrace:
     m_v: Tensor | None = None
 
 
-# tensor names, in a fixed order so initialization streams are stable
-# across variants (a tensor gets the same values for the same seed
-# whether or not the mask pairs around it exist)
-_NAME_UNIVERSE = (
-    "fe1.w", "fe1.b", "fe2.w", "fe2.b", "fe3.w", "fe3.b",
-    "lstm.w", "lstm.b",
-    "policy_branch.w", "policy_branch.b", "policy_mask.w", "policy_mask.b",
-    "policy_out.w", "policy_out.b",
-    "value_branch.w", "value_branch.b", "value_mask.w", "value_mask.b",
-    "value_out.w", "value_out.b",
-)
-
-
-def weight_names(config):
-    """Tensor names for a variant; a pure function of the config."""
-    names = []
-    for name in _NAME_UNIVERSE:
-        if name.startswith("policy_mask") and not config.policy_mask_enabled:
-            continue
-        if name.startswith("value_mask") and not config.value_mask_enabled:
-            continue
-        names.append(name)
-    return names
-
-
-def weight_shapes(config):
+def _all_shapes(config):
+    """Every tensor of the both-mask network, in a fixed order that keys the init streams."""
     c1, c2, c3 = config.fe_channels
     L = config.lstm_channels
     B = config.branch_channels
     k = config.conv_kernel
     flat = B * config.feature_hw() ** 2
-    shapes = {
+    return {
         "fe1.w": (c1, 1, k, k), "fe1.b": (c1,),
         "fe2.w": (c2, c1, k, k), "fe2.b": (c2,),
         "fe3.w": (c3, c2, k, k), "fe3.b": (c3,),
@@ -155,7 +131,25 @@ def weight_shapes(config):
         "value_mask.w": (1, L, 1, 1), "value_mask.b": (1,),
         "value_out.w": (1, flat), "value_out.b": (1,),
     }
-    return {name: shapes[name] for name in weight_names(config)}
+
+
+def weight_shapes(config):
+    """Name -> shape of every tensor of the variant; the variants differ only in mask pairs."""
+    kept = {"policy_mask": config.policy_mask_enabled, "value_mask": config.value_mask_enabled}
+    return {name: shape for name, shape in _all_shapes(config).items()
+            if kept.get(name.split(".")[0], True)}
+
+
+def check_weights(weights, config):
+    """Raise ValueError unless ``weights`` (arrays or Tensors) holds exactly the variant's tensors."""
+    shapes = weight_shapes(config)
+    missing, extra = sorted(shapes.keys() - weights.keys()), sorted(weights.keys() - shapes.keys())
+    if missing or extra:
+        raise ValueError(f"tensor names do not match the network (missing {missing}, "
+                         f"extra {extra})")
+    for name, shape in shapes.items():
+        if weights[name].shape != shape:
+            raise ValueError(f"tensor {name} has shape {weights[name].shape}, expected {shape}")
 
 
 def init_weights(config, seed, dtype=np.float32):
@@ -165,13 +159,15 @@ def init_weights(config, seed, dtype=np.float32):
     weaker 1/sqrt(fan_in) bound shrinks these sparse pixel activations
     roughly tenfold per stage and leaves the heads numerically dead.
     The forget-gate slice of the ConvLSTM bias starts at 1.0.  Every
-    tensor draws from its own seed stream keyed by (seed, name), so
-    shared layers get identical values across variants.
+    tensor draws from its own seed stream keyed by seed and the tensor's
+    place in the both-mask network, so shared layers get identical values
+    across variants.
     """
     L = config.lstm_channels
+    order = list(_all_shapes(config))
     weights = {}
     for name, shape in weight_shapes(config).items():
-        stream = np.random.default_rng([seed, _NAME_UNIVERSE.index(name)])
+        stream = np.random.default_rng([seed, order.index(name)])
         if name.endswith(".b"):
             data = np.zeros(shape)
             if name == "lstm.b":

@@ -258,16 +258,21 @@ def rmsprop_apply_oracle(values, ms, grads, hyper):
     return scale
 
 
-def stencil_region_cells_oracle(stencil, position, obs_size, grid_size):
-    """``analysis.stencil_region_cells`` one mask cell at a time over a full-frame stencil."""
+def region_mean_oracle(grid, stencil, position, obs_size):
+    """``analysis.region_mean`` as sum_c covered_c * m_c / sum_c covered_c over the mask cells.
+
+    covered_c counts the pixels of cell c's block that a full-frame copy of the stencil sets.
+    """
     full = np.zeros((obs_size, obs_size), dtype=bool)
     r, c = position
     h, w = stencil.shape
     full[r:r + h, c:c + w] = stencil
-    idx = np.arange(obs_size) * grid_size // obs_size
-    region = np.zeros((grid_size, grid_size), dtype=bool)
-    for a in range(grid_size):
-        for b in range(grid_size):
-            block = full[np.ix_(idx == a, idx == b)]
-            region[a, b] = block.sum() * 2 >= block.size
-    return region
+    n = grid.shape[0]
+    idx = np.arange(obs_size) * n // obs_size
+    total = covered = 0.0
+    for a in range(n):
+        for b in range(n):
+            count = full[np.ix_(idx == a, idx == b)].sum()
+            total += count * grid[a, b]
+            covered += count
+    return total / covered

@@ -8,12 +8,12 @@ import pytest
 from maskac import analysis, netpbm
 from maskac.analysis import (VariantError, decrease_rate, evaluate, injection_response,
                              overlay_rgb, policy_entropy, random_baseline, record_heatmaps,
-                             stencil_region_cells, upsample_nearest)
+                             region_mean, upsample_nearest)
 from maskac.envs import EnvSpec, InjectionSpec
-from maskac.network import NetworkConfig, init_weights, weight_names
+from maskac.network import NetworkConfig, init_weights, weight_shapes
 
 from oracles import (catch_random_expectation, dequantize, per_episode_evaluate,
-                     per_episode_replay, stencil_region_cells_oracle)
+                     per_episode_replay, region_mean_oracle)
 
 
 def cfg(policy=True, value=True, n_actions=3, **kw):
@@ -63,6 +63,14 @@ def test_evaluate_rejects_mismatched_weights():
         evaluate(w, vanilla, EnvSpec(name="catch"), episodes=1, seed=0)
 
 
+def test_evaluate_rejects_a_wrong_shaped_tensor():
+    config = cfg()
+    w = weights_for(config)
+    w["policy_out.w"] = w["policy_out.w"].data[:, :-1]
+    with pytest.raises(VariantError, match="policy_out.w"):
+        evaluate(w, config, EnvSpec(name="catch"), episodes=1, seed=0)
+
+
 def test_evaluate_inverse_requires_policy_mask():
     config = cfg(policy=False, value=True)
     with pytest.raises(ValueError):
@@ -74,7 +82,7 @@ def test_evaluate_ones_equals_weight_shared_vanilla():
     config = cfg()
     vanilla = cfg(policy=False, value=False)
     w = weights_for(config, seed=3)
-    w_v = {k: w[k] for k in weight_names(vanilla)}
+    w_v = {k: w[k] for k in weight_shapes(vanilla)}
     masked = evaluate(w, config, EnvSpec(name="catch"), episodes=15, seed=7,
                       mask_transform="ones")
     plain = evaluate(w_v, vanilla, EnvSpec(name="catch"), episodes=15, seed=7)
@@ -291,7 +299,6 @@ def test_injection_whole_frame_region_mean_is_global_mean():
     inj = InjectionSpec(sprite, stencil, position=(0, 0), start_frame=3, duration=0)
     rep = injection_response(w, config, EnvSpec(name="fuel"), inj,
                              window=(0, 3), seed=5)
-    assert rep.region.all()
     # with the region covering everything, compare against a fresh forward
     from maskac.network import RecurrentState, forward
     from maskac.envs import make_env
@@ -299,7 +306,8 @@ def test_injection_whole_frame_region_mean_is_global_mean():
     env = make_env(EnvSpec(name="fuel", seed=_episode_seed(5, 0)))
     trace = forward(env.observe(), RecurrentState.zeros(config, np.float32),
                     {k: v for k, v in w.items()}, config)
-    assert abs(rep.rows[0]["region_mean_policy"] - float(trace.m_p.data.mean())) < 1e-6
+    assert abs(rep.rows[0]["region_mean_policy"]
+               - float(upsample_nearest(trace.m_p.data[0], size).mean())) < 1e-6
 
 
 def test_injection_window_must_cover_start_frame():
@@ -343,16 +351,22 @@ def test_injection_report_ends_with_the_episode():
     assert [r["t"] for r in rep.rows] == list(range(19))
 
 
-def test_stencil_region_majority_rule():
-    # a sprite covering one full 7x7 block and a sliver of the next
-    stencil = np.ones((7, 9), dtype=bool)
-    region = stencil_region_cells(stencil, (0, 0), obs_size=20, grid_size=3)
-    assert region[0, 0]          # fully covered
-    assert not region[0, 1]      # 2 of 7 columns covered: below half
-    assert not region[1, 0]      # no rows covered
-    stencil2 = np.ones((7, 11), dtype=bool)  # 4 of 7 columns of block 1
-    region2 = stencil_region_cells(stencil2, (0, 0), obs_size=20, grid_size=3)
-    assert region2[0, 1]
+def test_injection_small_sprite_region_means_are_finite():
+    # a 3x3 sprite covers no 7x7 mask block even half, yet reads the cell under it
+    config = cfg()
+    sprite = InjectionSpec(np.ones((3, 3)), np.ones((3, 3), bool), (0, 0), start_frame=2)
+    rep = injection_response(weights_for(config), config, EnvSpec(name="catch"), sprite,
+                             window=(0, 5), seed=1)
+    for row in rep.rows:
+        assert 0.0 < row["region_mean_policy"] < 1.0
+        assert 0.0 < row["region_mean_value"] < 1.0
+
+
+def test_stencil_region_weights_cells_by_covered_pixels():
+    # a 7x9 sprite covers the 7x7 block of cell (0,0) and 7x2 pixels of cell (0,1)
+    grid = np.arange(9.0).reshape(3, 3)
+    assert region_mean(grid, np.ones((7, 9), bool), (0, 0), 20) == (49 * 0.0 + 14 * 1.0) / 63
+    assert region_mean(grid, np.ones((1, 1), bool), (19, 19), 20) == 8.0
 
 
 @pytest.mark.parametrize("grid_size", [3, 5])
@@ -361,9 +375,10 @@ def test_stencil_region_majority_rule():
     np.array([[1, 0, 1], [0, 1, 0]], bool), np.random.default_rng(3).random((5, 4)) < 0.5,
 ], ids=["pixel", "3x3", "7x9", "checker", "random"])
 def test_stencil_region_matches_the_per_cell_oracle_at_every_position(grid_size, stencil):
+    grid = np.random.default_rng(grid_size).random((grid_size, grid_size))
     h, w = stencil.shape
     for r in range(20 - h + 1):
         for c in range(20 - w + 1):
-            np.testing.assert_array_equal(
-                stencil_region_cells(stencil, (r, c), 20, grid_size),
-                stencil_region_cells_oracle(stencil, (r, c), 20, grid_size))
+            np.testing.assert_allclose(region_mean(grid, stencil, (r, c), 20),
+                                       region_mean_oracle(grid, stencil, (r, c), 20),
+                                       rtol=1e-12)

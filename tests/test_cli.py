@@ -18,7 +18,7 @@ from maskac.envs import ENV_NAMES, EnvSpec
 from maskac.cli import (CONFIG_DEFAULTS, EXIT_ARGUMENT, EXIT_CHECKPOINT,
                         EXIT_CONFIG, EXIT_OK, EXIT_VARIANT, ResolvedConfig,
                         main, parse_config_file)
-from maskac.network import NetworkConfig, init_weights, weight_names, weight_shapes
+from maskac.network import NetworkConfig, init_weights, weight_shapes
 
 
 def cfg(policy=True, value=True, **kw):
@@ -84,13 +84,38 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 
 
 def test_checkpoint_name_set_must_match_config(tmp_path):
-    config = cfg()
-    weights = init_weights(config, seed=0)
-    weights.pop("policy_mask.w")
+    # a policy-only network's tensors under a config block that claims both masks
+    config = cfg(value=False)
     path = str(tmp_path / "w.ma3c")
-    save_checkpoint(weights, config, path)
-    with pytest.raises(CheckpointError):
+    save_checkpoint(init_weights(config, seed=0), config, path)
+    rewrite_config(path, lambda b: b.replace(b"value_mask_enabled=false",
+                                             b"value_mask_enabled=true"))
+    with pytest.raises(CheckpointError, match="value_mask.w"):
         load_checkpoint(path)
+
+
+def test_checkpoint_tensor_shapes_must_match_config(tmp_path, capsys):
+    config = tiny_cfg()
+    path = str(tmp_path / "w.ma3c")
+    save_checkpoint(init_weights(config, seed=0), config, path)
+    rewrite_config(path, lambda b: b.replace(b"n_actions=3", b"n_actions=4"))
+    with pytest.raises(CheckpointError, match="policy_out.w"):
+        load_checkpoint(path)
+    assert main(["eval", "--ckpt", path, "--episodes", "1"]) == EXIT_CHECKPOINT
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("edit", [
+    lambda w: w.update(extra=np.zeros(1)), lambda w: w.pop("policy_mask.w"),
+    lambda w: w.update({"fe1.b": np.zeros(5)}),
+], ids=["extra", "missing", "shape"])
+def test_save_checkpoint_rejects_weights_that_do_not_fit_before_writing(tmp_path, edit):
+    config = tiny_cfg()
+    weights = init_weights(config, seed=0)
+    edit(weights)
+    with pytest.raises(ValueError):
+        save_checkpoint(weights, config, str(tmp_path / "w.ma3c"))
+    assert os.listdir(tmp_path) == []
 
 
 def tiny_cfg(**kw):
@@ -133,7 +158,7 @@ def test_checkpoint_bad_config_raises_checkpoint_error(tmp_path, capsys, edit):
 
 def test_checkpoint_config_block_of_the_default_config(tmp_path):
     path = str(tmp_path / "w.ma3c")
-    save_checkpoint({}, NetworkConfig(), path)
+    save_checkpoint(init_weights(NetworkConfig(), seed=0), NetworkConfig(), path)
     body = Path(path).read_bytes()
     (n,) = struct.unpack_from("<I", body, 8)
     assert body[12:12 + n] == (
@@ -384,7 +409,7 @@ def test_train_writes_metrics_and_loadable_checkpoint(tmp_path):
     out, ckpt = trained_tiny_run(tmp_path)
     assert (out / "metrics.csv").stat().st_size > 0
     weights, config = load_checkpoint(ckpt)
-    assert set(weights) == set(weight_names(config))
+    assert set(weights) == set(weight_shapes(config))
 
 
 def test_train_zero_steps_single_checkpoint(tmp_path):
@@ -540,14 +565,17 @@ def test_inject_out_of_bounds_sprite(tmp_path):
                  "--frame", "2", "--window", "0,4", "--env", "fuel"]) == EXIT_ARGUMENT
 
 
-@pytest.mark.parametrize("case", ["duration-abc", "missing-sprite", "not-p5", "oversized-header"])
+@pytest.mark.parametrize("case", ["duration-abc", "missing-sprite", "not-p5", "oversized-header",
+                                  "empty-stencil"])
 def test_inject_bad_duration_or_sprite_exit_5_with_one_line(tmp_path, capsys, case):
     spec_cfg = NetworkConfig(n_actions=6, fe_channels=(4, 4, 8), lstm_channels=8,
                              branch_channels=4)
     ckpt = str(tmp_path / "w.ma3c")
     save_checkpoint(init_weights(spec_cfg, seed=0), spec_cfg, ckpt)
-    sprite, duration = write_sprite(tmp_path), "3"
-    if case == "duration-abc":
+    sprite, duration, threshold = write_sprite(tmp_path), "3", "1"
+    if case == "empty-stencil":
+        threshold = "256"   # no byte reaches it
+    elif case == "duration-abc":
         duration = "abc"
     elif case == "missing-sprite":
         sprite = str(tmp_path / "absent.pgm")
@@ -559,10 +587,10 @@ def test_inject_bad_duration_or_sprite_exit_5_with_one_line(tmp_path, capsys, ca
         Path(sprite).write_bytes(b"P5\n99999999 99999999\n255\n\x00")
     assert main(["inject", "--ckpt", ckpt, "--sprite", sprite, "--pos", "17,0",
                  "--frame", "2", "--window", "0,4", "--env", "fuel",
-                 "--duration", duration]) == EXIT_ARGUMENT
+                 "--duration", duration, "--stencil-threshold", threshold]) == EXIT_ARGUMENT
     err = capsys.readouterr().err
     assert err.startswith("invalid argument:") and len(err.strip().splitlines()) == 1
-    assert ("--duration" if case == "duration-abc" else "--sprite") in err
+    assert {"duration-abc": "--duration", "empty-stencil": "stencil"}.get(case, "--sprite") in err
 
 
 def test_inject_zero_intensity_full_stencil(tmp_path):
@@ -812,7 +840,8 @@ def _argv(draw, root):
                          st.one_of(huge_pair, _TEXT)),
             "--duration": (st.one_of(st.integers(0, 30), st.just("permanent")),
                            st.one_of(st.integers(-_HUGE, -1), _TEXT)),
-            "--stencil-threshold": (st.integers(0, 255), st.integers(-_HUGE, _HUGE)),
+            # the sprite's bytes are 230: a higher threshold leaves an empty stencil
+            "--stencil-threshold": (st.integers(0, 230), st.integers(-_HUGE, _HUGE)),
         })
     always = {"--env", "--ckpt", "--episodes", "--sprite", "--pos", "--frame", "--window"}
     if command == "viz":

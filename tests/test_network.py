@@ -1,5 +1,7 @@
 """Network structure, mask mechanics, and the ones-mask ablation equivalence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -62,8 +64,8 @@ def test_init_weights_deterministic():
 
 
 def test_variant_weight_counts():
-    vanilla = net.weight_names(cfg("vanilla"))
-    both = net.weight_names(cfg("both"))
+    vanilla = net.weight_shapes(cfg("vanilla"))
+    both = net.weight_shapes(cfg("both"))
     assert len(both) - len(vanilla) == 4  # two extra kernel+bias pairs
     assert set(vanilla) < set(both)
 
@@ -73,6 +75,26 @@ def test_shared_layers_get_identical_draws_across_variants():
     wv = net.init_weights(cfg("vanilla"), seed=7)
     for k in wv:
         assert np.array_equal(wv[k].data, wb[k].data)
+
+
+# sha256 over the sorted names of the seed-0 default network: each name's
+# utf-8 bytes, then its little-endian float32 bytes; the draws need no BLAS
+INIT_DIGESTS = {
+    "vanilla": "9400c0362d4d2001145e85295fefa2bfe2c6e938956688abac94406c27a8e9a0",
+    "policy": "3da7d4c09d52f1867d687760fdbce1e3f26472871904c4f373030c3a813d3dd6",
+    "value": "9580cb2a5485b6e5b92af1b109b778e19d1555b33440713432e6a64f3f6144f3",
+    "both": "5e56184d2295c909efe7d6f4c48fe4337af4669542a6fc75567f10f360bbc8a5",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(INIT_DIGESTS))
+def test_init_streams_match_golden_digest(variant):
+    w = net.init_weights(cfg(variant), seed=0)
+    digest = hashlib.sha256()
+    for name in sorted(w):
+        digest.update(name.encode())
+        digest.update(w[name].data.astype("<f4").tobytes())
+    assert digest.hexdigest() == INIT_DIGESTS[variant]
 
 
 def test_policy_head_shape_follows_config():
@@ -293,7 +315,7 @@ def test_ones_mask_equals_vanilla_with_shared_weights(variant):
     config_m = cfg(variant)
     config_v = cfg("vanilla")
     w = net.init_weights(config_m, seed=3, dtype=np.float64)
-    w_vanilla = {k: w[k] for k in net.weight_names(config_v)}
+    w_vanilla = {k: w[k] for k in net.weight_shapes(config_v)}
     for i in range(20):
         obs = random_obs(config_m, seed=100 + i)
         tm = net.forward(obs, RecurrentState.zeros(config_m, np.float64), w, config_m,
