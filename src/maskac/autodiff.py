@@ -1,10 +1,10 @@
 """Reverse-mode automatic differentiation over dense numpy tensors.
 
 Supplies exactly the operator set the masked actor-critic network needs:
-conv2d, the fused ConvLSTM, dense, add / mul (by a tensor or a constant),
-sigmoid / tanh / relu, the channel-broadcast mask multiply, softmax /
-log-softmax, channel concat / slice, row gather, reshape and the scalar
-sum.  Each op records a backward closure on its output;
+conv2d, the ConvLSTM cell and its fused sequence form, dense, add / mul
+(by a tensor or a constant), sigmoid / relu, the channel-broadcast mask
+multiply, softmax / log-softmax, channel concat, row gather, reshape and
+the scalar sum.  Each op records a backward closure on its output;
 ``backward()`` replays the recorded graph in reverse topological order
 and accumulates into ``.grad`` buffers.
 
@@ -20,9 +20,9 @@ import numpy as np
 
 __all__ = [
     "Tensor", "ShapeError", "GraphError",
-    "add", "mul", "sigmoid", "tanh", "relu",
-    "broadcast_mul_channelwise", "conv2d", "convlstm", "dense",
-    "softmax", "log_softmax", "concat_channels", "slice_channels",
+    "add", "mul", "sigmoid", "relu",
+    "broadcast_mul_channelwise", "conv2d", "lstm_cell", "convlstm", "dense",
+    "softmax", "log_softmax", "concat_channels",
     "take_rows", "reshape", "sum_all", "backward",
 ]
 
@@ -156,16 +156,6 @@ def sigmoid(a):
     return out
 
 
-def tanh(a):
-    y = np.tanh(a.data)
-    out = _make(y, (a,), "tanh")
-    if out.requires_grad:
-        def _bw():
-            _accum_owned(a, out.grad * (1.0 - y * y))
-        out._backward = _bw
-    return out
-
-
 def relu(a):
     y = np.maximum(a.data, 0.0)
     out = _make(y, (a,), "relu")
@@ -254,7 +244,7 @@ def _col2im(dpatch, xp_shape, kh, kw, stride, h_out, w_out):
 def _tap_sum_index(c, n, h, w):
     """Gather index that sums per-tap gradients onto the input of a 3x3 same-padding conv.
 
-    The gradient source is a flat [9*C*N*H*W] block of rows (tap, c) over
+    The gradient source is a flat [C*9*N*H*W] block of rows (c, tap) over
     output positions (n, y', x'), followed by one zero.  Row ``tap`` of the
     [9, C*N*H*W] index gives, for each input position (c, n, y, x), the
     entry that tap (ki, kj) carries there from output (y-ki+1, x-kj+1), or
@@ -265,7 +255,7 @@ def _tap_sum_index(c, n, h, w):
     ki, kj = np.divmod(np.arange(9), 3)
     y = np.arange(h)[:, None] - ki[:, None, None, None, None] + 1     # y' as [9,1,1,H,1]
     x = np.arange(w) - kj[:, None, None, None, None] + 1              # x' as [9,1,1,1,W]
-    plane = ((np.arange(9)[:, None, None, None, None] * c + np.arange(c)[:, None, None, None]) * n
+    plane = ((np.arange(c)[:, None, None, None] * 9 + np.arange(9)[:, None, None, None, None]) * n
              + np.arange(n)[:, None, None]) * (h * w)
     inside = (y >= 0) & (y < h) & (x >= 0) & (x < w)
     idx = np.where(inside, plane + y * w + x, 9 * c * n * h * w).reshape(9, -1)
@@ -326,117 +316,140 @@ def conv2d(x, k, b, stride=1, padding=0):
     return out
 
 
-def convlstm(x, k, b, h0, c0):
+def _lstm_gates(z, c):
+    """The LSTM cell on gate pre-activations z [B,4,L,P] and cell states c [B,L,P].
+
+    Turns z in place into the gates: i, f, o (z[:, :3]) through the
+    sigmoid in tanh form, (tanh(v/2) + 1) / 2, and g through tanh.
+    Returns c' = f*c + i*g, tanh(c') and h = o*tanh(c').
+    """
+    s = z[:, :3]
+    s *= 0.5
+    np.tanh(z, out=z)
+    s += 1.0
+    s *= 0.5
+    i, f, o, g = (z[:, j] for j in range(4))
+    c_next = f * c
+    c_next += i * g
+    tc = np.tanh(c_next)
+    return c_next, tc, o * tc
+
+
+def lstm_cell(z, c):
+    """One LSTM cell update: (h, c_next) from gate pre-activations z and cell state c.
+
+    z [4L,H,W] stacks the pre-activations of the gates i, f, o, g and c is
+    [L,H,W]; a leading batch axis on both is allowed.  c_next = f*c + i*g
+    and h = o*tanh(c_next), with sigmoid i, f, o and tanh g.
+    """
+    if (z.data.ndim not in (3, 4) or c.data.ndim != z.data.ndim or z.shape[:-3] != c.shape[:-3]
+            or z.shape[-2:] != c.shape[-2:] or z.shape[-3] != 4 * c.shape[-3]):
+        raise ShapeError(f"lstm_cell: gates {z.shape} do not fit cell state {c.shape}")
+    gates = z.data.reshape(-1, 4, c.shape[-3], c.shape[-2] * c.shape[-1]).copy()
+    c_prev = c.data.reshape(gates.shape[:1] + gates.shape[2:])
+    c_next, tc, h = _lstm_gates(gates, c_prev)
+    c_out = _make(c_next.reshape(c.shape), (z, c), "lstm_cell")
+    h_out = _make(h.reshape(c.shape), (z, c_out), "lstm_cell")   # c_next is h's parent
+    if c_out.requires_grad:
+        i, f, o, g = (gates[:, j] for j in range(4))
+
+        def _bw_h():          # h's gradient reaches c_next here and gate o in _bw_c
+            dc = h_out.grad.reshape(h.shape) * o * (1.0 - tc * tc)
+            _accum_owned(c_out, dc.reshape(c.shape))
+
+        def _bw_c():
+            dc = c_out.grad.reshape(c_next.shape)
+            dh = 0.0 if h_out.grad is None else h_out.grad.reshape(h.shape)
+            if z.requires_grad:
+                dz = np.stack((dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                               dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)), axis=1)
+                _accum_owned(z, dz.reshape(z.shape))
+            if c.requires_grad:
+                _accum_owned(c, (dc * f).reshape(c.shape))
+        h_out._backward = _bw_h
+        c_out._backward = _bw_c
+    return h_out, c_out
+
+
+def convlstm(x, k, b, h_in, c_in):
     """ConvLSTM over N sequences of T steps, as one op: x [N,T,C,H,W] -> hidden states [N,T,L,H,W].
 
+    h_in, c_in [N,T,L,H,W] are the states that entered each step when the
+    sequences were played with these same weights: step 0's are the
+    sequences' start states, and step t's are the outputs of step t-1.
     The gates i, f, o, g of step t come from a 3x3 same-padding conv over
-    (x_t, h_{t-1}) with kernel k [4L, C+L, 3, 3] and bias b [4L].  The
-    kernel splits as W_x*x_t + W_h*h_{t-1} (Shi et al. 2015): the x-half
-    runs as one matmul over all N*T frames, and only the h-half is
-    sequential, one matmul per step over the patch rows of all N
-    sequences.  h0, c0 [N,L,H,W] are constant arrays, so gradients stop at
-    the start of each sequence.  Backward is a hand-written BPTT whose
-    weight gradient is one matmul over all N*T frames.  A batch of one
-    sequence computes what it would alone, bit for bit.
+    (x_t, h_in[t]) with kernel k [4L, C+L, 3, 3] and bias b [4L] (Shi et
+    al. 2015), so the forward is one patch gather, one gate matmul and one
+    gate pass over all N*T frames.  The backward is a hand-written BPTT:
+    it takes h_in[t] and c_in[t] for the outputs of step t-1, so gradients
+    flow through time inside a sequence and stop at its start.  States that
+    these weights did not produce give outputs and gradients of no real
+    sequence.  A batch of one sequence computes what it would alone, bit
+    for bit.
     """
     if x.data.ndim != 5 or k.data.ndim != 4:
         raise ShapeError(f"convlstm: need [N,T,C,H,W] input and 4-d kernel, got {x.shape}, {k.shape}")
-    n_seq, n_steps, c_in, h, w = x.shape
+    n_seq, n_steps, n_x, h, w = x.shape
     L4 = k.shape[0]
     n_hidden = L4 // 4
-    if h0.shape != (n_seq, n_hidden, h, w) or c0.shape != h0.shape:
-        raise ShapeError(f"convlstm: state {h0.shape}/{c0.shape} incompatible with input {x.shape}")
-    if k.shape != (4 * n_hidden, c_in + n_hidden, 3, 3) or b.shape != (L4,):
+    if h_in.shape != (n_seq, n_steps, n_hidden, h, w) or c_in.shape != h_in.shape:
+        raise ShapeError(f"convlstm: states {h_in.shape}/{c_in.shape} are not "
+                         f"[N,T,L,H,W] for input {x.shape}")
+    if k.shape != (4 * n_hidden, n_x + n_hidden, 3, 3) or b.shape != (L4,):
         raise ShapeError(f"convlstm: kernel {k.shape} / bias {b.shape} do not fit "
-                         f"{c_in} input and {n_hidden} hidden channels")
+                         f"{n_x} input and {n_hidden} hidden channels")
     dtype = x.data.dtype
-    p = h * w
-    rows = n_seq * p                          # patch rows of one step, sequence-major
-    k_x = k.data[:, :c_in].reshape(L4, -1)
-    k_h = k.data[:, c_in:].reshape(L4, -1)
-    # step-major frames, so that step t's x-half is one contiguous block of columns
-    xt = x.data.transpose(1, 0, 2, 3, 4).reshape(n_steps * n_seq, c_in, h, w)
-    px = _im2col(xt, 3, 3, 1, 1)                                # [T*N*P, C*9]
-    zx = (k_x @ px.T).reshape(L4, n_steps, rows)
-    zx += b.data[:, None, None]
+    rows = n_seq * h * w                      # patch rows of one step, sequence-major
+    # step-major frames, so that each step's gate columns are one contiguous block
+    frames = np.concatenate((x.data.transpose(1, 0, 2, 3, 4), h_in.transpose(1, 0, 2, 3, 4)),
+                            axis=2, dtype=dtype).reshape(-1, n_x + n_hidden, h, w)
+    patches = _im2col(frames, 3, 3, 1, 1)                       # [T*N*P, (C+L)*9]
+    kmat = k.data.reshape(L4, -1)
+    z = kmat @ patches.T                                        # [4L, T*N*P]
+    z += b.data[:, None]
+    c_prev = np.ascontiguousarray(c_in.transpose(2, 1, 0, 3, 4), dtype=dtype)   # [L,T,N,h,w]
+    _, tcs, hs = _lstm_gates(z.reshape(1, 4, n_hidden, -1), c_prev.reshape(1, n_hidden, -1))
 
-    # patch rows of the N padded maps in hp, one map after another
-    h_idx = _patch_index(n_hidden, h + 2, w + 2, 3, 3, 1, 0)
-    h_idx = (np.arange(n_seq)[:, None, None] * (n_hidden * (h + 2) * (w + 2))
-             + h_idx).reshape(rows, -1)
-    hp = np.zeros((n_seq, n_hidden, h + 2, w + 2), dtype=dtype)   # padded h_{t-1}
-    hp_inner = hp[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)         # [L,N,H,W] view
-    hp_inner[...] = h0.transpose(1, 0, 2, 3)
-    ph = np.empty((n_steps, rows, n_hidden * 9), dtype=dtype)   # h_{t-1} patches
-    gates = np.empty((n_steps, L4, rows), dtype=dtype)          # i, f, o, g
-    cs = np.empty((n_steps + 1, n_hidden, rows), dtype=dtype)   # c_{t-1} at t
-    tcs = np.empty((n_steps, n_hidden, rows), dtype=dtype)      # tanh(c_t)
-    hs = np.empty((n_steps, n_hidden, rows), dtype=dtype)
-    cs[0] = c0.transpose(1, 0, 2, 3).reshape(n_hidden, rows)
-    s3 = 3 * n_hidden
-    for t in range(n_steps):
-        np.take(hp.reshape(-1), h_idx, out=ph[t])
-        z = gates[t]
-        np.matmul(k_h, ph[t].T, out=z)
-        z += zx[:, t]
-        # sigmoid(v) = (tanh(v/2) + 1) / 2 on i, f, o: one tanh over all four gates
-        z[:s3] *= 0.5
-        np.tanh(z, out=z)
-        z[:s3] += 1.0
-        z[:s3] *= 0.5
-        i, f, o, g = z[:n_hidden], z[n_hidden:2 * n_hidden], z[2 * n_hidden:s3], z[s3:]
-        c = cs[t + 1]
-        np.multiply(f, cs[t], out=c)
-        c += i * g
-        np.tanh(c, out=tcs[t])
-        np.multiply(o, tcs[t], out=hs[t])
-        hp_inner[...] = hs[t].reshape(n_hidden, n_seq, h, w)
-
-    ys = np.ascontiguousarray(hs.reshape(n_steps, n_hidden, n_seq, h, w).transpose(2, 0, 1, 3, 4))
+    ys = np.ascontiguousarray(hs.reshape(n_hidden, n_steps, n_seq, h, w).transpose(2, 1, 0, 3, 4))
     out = _make(ys, (x, k, b), "convlstm")
     if out.requires_grad:
         def _bw():
-            dhs = out.grad.transpose(1, 2, 0, 3, 4).reshape(n_steps, n_hidden, rows)
-            i, f, o, g = (gates[:, j * n_hidden:(j + 1) * n_hidden] for j in range(4))
+            # [4L or L, T, N*P] views: step t is column block t
+            dhs = out.grad.transpose(2, 1, 0, 3, 4).reshape(n_hidden, n_steps, rows)
+            i, f, o, g = z.reshape(4, n_hidden, n_steps, rows)
+            cs, tc = (a.reshape(n_hidden, n_steps, rows) for a in (c_prev, tcs))
             # dL/dz_t is a factor known from the forward times dc_t (gates i, f, g)
             # or dh_t (gate o); the factors of all steps are formed at once
-            dz = np.empty_like(gates)                                  # [T, 4L, N*P]
-            dz[:, :n_hidden] = g * i * (1.0 - i)
-            dz[:, n_hidden:2 * n_hidden] = cs[:-1] * f * (1.0 - f)
-            dz[:, 2 * n_hidden:s3] = tcs * o * (1.0 - o)
-            dz[:, s3:] = i * (1.0 - g * g)
-            dtc = o * (1.0 - tcs * tcs)                                # dh_t -> dc_t
-            # W_h^T dz_t, one row block per kernel tap, then each tap's block
-            # summed onto the h_{t-1} positions that tap reads
-            k_taps = np.ascontiguousarray(k_h.reshape(L4, n_hidden, 9).transpose(2, 1, 0))
-            k_taps = k_taps.reshape(9 * n_hidden, L4)
+            dz = np.stack((g * i * (1.0 - i), cs * f * (1.0 - f), tc * o * (1.0 - o),
+                           i * (1.0 - g * g)))                         # [4, L, T, N*P]
+            dtc = o * (1.0 - tc * tc)                                  # dh_t -> dc_t
+            # W_h^T dz_t, one row per (hidden channel, kernel tap), then each
+            # tap's rows summed onto the h_{t-1} positions that tap reads
+            k_h = kmat[:, n_x * 9:].T
             tap_idx = _tap_sum_index(n_hidden, n_seq, h, w)
             taps = np.zeros(9 * n_hidden * rows + 1, dtype=dtype)     # the last entry stays 0
             dh = np.zeros((n_hidden, rows), dtype=dtype)   # from step t+1 through W_h
             dc = np.zeros((n_hidden, rows), dtype=dtype)   # from step t+1 through f
             for t in range(n_steps - 1, -1, -1):
-                dh += dhs[t]
-                dc += dh * dtc[t]
-                dzt = dz[t]
-                dzt[:n_hidden] *= dc
-                dzt[n_hidden:2 * n_hidden] *= dc
-                dzt[2 * n_hidden:s3] *= dh
-                dzt[s3:] *= dc
-                dc *= f[t]
+                dh += dhs[:, t]
+                dc += dh * dtc[:, t]
+                dzt = dz[:, :, t]
+                dzt[:2] *= dc
+                dzt[2] *= dh
+                dzt[3] *= dc
+                dc *= f[:, t]
                 if t:
-                    np.matmul(k_taps, dzt, out=taps[:-1].reshape(9 * n_hidden, rows))
+                    np.matmul(k_h, dzt.reshape(L4, rows), out=taps[:-1].reshape(-1, rows))
                     dh = np.take(taps, tap_idx).sum(axis=0).reshape(n_hidden, rows)
-            gm = dz.transpose(1, 0, 2).reshape(L4, -1)                 # [4L, T*N*P]
+            gm = dz.reshape(L4, -1)                                    # [4L, T*N*P]
             if k.requires_grad:
-                gk = np.empty((L4, (c_in + n_hidden) * 9), dtype=dtype)
-                np.matmul(gm, px, out=gk[:, :c_in * 9])
-                np.matmul(gm, ph.reshape(-1, n_hidden * 9), out=gk[:, c_in * 9:])
-                _accum_owned(k, gk.reshape(k.shape))
+                _accum_owned(k, (gm @ patches).reshape(k.shape))
             if b.requires_grad:
                 _accum_owned(b, gm.sum(axis=1))
             if x.requires_grad:
-                gxp = _col2im(gm.T @ k_x, (n_steps * n_seq, c_in, h + 2, w + 2), 3, 3, 1, h, w)
-                gx = _unpad(gxp, 1).reshape(n_steps, n_seq, c_in, h, w).transpose(1, 0, 2, 3, 4)
+                gxp = _col2im(gm.T @ kmat[:, :n_x * 9], (n_steps * n_seq, n_x, h + 2, w + 2),
+                              3, 3, 1, h, w)
+                gx = _unpad(gxp, 1).reshape(n_steps, n_seq, n_x, h, w).transpose(1, 0, 2, 3, 4)
                 _accum_owned(x, np.ascontiguousarray(gx))
         out._backward = _bw
     return out
@@ -517,20 +530,6 @@ def concat_channels(a, b):
                 _accum(a, out.grad[..., :na, :, :])
             if b.requires_grad:
                 _accum(b, out.grad[..., na:, :, :])
-        out._backward = _bw
-    return out
-
-
-def slice_channels(a, lo, hi):
-    """View of channels [lo, hi) of a [C,H,W] map or an [N,C,H,W] batch."""
-    if a.data.ndim not in (3, 4) or not (0 <= lo < hi <= a.shape[-3]):
-        raise ShapeError(f"slice_channels: range [{lo},{hi}) invalid for shape {a.shape}")
-    out = _make(a.data[..., lo:hi, :, :], (a,), "slice")
-    if out.requires_grad:
-        def _bw():
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[..., lo:hi, :, :] += out.grad
         out._backward = _bw
     return out
 

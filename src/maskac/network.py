@@ -197,19 +197,9 @@ def convlstm_step(x, state, w):
 
     x [C,H,W] with state [L,H,W], or a batch x [B,C,H,W] with state [B,L,H,W].
     """
-    if (state.h.shape[:-3] != x.shape[:-3] or state.h.shape[-2:] != x.shape[-2:]
-            or state.h.shape != state.c.shape):
-        raise ad.ShapeError(
-            f"recurrent state {state.h.shape}/{state.c.shape} incompatible with input {x.shape}")
-    L = state.h.shape[-3]
     z = ad.conv2d(ad.concat_channels(x, state.h), w["lstm.w"], w["lstm.b"],
                   stride=1, padding=_CELL_PADDING)
-    i = ad.sigmoid(ad.slice_channels(z, 0, L))
-    f = ad.sigmoid(ad.slice_channels(z, L, 2 * L))
-    o = ad.sigmoid(ad.slice_channels(z, 2 * L, 3 * L))
-    g = ad.tanh(ad.slice_channels(z, 3 * L, 4 * L))
-    c_next = ad.add(ad.mul(f, state.c), ad.mul(i, g))
-    h_next = ad.mul(o, ad.tanh(c_next))
+    h_next, c_next = ad.lstm_cell(z, state.c)
     return h_next, RecurrentState(h_next, c_next)
 
 
@@ -292,21 +282,22 @@ def forward_segment(obs, state, w, config, lengths):
     """``forward`` over the rollout segments of one round at once, for the learner.
 
     ``obs`` holds N segments' observations [N,T,H,W], each padded to the
-    longest, and ``lengths`` each segment's real step count.  ``state``
-    [N,L,h,w] holds the recurrent states before the segments' first
-    steps, taken as constants: gradients flow through time inside a
-    segment and stop at its start.  The extractor runs as one op
-    over all N*T frames and the ConvLSTM as the fused ``autodiff.convlstm``
-    over [N,T,...]; the branches and heads then run on the real steps
-    only, so the trace has one row per real step, segment after segment,
-    and a padded step gets no gradient.  Masks are used as computed.
+    longest, and ``lengths`` each segment's real step count.  ``state`` is
+    the pair (h, c) of [N,T,L,h,w] arrays that the actors recorded
+    entering each step with these weights, zeros on padded steps.  The
+    extractor runs as one op over all N*T frames and the ConvLSTM as the
+    fused ``autodiff.convlstm``, which reads those states instead of
+    stepping through time; its BPTT carries gradients through time inside
+    a segment and stops them at its start.  The branches and heads then
+    run on the real steps only, so the trace has one row per real step,
+    segment after segment, and a padded step gets no gradient.  Masks are
+    used as computed.
     """
     dtype = w["fe1.w"].dtype
     obs = np.asarray(obs, dtype=dtype)
     n, t = obs.shape[:2]
     x = feature_extract(Tensor(obs.reshape((n * t, 1) + obs.shape[2:])), w, config)
-    h = ad.convlstm(ad.reshape(x, (n, t) + x.shape[1:]), w["lstm.w"], w["lstm.b"],
-                    state.h.data, state.c.data)
+    h = ad.convlstm(ad.reshape(x, (n, t) + x.shape[1:]), w["lstm.w"], w["lstm.b"], *state)
     h = ad.reshape(h, (n * t,) + h.shape[2:])
     if min(lengths) < t:
         h = ad.take_rows(h, [i * t + j for i, steps in enumerate(lengths) for j in range(steps)])

@@ -12,11 +12,12 @@ run whatever the worker count, and with one worker a round is one A3C
 cycle.
 
 The rollout builds no graph and skips the value branch: it returns the
-round as a ``Round`` of arrays, each step's observation, action and
-reward plus the recurrent state each segment started from.  The learner
-then recomputes all N segments with one ``forward_segment`` over
-[N,T,...], takes the values, log-probs, entropies and advantages from
-that pass, and backpropagates that single graph.
+round as a ``Round`` of arrays, each step's observation, action, reward
+and the recurrent state that entered it.  The learner then recomputes
+all N segments with one ``forward_segment`` over [N,T,...], whose
+ConvLSTM reads those recorded states rather than stepping through time,
+takes the values, log-probs, entropies and advantages from that pass,
+and backpropagates that single graph.
 """
 
 from __future__ import annotations
@@ -75,20 +76,21 @@ class Hyperparams:
 class Round:
     """The N segments of one lockstep round, each as wide as the longest, T steps.
 
-    ``obs`` [N,T,H,W], ``actions`` and ``rewards`` [N,T] are zero past each
-    segment's ``lengths`` [N].  ``terminal`` [N] marks the segments that
-    ended their episode, ``bootstrap`` [N] holds the value of the state
-    after each one (0 where it ended), and ``start_state`` [N,L,h,w] the
-    recurrent state before its first step.
+    ``obs`` [N,T,H,W], ``actions`` and ``rewards`` [N,T], and the ConvLSTM
+    states ``h`` and ``c`` [N,T,L,h,w] that entered each step, are zero
+    past each segment's ``lengths`` [N].  ``terminal`` [N] marks the
+    segments that ended their episode, and ``bootstrap`` [N] holds the
+    value of the state after each one (0 where it ended).
     """
 
     obs: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
+    h: np.ndarray
+    c: np.ndarray
     lengths: np.ndarray
     terminal: np.ndarray
     bootstrap: np.ndarray
-    start_state: RecurrentState
 
 
 def collect_rollout(envs, weights, config, state, t_max, rngs):
@@ -105,31 +107,32 @@ def collect_rollout(envs, weights, config, state, t_max, rngs):
     and the [N,...] state to carry into the next round.
     """
     frozen = {k: Tensor(t.data) for k, t in weights.items()}   # no requires_grad: no graph
-    h, c = state.h.data.copy(), state.c.data.copy()
+    h, c = state.h.data.copy(), state.c.data.copy()             # each env's latest state
     fresh = [i for i, env in enumerate(envs) if env.done]
     h[fresh] = c[fresh] = 0
     obs = [env.reset() if env.done else env.observe() for env in envs]
-    start = RecurrentState(Tensor(h), Tensor(c))
-    steps = []              # per step: its rows' envs, step index, frames, actions, rewards
+    steps = []     # per step: its rows' envs, step index, frames, actions, rewards, states in
     for t, rows, frames, trace, actions, results in lockstep(
-            frozen, config, envs, rngs, greedy=False, with_value=False, state=start, obs=obs):
-        steps.append((rows, [t] * len(rows), frames, actions, [r.reward for r in results]))
+            frozen, config, envs, rngs, greedy=False, with_value=False,
+            state=RecurrentState(Tensor(h), Tensor(c)), obs=obs):
+        steps.append((rows, [t] * len(rows), frames, actions, [r.reward for r in results],
+                      h[rows], c[rows]))
+        h[rows], c[rows] = trace.next_state.h.data, trace.next_state.c.data
         if t + 1 == t_max:
             break
+    env_of, step_of, *fields = (np.concatenate(part) for part in zip(*steps))
+
+    def scatter(values):   # one row per step taken -> [N,T,...], zero past each segment
+        out = np.zeros((len(envs), len(steps)) + values.shape[1:], values.dtype)
+        out[env_of, step_of] = values
+        return out
+    rnd = Round(*map(scatter, fields), np.bincount(env_of, minlength=len(envs)),
+                np.array([env.done for env in envs]), np.zeros(len(envs)))
     # the envs still running after the last step carry their state and get a bootstrap value
-    live = [k for k, r in enumerate(results) if not r.done]
-    ends = [rows[k] for k in live]
-    env_of, step_of, frames, actions, rewards = (np.concatenate(part) for part in zip(*steps))
-    n, nt = len(envs), (len(envs), len(steps))                  # nt: the [N,T] shape
-    rnd = Round(np.zeros(nt + frames.shape[1:], frames.dtype), np.zeros(nt, np.int64),
-                np.zeros(nt), np.bincount(env_of, minlength=n),
-                np.array([env.done for env in envs]), np.zeros(n), start)
-    at = (env_of, step_of)
-    rnd.obs[at], rnd.actions[at], rnd.rewards[at] = frames, actions, rewards
-    h, c = np.zeros_like(h), np.zeros_like(c)
-    if live:
-        h[ends], c[ends] = trace.next_state.h.data[live], trace.next_state.c.data[live]
-        last = np.stack([results[k].obs for k in live])[:, None]
+    h[rnd.terminal] = c[rnd.terminal] = 0
+    ends = [rows[k] for k, r in enumerate(results) if not r.done]
+    if ends:
+        last = np.stack([r.obs for r in results if not r.done])[:, None]
         rnd.bootstrap[ends] = forward(last, RecurrentState(Tensor(h[ends]), Tensor(c[ends])),
                                       frozen, config).value.data[:, 0]
     return rnd, RecurrentState(Tensor(h), Tensor(c))
@@ -158,7 +161,7 @@ def a3c_loss(rnd, weights, config, returns, entropy_coef, value_coef):
     if np.shape(returns) != rnd.actions.shape:
         raise ValueError(f"returns must be [N,T] = {rnd.actions.shape}, got {np.shape(returns)}")
     real = np.arange(rnd.actions.shape[1]) < rnd.lengths[:, None]
-    trace = forward_segment(rnd.obs, rnd.start_state, weights, config, rnd.lengths)
+    trace = forward_segment(rnd.obs, (rnd.h, rnd.c), weights, config, rnd.lengths)
     (policy_term, value_term, neg_entropy), row = loss_components(
         trace, rnd.actions[real], returns[real])
     loss = ad.add(policy_term, ad.add(ad.mul(value_term, float(value_coef)),

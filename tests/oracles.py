@@ -204,6 +204,29 @@ def per_step_a3c_loss(obs, actions, start_state, weights, config, returns, entro
     return total
 
 
+def replay_states(obs, lengths, weights, config, start=None):
+    """The ConvLSTM (h, c) [N,T,L,h,w] that enter each step of each segment, as actors record them.
+
+    Replays each segment's real steps through one unbatched ``forward``
+    per step without a graph, from the start states ``start`` (an (h, c)
+    pair of [N,L,h,w] arrays) or zeros; padded steps stay zero.  It reads
+    the weights' current values, so a caller that perturbs a weight
+    records the states that weight makes.
+    """
+    weights = {k: ad.Tensor(t.data) for k, t in weights.items()}
+    dtype = weights["fe1.w"].dtype
+    side = config.feature_hw()
+    h = np.zeros(obs.shape[:2] + (config.lstm_channels, side, side), dtype=dtype)
+    c = np.zeros_like(h)
+    for i, steps in enumerate(lengths):
+        state = (RecurrentState.zeros(config, dtype) if start is None
+                 else RecurrentState(ad.Tensor(start[0][i]), ad.Tensor(start[1][i])))
+        for j in range(steps):
+            h[i, j], c[i, j] = state.h.data, state.c.data
+            state = forward(obs[i, j], state, weights, config, with_value=False).next_state
+    return h, c
+
+
 def per_episode_replay(weights, config, env_spec, episodes, mask_transform="identity",
                        seed=0, greedy=True):
     """Per episode, its return and the (trace, action) of each step, from one

@@ -15,12 +15,13 @@ from maskac import training as tr
 from maskac.autodiff import Tensor
 from maskac.checkpoint import load_checkpoint
 from maskac.envs import EnvSpec, StepResult, _BaseEnv, make_env
-from maskac.network import NetworkConfig, RecurrentState, forward, forward_segment, init_weights
+from maskac.network import (NetworkConfig, RecurrentState, feature_extract, forward,
+                            forward_segment, init_weights)
 from maskac.training import (Hyperparams, Round, SharedParams, a3c_loss, apply_gradients,
                              collect_rollout, compare_variants, compute_returns,
                              loss_components, sync_local, train)
 
-from oracles import (discounted_returns_oracle, grad_check, per_step_a3c_loss,
+from oracles import (discounted_returns_oracle, grad_check, per_step_a3c_loss, replay_states,
                      rmsprop_apply_oracle)
 
 
@@ -81,8 +82,12 @@ def collect_one(env, weights, config, state, t_max, rng):
     return rnd, RecurrentState(Tensor(state.h.data[0]), Tensor(state.c.data[0]))
 
 
-def make_round(rewards, bootstrap=None, obs=None, actions=None, start_state=None):
-    """A ``Round`` of the segments given as per-segment lists, zero-padded to the longest."""
+def make_round(rewards, bootstrap=None, obs=None, actions=None, weights=None, config=None):
+    """A ``Round`` of the segments given as per-segment lists, zero-padded to the longest.
+
+    With ``weights`` and ``config`` the round records the states that
+    replaying its observations from zero states gives.
+    """
     lengths = np.array([len(r) for r in rewards])
 
     def padded(segments, dtype):
@@ -91,12 +96,13 @@ def make_round(rewards, bootstrap=None, obs=None, actions=None, start_state=None
             out[i, :len(segment)] = segment
         return out
 
-    return Round(obs=None if obs is None else padded(obs, np.float64),
-                 actions=padded(actions or [[0] * len(r) for r in rewards], np.int64),
+    obs = None if obs is None else padded(obs, np.float64)
+    h, c = (None, None) if weights is None else replay_states(obs, lengths, weights, config)
+    return Round(obs=obs, actions=padded(actions or [[0] * len(r) for r in rewards], np.int64),
                  rewards=padded(rewards, np.float64), lengths=lengths,
                  terminal=np.zeros(len(rewards), dtype=bool),
                  bootstrap=np.zeros(len(rewards)) if bootstrap is None else np.array(bootstrap),
-                 start_state=start_state)
+                 h=h, c=c)
 
 
 def zero_head_round(k_actions, t_steps):
@@ -106,8 +112,7 @@ def zero_head_round(k_actions, t_steps):
     for name in ("policy_out.w", "policy_out.b", "value_out.w", "value_out.b"):
         weights[name].data[...] = 0.0
     obs = NoisyEnv().reset()
-    rnd = make_round([[0.0] * t_steps], obs=[[obs] * t_steps],
-                     start_state=RecurrentState.zeros(config, np.float64, batch=1))
+    rnd = make_round([[0.0] * t_steps], obs=[[obs] * t_steps], weights=weights, config=config)
     return rnd, weights, config
 
 
@@ -157,7 +162,7 @@ def test_loss_reduces_to_entropy_term():
 
 def test_loss_single_step_policy_term_only():
     rnd, weights, config = zero_head_round(3, 1)
-    trace = forward_segment(rnd.obs, rnd.start_state, weights, config, rnd.lengths)
+    trace = forward_segment(rnd.obs, (rnd.h, rnd.c), weights, config, rnd.lengths)
     (policy_term, _, _), _ = loss_components(trace, [0], [1.7], advantages=np.array([2.5]))
     assert abs(float(policy_term.data) - (-np.log(1 / 3) * 2.5)) < 1e-12
 
@@ -186,11 +191,14 @@ def frozen_loss_fn(config, obs_seq, actions, returns, advantages, hyper, dtype):
     perturbed weight, so finite differences would see through their
     stop-gradient; so the loss is ``a3c_loss``'s sum built from
     ``forward_segment`` and ``loss_components`` with the advantages given.
+    The recorded ConvLSTM states are a function of the weights, so each
+    call records them anew by replaying the observations through ``forward``.
     """
-    start = RecurrentState.zeros(config, dtype, batch=1)
+    obs = np.array(obs_seq, dtype=dtype)[None]
 
     def f(weights):
-        trace = forward_segment(np.array(obs_seq)[None], start, weights, config, [len(obs_seq)])
+        states = replay_states(obs, [len(obs_seq)], weights, config)
+        trace = forward_segment(obs, states, weights, config, [len(obs_seq)])
         (policy_term, value_term, neg_entropy), _ = loss_components(
             trace, actions, np.asarray(returns), np.asarray(advantages))
         return ad.add(policy_term, ad.add(ad.mul(value_term, hyper.value_coef),
@@ -232,8 +240,8 @@ def test_advantage_is_stop_gradient_in_policy_term():
     # the policy term pushes log-probabilities only
     config = small_cfg()
     weights, obs_seq, actions, returns, _ = random_frozen_rollout(config, seed=6)
-    rnd = make_round([[0.0] * len(actions)], obs=[obs_seq], actions=[actions],
-                     start_state=RecurrentState.zeros(config, np.float64, batch=1))
+    rnd = make_round([[0.0] * len(actions)], obs=[obs_seq], actions=[actions], weights=weights,
+                     config=config)
     grads = _grads(lambda w: a3c_loss(rnd, w, config, np.array([returns]), 0.0, 0.0)[0],
                    weights)
     for name in ("value_branch.w", "value_branch.b", "value_mask.w", "value_out.w",
@@ -275,7 +283,7 @@ def assert_round_grads_match_per_step_oracle(config, weights, t_max, warmup, end
     rnd, _ = collect_rollout(envs, weights, config, state, t_max, rngs)
     assert rnd.lengths.tolist() == [t_max if e is None else e for e in ends]
     assert rnd.terminal.tolist() == [e is not None for e in ends]
-    for c in rnd.start_state.c.data:
+    for c in rnd.c[:, 0]:
         assert (np.abs(c).max() > 0) == bool(warmup)
     returns = compute_returns(rnd, hyper.gamma)
     coefs = (hyper.entropy_coef, hyper.value_coef)
@@ -285,8 +293,7 @@ def assert_round_grads_match_per_step_oracle(config, weights, t_max, warmup, end
     def oracle_loss(w):
         total = None
         for i, n in enumerate(rnd.lengths):
-            start = RecurrentState(Tensor(rnd.start_state.h.data[i]),
-                                   Tensor(rnd.start_state.c.data[i]))
+            start = RecurrentState(Tensor(rnd.h[i, 0]), Tensor(rnd.c[i, 0]))
             term = per_step_a3c_loss(rnd.obs[i, :n], rnd.actions[i, :n], start, w, config,
                                      returns[i, :n], *coefs)
             total = term if total is None else ad.add(total, term)
@@ -403,10 +410,10 @@ def test_collect_rollout_builds_no_graph():
     rngs = [np.random.default_rng(i) for i in range(2)]
     for _ in range(2):
         rnd, state = collect_rollout(envs, weights, config, state, 4, rngs)
-        for t in (state.h, state.c, rnd.start_state.h, rnd.start_state.c):
+        for t in (state.h, state.c):
             assert t._parents == () and not t.requires_grad
         for name, value in vars(rnd).items():
-            assert name == "start_state" or type(value) is np.ndarray, name
+            assert type(value) is np.ndarray, name
     assert all(t.grad is None for t in weights.values())
 
 
@@ -472,6 +479,37 @@ def test_collect_rollout_lockstep_rows_equal_each_env_alone():
             np.testing.assert_allclose(state.c.data[i], alone_states[i].c.data,
                                        rtol=1e-12, atol=1e-15)
     assert [env.t for env in envs] == [12, 4, 9]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("env_name, n_workers, t_max", [("catch", 1, 20), ("collector", 3, 7)],
+                         ids=["catch-1w", "collector-3w"])
+def test_learner_convlstm_replays_the_recorded_states(env_name, n_workers, t_max, dtype):
+    # at each real step, the learner's ConvLSTM output over the round is the
+    # state the actors recorded entering the next step, or the state carried
+    # out of the round; padded steps record zeros
+    spec = EnvSpec(name=env_name)
+    config = small_cfg(n_actions=spec.n_actions)
+    weights = init_weights(config, seed=2, dtype=dtype)
+    envs = [make_env(dataclasses.replace(spec, seed=10 + i)) for i in range(n_workers)]
+    rngs = [np.random.default_rng([6, i]) for i in range(n_workers)]
+    state = RecurrentState.zeros(config, dtype, batch=n_workers)
+    tol = dict(rtol=1e-12, atol=1e-15) if dtype == np.float64 else dict(rtol=0, atol=1e-6)
+    ragged = 0
+    for _ in range(10):
+        rnd, state = collect_rollout(envs, weights, config, state, t_max, rngs)
+        n, t = rnd.obs.shape[:2]
+        x = feature_extract(Tensor(rnd.obs.reshape(n * t, 1, 20, 20).astype(dtype)), weights,
+                            config)
+        out = ad.convlstm(ad.reshape(x, (n, t) + x.shape[1:]), weights["lstm.w"],
+                          weights["lstm.b"], rnd.h, rnd.c).data
+        for i, steps in enumerate(rnd.lengths):
+            np.testing.assert_allclose(out[i, :steps - 1], rnd.h[i, 1:steps], **tol)
+            if not rnd.terminal[i]:
+                np.testing.assert_allclose(out[i, steps - 1], state.h.data[i], **tol)
+            assert not rnd.h[i, steps:].any() and not rnd.c[i, steps:].any()
+        ragged += int(rnd.lengths.min() < t)
+    assert ragged > 0 if n_workers > 1 else ragged == 0
 
 
 def test_collect_rollout_deterministic_given_seed():
@@ -678,8 +716,7 @@ def test_loss_components_mask_statistics_are_over_the_real_steps():
     for branch, name in (("policy", "m_p"), ("value", "m_v")):
         masks = []
         for i, n in enumerate(rnd.lengths):
-            state = RecurrentState(Tensor(rnd.start_state.h.data[i]),
-                                   Tensor(rnd.start_state.c.data[i]))
+            state = RecurrentState(Tensor(rnd.h[i, 0]), Tensor(rnd.c[i, 0]))
             for obs in rnd.obs[i, :n]:
                 trace = forward(obs, state, weights, config)
                 state = trace.next_state
