@@ -3,8 +3,8 @@
 Supplies exactly the operator set the masked actor-critic network needs:
 conv2d, the ConvLSTM cell and its fused sequence form, dense, add / mul
 (by a tensor or a constant), sigmoid / relu, the channel-broadcast mask
-multiply, softmax / log-softmax, channel concat, row gather, reshape and
-the scalar sum.  Each op records a backward closure on its output;
+multiply, softmax / log-softmax, channel concat, reshape and the scalar
+sum.  Each op records a backward closure on its output;
 ``backward()`` replays the recorded graph in reverse topological order
 and accumulates into ``.grad`` buffers.
 
@@ -23,7 +23,7 @@ __all__ = [
     "add", "mul", "sigmoid", "relu",
     "broadcast_mul_channelwise", "conv2d", "lstm_cell", "convlstm", "dense",
     "softmax", "log_softmax", "concat_channels",
-    "take_rows", "reshape", "sum_all", "backward",
+    "reshape", "sum_all", "backward",
 ]
 
 
@@ -371,86 +371,92 @@ def lstm_cell(z, c):
     return h_out, c_out
 
 
-def convlstm(x, k, b, h_in, c_in):
-    """ConvLSTM over N sequences of T steps, as one op: x [N,T,C,H,W] -> hidden states [N,T,L,H,W].
+def convlstm(x, k, b, h_in, c_in, batch_sizes):
+    """ConvLSTM over sequences packed step-major, as one op: x [R,C,H,W] -> hidden states [R,L,H,W].
 
-    h_in, c_in [N,T,L,H,W] are the states that entered each step when the
-    sequences were played with these same weights: step 0's are the
-    sequences' start states, and step t's are the outputs of step t-1.
-    The gates i, f, o, g of step t come from a 3x3 same-padding conv over
-    (x_t, h_in[t]) with kernel k [4L, C+L, 3, 3] and bias b [4L] (Shi et
-    al. 2015), so the forward is one patch gather, one gate matmul and one
-    gate pass over all N*T frames.  The backward is a hand-written BPTT:
-    it takes h_in[t] and c_in[t] for the outputs of step t-1, so gradients
-    flow through time inside a sequence and stop at its start.  States that
-    these weights did not produce give outputs and gradients of no real
-    sequence.  A batch of one sequence computes what it would alone, bit
-    for bit.
+    The rows hold step 0 of every sequence, then step 1 of those that reach
+    it, and so on: ``batch_sizes[t]`` sequences, longest first, take step
+    t, a prefix of the rows of step t-1 (as in PyTorch's packed sequences).
+    h_in, c_in [R,L,H,W] are the states that entered each step when the
+    sequences were played with these same weights.  The gates i, f, o, g
+    come from a 3x3 same-padding conv over (x, h_in) with kernel
+    k [4L, C+L, 3, 3] and bias b [4L] (Shi et al. 2015): one patch gather,
+    one gate matmul and one gate pass over all R frames.  The backward is a
+    hand-written BPTT over the step blocks, last to first, that takes h_in
+    and c_in of step t for the outputs of step t-1, so gradients flow
+    through time inside a sequence and stop at its start.  States these
+    weights did not produce give outputs and gradients of no real
+    sequence.  One sequence computes what it would alone, bit for bit.
     """
-    if x.data.ndim != 5 or k.data.ndim != 4:
-        raise ShapeError(f"convlstm: need [N,T,C,H,W] input and 4-d kernel, got {x.shape}, {k.shape}")
-    n_seq, n_steps, n_x, h, w = x.shape
+    if x.data.ndim != 4 or k.data.ndim != 4:
+        raise ShapeError(f"convlstm: need [R,C,H,W] input and 4-d kernel, got {x.shape}, {k.shape}")
+    n_rows, n_x, h, w = x.shape
     L4 = k.shape[0]
     n_hidden = L4 // 4
-    if h_in.shape != (n_seq, n_steps, n_hidden, h, w) or c_in.shape != h_in.shape:
+    if h_in.shape != (n_rows, n_hidden, h, w) or c_in.shape != h_in.shape:
         raise ShapeError(f"convlstm: states {h_in.shape}/{c_in.shape} are not "
-                         f"[N,T,L,H,W] for input {x.shape}")
+                         f"[R,L,H,W] for input {x.shape}")
     if k.shape != (4 * n_hidden, n_x + n_hidden, 3, 3) or b.shape != (L4,):
         raise ShapeError(f"convlstm: kernel {k.shape} / bias {b.shape} do not fit "
                          f"{n_x} input and {n_hidden} hidden channels")
+    sizes = [int(n) for n in batch_sizes]
+    if sum(sizes) != n_rows or min(sizes, default=0) < 1 or sorted(sizes, reverse=True) != sizes:
+        raise ShapeError(f"convlstm: batch sizes {sizes} are not positive, non-increasing "
+                         f"and summing to the {n_rows} rows")
     dtype = x.data.dtype
-    rows = n_seq * h * w                      # patch rows of one step, sequence-major
-    # step-major frames, so that each step's gate columns are one contiguous block
-    frames = np.concatenate((x.data.transpose(1, 0, 2, 3, 4), h_in.transpose(1, 0, 2, 3, 4)),
-                            axis=2, dtype=dtype).reshape(-1, n_x + n_hidden, h, w)
-    patches = _im2col(frames, 3, 3, 1, 1)                       # [T*N*P, (C+L)*9]
+    area = h * w
+    frames = np.concatenate((x.data, h_in), axis=1, dtype=dtype)
+    patches = _im2col(frames, 3, 3, 1, 1)                       # [R*P, (C+L)*9]
     kmat = k.data.reshape(L4, -1)
-    z = kmat @ patches.T                                        # [4L, T*N*P]
+    z = kmat @ patches.T                                        # [4L, R*P]
     z += b.data[:, None]
-    c_prev = np.ascontiguousarray(c_in.transpose(2, 1, 0, 3, 4), dtype=dtype)   # [L,T,N,h,w]
+    c_prev = np.ascontiguousarray(c_in.transpose(1, 0, 2, 3), dtype=dtype)   # [L,R,h,w]
     _, tcs, hs = _lstm_gates(z.reshape(1, 4, n_hidden, -1), c_prev.reshape(1, n_hidden, -1))
 
-    ys = np.ascontiguousarray(hs.reshape(n_hidden, n_steps, n_seq, h, w).transpose(2, 1, 0, 3, 4))
+    ys = np.ascontiguousarray(hs.reshape(n_hidden, n_rows, h, w).transpose(1, 0, 2, 3))
     out = _make(ys, (x, k, b), "convlstm")
     if out.requires_grad:
         def _bw():
-            # [4L or L, T, N*P] views: step t is column block t
-            dhs = out.grad.transpose(2, 1, 0, 3, 4).reshape(n_hidden, n_steps, rows)
-            i, f, o, g = z.reshape(4, n_hidden, n_steps, rows)
-            cs, tc = (a.reshape(n_hidden, n_steps, rows) for a in (c_prev, tcs))
-            # dL/dz_t is a factor known from the forward times dc_t (gates i, f, g)
-            # or dh_t (gate o); the factors of all steps are formed at once
+            # [4L or L, R*P] views: step t is a block of columns
+            dhs = out.grad.transpose(1, 0, 2, 3).reshape(n_hidden, -1)
+            i, f, o, g = z.reshape(4, n_hidden, -1)
+            cs, tc = (a.reshape(n_hidden, -1) for a in (c_prev, tcs))
+            # dL/dz is a factor known from the forward times dc (gates i, f, g)
+            # or dh (gate o); the factors of all steps are formed at once
             dz = np.stack((g * i * (1.0 - i), cs * f * (1.0 - f), tc * o * (1.0 - o),
-                           i * (1.0 - g * g)))                         # [4, L, T, N*P]
+                           i * (1.0 - g * g)))                         # [4, L, R*P]
             dtc = o * (1.0 - tc * tc)                                  # dh_t -> dc_t
             # W_h^T dz_t, one row per (hidden channel, kernel tap), then each
             # tap's rows summed onto the h_{t-1} positions that tap reads
             k_h = kmat[:, n_x * 9:].T
-            tap_idx = _tap_sum_index(n_hidden, n_seq, h, w)
-            taps = np.zeros(9 * n_hidden * rows + 1, dtype=dtype)     # the last entry stays 0
-            dh = np.zeros((n_hidden, rows), dtype=dtype)   # from step t+1 through W_h
-            dc = np.zeros((n_hidden, rows), dtype=dtype)   # from step t+1 through f
-            for t in range(n_steps - 1, -1, -1):
-                dh += dhs[:, t]
-                dc += dh * dtc[:, t]
-                dzt = dz[:, :, t]
+            # carried from step t+1 through W_h and f; a block's first
+            # columns are the sequences that reach the next step
+            dh_next, dc_next = np.zeros((2, n_hidden, sizes[0] * area), dtype=dtype)
+            ends = np.cumsum(sizes) * area
+            for t in range(len(sizes) - 1, -1, -1):
+                cols = sizes[t] * area
+                block = slice(ends[t] - cols, ends[t])
+                dh, dc = dh_next[:, :cols], dc_next[:, :cols]
+                dh += dhs[:, block]
+                dc += dh * dtc[:, block]
+                dzt = dz[:, :, block]
                 dzt[:2] *= dc
                 dzt[2] *= dh
                 dzt[3] *= dc
-                dc *= f[:, t]
+                dc *= f[:, block]
                 if t:
-                    np.matmul(k_h, dzt.reshape(L4, rows), out=taps[:-1].reshape(-1, rows))
-                    dh = np.take(taps, tap_idx).sum(axis=0).reshape(n_hidden, rows)
-            gm = dz.reshape(L4, -1)                                    # [4L, T*N*P]
+                    taps = np.zeros(9 * n_hidden * cols + 1, dtype=dtype)   # the last stays 0
+                    np.matmul(k_h, dzt.reshape(L4, cols), out=taps[:-1].reshape(-1, cols))
+                    summed = np.take(taps, _tap_sum_index(n_hidden, sizes[t], h, w)).sum(axis=0)
+                    dh[...] = summed.reshape(n_hidden, cols)
+            gm = dz.reshape(L4, -1)                                    # [4L, R*P]
             if k.requires_grad:
                 _accum_owned(k, (gm @ patches).reshape(k.shape))
             if b.requires_grad:
                 _accum_owned(b, gm.sum(axis=1))
             if x.requires_grad:
-                gxp = _col2im(gm.T @ kmat[:, :n_x * 9], (n_steps * n_seq, n_x, h + 2, w + 2),
-                              3, 3, 1, h, w)
-                gx = _unpad(gxp, 1).reshape(n_steps, n_seq, n_x, h, w).transpose(1, 0, 2, 3, 4)
-                _accum_owned(x, np.ascontiguousarray(gx))
+                gxp = _col2im(gm.T @ kmat[:, :n_x * 9], (n_rows, n_x, h + 2, w + 2), 3, 3, 1, h, w)
+                _accum_owned(x, np.ascontiguousarray(_unpad(gxp, 1)))
         out._backward = _bw
     return out
 
@@ -530,19 +536,6 @@ def concat_channels(a, b):
                 _accum(a, out.grad[..., :na, :, :])
             if b.requires_grad:
                 _accum(b, out.grad[..., na:, :, :])
-        out._backward = _bw
-    return out
-
-
-def take_rows(a, rows):
-    """Rows ``rows`` (distinct indices) of ``a`` along its first axis; the others get no gradient."""
-    rows = np.asarray(rows)
-    out = _make(a.data[rows], (a,), "take_rows")
-    if out.requires_grad:
-        def _bw():
-            g = np.zeros_like(a.data)
-            g[rows] = out.grad
-            _accum_owned(a, g)
         out._backward = _bw
     return out
 

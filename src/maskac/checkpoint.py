@@ -10,8 +10,9 @@ Layout, all integers little-endian:
              float32 little-endian row-major payload
     crc32    u32       checksum of every preceding byte
 
-Payloads are always single precision, so loading a checkpoint written
-from a double-precision run reproduces the weights only to float32.
+Payloads are finite single-precision values: training skips non-finite
+updates, so any other value marks a corrupt file, and a double-precision
+run's weights load back only to float32.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ VERSION = 1
 
 
 class CheckpointError(Exception):
-    """The file is not a valid checkpoint (magic, version, checksum, tensor names or shapes)."""
+    """Not a valid checkpoint: magic, version, checksum, tensor names, shapes or values."""
 
 
 # The text form of a setting, shared by the checkpoint's config block and
@@ -93,16 +94,17 @@ def _decode_config(blob):
 def save_checkpoint(weights, config, path):
     """Write the named tensors (Tensor or ndarray values) as float32 records.
 
-    Weights that do not fit ``config`` raise ValueError before anything
-    is written.  The bytes go to ``<path>.tmp`` first and replace ``path``
-    only once complete, so an interrupted save never leaves a truncated
-    checkpoint under a checkpoint name.
+    Weights that do not fit ``config`` or are not finite in float32 raise
+    ValueError before anything is written.  The bytes go to ``<path>.tmp``
+    first and replace ``path`` only once complete, so an interrupted save
+    never leaves a truncated checkpoint under a checkpoint name.
     """
-    check_weights(weights, config)
     arrays = {}
-    for name, value in weights.items():
-        data = value.data if hasattr(value, "data") else value
-        arrays[name] = np.ascontiguousarray(np.asarray(data), dtype="<f4")
+    with np.errstate(over="ignore"):   # a value past float32's range becomes inf, refused below
+        for name, value in weights.items():
+            data = value.data if hasattr(value, "data") else value
+            arrays[name] = np.ascontiguousarray(np.asarray(data), dtype="<f4")
+    check_weights(arrays, config)
 
     parts = [MAGIC, struct.pack("<I", VERSION)]
     blob = _encode_config(config)

@@ -141,15 +141,18 @@ def weight_shapes(config):
 
 
 def check_weights(weights, config):
-    """Raise ValueError unless ``weights`` (arrays or Tensors) holds exactly the variant's tensors."""
+    """Raise ValueError unless ``weights`` (arrays or Tensors) are exactly the variant's, all finite."""
     shapes = weight_shapes(config)
     missing, extra = sorted(shapes.keys() - weights.keys()), sorted(weights.keys() - shapes.keys())
     if missing or extra:
         raise ValueError(f"tensor names do not match the network (missing {missing}, "
                          f"extra {extra})")
     for name, shape in shapes.items():
-        if weights[name].shape != shape:
-            raise ValueError(f"tensor {name} has shape {weights[name].shape}, expected {shape}")
+        w = weights[name]
+        if w.shape != shape:
+            raise ValueError(f"tensor {name} has shape {w.shape}, expected {shape}")
+        if not np.isfinite(w.data if isinstance(w, Tensor) else w).all():
+            raise ValueError(f"tensor {name} holds a non-finite value")
 
 
 def init_weights(config, seed, dtype=np.float32):
@@ -278,27 +281,20 @@ def forward(obs, state, w, config, mask_transform="identity", with_value=True):
     return _heads(h, next_state, w, config, mask_transform, with_value)
 
 
-def forward_segment(obs, state, w, config, lengths):
-    """``forward`` over the rollout segments of one round at once, for the learner.
+def forward_segment(obs, state, w, config, batch_sizes):
+    """``forward`` over the packed steps of one round's segments at once, for the learner.
 
-    ``obs`` holds N segments' observations [N,T,H,W], each padded to the
-    longest, and ``lengths`` each segment's real step count.  ``state`` is
-    the pair (h, c) of [N,T,L,h,w] arrays that the actors recorded
-    entering each step with these weights, zeros on padded steps.  The
-    extractor runs as one op over all N*T frames and the ConvLSTM as the
-    fused ``autodiff.convlstm``, which reads those states instead of
-    stepping through time; its BPTT carries gradients through time inside
-    a segment and stops them at its start.  The branches and heads then
-    run on the real steps only, so the trace has one row per real step,
-    segment after segment, and a padded step gets no gradient.  Masks are
-    used as computed.
+    ``obs`` [R,H,W] holds the round's frames and ``state`` the pair (h, c)
+    of [R,L,h,w] states the actors recorded entering each step with these
+    weights, packed step-major as ``training.step_blocks`` lays them out;
+    ``batch_sizes`` counts the segments that reach each step.  The
+    extractor runs as one op over the R frames and the ConvLSTM as the
+    fused ``autodiff.convlstm``, which reads the recorded states instead of
+    stepping through time; its BPTT stops gradients at each segment's
+    start.  The branches and heads run on the same rows, so the trace has
+    one row per step, in the packed order.  Masks are used as computed.
     """
     dtype = w["fe1.w"].dtype
-    obs = np.asarray(obs, dtype=dtype)
-    n, t = obs.shape[:2]
-    x = feature_extract(Tensor(obs.reshape((n * t, 1) + obs.shape[2:])), w, config)
-    h = ad.convlstm(ad.reshape(x, (n, t) + x.shape[1:]), w["lstm.w"], w["lstm.b"], *state)
-    h = ad.reshape(h, (n * t,) + h.shape[2:])
-    if min(lengths) < t:
-        h = ad.take_rows(h, [i * t + j for i, steps in enumerate(lengths) for j in range(steps)])
+    x = feature_extract(Tensor(np.asarray(obs, dtype=dtype)[:, None]), w, config)
+    h = ad.convlstm(x, w["lstm.w"], w["lstm.b"], *state, batch_sizes)
     return _heads(h, None, w, config, "identity")

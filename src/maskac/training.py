@@ -11,13 +11,13 @@ clipped gradient to the shared store once.  A fixed seed reproduces a
 run whatever the worker count, and with one worker a round is one A3C
 cycle.
 
-The rollout builds no graph and skips the value branch: it returns the
-round as a ``Round`` of arrays, each step's observation, action, reward
-and the recurrent state that entered it.  The learner then recomputes
-all N segments with one ``forward_segment`` over [N,T,...], whose
-ConvLSTM reads those recorded states rather than stepping through time,
-takes the values, log-probs, entropies and advantages from that pass,
-and backpropagates that single graph.
+The rollout builds no graph and skips the value branch.  It returns the
+round as a ``Round`` of arrays packed step-major, with no padding: each
+step's observation, action, reward and the recurrent state that entered
+it.  The learner recomputes all N segments with one ``forward_segment``
+over those rows, whose ConvLSTM reads the recorded states instead of
+stepping through time, takes the values, log-probs, entropies and
+advantages from that pass, and backpropagates that single graph.
 """
 
 from __future__ import annotations
@@ -74,13 +74,14 @@ class Hyperparams:
 
 @dataclass
 class Round:
-    """The N segments of one lockstep round, each as wide as the longest, T steps.
+    """The N segments of one lockstep round, their R steps packed step-major.
 
-    ``obs`` [N,T,H,W], ``actions`` and ``rewards`` [N,T], and the ConvLSTM
-    states ``h`` and ``c`` [N,T,L,h,w] that entered each step, are zero
-    past each segment's ``lengths`` [N].  ``terminal`` [N] marks the
-    segments that ended their episode, and ``bootstrap`` [N] holds the
-    value of the state after each one (0 where it ended).
+    ``obs`` [R,H,W], ``actions``, ``rewards`` [R] and the ConvLSTM states
+    ``h``, ``c`` [R,L,h,w] that entered each step hold step 0 of every
+    segment, then step 1 of those that reached it, and so on, longest
+    segments first (``step_blocks``).  In worker order, ``lengths`` [N]
+    counts each segment's steps, ``terminal`` [N] marks those that ended
+    their episode and ``bootstrap`` [N] is the value after each (0 if ended).
     """
 
     obs: np.ndarray
@@ -93,6 +94,16 @@ class Round:
     bootstrap: np.ndarray
 
 
+def step_blocks(lengths):
+    """The packed layout of segments of ``lengths``: ``(order, sizes)``.
+
+    ``order`` [N], the segments longest first with ties in worker order,
+    orders the rows of every step; step t is a block of ``sizes[t]`` rows.
+    """
+    sizes = [int((lengths > t).sum()) for t in range(int(lengths.max()))]
+    return np.argsort(-lengths, kind="stable"), sizes
+
+
 def collect_rollout(envs, weights, config, state, t_max, rngs):
     """Step ``envs`` in lockstep for up to t_max steps without a graph; one segment per env.
 
@@ -103,8 +114,8 @@ def collect_rollout(envs, weights, config, state, t_max, rngs):
     the bootstrap values of the envs that did not finish.  An env that
     starts the round done is reset first.  The envs render each frame
     once: a segment's first frame comes from ``observe`` (or ``reset``),
-    every later one from the step that made it.  Returns the ``Round``
-    and the [N,...] state to carry into the next round.
+    every later one from the step that made it.  Returns the packed
+    ``Round`` and the [N,...] state to carry into the next round.
     """
     frozen = {k: Tensor(t.data) for k, t in weights.items()}   # no requires_grad: no graph
     h, c = state.h.data.copy(), state.c.data.copy()             # each env's latest state
@@ -121,12 +132,10 @@ def collect_rollout(envs, weights, config, state, t_max, rngs):
         if t + 1 == t_max:
             break
     env_of, step_of, *fields = (np.concatenate(part) for part in zip(*steps))
-
-    def scatter(values):   # one row per step taken -> [N,T,...], zero past each segment
-        out = np.zeros((len(envs), len(steps)) + values.shape[1:], values.dtype)
-        out[env_of, step_of] = values
-        return out
-    rnd = Round(*map(scatter, fields), np.bincount(env_of, minlength=len(envs)),
+    lengths = np.bincount(env_of, minlength=len(envs))
+    rank = np.argsort(step_blocks(lengths)[0])                   # each env's place in a step
+    packed = np.lexsort((rank[env_of], step_of))
+    rnd = Round(*(field[packed] for field in fields), lengths,
                 np.array([env.done for env in envs]), np.zeros(len(envs)))
     # the envs still running after the last step carry their state and get a bootstrap value
     h[rnd.terminal] = c[rnd.terminal] = 0
@@ -139,31 +148,30 @@ def collect_rollout(envs, weights, config, state, t_max, rngs):
 
 
 def compute_returns(rnd, gamma):
-    """[N,T] R_t = r_t + gamma * R_{t+1} per segment, from its bootstrap; 0 past its length."""
-    returns = np.zeros_like(rnd.rewards)
-    acc = rnd.bootstrap
-    for t in reversed(range(returns.shape[1])):
-        real = t < rnd.lengths
-        acc = np.where(real, rnd.rewards[:, t] + gamma * acc, acc)
-        returns[real, t] = acc[real]
+    """[R] R_t = r_t + gamma * R_{t+1} per segment from its bootstrap, in ``rnd``'s packed order."""
+    order, sizes = step_blocks(rnd.lengths)
+    returns = np.empty_like(rnd.rewards)
+    acc = rnd.bootstrap[order]       # per segment, the return of the step after the current one
+    for end, n in zip(np.cumsum(sizes)[::-1], sizes[::-1]):
+        acc[:n] = rnd.rewards[end - n:end] + gamma * acc[:n]
+        returns[end - n:end] = acc[:n]
     return returns
 
 
 def a3c_loss(rnd, weights, config, returns, entropy_coef, value_coef):
     """Sum over a round's segments of their policy, value, and entropy terms, and their log row.
 
-    ``returns`` are ``rnd``'s [N,T] returns.  All segments are recomputed
-    with a graph through one ``forward_segment``; a step past a segment's
-    length enters no term.  The advantages are R - V from that pass's
-    values.  Advantages and returns enter as constants: the policy term
-    pushes log-probabilities only, the value term pushes the critic only.
+    ``returns`` are ``rnd``'s [R] returns.  All segments are recomputed
+    with a graph through one ``forward_segment`` over the round's rows.
+    The advantages are R - V from that pass's values.  Advantages and
+    returns enter as constants: the policy term pushes log-probabilities
+    only, the value term pushes the critic only.
     """
     if np.shape(returns) != rnd.actions.shape:
-        raise ValueError(f"returns must be [N,T] = {rnd.actions.shape}, got {np.shape(returns)}")
-    real = np.arange(rnd.actions.shape[1]) < rnd.lengths[:, None]
-    trace = forward_segment(rnd.obs, (rnd.h, rnd.c), weights, config, rnd.lengths)
-    (policy_term, value_term, neg_entropy), row = loss_components(
-        trace, rnd.actions[real], returns[real])
+        raise ValueError(f"returns must be [R] = {rnd.actions.shape}, got {np.shape(returns)}")
+    trace = forward_segment(rnd.obs, (rnd.h, rnd.c), weights, config,
+                            step_blocks(rnd.lengths)[1])
+    (policy_term, value_term, neg_entropy), row = loss_components(trace, rnd.actions, returns)
     loss = ad.add(policy_term, ad.add(ad.mul(value_term, float(value_coef)),
                                       ad.mul(neg_entropy, float(entropy_coef))))
     return loss, row
@@ -172,7 +180,7 @@ def a3c_loss(rnd, weights, config, returns, entropy_coef, value_coef):
 def loss_components(trace, actions, returns, advantages=None):
     """The three loss sums of a round from the learner's trace, and their log row.
 
-    ``trace`` is ``forward_segment``'s, one row per real step; ``actions``,
+    ``trace`` is ``forward_segment``'s, one row per step; ``actions``,
     ``returns`` and ``advantages`` run over the same steps.  Without
     ``advantages`` they are R - V from the trace's values.  Returns the
     policy term -sum A*log pi(a), the value term sum (R - V)^2 and

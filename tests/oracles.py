@@ -204,26 +204,59 @@ def per_step_a3c_loss(obs, actions, start_state, weights, config, returns, entro
     return total
 
 
-def replay_states(obs, lengths, weights, config, start=None):
-    """The ConvLSTM (h, c) [N,T,L,h,w] that enter each step of each segment, as actors record them.
+def batch_sizes(lengths):
+    """How many of the segments of ``lengths`` reach each step."""
+    return [sum(n > t for n in lengths) for t in range(max(lengths))]
 
-    Replays each segment's real steps through one unbatched ``forward``
-    per step without a graph, from the start states ``start`` (an (h, c)
-    pair of [N,L,h,w] arrays) or zeros; padded steps stay zero.  It reads
-    the weights' current values, so a caller that perturbs a weight
-    records the states that weight makes.
+
+def packed_rows(lengths):
+    """Per segment, the row of each of its steps in a round packed step-major.
+
+    Counts the rows one at a time: step 0 of every segment, then step 1 of
+    those that reach it, and so on; within a step the longest segments
+    come first, ties in segment order.
+    """
+    order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
+    rows = [[] for _ in lengths]
+    row = 0
+    for t in range(max(lengths)):
+        for i in order:
+            if t < lengths[i]:
+                rows[i].append(row)
+                row += 1
+    return rows
+
+
+def pack(segments, dtype):
+    """Per-segment lists of steps as one packed [R,...] array of ``dtype``."""
+    rows = packed_rows([len(s) for s in segments])
+    out = np.zeros((sum(map(len, rows)),) + np.shape(segments[0][0]), dtype=dtype)
+    for segment, segment_rows in zip(segments, rows):
+        for step, row in zip(segment, segment_rows):
+            out[row] = step
+    return out
+
+
+def replay_states(obs, lengths, weights, config, start=None):
+    """The ConvLSTM (h, c) [R,L,h,w] that enter each step of each segment, as actors record them.
+
+    ``obs`` [R,H,W] holds the segments of ``lengths`` packed step-major.
+    Replays each segment's steps through one unbatched ``forward`` per
+    step without a graph, from the start states ``start`` (an (h, c) pair
+    of [N,L,h,w] arrays) or zeros.  It reads the weights' current values,
+    so a caller that perturbs a weight records the states that weight makes.
     """
     weights = {k: ad.Tensor(t.data) for k, t in weights.items()}
     dtype = weights["fe1.w"].dtype
     side = config.feature_hw()
-    h = np.zeros(obs.shape[:2] + (config.lstm_channels, side, side), dtype=dtype)
+    h = np.zeros((len(obs), config.lstm_channels, side, side), dtype=dtype)
     c = np.zeros_like(h)
-    for i, steps in enumerate(lengths):
+    for i, rows in enumerate(packed_rows(lengths)):
         state = (RecurrentState.zeros(config, dtype) if start is None
                  else RecurrentState(ad.Tensor(start[0][i]), ad.Tensor(start[1][i])))
-        for j in range(steps):
-            h[i, j], c[i, j] = state.h.data, state.c.data
-            state = forward(obs[i, j], state, weights, config, with_value=False).next_state
+        for row in rows:
+            h[row], c[row] = state.h.data, state.c.data
+            state = forward(obs[row], state, weights, config, with_value=False).next_state
     return h, c
 
 

@@ -6,7 +6,8 @@ import pytest
 from maskac import autodiff as ad
 from maskac.autodiff import Tensor
 
-from oracles import conv2d_oracle, convlstm_oracle, grad_check, matvec_oracle, pick, zero_grads
+from oracles import (batch_sizes, conv2d_oracle, convlstm_oracle, grad_check, matvec_oracle,
+                     packed_rows, pick, zero_grads)
 
 
 def t64(a, rg=False):
@@ -279,21 +280,22 @@ def test_grad_conv2d():
            params)
 
 
-def recorded_states(x, k, b, h0, c0):
-    """The (h, c) [N,T,L,H,W] entering each step of ``convlstm``'s sequences, stepped one at a time.
+def recorded_states(x, k, b, h0, c0, lengths):
+    """The packed (h, c) [R,L,H,W] entering each step of ``convlstm``'s sequences, one at a time.
 
+    Sequence i has ``lengths[i]`` steps and starts from h0[i], c0[i].
     Runs the weights' current values without a graph, as the actors do, so
     a caller that perturbs a weight records the states that weight makes.
     """
     k, b = Tensor(k.data), Tensor(b.data)
-    h, c = Tensor(h0), Tensor(c0)
-    hs, cs = [], []
-    for t in range(x.shape[1]):
-        hs.append(h.data)
-        cs.append(c.data)
-        z = ad.conv2d(ad.concat_channels(Tensor(x.data[:, t]), h), k, b, stride=1, padding=1)
-        h, c = ad.lstm_cell(z, c)
-    return np.stack(hs, axis=1), np.stack(cs, axis=1)
+    h_in, c_in = np.zeros((2, len(x.data)) + h0.shape[1:], dtype=h0.dtype)
+    for i, rows in enumerate(packed_rows(lengths)):
+        h, c = Tensor(h0[i]), Tensor(c0[i])
+        for row in rows:
+            h_in[row], c_in[row] = h.data, c.data
+            z = ad.conv2d(ad.concat_channels(Tensor(x.data[row]), h), k, b, stride=1, padding=1)
+            h, c = ad.lstm_cell(z, c)
+    return h_in, c_in
 
 
 def test_lstm_cell_matches_gate_oracle():
@@ -337,56 +339,59 @@ def test_lstm_cell_rejects_gates_that_do_not_fit():
 
 
 def test_grad_convlstm_sequence_extended_precision():
-    # the hand-written BPTT against central differences over a batch of
-    # two sequences, re-recording the states under every perturbed weight
+    # the hand-written BPTT against central differences over three ragged
+    # sequences, re-recording the states under every perturbed weight
     # (a recorded state is a function of the weights); grads must stay in
     # the working dtype (col2im accumulates without a float64 downcast)
     rng = np.random.default_rng(31)
-    n_seq, n_steps, c_in, hidden, hw = 2, 4, 2, 2, 3
+    lengths, c_in, hidden, hw = (2, 4, 3), 2, 2, 3
+    n_rows = sum(lengths)
     ld = np.longdouble
     params = {
-        "x": Tensor(rng.normal(size=(n_seq, n_steps, c_in, hw, hw)).astype(ld)),
+        "x": Tensor(rng.normal(size=(n_rows, c_in, hw, hw)).astype(ld)),
         "k": Tensor(rng.normal(scale=0.5, size=(4 * hidden, c_in + hidden, 3, 3)).astype(ld)),
         "b": Tensor(rng.normal(scale=0.5, size=4 * hidden).astype(ld)),
     }
-    h0 = rng.normal(size=(n_seq, hidden, hw, hw)).astype(ld)
-    c0 = rng.normal(size=(n_seq, hidden, hw, hw)).astype(ld)
-    r = Tensor(rng.normal(size=(n_seq, n_steps, hidden, hw, hw)).astype(ld))
+    h0 = rng.normal(size=(len(lengths), hidden, hw, hw)).astype(ld)
+    c0 = rng.normal(size=(len(lengths), hidden, hw, hw)).astype(ld)
+    r = Tensor(rng.normal(size=(n_rows, hidden, hw, hw)).astype(ld))
 
     def f(p):
-        states = recorded_states(p["x"], p["k"], p["b"], h0, c0)
-        return ad.sum_all(ad.mul(ad.convlstm(p["x"], p["k"], p["b"], *states), r))
+        states = recorded_states(p["x"], p["k"], p["b"], h0, c0, lengths)
+        out = ad.convlstm(p["x"], p["k"], p["b"], *states, batch_sizes(lengths))
+        return ad.sum_all(ad.mul(out, r))
     err = grad_check(f, params, eps=1e-6, n_samples=150, rng=np.random.default_rng(0))
     assert err < 1e-4, err
     assert all(t.grad.dtype == ld for t in params.values())
 
 
 def test_convlstm_batch_rows_equal_each_sequence_alone():
-    # outputs and all three gradients of an [N,T,...] batch, row by row,
-    # against the same op on one sequence at a time
+    # outputs and all three gradients of a packed batch of ragged sequences,
+    # row by row, against the same op on one sequence at a time
     rng = np.random.default_rng(34)
-    n_seq, n_steps, c_in, hidden, hw = 3, 5, 2, 3, 4
-    x = rng.normal(size=(n_seq, n_steps, c_in, hw, hw))
+    lengths, c_in, hidden, hw = (3, 5, 2, 5), 2, 3, 4
+    n_rows = sum(lengths)
+    x = rng.normal(size=(n_rows, c_in, hw, hw))
     k = rng.normal(scale=0.5, size=(4 * hidden, c_in + hidden, 3, 3))
     b = rng.normal(scale=0.5, size=4 * hidden)
-    h0 = rng.normal(size=(n_seq, hidden, hw, hw))
-    c0 = rng.normal(size=(n_seq, hidden, hw, hw))
-    h_in, c_in = recorded_states(Tensor(x), Tensor(k), Tensor(b), h0, c0)
-    r = rng.normal(size=(n_seq, n_steps, hidden, hw, hw))
+    h0 = rng.normal(size=(len(lengths), hidden, hw, hw))
+    c0 = rng.normal(size=(len(lengths), hidden, hw, hw))
+    h_in, c_in = recorded_states(Tensor(x), Tensor(k), Tensor(b), h0, c0, lengths)
+    r = rng.normal(size=(n_rows, hidden, hw, hw))
 
-    def run(rows):
+    def run(rows, sizes):
         p = [Tensor(x[rows], requires_grad=True), Tensor(k, requires_grad=True),
              Tensor(b, requires_grad=True)]
-        out = ad.convlstm(*p, h_in[rows], c_in[rows])
+        out = ad.convlstm(*p, h_in[rows], c_in[rows], sizes)
         ad.backward(ad.sum_all(ad.mul(out, r[rows])))
         return out.data, [t.grad for t in p]
 
-    out, (gx, gk, gb) = run(slice(None))
+    out, (gx, gk, gb) = run(slice(None), batch_sizes(lengths))
     sum_gk, sum_gb = np.zeros_like(k), np.zeros_like(b)
-    for i in range(n_seq):
-        out_i, (gx_i, gk_i, gb_i) = run(slice(i, i + 1))
-        np.testing.assert_allclose(out[i:i + 1], out_i, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(gx[i:i + 1], gx_i, rtol=1e-10, atol=1e-13)
+    for n, rows in zip(lengths, packed_rows(lengths)):
+        out_i, (gx_i, gk_i, gb_i) = run(rows, [1] * n)
+        np.testing.assert_allclose(out[rows], out_i, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(gx[rows], gx_i, rtol=1e-10, atol=1e-13)
         sum_gk += gk_i
         sum_gb += gb_i
     np.testing.assert_allclose(gk, sum_gk, rtol=1e-10, atol=1e-13)
@@ -395,29 +400,29 @@ def test_convlstm_batch_rows_equal_each_sequence_alone():
 
 def test_convlstm_rejects_inputs_that_do_not_line_up():
     k, b = Tensor(np.zeros((8, 3, 3, 3))), Tensor(np.zeros(8))
-    x = Tensor(np.zeros((2, 4, 1, 3, 3)))
-    states = np.zeros((2, 4, 2, 3, 3))
-    ad.convlstm(x, k, b, states, states)
-    for bad_x, bad_states in ((Tensor(np.zeros((4, 1, 3, 3))), np.zeros((4, 2, 3, 3))),
-                              (x, np.zeros((2, 2, 3, 3))),         # one state per sequence
-                              (x, np.zeros((2, 3, 2, 3, 3))),      # too few steps
-                              (x, np.zeros((1, 4, 2, 3, 3))),      # too few sequences
-                              (x, np.zeros((2, 4, 3, 3, 3))),      # too many channels
-                              (x, np.zeros((2, 4, 2, 3, 2)))):     # another map size
+    x = Tensor(np.zeros((5, 1, 3, 3)))
+    states = np.zeros((5, 2, 3, 3))
+    ad.convlstm(x, k, b, states, states, [2, 2, 1])
+    for bad_x, bad_states in ((Tensor(np.zeros((1, 5, 1, 3, 3))), np.zeros((1, 5, 2, 3, 3))),
+                              (x, np.zeros((4, 2, 3, 3))),         # too few rows
+                              (x, np.zeros((5, 3, 3, 3))),         # too many channels
+                              (x, np.zeros((5, 2, 3, 2)))):        # another map size
         with pytest.raises(ad.ShapeError):
-            ad.convlstm(bad_x, k, b, bad_states, bad_states)
+            ad.convlstm(bad_x, k, b, bad_states, bad_states, [2, 2, 1])
     with pytest.raises(ad.ShapeError):
-        ad.convlstm(x, k, b, states, states[:, :, :1])
+        ad.convlstm(x, k, b, states, states[:, :1], [2, 2, 1])
     with pytest.raises(ad.ShapeError):
-        ad.convlstm(x, Tensor(np.zeros((8, 4, 3, 3))), b, states, states)
+        ad.convlstm(x, Tensor(np.zeros((8, 4, 3, 3))), b, states, states, [2, 2, 1])
 
 
-def test_take_rows_gathers_and_scatters_back():
-    a = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
-    out = ad.take_rows(a, [0, 2, 3])
-    np.testing.assert_array_equal(out.data, a.data[[0, 2, 3]])
-    ad.backward(ad.sum_all(ad.mul(out, np.arange(9.0).reshape(3, 3))))
-    np.testing.assert_array_equal(a.grad, [[0, 1, 2], [0, 0, 0], [3, 4, 5], [6, 7, 8]])
+@pytest.mark.parametrize("sizes", [[2, 2], [2, 2, 2], [1, 2, 2], [2, 3], [3, 0, 2], [5, 0],
+                                   []], ids=str)
+def test_convlstm_rejects_block_sizes_that_do_not_pack_the_rows(sizes):
+    # the step blocks must sum to the rows, never grow and never be empty
+    k, b = Tensor(np.zeros((8, 3, 3, 3))), Tensor(np.zeros(8))
+    states = np.zeros((5, 2, 3, 3))
+    with pytest.raises(ad.ShapeError):
+        ad.convlstm(Tensor(np.zeros((5, 1, 3, 3))), k, b, states, states, sizes)
 
 
 def test_grad_conv2d_batch_keeps_extended_precision():

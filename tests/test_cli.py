@@ -19,6 +19,7 @@ from maskac.cli import (CONFIG_DEFAULTS, EXIT_ARGUMENT, EXIT_CHECKPOINT,
                         EXIT_CONFIG, EXIT_OK, EXIT_VARIANT, ResolvedConfig,
                         main, parse_config_file)
 from maskac.network import NetworkConfig, init_weights, weight_shapes
+from maskac.training import _final_checkpoint
 
 
 def cfg(policy=True, value=True, **kw):
@@ -222,6 +223,59 @@ def test_mutated_checkpoint_bytes_raise_only_checkpoint_error(tiny_checkpoint, d
         load_checkpoint(mutated)
     except CheckpointError:
         pass
+
+
+def non_finite_checkpoint(path, value):
+    """A checkpoint whose ``policy_mask.b`` payload is ``value``, with a valid CRC."""
+    config = cfg(fe_channels=(4, 4, 8), lstm_channels=8, branch_channels=4)
+    save_checkpoint(init_weights(config, seed=0), config, path)
+    body = bytearray(Path(path).read_bytes()[:-4])
+    name = b"policy_mask.b"
+    at = body.index(struct.pack("<H", len(name)) + name) + 2 + len(name) + 1 + 4   # rank, dim
+    body[at:at + 4] = struct.pack("<f", value)
+    Path(path).write_bytes(with_crc(bytes(body)))
+    return path
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_checkpoint_with_a_non_finite_weight_raises_naming_the_tensor(tmp_path, value):
+    path = non_finite_checkpoint(str(tmp_path / "w.ma3c"), value)
+    with pytest.raises(CheckpointError, match="tensor policy_mask.b holds a non-finite value"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("command", ["eval", "viz", "inject"])
+def test_non_finite_checkpoint_exits_3_with_one_line(tmp_path, capsys, command, value):
+    ckpt = non_finite_checkpoint(str(tmp_path / "w.ma3c"), value)
+    argv = {"eval": ["--episodes", "1", "--mask", "inverse"],
+            "viz": ["--out", str(tmp_path / "viz")],
+            "inject": ["--sprite", write_sprite(tmp_path), "--pos", "17,0", "--frame", "2",
+                       "--window", "0,4"]}[command]
+    assert main([command, "--ckpt", ckpt, *argv]) == EXIT_CHECKPOINT
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:") and len(err.strip().splitlines()) == 1
+    assert "policy_mask.b" in err and not (tmp_path / "viz").exists()
+
+
+def test_a_run_directory_skips_a_checkpoint_with_a_non_finite_weight(tmp_path):
+    # compare reuses the highest-step checkpoint that loads; a NaN payload does not
+    good = str(tmp_path / "ckpt_50.ma3c")
+    non_finite_checkpoint(good, 0.5)
+    non_finite_checkpoint(str(tmp_path / "ckpt_100.ma3c"), np.nan)
+    config = load_checkpoint(good)[1]
+    assert _final_checkpoint(str(tmp_path), 40, config) == good
+    assert _final_checkpoint(str(tmp_path), 60, config) is None
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e39], ids=["nan", "inf", "float32-overflow"])
+def test_save_checkpoint_refuses_non_finite_weights_before_writing(tmp_path, value):
+    config = tiny_cfg()
+    weights = {k: t.data.astype(np.float64) for k, t in init_weights(config, seed=0).items()}
+    weights["policy_mask.b"][0] = value
+    with pytest.raises(ValueError, match="policy_mask.b"):
+        save_checkpoint(weights, config, str(tmp_path / "w.ma3c"))
+    assert os.listdir(tmp_path) == []
 
 
 class _FailingFile:

@@ -1,20 +1,31 @@
-"""Golden fixed-seed training runs, compared with a tolerance.
+"""Golden fixed-seed training runs, in two layers.
 
-Each scenario trains a tiny network with a fixed seed.  Its final
-checkpoint's weights must lie within 1e-4 of each tensor's largest
-magnitude of the recorded ones, and the ``step`` and ``episode_return``
-columns of its ``metrics.csv`` must equal the recorded text.  float32
-matmul bits may differ between BLAS kernels, so the weights are not
-compared bit for bit.  The collector run has 3 workers at ``t_max=7``, so
-some of its rounds are ragged.
+Each scenario trains a tiny network with a fixed seed.
 
-Re-record the files under ``tests/golden/`` with
-``PYTHONPATH=src python tests/test_golden.py``, and say why in CHANGES.md.
+The tolerance layer runs everywhere: the final checkpoint's weights must
+lie within 1e-4 of each tensor's largest magnitude of the recorded ones,
+and the ``step`` and ``episode_return`` columns of its ``metrics.csv``
+must equal the recorded text.  The collector run has 3 workers at
+``t_max=7``, so some of its rounds are ragged.
+
+The exact layer pins the sha256 of the final checkpoint file and of
+``metrics.csv`` of the 1-worker runs on catch and fuel.  float32 matmul
+bits may differ between BLAS kernels and CPUs, so it runs only where the
+recorded fingerprint (numpy version, BLAS name and version, CPU model,
+CPU count) matches, and skips with the difference elsewhere.
+
+Re-record with ``PYTHONPATH=src python tests/test_golden.py weights``
+(the tolerance files) or ``... digests`` (the exact layer, with the
+fingerprint of the machine that records it), and say why in CHANGES.md.
 """
 
 import csv
+import hashlib
 import io
+import json
 import os
+import platform
+import sys
 import tempfile
 
 import numpy as np
@@ -26,20 +37,29 @@ from maskac.network import NetworkConfig
 from maskac.training import Hyperparams, train
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+DIGESTS = os.path.join(GOLDEN, "digests.json")
 SCENARIOS = {
     "catch_1w": ("catch", Hyperparams(lr=1e-3, n_workers=1, t_max=20, total_steps=200)),
     "collector_3w": ("collector", Hyperparams(lr=1e-3, n_workers=3, t_max=7, total_steps=300)),
+    "fuel_1w": ("fuel", Hyperparams(lr=1e-3, n_workers=1, t_max=20, total_steps=200)),
 }
+TOLERANCE = ("catch_1w", "collector_3w")
+EXACT = ("catch_1w", "fuel_1w")
 RTOL = 1e-4
 
 
-def run(name, out_dir):
-    """The scenario's final weights and the step,episode_return columns of its metrics.csv."""
+def train_scenario(name, out_dir):
+    """Train the scenario into ``out_dir``; returns the final checkpoint's path."""
     env, hyper = SCENARIOS[name]
     spec = EnvSpec(name=env)
     config = NetworkConfig(fe_channels=(4, 4, 4), lstm_channels=4, branch_channels=4,
                            n_actions=spec.n_actions)
-    final = train(config, hyper, spec, seed=0, out_dir=out_dir, checkpoint_interval=0)
+    return train(config, hyper, spec, seed=0, out_dir=out_dir, checkpoint_interval=0)
+
+
+def run(name, out_dir):
+    """The scenario's final weights and the step,episode_return columns of its metrics.csv."""
+    final = train_scenario(name, out_dir)
     with open(os.path.join(out_dir, "metrics.csv")) as fh:
         rows = [(r["step"], r["episode_return"]) for r in csv.DictReader(fh)]
     text = io.StringIO()
@@ -47,7 +67,35 @@ def run(name, out_dir):
     return load_checkpoint(final)[0], text.getvalue()
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def digests(name, out_dir):
+    """sha256 of the scenario's final checkpoint and of its metrics.csv."""
+    final = train_scenario(name, out_dir)
+    out = {}
+    for key, path in (("checkpoint", final), ("metrics", os.path.join(out_dir, "metrics.csv"))):
+        with open(path, "rb") as fh:
+            out[key] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def _cpu_model():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.partition(":")[2].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def fingerprint():
+    """What the float32 bits of a training run may depend on besides the code."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+            "cpu": _cpu_model(), "cpu_count": os.cpu_count()}
+
+
+@pytest.mark.parametrize("name", TOLERANCE)
 def test_training_matches_the_golden_run(tmp_path, name):
     weights, columns = run(name, str(tmp_path))
     with open(os.path.join(GOLDEN, f"{name}.csv")) as fh:
@@ -64,9 +112,29 @@ def test_training_matches_the_golden_run(tmp_path, name):
         assert any(d != 21 for d in np.diff([0] + steps))
 
 
-def record():
+@pytest.mark.parametrize("name", EXACT)
+def test_training_outputs_match_the_golden_digests(tmp_path, name):
+    with open(DIGESTS) as fh:
+        golden = json.load(fh)
+    here = fingerprint()
+    differs = {k: (v, here.get(k)) for k, v in golden["fingerprint"].items() if here.get(k) != v}
+    if differs:
+        pytest.skip(f"recorded on another platform (recorded, here): {differs}")
+    assert digests(name, str(tmp_path)) == golden["runs"][name]
+
+
+def record(layer):
     os.makedirs(GOLDEN, exist_ok=True)
-    for name in SCENARIOS:
+    if layer == "digests":
+        runs = {}
+        for name in EXACT:
+            with tempfile.TemporaryDirectory() as tmp:
+                runs[name] = digests(name, tmp)
+        with open(DIGESTS, "w") as fh:
+            json.dump({"fingerprint": fingerprint(), "runs": runs}, fh, indent=2)
+            fh.write("\n")
+        return
+    for name in TOLERANCE:
         with tempfile.TemporaryDirectory() as tmp:
             weights, columns = run(name, tmp)
         with open(os.path.join(GOLDEN, f"{name}.csv"), "w") as fh:
@@ -75,4 +143,6 @@ def record():
 
 
 if __name__ == "__main__":
-    record()
+    if sys.argv[1:] not in (["weights"], ["digests"]):
+        sys.exit("usage: python tests/test_golden.py weights|digests")
+    record(sys.argv[1])

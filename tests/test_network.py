@@ -70,6 +70,17 @@ def test_variant_weight_counts():
     assert set(vanilla) < set(both)
 
 
+@pytest.mark.parametrize("value", [np.nan, -np.inf], ids=["nan", "-inf"])
+def test_check_weights_names_the_first_non_finite_tensor(value):
+    config = cfg("both")
+    weights = net.init_weights(config, seed=0)
+    for name in ("value_out.b", "policy_mask.b"):
+        weights[name].data[0] = value
+    for given in (weights, {k: t.data for k, t in weights.items()}):
+        with pytest.raises(ValueError, match="tensor policy_mask.b holds a non-finite value"):
+            net.check_weights(given, config)
+
+
 def test_shared_layers_get_identical_draws_across_variants():
     wb = net.init_weights(cfg("both"), seed=7)
     wv = net.init_weights(cfg("vanilla"), seed=7)

@@ -19,10 +19,10 @@ from maskac.network import (NetworkConfig, RecurrentState, feature_extract, forw
                             forward_segment, init_weights)
 from maskac.training import (Hyperparams, Round, SharedParams, a3c_loss, apply_gradients,
                              collect_rollout, compare_variants, compute_returns,
-                             loss_components, sync_local, train)
+                             loss_components, step_blocks, sync_local, train)
 
-from oracles import (discounted_returns_oracle, grad_check, per_step_a3c_loss, replay_states,
-                     rmsprop_apply_oracle)
+from oracles import (batch_sizes, discounted_returns_oracle, grad_check, pack, packed_rows,
+                     per_step_a3c_loss, replay_states, rmsprop_apply_oracle)
 
 
 def small_cfg(**kw):
@@ -83,23 +83,16 @@ def collect_one(env, weights, config, state, t_max, rng):
 
 
 def make_round(rewards, bootstrap=None, obs=None, actions=None, weights=None, config=None):
-    """A ``Round`` of the segments given as per-segment lists, zero-padded to the longest.
+    """A packed ``Round`` of the segments given as per-segment lists.
 
     With ``weights`` and ``config`` the round records the states that
     replaying its observations from zero states gives.
     """
     lengths = np.array([len(r) for r in rewards])
-
-    def padded(segments, dtype):
-        out = np.zeros((len(rewards), lengths.max()) + np.shape(segments[0][0]), dtype=dtype)
-        for i, segment in enumerate(segments):
-            out[i, :len(segment)] = segment
-        return out
-
-    obs = None if obs is None else padded(obs, np.float64)
+    obs = None if obs is None else pack(obs, np.float64)
     h, c = (None, None) if weights is None else replay_states(obs, lengths, weights, config)
-    return Round(obs=obs, actions=padded(actions or [[0] * len(r) for r in rewards], np.int64),
-                 rewards=padded(rewards, np.float64), lengths=lengths,
+    return Round(obs=obs, actions=pack(actions or [[0] * len(r) for r in rewards], np.int64),
+                 rewards=pack(rewards, np.float64), lengths=lengths,
                  terminal=np.zeros(len(rewards), dtype=bool),
                  bootstrap=np.zeros(len(rewards)) if bootstrap is None else np.array(bootstrap),
                  h=h, c=c)
@@ -117,16 +110,30 @@ def zero_head_round(k_actions, t_steps):
 
 
 # ---------------------------------------------------------------------------
+# packed rounds
+
+def test_step_blocks_match_the_packing_oracle():
+    # per step, the segments that reach it, longest first with ties in worker order
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        lengths = rng.integers(1, 6, size=int(rng.integers(1, 6)))
+        order, sizes = step_blocks(lengths)
+        assert sizes == batch_sizes(lengths.tolist())
+        rows = packed_rows(lengths.tolist())
+        assert [rows[i][0] for i in order] == list(range(len(lengths)))
+
+
+# ---------------------------------------------------------------------------
 # returns
 
 def test_returns_gamma_zero_copies_rewards():
     returns = compute_returns(make_round([[1.0, -0.5, 2.0]], [5.0]), gamma=0.0)
-    assert returns.tolist() == [[1.0, -0.5, 2.0]]
+    assert returns.tolist() == [1.0, -0.5, 2.0]
 
 
 def test_returns_single_step_bootstrap():
     returns = compute_returns(make_round([[1.0]], [2.0]), gamma=0.99)
-    assert returns.shape == (1, 1) and abs(returns[0, 0] - 2.98) < 1e-12
+    assert returns.shape == (1,) and abs(returns[0] - 2.98) < 1e-12
 
 
 def test_returns_match_direct_sum_oracle_exhaustively():
@@ -140,11 +147,10 @@ def test_returns_match_direct_sum_oracle_exhaustively():
     for round_segments in rounds:
         rewards, bootstraps = zip(*round_segments)
         returns = compute_returns(make_round(list(rewards), list(bootstraps)), gamma=0.97)
-        assert returns.shape == (len(rewards), max(len(r) for r in rewards))
-        for row, r, b in zip(returns, rewards, bootstraps):
+        assert returns.shape == (sum(len(r) for r in rewards),)
+        for rows, r, b in zip(packed_rows([len(r) for r in rewards]), rewards, bootstraps):
             expected = discounted_returns_oracle(r, b, 0.97)
-            np.testing.assert_allclose(row[:len(r)], expected, atol=1e-12, rtol=0)
-            assert not row[len(r):].any()
+            np.testing.assert_allclose(returns[rows], expected, atol=1e-12, rtol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +159,7 @@ def test_returns_match_direct_sum_oracle_exhaustively():
 def test_loss_reduces_to_entropy_term():
     k, t, coef = 4, 3, 0.01
     rnd, weights, config = zero_head_round(k, t)
-    returns = np.zeros((1, t))   # value head predicts 0 exactly, so every advantage is 0
+    returns = np.zeros(t)   # value head predicts 0 exactly, so every advantage is 0
     loss, row = a3c_loss(rnd, weights, config, returns, entropy_coef=coef, value_coef=0.5)
     assert abs(float(loss.data) - (-coef * t * np.log(k))) < 1e-12
     assert row["policy_loss"] == 0.0 and row["value_loss"] == 0.0
@@ -162,7 +168,7 @@ def test_loss_reduces_to_entropy_term():
 
 def test_loss_single_step_policy_term_only():
     rnd, weights, config = zero_head_round(3, 1)
-    trace = forward_segment(rnd.obs, (rnd.h, rnd.c), weights, config, rnd.lengths)
+    trace = forward_segment(rnd.obs, (rnd.h, rnd.c), weights, config, [1])
     (policy_term, _, _), _ = loss_components(trace, [0], [1.7], advantages=np.array([2.5]))
     assert abs(float(policy_term.data) - (-np.log(1 / 3) * 2.5)) < 1e-12
 
@@ -170,7 +176,7 @@ def test_loss_single_step_policy_term_only():
 def test_loss_derives_the_advantage_from_the_learner_value():
     # the value head predicts 0, so the derived advantage R - V is the return
     rnd, weights, config = zero_head_round(3, 1)
-    loss, row = a3c_loss(rnd, weights, config, np.array([[1.7]]), entropy_coef=0.0,
+    loss, row = a3c_loss(rnd, weights, config, np.array([1.7]), entropy_coef=0.0,
                          value_coef=0.0)
     assert abs(float(loss.data) - (-np.log(1 / 3) * 1.7)) < 1e-12
     assert abs(row["policy_loss"] - float(loss.data)) < 1e-12
@@ -179,7 +185,7 @@ def test_loss_derives_the_advantage_from_the_learner_value():
 
 def test_loss_rejects_length_mismatch():
     rnd, weights, config = zero_head_round(3, 2)
-    for returns in (np.zeros((1, 1)), np.zeros((2, 2)), np.zeros(2)):
+    for returns in (np.zeros(1), np.zeros(3), np.zeros((1, 2))):
         with pytest.raises(ValueError):
             a3c_loss(rnd, weights, config, returns, 0.0, 0.0)
 
@@ -194,11 +200,11 @@ def frozen_loss_fn(config, obs_seq, actions, returns, advantages, hyper, dtype):
     The recorded ConvLSTM states are a function of the weights, so each
     call records them anew by replaying the observations through ``forward``.
     """
-    obs = np.array(obs_seq, dtype=dtype)[None]
+    obs = np.array(obs_seq, dtype=dtype)
 
     def f(weights):
-        states = replay_states(obs, [len(obs_seq)], weights, config)
-        trace = forward_segment(obs, states, weights, config, [len(obs_seq)])
+        states = replay_states(obs, [len(obs)], weights, config)
+        trace = forward_segment(obs, states, weights, config, [1] * len(obs))
         (policy_term, value_term, neg_entropy), _ = loss_components(
             trace, actions, np.asarray(returns), np.asarray(advantages))
         return ad.add(policy_term, ad.add(ad.mul(value_term, hyper.value_coef),
@@ -216,7 +222,7 @@ def random_frozen_rollout(config, seed, n_steps=3):
     rewards = rng.uniform(-1, 1, size=n_steps).tolist()
     values = rng.uniform(-1, 1, size=n_steps).tolist()
     bootstrap = float(rng.uniform(-1, 1))
-    returns = compute_returns(make_round([rewards], [bootstrap]), 0.99)[0].tolist()
+    returns = compute_returns(make_round([rewards], [bootstrap]), 0.99).tolist()
     advantages = [r - v for r, v in zip(returns, values)]
     return weights, obs_seq, actions, returns, advantages
 
@@ -242,7 +248,7 @@ def test_advantage_is_stop_gradient_in_policy_term():
     weights, obs_seq, actions, returns, _ = random_frozen_rollout(config, seed=6)
     rnd = make_round([[0.0] * len(actions)], obs=[obs_seq], actions=[actions], weights=weights,
                      config=config)
-    grads = _grads(lambda w: a3c_loss(rnd, w, config, np.array([returns]), 0.0, 0.0)[0],
+    grads = _grads(lambda w: a3c_loss(rnd, w, config, np.array(returns), 0.0, 0.0)[0],
                    weights)
     for name in ("value_branch.w", "value_branch.b", "value_mask.w", "value_out.w",
                  "value_out.b"):
@@ -259,8 +265,8 @@ def _grads(loss_fn, weights):
 def round_cases(t_max):
     """Steps to episode end, per env of a two-env round, counted from the round's start."""
     cases = [(None, None), (t_max, t_max), (t_max, None)]   # equal lengths
-    if t_max > 1:
-        cases.append((None, t_max // 2))                     # ragged: one env ends mid-round
+    if t_max > 1:   # ragged: one env ends mid-round, the longer one first or second
+        cases += [(None, t_max // 2), (t_max // 2, None)]
     return cases
 
 
@@ -283,7 +289,7 @@ def assert_round_grads_match_per_step_oracle(config, weights, t_max, warmup, end
     rnd, _ = collect_rollout(envs, weights, config, state, t_max, rngs)
     assert rnd.lengths.tolist() == [t_max if e is None else e for e in ends]
     assert rnd.terminal.tolist() == [e is not None for e in ends]
-    for c in rnd.c[:, 0]:
+    for c in rnd.c[:len(envs)]:   # every segment's start state: the rows of step 0
         assert (np.abs(c).max() > 0) == bool(warmup)
     returns = compute_returns(rnd, hyper.gamma)
     coefs = (hyper.entropy_coef, hyper.value_coef)
@@ -292,10 +298,10 @@ def assert_round_grads_match_per_step_oracle(config, weights, t_max, warmup, end
 
     def oracle_loss(w):
         total = None
-        for i, n in enumerate(rnd.lengths):
-            start = RecurrentState(Tensor(rnd.h[i, 0]), Tensor(rnd.c[i, 0]))
-            term = per_step_a3c_loss(rnd.obs[i, :n], rnd.actions[i, :n], start, w, config,
-                                     returns[i, :n], *coefs)
+        for rows in packed_rows(rnd.lengths):
+            start = RecurrentState(Tensor(rnd.h[rows[0]]), Tensor(rnd.c[rows[0]]))
+            term = per_step_a3c_loss(rnd.obs[rows], rnd.actions[rows], start, w, config,
+                                     returns[rows], *coefs)
             total = term if total is None else ad.add(total, term)
         return total
 
@@ -326,6 +332,16 @@ def test_segment_grads_match_per_step_oracle_on_a_5x5_map():
     assert_round_grads_match_per_step_oracle(config, weights, 6, 3, (None, 3))
 
 
+@pytest.mark.parametrize("warmup", [0, 3])
+def test_ragged_round_grads_match_per_step_oracle(warmup):
+    # four segments of 2, 6, 2 and 5 steps: the step blocks shrink 4, 4, 2,
+    # 2, 2, 1 and run the segments in the order 1, 3, 0, 2, so the BPTT's
+    # carries widen by prefix where segments of different lengths meet
+    config = small_cfg()
+    weights = init_weights(config, seed=13, dtype=np.float64)
+    assert_round_grads_match_per_step_oracle(config, weights, 6, warmup, (2, None, 2, 5))
+
+
 # ---------------------------------------------------------------------------
 # rollout collection
 
@@ -336,8 +352,8 @@ def test_collect_rollout_fixed_length_single_action():
     env.reset()
     rnd, state = collect_one(env, weights, config, RecurrentState.zeros(config, np.float64), 3,
                              np.random.default_rng(0))
-    assert rnd.lengths.tolist() == [3] and rnd.obs.shape[:2] == (1, 3)
-    assert rnd.actions.tolist() == [[0, 0, 0]]
+    assert rnd.lengths.tolist() == [3] and rnd.obs.shape[:1] == (3,)
+    assert rnd.actions.tolist() == [0, 0, 0]
     assert not rnd.terminal[0]
     # the bootstrap is the value of the frame after the segment, from the carried state
     value = forward(env.observe(), state, weights, config).value.data
@@ -351,7 +367,7 @@ def test_collect_rollout_stops_at_terminal():
     env.reset()
     rnd, _ = collect_one(env, weights, config, RecurrentState.zeros(config, np.float64), 5,
                          np.random.default_rng(0))
-    assert rnd.lengths.tolist() == [2] and rnd.obs.shape[:2] == (1, 2)
+    assert rnd.lengths.tolist() == [2] and rnd.obs.shape[:1] == (2,)
     assert rnd.terminal[0]
     assert rnd.bootstrap[0] == 0.0
 
@@ -363,12 +379,14 @@ def test_collect_rollout_round_is_as_wide_as_the_steps_taken():
     env = make_env(EnvSpec(name="catch", seed=1))
     rnd, _ = collect_one(env, weights, config, RecurrentState.zeros(config), 10 ** 6,
                          np.random.default_rng(0))
-    assert rnd.obs.shape == (1, 19, 20, 20)
-    assert rnd.actions.shape == rnd.rewards.shape == (1, 19)
+    assert rnd.obs.shape == (19, 20, 20)
+    assert rnd.actions.shape == rnd.rewards.shape == (19,)
     assert rnd.lengths.tolist() == [19] and rnd.terminal.tolist() == [True]
 
 
-def test_round_padding_is_zero_and_moves_no_loss_or_gradient():
+def test_round_holds_only_the_steps_played():
+    # a ragged round has one row per step played, and each segment's rows
+    # give the loss and gradients of that segment as a round of its own
     config = small_cfg()
     weights = init_weights(config, seed=8, dtype=np.float64)
     envs = [NoisyEnv(n_actions=3, done_at=e, salt=i) for i, e in enumerate((None, 2))]
@@ -378,8 +396,8 @@ def test_round_padding_is_zero_and_moves_no_loss_or_gradient():
                              RecurrentState.zeros(config, np.float64, batch=2), 5,
                              [np.random.default_rng(i) for i in range(2)])
     assert rnd.lengths.tolist() == [5, 2]
-    for field in (rnd.obs, rnd.actions, rnd.rewards):
-        assert not field[1, 2:].any()
+    for field in (rnd.obs, rnd.actions, rnd.rewards, rnd.h, rnd.c):
+        assert len(field) == 7
 
     def loss_and_grads(r):
         w = {k: Tensor(t.data.copy(), requires_grad=True) for k, t in weights.items()}
@@ -387,16 +405,15 @@ def test_round_padding_is_zero_and_moves_no_loss_or_gradient():
         ad.backward(loss)
         return float(loss.data), {k: t.grad for k, t in w.items()}
 
-    rng = np.random.default_rng(3)
-    noisy = dataclasses.replace(rnd, obs=rnd.obs.copy(), actions=rnd.actions.copy(),
-                                rewards=rnd.rewards.copy())
-    noisy.obs[1, 2:] = rng.uniform(0, 1, size=noisy.obs[1, 2:].shape)
-    noisy.actions[1, 2:] = 2
-    noisy.rewards[1, 2:] = 7.0
-    (loss, grads), (noisy_loss, noisy_grads) = loss_and_grads(rnd), loss_and_grads(noisy)
-    assert noisy_loss == loss
+    loss, grads = loss_and_grads(rnd)
+    parts = [loss_and_grads(Round(rnd.obs[rows], rnd.actions[rows], rnd.rewards[rows],
+                                  rnd.h[rows], rnd.c[rows], rnd.lengths[[i]],
+                                  rnd.terminal[[i]], rnd.bootstrap[[i]]))
+             for i, rows in enumerate(packed_rows(rnd.lengths))]
+    np.testing.assert_allclose(loss, sum(part[0] for part in parts), rtol=1e-12)
     for name, g in grads.items():
-        np.testing.assert_array_equal(noisy_grads[name], g, err_msg=name)
+        np.testing.assert_allclose(g, sum(part[1][name] for part in parts), rtol=1e-10,
+                                   atol=1e-14, err_msg=name)
 
 
 def test_collect_rollout_builds_no_graph():
@@ -471,9 +488,9 @@ def test_collect_rollout_lockstep_rows_equal_each_env_alone():
         for i in range(3):
             ref, alone_states[i] = collect_one(alone[i], weights, config, alone_states[i], 4,
                                                alone_rngs[i])
-            n = ref.lengths[0]
-            assert rnd.lengths[i] == n and rnd.terminal[i] == ref.terminal[0]
-            assert rnd.actions[i, :n].tolist() == ref.actions[0].tolist()
+            rows = packed_rows(rnd.lengths)[i]
+            assert rnd.lengths[i] == ref.lengths[0] and rnd.terminal[i] == ref.terminal[0]
+            assert rnd.actions[rows].tolist() == ref.actions.tolist()
             np.testing.assert_allclose(rnd.bootstrap[i], ref.bootstrap[0],
                                        rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(state.c.data[i], alone_states[i].c.data,
@@ -481,13 +498,42 @@ def test_collect_rollout_lockstep_rows_equal_each_env_alone():
     assert [env.t for env in envs] == [12, 4, 9]
 
 
+def test_collect_rollout_packs_each_env_alone_step_major_longest_first():
+    # collector with 3 workers at t_max=7: a round's rows are each env's
+    # steps as that env plays them alone, each once, step-major and with
+    # the longest segments first
+    spec = EnvSpec(name="collector")
+    config = small_cfg(n_actions=spec.n_actions)
+    weights = init_weights(config, seed=5, dtype=np.float64)
+    envs, alone = ([make_env(dataclasses.replace(spec, seed=20 + i)) for i in range(3)]
+                   for _ in range(2))
+    rngs, alone_rngs = ([np.random.default_rng([7, i]) for i in range(3)] for _ in range(2))
+    state = RecurrentState.zeros(config, np.float64, batch=3)
+    alone_states = [RecurrentState.zeros(config, np.float64) for _ in range(3)]
+    reordered = 0
+    for _ in range(12):
+        rnd, state = collect_rollout(envs, weights, config, state, 7, rngs)
+        refs = []
+        for i in range(3):
+            ref, alone_states[i] = collect_one(alone[i], weights, config, alone_states[i], 7,
+                                               alone_rngs[i])
+            refs.append(ref)
+        assert rnd.lengths.tolist() == [int(ref.lengths[0]) for ref in refs]
+        for name in ("obs", "actions", "rewards", "h", "c"):
+            field = getattr(rnd, name)
+            expected = pack([getattr(ref, name) for ref in refs], field.dtype)
+            np.testing.assert_allclose(field, expected, rtol=1e-12, atol=1e-15, err_msg=name)
+        reordered += int(rnd.lengths.tolist() != sorted(rnd.lengths, reverse=True))
+    assert reordered > 0
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("env_name, n_workers, t_max", [("catch", 1, 20), ("collector", 3, 7)],
                          ids=["catch-1w", "collector-3w"])
 def test_learner_convlstm_replays_the_recorded_states(env_name, n_workers, t_max, dtype):
-    # at each real step, the learner's ConvLSTM output over the round is the
+    # at each step, the learner's ConvLSTM output over the round is the
     # state the actors recorded entering the next step, or the state carried
-    # out of the round; padded steps record zeros
+    # out of the round
     spec = EnvSpec(name=env_name)
     config = small_cfg(n_actions=spec.n_actions)
     weights = init_weights(config, seed=2, dtype=dtype)
@@ -498,17 +544,14 @@ def test_learner_convlstm_replays_the_recorded_states(env_name, n_workers, t_max
     ragged = 0
     for _ in range(10):
         rnd, state = collect_rollout(envs, weights, config, state, t_max, rngs)
-        n, t = rnd.obs.shape[:2]
-        x = feature_extract(Tensor(rnd.obs.reshape(n * t, 1, 20, 20).astype(dtype)), weights,
-                            config)
-        out = ad.convlstm(ad.reshape(x, (n, t) + x.shape[1:]), weights["lstm.w"],
-                          weights["lstm.b"], rnd.h, rnd.c).data
-        for i, steps in enumerate(rnd.lengths):
-            np.testing.assert_allclose(out[i, :steps - 1], rnd.h[i, 1:steps], **tol)
+        x = feature_extract(Tensor(rnd.obs[:, None].astype(dtype)), weights, config)
+        out = ad.convlstm(x, weights["lstm.w"], weights["lstm.b"], rnd.h, rnd.c,
+                          step_blocks(rnd.lengths)[1]).data
+        for i, rows in enumerate(packed_rows(rnd.lengths)):
+            np.testing.assert_allclose(out[rows[:-1]], rnd.h[rows[1:]], **tol)
             if not rnd.terminal[i]:
-                np.testing.assert_allclose(out[i, steps - 1], state.h.data[i], **tol)
-            assert not rnd.h[i, steps:].any() and not rnd.c[i, steps:].any()
-        ragged += int(rnd.lengths.min() < t)
+                np.testing.assert_allclose(out[rows[-1]], state.h.data[i], **tol)
+        ragged += int(rnd.lengths.min() < rnd.lengths.max())
     assert ragged > 0 if n_workers > 1 else ragged == 0
 
 
@@ -702,7 +745,7 @@ def test_metrics_log_mask_telemetry_per_update(tmp_path, variant, masks):
 
 
 def test_loss_components_mask_statistics_are_over_the_real_steps():
-    # a ragged round: per branch, the mean over all real steps' mask cells
+    # a ragged round: per branch, the mean over all its steps' mask cells
     # and the mean over those steps of each mask's spatial std
     config = small_cfg()
     weights = init_weights(config, seed=9, dtype=np.float64)
@@ -715,9 +758,9 @@ def test_loss_components_mask_statistics_are_over_the_real_steps():
     _, row = a3c_loss(rnd, weights, config, compute_returns(rnd, 0.99), 0.01, 0.5)
     for branch, name in (("policy", "m_p"), ("value", "m_v")):
         masks = []
-        for i, n in enumerate(rnd.lengths):
-            state = RecurrentState(Tensor(rnd.h[i, 0]), Tensor(rnd.c[i, 0]))
-            for obs in rnd.obs[i, :n]:
+        for rows in packed_rows(rnd.lengths):
+            state = RecurrentState(Tensor(rnd.h[rows[0]]), Tensor(rnd.c[rows[0]]))
+            for obs in rnd.obs[rows]:
                 trace = forward(obs, state, weights, config)
                 state = trace.next_state
                 masks.append(getattr(trace, name).data[0])
