@@ -256,7 +256,8 @@ def injection_response(weights, config, env_spec, spec, window, seed):
     """Run one greedy rollout with an injected sprite and log masks and policy around it.
 
     ``window`` is an inclusive (first, last) frame range and must contain
-    the injection start frame.
+    the injection start frame.  Raises ValueError, naming both frames, if
+    the episode ends before that frame: no row would show the sprite.
     """
     weights = _checked_tensors(weights, config, env_spec, need_mask=True)
     first, last = window
@@ -278,4 +279,7 @@ def injection_response(weights, config, env_spec, spec, window, seed):
             rows.append(row)
         if t == last:
             break
+    if t < spec.start_frame:
+        raise ValueError(f"the episode ended at frame {t}, before injection frame "
+                         f"{spec.start_frame}")
     return InjectionReport(rows=rows, action_names=tuple(envs[0].action_names))

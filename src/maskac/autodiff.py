@@ -1,12 +1,12 @@
 """Reverse-mode automatic differentiation over dense numpy tensors.
 
 Supplies exactly the operator set the masked actor-critic network needs:
-conv2d, the ConvLSTM cell and its fused sequence form, dense, add / mul
-(by a tensor or a constant), sigmoid / relu, the channel-broadcast mask
-multiply, softmax / log-softmax, channel concat, reshape and the scalar
-sum.  Each op records a backward closure on its output;
-``backward()`` replays the recorded graph in reverse topological order
-and accumulates into ``.grad`` buffers.
+conv2d, the ConvLSTM over packed sequences (one op for a single step and
+for a round of steps), dense, add / mul (by a tensor or a constant),
+sigmoid / relu, the channel-broadcast mask multiply, softmax /
+log-softmax, reshape and the scalar sum.  Each op records a backward
+closure on its output; ``backward()`` replays the recorded graph in
+reverse topological order and accumulates into ``.grad`` buffers.
 
 Precision is carried by the tensors themselves: build weights in float64
 for gradient checking, float32 for training.  Ops never change dtype.
@@ -21,9 +21,8 @@ import numpy as np
 __all__ = [
     "Tensor", "ShapeError", "GraphError",
     "add", "mul", "sigmoid", "relu",
-    "broadcast_mul_channelwise", "conv2d", "lstm_cell", "convlstm", "dense",
-    "softmax", "log_softmax", "concat_channels",
-    "reshape", "sum_all", "backward",
+    "broadcast_mul_channelwise", "conv2d", "convlstm", "dense",
+    "softmax", "log_softmax", "reshape", "sum_all", "backward",
 ]
 
 
@@ -316,116 +315,80 @@ def conv2d(x, k, b, stride=1, padding=0):
     return out
 
 
-def _lstm_gates(z, c):
-    """The LSTM cell on gate pre-activations z [B,4,L,P] and cell states c [B,L,P].
-
-    Turns z in place into the gates: i, f, o (z[:, :3]) through the
-    sigmoid in tanh form, (tanh(v/2) + 1) / 2, and g through tanh.
-    Returns c' = f*c + i*g, tanh(c') and h = o*tanh(c').
-    """
-    s = z[:, :3]
-    s *= 0.5
-    np.tanh(z, out=z)
-    s += 1.0
-    s *= 0.5
-    i, f, o, g = (z[:, j] for j in range(4))
-    c_next = f * c
-    c_next += i * g
-    tc = np.tanh(c_next)
-    return c_next, tc, o * tc
-
-
-def lstm_cell(z, c):
-    """One LSTM cell update: (h, c_next) from gate pre-activations z and cell state c.
-
-    z [4L,H,W] stacks the pre-activations of the gates i, f, o, g and c is
-    [L,H,W]; a leading batch axis on both is allowed.  c_next = f*c + i*g
-    and h = o*tanh(c_next), with sigmoid i, f, o and tanh g.
-    """
-    if (z.data.ndim not in (3, 4) or c.data.ndim != z.data.ndim or z.shape[:-3] != c.shape[:-3]
-            or z.shape[-2:] != c.shape[-2:] or z.shape[-3] != 4 * c.shape[-3]):
-        raise ShapeError(f"lstm_cell: gates {z.shape} do not fit cell state {c.shape}")
-    gates = z.data.reshape(-1, 4, c.shape[-3], c.shape[-2] * c.shape[-1]).copy()
-    c_prev = c.data.reshape(gates.shape[:1] + gates.shape[2:])
-    c_next, tc, h = _lstm_gates(gates, c_prev)
-    c_out = _make(c_next.reshape(c.shape), (z, c), "lstm_cell")
-    h_out = _make(h.reshape(c.shape), (z, c_out), "lstm_cell")   # c_next is h's parent
-    if c_out.requires_grad:
-        i, f, o, g = (gates[:, j] for j in range(4))
-
-        def _bw_h():          # h's gradient reaches c_next here and gate o in _bw_c
-            dc = h_out.grad.reshape(h.shape) * o * (1.0 - tc * tc)
-            _accum_owned(c_out, dc.reshape(c.shape))
-
-        def _bw_c():
-            dc = c_out.grad.reshape(c_next.shape)
-            dh = 0.0 if h_out.grad is None else h_out.grad.reshape(h.shape)
-            if z.requires_grad:
-                dz = np.stack((dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
-                               dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)), axis=1)
-                _accum_owned(z, dz.reshape(z.shape))
-            if c.requires_grad:
-                _accum_owned(c, (dc * f).reshape(c.shape))
-        h_out._backward = _bw_h
-        c_out._backward = _bw_c
-    return h_out, c_out
-
-
 def convlstm(x, k, b, h_in, c_in, batch_sizes):
-    """ConvLSTM over sequences packed step-major, as one op: x [R,C,H,W] -> hidden states [R,L,H,W].
+    """ConvLSTM over sequences packed step-major, as one op: x [R,C,H,W] -> (h, c_next) [R,L,H,W].
 
     The rows hold step 0 of every sequence, then step 1 of those that reach
     it, and so on: ``batch_sizes[t]`` sequences, longest first, take step
     t, a prefix of the rows of step t-1 (as in PyTorch's packed sequences).
+    One step of B sequences is ``batch_sizes=[B]``; an unbatched x [C,H,W]
+    with states [L,H,W] is one row and gives unbatched outputs.  The arrays
     h_in, c_in [R,L,H,W] are the states that entered each step when the
     sequences were played with these same weights.  The gates i, f, o, g
-    come from a 3x3 same-padding conv over (x, h_in) with kernel
-    k [4L, C+L, 3, 3] and bias b [4L] (Shi et al. 2015): one patch gather,
-    one gate matmul and one gate pass over all R frames.  The backward is a
-    hand-written BPTT over the step blocks, last to first, that takes h_in
-    and c_in of step t for the outputs of step t-1, so gradients flow
-    through time inside a sequence and stop at its start.  States these
+    come from a 3x3 same-padding ``conv2d`` node over (x, h_in) with kernel
+    k [4L, C+L, 3, 3] and bias b [4L] (Shi et al. 2015), one matmul over
+    all R frames; that node owns the kernel and bias gradients.  The cell
+    runs once over all rows: c_next = f*c_in + i*g and h = o*tanh(c_next),
+    with sigmoid i, f, o and tanh g.  h is the graph output and c_next a
+    tensor with no graph.  The backward is a hand-written BPTT over the
+    step blocks, last to first, that takes h_in and c_in of step t for the
+    outputs of step t-1, so gradients flow through time inside a sequence
+    and stop at its start; it hands the gate gradients to the conv node
+    and forms x's gradient through the kernel's x-half only.  States these
     weights did not produce give outputs and gradients of no real
     sequence.  One sequence computes what it would alone, bit for bit.
     """
-    if x.data.ndim != 4 or k.data.ndim != 4:
-        raise ShapeError(f"convlstm: need [R,C,H,W] input and 4-d kernel, got {x.shape}, {k.shape}")
-    n_rows, n_x, h, w = x.shape
+    if x.data.ndim not in (3, 4) or k.data.ndim != 4:
+        raise ShapeError(f"convlstm: need [R,C,H,W] or [C,H,W] input and 4-d kernel, "
+                         f"got {x.shape}, {k.shape}")
+    n_x, h, w = x.shape[-3:]
     L4 = k.shape[0]
     n_hidden = L4 // 4
-    if h_in.shape != (n_rows, n_hidden, h, w) or c_in.shape != h_in.shape:
+    state_shape = x.shape[:-3] + (n_hidden, h, w)
+    if h_in.shape != state_shape or c_in.shape != state_shape:
         raise ShapeError(f"convlstm: states {h_in.shape}/{c_in.shape} are not "
-                         f"[R,L,H,W] for input {x.shape}")
+                         f"{state_shape} for input {x.shape}")
     if k.shape != (4 * n_hidden, n_x + n_hidden, 3, 3) or b.shape != (L4,):
         raise ShapeError(f"convlstm: kernel {k.shape} / bias {b.shape} do not fit "
                          f"{n_x} input and {n_hidden} hidden channels")
+    xd = x.data.reshape(-1, n_x, h, w)
+    n_rows = len(xd)
     sizes = [int(n) for n in batch_sizes]
     if sum(sizes) != n_rows or min(sizes, default=0) < 1 or sorted(sizes, reverse=True) != sizes:
         raise ShapeError(f"convlstm: batch sizes {sizes} are not positive, non-increasing "
                          f"and summing to the {n_rows} rows")
     dtype = x.data.dtype
     area = h * w
-    frames = np.concatenate((x.data, h_in), axis=1, dtype=dtype)
-    patches = _im2col(frames, 3, 3, 1, 1)                       # [R*P, (C+L)*9]
-    kmat = k.data.reshape(L4, -1)
-    z = kmat @ patches.T                                        # [4L, R*P]
-    z += b.data[:, None]
-    c_prev = np.ascontiguousarray(c_in.transpose(1, 0, 2, 3), dtype=dtype)   # [L,R,h,w]
-    _, tcs, hs = _lstm_gates(z.reshape(1, 4, n_hidden, -1), c_prev.reshape(1, n_hidden, -1))
+    frames = np.concatenate((xd, h_in.reshape(n_rows, n_hidden, h, w)), axis=1, dtype=dtype)
+    zn = conv2d(Tensor(frames), k, b, stride=1, padding=1)     # [R,4L,H,W]
+    # the gates overwrite the conv output, which its backward does not read
+    z = zn.data.reshape(n_rows, 4, n_hidden, area)
+    s = z[:, :3]                # i, f, o: the sigmoid in tanh form, (tanh(v/2) + 1) / 2
+    s *= 0.5
+    np.tanh(z, out=z)
+    s += 1.0
+    s *= 0.5
+    i, f, o, g = (z[:, j] for j in range(4))
+    cs = np.asarray(c_in, dtype=dtype).reshape(n_rows, n_hidden, area)
+    c_next = f * cs
+    c_next += i * g
+    tc = np.tanh(c_next)
 
-    ys = np.ascontiguousarray(hs.reshape(n_hidden, n_rows, h, w).transpose(1, 0, 2, 3))
-    out = _make(ys, (x, k, b), "convlstm")
+    out = _make((o * tc).reshape(state_shape), (x, zn), "convlstm")
     if out.requires_grad:
         def _bw():
-            # [4L or L, R*P] views: step t is a block of columns
-            dhs = out.grad.transpose(1, 0, 2, 3).reshape(n_hidden, -1)
-            i, f, o, g = z.reshape(4, n_hidden, -1)
-            cs, tc = (a.reshape(n_hidden, -1) for a in (c_prev, tcs))
+            def gate_major(a):      # [R,...,P] -> [..., R*P]: step t is a block of columns
+                return np.ascontiguousarray(np.moveaxis(a, 0, -2)).reshape(a.shape[1:-1] + (-1,))
+
+            i, f, o, g = gate_major(z)
+            c_prev, tcs, dhs = (gate_major(a) for a in
+                                (cs, tc, out.grad.reshape(n_rows, n_hidden, area)))
             # dL/dz is a factor known from the forward times dc (gates i, f, g)
             # or dh (gate o); the factors of all steps are formed at once
-            dz = np.stack((g * i * (1.0 - i), cs * f * (1.0 - f), tc * o * (1.0 - o),
+            dz = np.stack((g * i * (1.0 - i), c_prev * f * (1.0 - f), tcs * o * (1.0 - o),
                            i * (1.0 - g * g)))                         # [4, L, R*P]
-            dtc = o * (1.0 - tc * tc)                                  # dh_t -> dc_t
+            dtc = o * (1.0 - tcs * tcs)                                # dh_t -> dc_t
+            kmat = k.data.reshape(L4, -1)
             # W_h^T dz_t, one row per (hidden channel, kernel tap), then each
             # tap's rows summed onto the h_{t-1} positions that tap reads
             k_h = kmat[:, n_x * 9:].T
@@ -450,15 +413,13 @@ def convlstm(x, k, b, h_in, c_in, batch_sizes):
                     summed = np.take(taps, _tap_sum_index(n_hidden, sizes[t], h, w)).sum(axis=0)
                     dh[...] = summed.reshape(n_hidden, cols)
             gm = dz.reshape(L4, -1)                                    # [4L, R*P]
-            if k.requires_grad:
-                _accum_owned(k, (gm @ patches).reshape(k.shape))
-            if b.requires_grad:
-                _accum_owned(b, gm.sum(axis=1))
+            if zn.requires_grad:    # a view: conv2d's backward reads it back as gm, uncopied
+                _accum_owned(zn, gm.reshape(L4, n_rows, area).transpose(1, 0, 2).reshape(zn.shape))
             if x.requires_grad:
                 gxp = _col2im(gm.T @ kmat[:, :n_x * 9], (n_rows, n_x, h + 2, w + 2), 3, 3, 1, h, w)
-                _accum_owned(x, np.ascontiguousarray(_unpad(gxp, 1)))
+                _accum_owned(x, np.ascontiguousarray(_unpad(gxp, 1)).reshape(x.shape))
         out._backward = _bw
-    return out
+    return out, Tensor(c_next.reshape(state_shape))
 
 
 def dense(x, w, b):
@@ -522,23 +483,6 @@ def log_softmax(a):
 
 # ---------------------------------------------------------------------------
 # structural ops
-
-def concat_channels(a, b):
-    """Stack two [C,H,W] maps, or two [N,C,H,W] batches, along the channel axis."""
-    if (a.data.ndim not in (3, 4) or b.data.ndim != a.data.ndim
-            or a.shape[:-3] != b.shape[:-3] or a.shape[-2:] != b.shape[-2:]):
-        raise ShapeError(f"concat_channels: shapes do not line up: {a.shape}, {b.shape}")
-    na = a.shape[-3]
-    out = _make(np.concatenate((a.data, b.data), axis=-3), (a, b), "concat")
-    if out.requires_grad:
-        def _bw():
-            if a.requires_grad:
-                _accum(a, out.grad[..., :na, :, :])
-            if b.requires_grad:
-                _accum(b, out.grad[..., na:, :, :])
-        out._backward = _bw
-    return out
-
 
 def reshape(a, shape):
     out = _make(a.data.reshape(shape), (a,), "reshape")

@@ -195,17 +195,6 @@ def feature_extract(obs, w, config):
     return x
 
 
-def convlstm_step(x, state, w):
-    """One ConvLSTM step: gates i,f,o,g from a 3x3 same-padding conv over (x,h).
-
-    x [C,H,W] with state [L,H,W], or a batch x [B,C,H,W] with state [B,L,H,W].
-    """
-    z = ad.conv2d(ad.concat_channels(x, state.h), w["lstm.w"], w["lstm.b"],
-                  stride=1, padding=_CELL_PADDING)
-    h_next, c_next = ad.lstm_cell(z, state.c)
-    return h_next, RecurrentState(h_next, c_next)
-
-
 def compute_mask(h, w, branch):
     """Sigmoid of a 1x1 conv over the ConvLSTM output; one channel, values in (0,1)."""
     return ad.sigmoid(ad.conv2d(h, w[f"{branch}_mask.w"], w[f"{branch}_mask.b"],
@@ -257,7 +246,12 @@ def forward(obs, state, w, config, mask_transform="identity", with_value=True):
 
     ``obs`` is one [H,W] or [1,H,W] observation with state [L,h,w], or a
     batch [B,1,H,W] of independent episodes with state [B,L,h,w]; a batch
-    gives every output a leading batch axis.
+    gives every output a leading batch axis.  The ConvLSTM runs as
+    ``autodiff.convlstm`` over one step of B sequences (an unbatched
+    observation is one), the op the learner runs over a round.  It reads
+    the state's arrays, so gradients stop at the state passed in, as the
+    learner's stop at a segment's start; ``next_state.h`` is the graph
+    output the heads read, and ``next_state.c`` carries no graph.
 
     ``mask_transform`` drives the policy mask: "identity" uses the mask
     as computed, "inverse" applies gaze inversion, "ones" ablates the
@@ -277,8 +271,10 @@ def forward(obs, state, w, config, mask_transform="identity", with_value=True):
     if obs.data.ndim == 2:
         obs = Tensor(obs.data[None, :, :])
 
-    h, next_state = convlstm_step(feature_extract(obs, w, config), state, w)
-    return _heads(h, next_state, w, config, mask_transform, with_value)
+    x = feature_extract(obs, w, config)
+    h, c = ad.convlstm(x, w["lstm.w"], w["lstm.b"], state.h.data, state.c.data,
+                       [math.prod(x.shape[:-3])])
+    return _heads(h, RecurrentState(h, c), w, config, mask_transform, with_value)
 
 
 def forward_segment(obs, state, w, config, batch_sizes):
@@ -288,13 +284,13 @@ def forward_segment(obs, state, w, config, batch_sizes):
     of [R,L,h,w] states the actors recorded entering each step with these
     weights, packed step-major as ``training.step_blocks`` lays them out;
     ``batch_sizes`` counts the segments that reach each step.  The
-    extractor runs as one op over the R frames and the ConvLSTM as the
-    fused ``autodiff.convlstm``, which reads the recorded states instead of
+    extractor runs as one op over the R frames and the ConvLSTM as
+    ``autodiff.convlstm``, which reads the recorded states instead of
     stepping through time; its BPTT stops gradients at each segment's
     start.  The branches and heads run on the same rows, so the trace has
     one row per step, in the packed order.  Masks are used as computed.
     """
     dtype = w["fe1.w"].dtype
     x = feature_extract(Tensor(np.asarray(obs, dtype=dtype)[:, None]), w, config)
-    h = ad.convlstm(x, w["lstm.w"], w["lstm.b"], *state, batch_sizes)
+    h, _ = ad.convlstm(x, w["lstm.w"], w["lstm.b"], *state, batch_sizes)
     return _heads(h, None, w, config, "identity")

@@ -12,7 +12,7 @@ import numpy as np
 from maskac import autodiff as ad
 from maskac.analysis import sample_action
 from maskac.envs import make_env
-from maskac.network import RecurrentState, forward
+from maskac.network import RecurrentState, _heads, feature_extract, forward
 
 
 def pick(a, index):
@@ -127,6 +127,77 @@ def convlstm_oracle(x, h_prev, c_prev, kernel, bias):
     return h_next, c_next
 
 
+def _sigmoid(v):
+    return 0.5 * (np.tanh(0.5 * v) + 1.0)
+
+
+def concat_channels(a, b):
+    """Graph op: two [C,H,W] maps, or two [N,C,H,W] batches, stacked along the channel axis."""
+    if (a.data.ndim not in (3, 4) or b.data.ndim != a.data.ndim
+            or a.shape[:-3] != b.shape[:-3] or a.shape[-2:] != b.shape[-2:]):
+        raise ad.ShapeError(f"concat_channels: shapes do not line up: {a.shape}, {b.shape}")
+    na = a.shape[-3]
+    out = ad._make(np.concatenate((a.data, b.data), axis=-3), (a, b), "concat")
+    if out.requires_grad:
+        def _bw():
+            if a.requires_grad:
+                ad._accum(a, out.grad[..., :na, :, :])
+            if b.requires_grad:
+                ad._accum(b, out.grad[..., na:, :, :])
+        out._backward = _bw
+    return out
+
+
+def lstm_cell(z, c):
+    """Graph op: (h, c_next) from gate pre-activations z [4L,H,W] and cell state c [L,H,W].
+
+    A leading batch axis on both is allowed.  c_next = f*c + i*g and
+    h = o*tanh(c_next), with sigmoid i, f, o and tanh g; c_next is h's
+    parent, so a loss may read either output or both.
+    """
+    L = c.shape[-3]
+    i, f, o = (_sigmoid(z.data[..., j * L:(j + 1) * L, :, :]) for j in range(3))
+    g = np.tanh(z.data[..., 3 * L:, :, :])
+    c_next = f * c.data + i * g
+    tc = np.tanh(c_next)
+    c_out = ad._make(c_next, (z, c), "lstm_cell")
+    h_out = ad._make(o * tc, (z, c_out), "lstm_cell")
+    if c_out.requires_grad:
+        def _bw_h():          # h's gradient reaches c_next here and gate o in _bw_c
+            ad._accum(c_out, h_out.grad * o * (1.0 - tc * tc))
+
+        def _bw_c():
+            dc = c_out.grad
+            dh = np.zeros_like(dc) if h_out.grad is None else h_out.grad
+            if z.requires_grad:
+                ad._accum(z, np.concatenate((dc * g * i * (1.0 - i), dc * c.data * f * (1.0 - f),
+                                             dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)),
+                                            axis=-3))
+            if c.requires_grad:
+                ad._accum(c, dc * f)
+        h_out._backward = _bw_h
+        c_out._backward = _bw_c
+    return h_out, c_out
+
+
+def convlstm_step(x, state, w):
+    """One ConvLSTM step as a graph of per-step ops: (x, h) stacked, the 3x3 gate conv, the cell.
+
+    x [C,H,W] with state [L,H,W], or a batch of both.  Unlike
+    ``autodiff.convlstm``, gradients flow on into ``state``.
+    """
+    z = ad.conv2d(concat_channels(x, state.h), w["lstm.w"], w["lstm.b"], stride=1, padding=1)
+    h, c = lstm_cell(z, state.c)
+    return h, RecurrentState(h, c)
+
+
+def per_step_forward(obs, state, w, config):
+    """``network.forward`` of one [H,W] frame with the per-step ConvLSTM, grads into ``state``."""
+    x = feature_extract(ad.Tensor(np.asarray(obs, dtype=w["fe1.w"].dtype)[None]), w, config)
+    h, next_state = convlstm_step(x, state, w)
+    return _heads(h, next_state, w, config, "identity")
+
+
 def discounted_returns_oracle(rewards, bootstrap, gamma):
     """R_t = sum_k gamma^k r_{t+k} + gamma^(T-t) * bootstrap, summed directly."""
     T = len(rewards)
@@ -181,8 +252,8 @@ def per_step_a3c_loss(obs, actions, start_state, weights, config, returns, entro
                       value_coef):
     """The actor-critic loss of one segment's frames and actions, built one step at a time.
 
-    One graph-building ``forward`` per step, carrying the recurrent state
-    with its graph from the segment's start state, then per-step policy,
+    One ``per_step_forward`` per step, carrying the recurrent state with
+    its graph from the segment's start state, then per-step policy,
     value and entropy terms added up one by one.  Each step's advantage
     R - V takes V from that step's own forward, as a constant.  The
     batched learner must produce the same gradients.
@@ -190,7 +261,7 @@ def per_step_a3c_loss(obs, actions, start_state, weights, config, returns, entro
     state = start_state
     total = None
     for frame, action, ret in zip(obs, actions, returns):
-        trace = forward(frame, state, weights, config)
+        trace = per_step_forward(frame, state, weights, config)
         state = trace.next_state
         adv = ret - float(trace.value.data[0])
         logp = ad.log_softmax(trace.policy_logits)

@@ -317,6 +317,16 @@ def test_injection_window_must_cover_start_frame():
                            full_bar_injection(start=50), window=(0, 10), seed=0)
 
 
+@pytest.mark.parametrize("window", [(24, 30), (10, 30)])
+def test_injection_rejects_a_frame_after_the_episode_ends(window):
+    # catch episodes play frames 0..18: a sprite due at frame 25 is never
+    # shown, whether or not the window reaches into the episode
+    config = cfg()
+    with pytest.raises(ValueError, match=r"frame 18, before injection frame 25"):
+        injection_response(weights_for(config), config, EnvSpec(name="catch"),
+                           full_bar_injection(start=25), window=window, seed=0)
+
+
 def test_injection_report_carries_action_probabilities():
     config = cfg(n_actions=6)
     w = weights_for(config)

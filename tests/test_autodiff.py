@@ -5,7 +5,9 @@ import pytest
 
 from maskac import autodiff as ad
 from maskac.autodiff import Tensor
+from maskac.network import RecurrentState
 
+import oracles
 from oracles import (batch_sizes, conv2d_oracle, convlstm_oracle, grad_check, matvec_oracle,
                      packed_rows, pick, zero_grads)
 
@@ -284,39 +286,69 @@ def recorded_states(x, k, b, h0, c0, lengths):
     """The packed (h, c) [R,L,H,W] entering each step of ``convlstm``'s sequences, one at a time.
 
     Sequence i has ``lengths[i]`` steps and starts from h0[i], c0[i].
-    Runs the weights' current values without a graph, as the actors do, so
-    a caller that perturbs a weight records the states that weight makes.
+    Runs the weights' current values through the per-step oracle without a
+    graph, as the actors do, so a caller that perturbs a weight records the
+    states that weight makes.
     """
-    k, b = Tensor(k.data), Tensor(b.data)
+    w = {"lstm.w": Tensor(k.data), "lstm.b": Tensor(b.data)}
     h_in, c_in = np.zeros((2, len(x.data)) + h0.shape[1:], dtype=h0.dtype)
     for i, rows in enumerate(packed_rows(lengths)):
-        h, c = Tensor(h0[i]), Tensor(c0[i])
+        state = RecurrentState(Tensor(h0[i]), Tensor(c0[i]))
         for row in rows:
-            h_in[row], c_in[row] = h.data, c.data
-            z = ad.conv2d(ad.concat_channels(Tensor(x.data[row]), h), k, b, stride=1, padding=1)
-            h, c = ad.lstm_cell(z, c)
+            h_in[row], c_in[row] = state.h.data, state.c.data
+            _, state = oracles.convlstm_step(Tensor(x.data[row]), state, w)
     return h_in, c_in
 
 
+def test_convlstm_one_step_matches_the_per_step_oracle():
+    # batch_sizes=[B] is one step of B sequences, and an unbatched input one
+    # row: h, c_next and the gradients of x, k and b equal the per-step
+    # composite's (stacked input, gate conv, cell)
+    rng = np.random.default_rng(37)
+    hidden, c_in, hw = 3, 2, 4
+    k = rng.normal(scale=0.5, size=(4 * hidden, c_in + hidden, 3, 3))
+    b = rng.normal(scale=0.5, size=4 * hidden)
+    for batch in ((3,), ()):
+        x, h0, c0, r = (rng.normal(size=batch + (n, hw, hw)) for n in (c_in,) + (hidden,) * 3)
+
+        def run(step):
+            p = {"x": t64(x, rg=True), "lstm.w": t64(k, rg=True), "lstm.b": t64(b, rg=True)}
+            h, c = step(p)
+            ad.backward(ad.sum_all(ad.mul(h, t64(r))))
+            return [h.data, c.data] + [p[name].grad for name in ("x", "lstm.w", "lstm.b")]
+
+        def per_step(p):
+            _, state = oracles.convlstm_step(p["x"], RecurrentState(t64(h0), t64(c0)), p)
+            return state.h, state.c
+
+        fused = run(lambda p: ad.convlstm(p["x"], p["lstm.w"], p["lstm.b"], h0, c0,
+                                          [batch[0] if batch else 1]))
+        assert fused[0].shape == fused[1].shape == batch + (hidden, hw, hw)
+        for got, want in zip(fused, run(per_step)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
 def test_lstm_cell_matches_gate_oracle():
+    # the per-step oracle's cell against the gate-by-gate formulas
     rng = np.random.default_rng(35)
     hidden, c_in = 3, 2
     k = rng.normal(scale=0.5, size=(4 * hidden, c_in + hidden, 3, 3))
     b = rng.normal(scale=0.5, size=4 * hidden)
     x, h0, c0 = (rng.normal(size=(4, n, 4, 4)) for n in (c_in, hidden, hidden))
     z = ad.conv2d(t64(np.concatenate((x, h0), axis=1)), t64(k), t64(b), stride=1, padding=1)
-    h, c = ad.lstm_cell(z, t64(c0))
+    h, c = oracles.lstm_cell(z, t64(c0))
     for i in range(4):
         h_ref, c_ref = convlstm_oracle(x[i], h0[i], c0[i], k, b)
         np.testing.assert_allclose(h.data[i], h_ref, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(c.data[i], c_ref, rtol=1e-12, atol=1e-15)
-        h_i, c_i = ad.lstm_cell(t64(z.data[i]), t64(c0[i]))
+        h_i, c_i = oracles.lstm_cell(t64(z.data[i]), t64(c0[i]))
         np.testing.assert_array_equal(h_i.data, h.data[i])
         np.testing.assert_array_equal(c_i.data, c.data[i])
 
 
 def test_grad_lstm_cell_both_outputs():
-    # a loss on h alone, on c_next alone (h then gets no gradient), and on both
+    # the per-step oracle's cell: a loss on h alone, on c_next alone (h then
+    # gets no gradient), and on both
     rng = np.random.default_rng(36)
     for batch in ((), (2,)):
         params = {"z": t64(rng.normal(size=batch + (8, 3, 3))),
@@ -324,18 +356,10 @@ def test_grad_lstm_cell_both_outputs():
         rh, rc = t64(rng.normal(size=batch + (2, 3, 3))), t64(rng.normal(size=batch + (2, 3, 3)))
         for used in ((True, False), (False, True), (True, True)):
             def f(p):
-                outs = ad.lstm_cell(p["z"], p["c"])
+                outs = oracles.lstm_cell(p["z"], p["c"])
                 terms = [ad.sum_all(ad.mul(o, r)) for o, r, u in zip(outs, (rh, rc), used) if u]
                 return terms[0] if len(terms) == 1 else ad.add(*terms)
             _check(f, params)
-
-
-def test_lstm_cell_rejects_gates_that_do_not_fit():
-    c = t64(np.zeros((2, 3, 3)))
-    ad.lstm_cell(t64(np.zeros((8, 3, 3))), c)
-    for z in (np.zeros((6, 3, 3)), np.zeros((8, 2, 3)), np.zeros((1, 8, 3, 3))):
-        with pytest.raises(ad.ShapeError):
-            ad.lstm_cell(t64(z), c)
 
 
 def test_grad_convlstm_sequence_extended_precision():
@@ -358,7 +382,7 @@ def test_grad_convlstm_sequence_extended_precision():
 
     def f(p):
         states = recorded_states(p["x"], p["k"], p["b"], h0, c0, lengths)
-        out = ad.convlstm(p["x"], p["k"], p["b"], *states, batch_sizes(lengths))
+        out, _ = ad.convlstm(p["x"], p["k"], p["b"], *states, batch_sizes(lengths))
         return ad.sum_all(ad.mul(out, r))
     err = grad_check(f, params, eps=1e-6, n_samples=150, rng=np.random.default_rng(0))
     assert err < 1e-4, err
@@ -366,8 +390,8 @@ def test_grad_convlstm_sequence_extended_precision():
 
 
 def test_convlstm_batch_rows_equal_each_sequence_alone():
-    # outputs and all three gradients of a packed batch of ragged sequences,
-    # row by row, against the same op on one sequence at a time
+    # both outputs and all three gradients of a packed batch of ragged
+    # sequences, row by row, against the same op on one sequence at a time
     rng = np.random.default_rng(34)
     lengths, c_in, hidden, hw = (3, 5, 2, 5), 2, 3, 4
     n_rows = sum(lengths)
@@ -382,15 +406,16 @@ def test_convlstm_batch_rows_equal_each_sequence_alone():
     def run(rows, sizes):
         p = [Tensor(x[rows], requires_grad=True), Tensor(k, requires_grad=True),
              Tensor(b, requires_grad=True)]
-        out = ad.convlstm(*p, h_in[rows], c_in[rows], sizes)
+        out, c_next = ad.convlstm(*p, h_in[rows], c_in[rows], sizes)
         ad.backward(ad.sum_all(ad.mul(out, r[rows])))
-        return out.data, [t.grad for t in p]
+        return out.data, c_next.data, [t.grad for t in p]
 
-    out, (gx, gk, gb) = run(slice(None), batch_sizes(lengths))
+    out, c_next, (gx, gk, gb) = run(slice(None), batch_sizes(lengths))
     sum_gk, sum_gb = np.zeros_like(k), np.zeros_like(b)
     for n, rows in zip(lengths, packed_rows(lengths)):
-        out_i, (gx_i, gk_i, gb_i) = run(rows, [1] * n)
+        out_i, c_i, (gx_i, gk_i, gb_i) = run(rows, [1] * n)
         np.testing.assert_allclose(out[rows], out_i, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(c_next[rows], c_i, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(gx[rows], gx_i, rtol=1e-10, atol=1e-13)
         sum_gk += gk_i
         sum_gb += gb_i
@@ -497,7 +522,7 @@ def test_grad_structural_ops():
         c = t64(rng.normal(size=batch + (5, 2, 2)))
         params = {"a": t64(rng.normal(size=batch + (3, 2, 2))),
                   "b": t64(rng.normal(size=batch + (2, 2, 2)))}
-        _check(lambda p: ad.sum_all(ad.mul(ad.concat_channels(p["a"], p["b"]), c)), params)
+        _check(lambda p: ad.sum_all(ad.mul(oracles.concat_channels(p["a"], p["b"]), c)), params)
         n = params["a"].data.size
         c3 = t64(rng.normal(size=n))
         _check(lambda p: ad.sum_all(ad.mul(ad.reshape(p["a"], (n,)), c3)), params)
@@ -506,10 +531,10 @@ def test_grad_structural_ops():
 def test_batched_structural_ops_match_per_sample():
     rng = np.random.default_rng(17)
     a, b = rng.normal(size=(3, 4, 2, 2)), rng.normal(size=(3, 1, 2, 2))
-    cat = ad.concat_channels(t64(a), t64(b)).data
+    cat = oracles.concat_channels(t64(a), t64(b)).data
     for i in range(3):
-        np.testing.assert_array_equal(cat[i], ad.concat_channels(t64(a[i]), t64(b[i])).data)
+        np.testing.assert_array_equal(cat[i], oracles.concat_channels(t64(a[i]), t64(b[i])).data)
     with pytest.raises(ad.ShapeError):
-        ad.concat_channels(t64(a), t64(b[:2]))          # batch sizes differ
+        oracles.concat_channels(t64(a), t64(b[:2]))          # batch sizes differ
     with pytest.raises(ad.ShapeError):
-        ad.concat_channels(t64(a), t64(b[0]))           # batched with unbatched
+        oracles.concat_channels(t64(a), t64(b[0]))           # batched with unbatched

@@ -612,6 +612,18 @@ def test_inject_window_must_cover_frame(tmp_path):
                  "--frame", "30", "--window", "0,8", "--env", "fuel"]) == EXIT_ARGUMENT
 
 
+@pytest.mark.parametrize("window", ["24,30", "10,30"])
+def test_inject_frame_after_the_episode_ends_exits_5_with_one_line(tmp_path, capsys, window):
+    out, ckpt = trained_tiny_run(tmp_path)
+    csv = tmp_path / "report.csv"
+    capsys.readouterr()
+    assert main(["inject", "--ckpt", ckpt, "--sprite", write_sprite(tmp_path), "--pos", "17,0",
+                 "--frame", "25", "--window", window, "--out", str(csv)]) == EXIT_ARGUMENT
+    err = capsys.readouterr().err
+    assert err.startswith("invalid argument:") and len(err.strip().splitlines()) == 1
+    assert "frame 25" in err and not csv.exists()
+
+
 def test_inject_out_of_bounds_sprite(tmp_path):
     out, ckpt = trained_tiny_run(tmp_path, env="fuel")
     sprite = write_sprite(tmp_path)
@@ -865,7 +877,7 @@ def _argv(draw, root):
     """
     command = draw(st.sampled_from(["eval", "viz", "inject", "random-baseline"]))
     env = draw(st.sampled_from(ENV_NAMES))
-    frame = draw(st.integers(0, 30))
+    frame = draw(st.integers(0, 18 if env == "catch" else 30))   # catch plays frames 0..18
     huge_pair = st.tuples(st.integers(-_HUGE, _HUGE), st.integers(-_HUGE, _HUGE))
     options = {     # flag: (valid values, broken values)
         "--env": (st.just(env), st.just("pong")),

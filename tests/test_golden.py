@@ -9,10 +9,14 @@ must equal the recorded text.  The collector run has 3 workers at
 ``t_max=7``, so some of its rounds are ragged.
 
 The exact layer pins the sha256 of the final checkpoint file and of
-``metrics.csv`` of the 1-worker runs on catch and fuel.  float32 matmul
-bits may differ between BLAS kernels and CPUs, so it runs only where the
-recorded fingerprint (numpy version, BLAS name and version, CPU model,
-CPU count) matches, and skips with the difference elsewhere.
+``metrics.csv`` of the 1-worker runs on catch and fuel and of the
+3-worker collector run, and of the analysis outputs of a fresh network
+on catch: ``evaluate`` returns under each mask transform, greedy and
+sampled, the ``record_heatmaps`` files and the ``injection_response``
+rows.  float32 matmul bits may differ between BLAS kernels and CPUs, so
+it runs only where the recorded fingerprint (numpy version, BLAS name
+and version, CPU model, CPU count) matches, and skips with the
+difference elsewhere.
 
 Re-record with ``PYTHONPATH=src python tests/test_golden.py weights``
 (the tolerance files) or ``... digests`` (the exact layer, with the
@@ -31,9 +35,10 @@ import tempfile
 import numpy as np
 import pytest
 
+from maskac.analysis import evaluate, injection_response, record_heatmaps
 from maskac.checkpoint import load_checkpoint
-from maskac.envs import EnvSpec
-from maskac.network import NetworkConfig
+from maskac.envs import EnvSpec, InjectionSpec
+from maskac.network import MASK_TRANSFORMS, NetworkConfig, init_weights
 from maskac.training import Hyperparams, train
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -44,17 +49,20 @@ SCENARIOS = {
     "fuel_1w": ("fuel", Hyperparams(lr=1e-3, n_workers=1, t_max=20, total_steps=200)),
 }
 TOLERANCE = ("catch_1w", "collector_3w")
-EXACT = ("catch_1w", "fuel_1w")
+EXACT = ("catch_1w", "collector_3w", "fuel_1w")
 RTOL = 1e-4
+
+
+def tiny_config(spec):
+    return NetworkConfig(fe_channels=(4, 4, 4), lstm_channels=4, branch_channels=4,
+                         n_actions=spec.n_actions)
 
 
 def train_scenario(name, out_dir):
     """Train the scenario into ``out_dir``; returns the final checkpoint's path."""
     env, hyper = SCENARIOS[name]
     spec = EnvSpec(name=env)
-    config = NetworkConfig(fe_channels=(4, 4, 4), lstm_channels=4, branch_channels=4,
-                           n_actions=spec.n_actions)
-    return train(config, hyper, spec, seed=0, out_dir=out_dir, checkpoint_interval=0)
+    return train(tiny_config(spec), hyper, spec, seed=0, out_dir=out_dir, checkpoint_interval=0)
 
 
 def run(name, out_dir):
@@ -67,13 +75,46 @@ def run(name, out_dir):
     return load_checkpoint(final)[0], text.getvalue()
 
 
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _file_sha(path):
+    with open(path, "rb") as fh:
+        return _sha(fh.read())
+
+
 def digests(name, out_dir):
     """sha256 of the scenario's final checkpoint and of its metrics.csv."""
     final = train_scenario(name, out_dir)
+    return {"checkpoint": _file_sha(final),
+            "metrics": _file_sha(os.path.join(out_dir, "metrics.csv"))}
+
+
+def analysis_digests(out_dir):
+    """sha256 of the analysis outputs of a fresh float32 network on catch.
+
+    ``evaluate`` returns for each mask transform, greedy and sampled; the
+    names and bytes of every ``record_heatmaps`` file; and the rows of an
+    ``injection_response`` whose sprite lands mid-episode.
+    """
+    spec = EnvSpec(name="catch")
+    config = tiny_config(spec)
+    weights = init_weights(config, seed=7)
     out = {}
-    for key, path in (("checkpoint", final), ("metrics", os.path.join(out_dir, "metrics.csv"))):
-        with open(path, "rb") as fh:
-            out[key] = hashlib.sha256(fh.read()).hexdigest()
+    for transform in MASK_TRANSFORMS:
+        for greedy in (True, False):
+            stats = evaluate(weights, config, spec, 6, transform, seed=1, greedy=greedy)
+            mode = "greedy" if greedy else "sampled"
+            out[f"evaluate_{transform}_{mode}"] = _sha(repr(stats.returns).encode())
+    record_heatmaps(weights, config, spec, 2, seed=2, out_dir=out_dir)
+    files = sorted(os.listdir(out_dir))
+    out["heatmaps"] = _sha(json.dumps({f: _file_sha(os.path.join(out_dir, f))
+                                       for f in files}).encode())
+    inj = InjectionSpec(np.ones((4, 4)), np.ones((4, 4), bool), position=(8, 8),
+                        start_frame=5, duration=6)
+    report = injection_response(weights, config, spec, inj, window=(3, 14), seed=4)
+    out["injection"] = _sha(repr((report.rows, report.action_names)).encode())
     return out
 
 
@@ -112,15 +153,24 @@ def test_training_matches_the_golden_run(tmp_path, name):
         assert any(d != 21 for d in np.diff([0] + steps))
 
 
-@pytest.mark.parametrize("name", EXACT)
-def test_training_outputs_match_the_golden_digests(tmp_path, name):
+def golden_digests():
+    """The recorded digests, or a skip naming how this platform differs from the recording one."""
     with open(DIGESTS) as fh:
         golden = json.load(fh)
     here = fingerprint()
     differs = {k: (v, here.get(k)) for k, v in golden["fingerprint"].items() if here.get(k) != v}
     if differs:
         pytest.skip(f"recorded on another platform (recorded, here): {differs}")
-    assert digests(name, str(tmp_path)) == golden["runs"][name]
+    return golden["runs"]
+
+
+@pytest.mark.parametrize("name", EXACT)
+def test_training_outputs_match_the_golden_digests(tmp_path, name):
+    assert digests(name, str(tmp_path)) == golden_digests()[name]
+
+
+def test_analysis_outputs_match_the_golden_digests(tmp_path):
+    assert analysis_digests(str(tmp_path)) == golden_digests()["analysis"]
 
 
 def record(layer):
@@ -130,6 +180,8 @@ def record(layer):
         for name in EXACT:
             with tempfile.TemporaryDirectory() as tmp:
                 runs[name] = digests(name, tmp)
+        with tempfile.TemporaryDirectory() as tmp:
+            runs["analysis"] = analysis_digests(tmp)
         with open(DIGESTS, "w") as fh:
             json.dump({"fingerprint": fingerprint(), "runs": runs}, fh, indent=2)
             fh.write("\n")

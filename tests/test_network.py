@@ -172,12 +172,18 @@ def _small_state(rng, channels=2, hw=2):
                           Tensor(rng.normal(size=(channels, hw, hw))))
 
 
+def convlstm_step(x, state, w):
+    """(h, c_next) of the one ConvLSTM step ``forward`` runs: of the batch's rows, or of one."""
+    rows = x.shape[0] if x.data.ndim == 4 else 1
+    return ad.convlstm(x, w["lstm.w"], w["lstm.b"], state.h.data, state.c.data, [rows])
+
+
 def test_convlstm_zero_everything():
     w = {"lstm.w": Tensor(np.zeros((8, 4, 3, 3))), "lstm.b": Tensor(np.zeros(8))}
     state = RecurrentState(Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros((2, 2, 2))))
-    h, nxt = net.convlstm_step(Tensor(np.zeros((2, 2, 2))), state, w)
+    h, c = convlstm_step(Tensor(np.zeros((2, 2, 2))), state, w)
     np.testing.assert_array_equal(h.data, np.zeros((2, 2, 2)))
-    np.testing.assert_array_equal(nxt.c.data, np.zeros((2, 2, 2)))
+    np.testing.assert_array_equal(c.data, np.zeros((2, 2, 2)))
 
 
 def test_convlstm_forget_saturation():
@@ -186,14 +192,14 @@ def test_convlstm_forget_saturation():
     w["lstm.b"].data[2:4] = 30.0  # forget gate slice for 2 channels
     state = _small_state(rng)
     x = Tensor(rng.normal(size=(2, 2, 2)))
-    _, nxt = net.convlstm_step(x, state, w)
+    _, c = convlstm_step(x, state, w)
 
     L = 2
     z = conv2d_oracle(np.concatenate([x.data, state.h.data]), w["lstm.w"].data,
                       w["lstm.b"].data, 1, 1)
     i = 1 / (1 + np.exp(-z[0:L]))
     g = np.tanh(z[3 * L:4 * L])
-    np.testing.assert_allclose(nxt.c.data, state.c.data + i * g, atol=1e-6, rtol=0)
+    np.testing.assert_allclose(c.data, state.c.data + i * g, atol=1e-6, rtol=0)
 
 
 def test_convlstm_matches_gate_oracle():
@@ -201,11 +207,11 @@ def test_convlstm_matches_gate_oracle():
     w = _small_lstm_weights(rng)
     state = _small_state(rng)
     x = Tensor(rng.normal(size=(2, 2, 2)))
-    h, nxt = net.convlstm_step(x, state, w)
+    h, c = convlstm_step(x, state, w)
     h_ref, c_ref = convlstm_oracle(x.data, state.h.data, state.c.data,
                                    w["lstm.w"].data, w["lstm.b"].data)
     np.testing.assert_allclose(h.data, h_ref, atol=1e-10, rtol=0)
-    np.testing.assert_allclose(nxt.c.data, c_ref, atol=1e-10, rtol=0)
+    np.testing.assert_allclose(c.data, c_ref, atol=1e-10, rtol=0)
 
 
 def test_convlstm_batch_matches_gate_oracle_per_row():
@@ -213,12 +219,12 @@ def test_convlstm_batch_matches_gate_oracle_per_row():
     w = _small_lstm_weights(rng)
     h0, c0 = rng.normal(size=(3, 2, 2, 2)), rng.normal(size=(3, 2, 2, 2))
     x = rng.normal(size=(3, 2, 2, 2))
-    h, nxt = net.convlstm_step(Tensor(x), RecurrentState(Tensor(h0), Tensor(c0)), w)
-    assert h.shape == nxt.c.shape == (3, 2, 2, 2)
+    h, c = convlstm_step(Tensor(x), RecurrentState(Tensor(h0), Tensor(c0)), w)
+    assert h.shape == c.shape == (3, 2, 2, 2)
     for i in range(3):
         h_ref, c_ref = convlstm_oracle(x[i], h0[i], c0[i], w["lstm.w"].data, w["lstm.b"].data)
         np.testing.assert_allclose(h.data[i], h_ref, atol=1e-10, rtol=0)
-        np.testing.assert_allclose(nxt.c.data[i], c_ref, atol=1e-10, rtol=0)
+        np.testing.assert_allclose(c.data[i], c_ref, atol=1e-10, rtol=0)
 
 
 def test_convlstm_rejects_mismatched_state():
@@ -226,12 +232,12 @@ def test_convlstm_rejects_mismatched_state():
     w = _small_lstm_weights(rng)
     state = RecurrentState(Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros((2, 3, 3))))
     with pytest.raises(ad.ShapeError):
-        net.convlstm_step(Tensor(np.zeros((2, 2, 2))), state, w)
+        convlstm_step(Tensor(np.zeros((2, 2, 2))), state, w)
     batched = RecurrentState(Tensor(np.zeros((3, 2, 2, 2))), Tensor(np.zeros((3, 2, 2, 2))))
     with pytest.raises(ad.ShapeError):
-        net.convlstm_step(Tensor(np.zeros((4, 2, 2, 2))), batched, w)
+        convlstm_step(Tensor(np.zeros((4, 2, 2, 2))), batched, w)
     with pytest.raises(ad.ShapeError):
-        net.convlstm_step(Tensor(np.zeros((2, 2, 2))), batched, w)
+        convlstm_step(Tensor(np.zeros((2, 2, 2))), batched, w)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +367,24 @@ def test_forward_inverse_transform_inverts_policy_mask_only():
     np.testing.assert_array_equal(t_inv.m_p.data, 1.0 - t_id.m_p.data)
     np.testing.assert_array_equal(t_inv.m_v.data, t_id.m_v.data)
     assert np.all(t_inv.m_p.data > 0) and np.all(t_inv.m_p.data < 1)
+
+
+def test_forward_stops_gradients_at_the_state_passed_in():
+    # the state enters the ConvLSTM as arrays, as a segment's start state
+    # enters the learner's: the weights get gradients and the state none
+    config = cfg("both", fe_channels=(4, 4, 4), lstm_channels=4, branch_channels=4)
+    w = net.init_weights(config, seed=3, dtype=np.float64)
+    for t in w.values():
+        t.requires_grad = True
+    rng = np.random.default_rng(4)
+    side = config.feature_hw()
+    state = RecurrentState(*(Tensor(rng.normal(size=(4, side, side)), requires_grad=True)
+                             for _ in range(2)))
+    trace = net.forward(random_obs(config, seed=5), state, w, config)
+    assert not trace.next_state.c.requires_grad
+    ad.backward(ad.add(ad.sum_all(trace.value), pick(trace.policy_logits, 1)))
+    assert state.h.grad is None and state.c.grad is None
+    assert all(w[name].grad is not None for name in ("fe1.w", "lstm.w", "lstm.b"))
 
 
 def test_recurrence_carries_information():

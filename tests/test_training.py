@@ -531,9 +531,9 @@ def test_collect_rollout_packs_each_env_alone_step_major_longest_first():
 @pytest.mark.parametrize("env_name, n_workers, t_max", [("catch", 1, 20), ("collector", 3, 7)],
                          ids=["catch-1w", "collector-3w"])
 def test_learner_convlstm_replays_the_recorded_states(env_name, n_workers, t_max, dtype):
-    # at each step, the learner's ConvLSTM output over the round is the
-    # state the actors recorded entering the next step, or the state carried
-    # out of the round
+    # at each step, the learner's ConvLSTM outputs (h, c_next) over the
+    # round are the state the actors recorded entering the next step, or
+    # the state carried out of the round
     spec = EnvSpec(name=env_name)
     config = small_cfg(n_actions=spec.n_actions)
     weights = init_weights(config, seed=2, dtype=dtype)
@@ -545,12 +545,13 @@ def test_learner_convlstm_replays_the_recorded_states(env_name, n_workers, t_max
     for _ in range(10):
         rnd, state = collect_rollout(envs, weights, config, state, t_max, rngs)
         x = feature_extract(Tensor(rnd.obs[:, None].astype(dtype)), weights, config)
-        out = ad.convlstm(x, weights["lstm.w"], weights["lstm.b"], rnd.h, rnd.c,
-                          step_blocks(rnd.lengths)[1]).data
+        h, c = ad.convlstm(x, weights["lstm.w"], weights["lstm.b"], rnd.h, rnd.c,
+                           step_blocks(rnd.lengths)[1])
         for i, rows in enumerate(packed_rows(rnd.lengths)):
-            np.testing.assert_allclose(out[rows[:-1]], rnd.h[rows[1:]], **tol)
-            if not rnd.terminal[i]:
-                np.testing.assert_allclose(out[rows[-1]], state.h.data[i], **tol)
+            for out, recorded, carried in ((h, rnd.h, state.h), (c, rnd.c, state.c)):
+                np.testing.assert_allclose(out.data[rows[:-1]], recorded[rows[1:]], **tol)
+                if not rnd.terminal[i]:
+                    np.testing.assert_allclose(out.data[rows[-1]], carried.data[i], **tol)
         ragged += int(rnd.lengths.min() < rnd.lengths.max())
     assert ragged > 0 if n_workers > 1 else ragged == 0
 
