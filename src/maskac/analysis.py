@@ -140,7 +140,7 @@ def lockstep(weights, config, envs, rngs, mask_transform="identity", greedy=True
         obs = [results[k].obs for k in keep]
         state = trace.next_state
         if len(keep) < len(rows):
-            state = RecurrentState(Tensor(state.h.data[keep]), Tensor(state.c.data[keep]))
+            state = RecurrentState(state.h[keep], state.c[keep])
             rows = [rows[k] for k in keep]
         t += 1
 

@@ -329,8 +329,8 @@ def convlstm(x, k, b, h_in, c_in, batch_sizes):
     k [4L, C+L, 3, 3] and bias b [4L] (Shi et al. 2015), one matmul over
     all R frames; that node owns the kernel and bias gradients.  The cell
     runs once over all rows: c_next = f*c_in + i*g and h = o*tanh(c_next),
-    with sigmoid i, f, o and tanh g.  h is the graph output and c_next a
-    tensor with no graph.  The backward is a hand-written BPTT over the
+    with sigmoid i, f, o and tanh g.  h is the graph output and c_next an
+    array with no graph.  The backward is a hand-written BPTT over the
     step blocks, last to first, that takes h_in and c_in of step t for the
     outputs of step t-1, so gradients flow through time inside a sequence
     and stop at its start; it hands the gate gradients to the conv node
@@ -419,7 +419,7 @@ def convlstm(x, k, b, h_in, c_in, batch_sizes):
                 gxp = _col2im(gm.T @ kmat[:, :n_x * 9], (n_rows, n_x, h + 2, w + 2), 3, 3, 1, h, w)
                 _accum_owned(x, np.ascontiguousarray(_unpad(gxp, 1)).reshape(x.shape))
         out._backward = _bw
-    return out, Tensor(c_next.reshape(state_shape))
+    return out, c_next.reshape(state_shape)
 
 
 def dense(x, w, b):

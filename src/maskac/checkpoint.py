@@ -32,7 +32,7 @@ VERSION = 1
 
 
 class CheckpointError(Exception):
-    """Not a valid checkpoint: magic, version, checksum, tensor names, shapes or values."""
+    """Not a readable, valid checkpoint: file, magic, version, checksum, tensors or values."""
 
 
 # The text form of a setting, shared by the checkpoint's config block and
@@ -155,9 +155,18 @@ class _Reader:
 
 
 def load_checkpoint(path):
-    """Read and validate a checkpoint; returns (weights dict of float32 arrays, config)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """Read and validate a checkpoint; returns (weights dict of float32 arrays, config).
+
+    A path that is not a regular file (missing, a directory, a FIFO) or
+    that cannot be read raises CheckpointError too; a FIFO is never opened.
+    """
+    if not os.path.isfile(path):
+        raise CheckpointError(f"{path}: not found, or not a regular file")
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot be read: {exc.strerror or exc}") from None
     if len(raw) < 4 + 4 + 4:
         raise CheckpointError(f"{path}: too short to be a checkpoint")
     body, (crc,) = raw[:-4], struct.unpack("<I", raw[-4:])

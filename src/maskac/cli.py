@@ -152,12 +152,6 @@ class ResolvedConfig:
 # ---------------------------------------------------------------------------
 # shared command helpers
 
-def _load_ckpt(path):
-    if not os.path.isfile(path):
-        raise CheckpointError(f"checkpoint not found: {path}")
-    return load_checkpoint(path)
-
-
 def _env_spec_from_args(args):
     try:
         return EnvSpec(name=args.env, size=args.size, seed=0)
@@ -226,7 +220,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    weights, net_config = _load_ckpt(args.ckpt)
+    weights, net_config = load_checkpoint(args.ckpt)
     spec = _env_spec_from_args(args)
     out_csv = _check_out(args.out or f"{args.ckpt}.eval.csv")
     stats = evaluate(weights, net_config, spec, args.episodes,
@@ -238,7 +232,7 @@ def cmd_eval(args):
 
 
 def cmd_viz(args):
-    weights, net_config = _load_ckpt(args.ckpt)
+    weights, net_config = load_checkpoint(args.ckpt)
     spec = _env_spec_from_args(args)
     _check_out(args.out, directory=True)
     record_heatmaps(weights, net_config, spec, args.episodes, args.seed, args.out,
@@ -269,7 +263,7 @@ def load_sprite(path, threshold):
 
 
 def cmd_inject(args):
-    weights, net_config = _load_ckpt(args.ckpt)
+    weights, net_config = load_checkpoint(args.ckpt)
     spec = _env_spec_from_args(args)
     row, col = _parse_pair(args.pos, "--pos")
     first, last = _parse_pair(args.window, "--window")

@@ -79,10 +79,10 @@ class NetworkConfig:
 
 @dataclass
 class RecurrentState:
-    """ConvLSTM hidden/cell pair carried across the steps of an episode."""
+    """ConvLSTM hidden/cell arrays carried across the steps of an episode; no graph."""
 
-    h: Tensor
-    c: Tensor
+    h: np.ndarray
+    c: np.ndarray
 
     @classmethod
     def zeros(cls, config, dtype=np.float32, batch=None):
@@ -90,26 +90,26 @@ class RecurrentState:
         shape = (config.lstm_channels, config.feature_hw(), config.feature_hw())
         if batch is not None:
             shape = (batch,) + shape
-        return cls(Tensor(np.zeros(shape, dtype=dtype)), Tensor(np.zeros(shape, dtype=dtype)))
+        return cls(np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype))
 
 
 @dataclass
 class ForwardTrace:
     """The outputs of one forward pass, graph references included.
 
-    From a batched ``forward`` every tensor carries a leading batch axis;
-    from ``forward_segment`` a leading axis over the steps of its segments,
-    and ``next_state`` is None.  A mask is None where its branch has none
-    or the "ones" transform ablates it; ``value`` and ``m_v`` are None when
-    the value branch was skipped.
+    Every tensor carries a leading axis over the rows of the pass, unless
+    the observation was unbatched.  ``next_state`` holds the arrays that
+    leave each row.  A mask is None where its branch has none or the
+    "ones" transform ablates it; ``value`` and ``m_v`` are None when the
+    value branch was skipped.
     """
 
     policy: Tensor
     policy_logits: Tensor
     value: Tensor | None
-    next_state: RecurrentState
     m_p: Tensor | None = None
     m_v: Tensor | None = None
+    next_state: RecurrentState = None      # set by ``forward`` once the heads have run
 
 
 def _all_shapes(config):
@@ -227,13 +227,12 @@ def _branch(h, w, config, branch, transform):
     return ad.broadcast_mul_channelwise(f, m), m
 
 
-def _heads(h, next_state, w, config, mask_transform, with_value=True):
+def _heads(h, w, config, mask_transform, with_value=True):
     """Masked branches and output heads over one ConvLSTM output [L,H,W], or [N,L,H,W] of them."""
     f_p, m_p = _branch(h, w, config, "policy", mask_transform)
     flat = f_p.shape[:-3] + (-1,)
     logits = ad.dense(ad.reshape(f_p, flat), w["policy_out.w"], w["policy_out.b"])
-    trace = ForwardTrace(policy=ad.softmax(logits), policy_logits=logits, value=None,
-                         next_state=next_state, m_p=m_p)
+    trace = ForwardTrace(policy=ad.softmax(logits), policy_logits=logits, value=None, m_p=m_p)
     if with_value:
         value_transform = "ones" if mask_transform == "ones" else "identity"
         f_v, trace.m_v = _branch(h, w, config, "value", value_transform)
@@ -241,17 +240,19 @@ def _heads(h, next_state, w, config, mask_transform, with_value=True):
     return trace
 
 
-def forward(obs, state, w, config, mask_transform="identity", with_value=True):
+def forward(obs, state, w, config, mask_transform="identity", with_value=True, batch_sizes=None):
     """Full pass: extractor -> ConvLSTM -> masked branches -> (policy, value).
 
-    ``obs`` is one [H,W] or [1,H,W] observation with state [L,h,w], or a
-    batch [B,1,H,W] of independent episodes with state [B,L,h,w]; a batch
-    gives every output a leading batch axis.  The ConvLSTM runs as
-    ``autodiff.convlstm`` over one step of B sequences (an unbatched
-    observation is one), the op the learner runs over a round.  It reads
-    the state's arrays, so gradients stop at the state passed in, as the
-    learner's stop at a segment's start; ``next_state.h`` is the graph
-    output the heads read, and ``next_state.c`` carries no graph.
+    ``obs`` is one [H,W] or [1,H,W] observation with state [L,h,w], or
+    [R,1,H,W] frames with states [R,L,h,w]; frames give every output a
+    leading axis over the rows.  ``batch_sizes`` lays the rows out as
+    ``autodiff.convlstm`` reads them: by default one step of R independent
+    episodes, as actors and evaluation step; the learner passes the packed
+    step blocks of a round (``training.step_blocks``) with the states the
+    actors recorded entering each step.  The ConvLSTM reads the state's
+    arrays, so gradients stop at the state passed in, as the learner's
+    stop at a segment's start; ``next_state`` holds the arrays of h and
+    c that leave each row.
 
     ``mask_transform`` drives the policy mask: "identity" uses the mask
     as computed, "inverse" applies gaze inversion, "ones" ablates the
@@ -272,25 +273,9 @@ def forward(obs, state, w, config, mask_transform="identity", with_value=True):
         obs = Tensor(obs.data[None, :, :])
 
     x = feature_extract(obs, w, config)
-    h, c = ad.convlstm(x, w["lstm.w"], w["lstm.b"], state.h.data, state.c.data,
-                       [math.prod(x.shape[:-3])])
-    return _heads(h, RecurrentState(h, c), w, config, mask_transform, with_value)
-
-
-def forward_segment(obs, state, w, config, batch_sizes):
-    """``forward`` over the packed steps of one round's segments at once, for the learner.
-
-    ``obs`` [R,H,W] holds the round's frames and ``state`` the pair (h, c)
-    of [R,L,h,w] states the actors recorded entering each step with these
-    weights, packed step-major as ``training.step_blocks`` lays them out;
-    ``batch_sizes`` counts the segments that reach each step.  The
-    extractor runs as one op over the R frames and the ConvLSTM as
-    ``autodiff.convlstm``, which reads the recorded states instead of
-    stepping through time; its BPTT stops gradients at each segment's
-    start.  The branches and heads run on the same rows, so the trace has
-    one row per step, in the packed order.  Masks are used as computed.
-    """
-    dtype = w["fe1.w"].dtype
-    x = feature_extract(Tensor(np.asarray(obs, dtype=dtype)[:, None]), w, config)
-    h, _ = ad.convlstm(x, w["lstm.w"], w["lstm.b"], *state, batch_sizes)
-    return _heads(h, None, w, config, "identity")
+    if batch_sizes is None:
+        batch_sizes = [math.prod(x.shape[:-3])]
+    h, c = ad.convlstm(x, w["lstm.w"], w["lstm.b"], state.h, state.c, batch_sizes)
+    trace = _heads(h, w, config, mask_transform, with_value)
+    trace.next_state = RecurrentState(h.data, c)
+    return trace

@@ -14,10 +14,11 @@ cycle.
 The rollout builds no graph and skips the value branch.  It returns the
 round as a ``Round`` of arrays packed step-major, with no padding: each
 step's observation, action, reward and the recurrent state that entered
-it.  The learner recomputes all N segments with one ``forward_segment``
-over those rows, whose ConvLSTM reads the recorded states instead of
-stepping through time, takes the values, log-probs, entropies and
-advantages from that pass, and backpropagates that single graph.
+it.  The learner recomputes all N segments with one ``forward`` over
+those rows in their step blocks, the pass the actors run over one step,
+whose ConvLSTM reads the recorded states instead of stepping through
+time; it takes the values, log-probs, entropies and advantages from that
+pass, and backpropagates that single graph.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from . import checkpoint
 from .analysis import evaluate, lockstep
 from .autodiff import Tensor
 from .envs import make_env
-from .network import RecurrentState, forward, forward_segment, init_weights
+from .network import RecurrentState, forward, init_weights
 
 
 @dataclass
@@ -118,17 +119,17 @@ def collect_rollout(envs, weights, config, state, t_max, rngs):
     ``Round`` and the [N,...] state to carry into the next round.
     """
     frozen = {k: Tensor(t.data) for k, t in weights.items()}   # no requires_grad: no graph
-    h, c = state.h.data.copy(), state.c.data.copy()             # each env's latest state
+    h, c = state.h.copy(), state.c.copy()                       # each env's latest state
     fresh = [i for i, env in enumerate(envs) if env.done]
     h[fresh] = c[fresh] = 0
     obs = [env.reset() if env.done else env.observe() for env in envs]
     steps = []     # per step: its rows' envs, step index, frames, actions, rewards, states in
     for t, rows, frames, trace, actions, results in lockstep(
             frozen, config, envs, rngs, greedy=False, with_value=False,
-            state=RecurrentState(Tensor(h), Tensor(c)), obs=obs):
+            state=RecurrentState(h, c), obs=obs):
         steps.append((rows, [t] * len(rows), frames, actions, [r.reward for r in results],
                       h[rows], c[rows]))
-        h[rows], c[rows] = trace.next_state.h.data, trace.next_state.c.data
+        h[rows], c[rows] = trace.next_state.h, trace.next_state.c
         if t + 1 == t_max:
             break
     env_of, step_of, *fields = (np.concatenate(part) for part in zip(*steps))
@@ -142,9 +143,9 @@ def collect_rollout(envs, weights, config, state, t_max, rngs):
     ends = [rows[k] for k, r in enumerate(results) if not r.done]
     if ends:
         last = np.stack([r.obs for r in results if not r.done])[:, None]
-        rnd.bootstrap[ends] = forward(last, RecurrentState(Tensor(h[ends]), Tensor(c[ends])),
-                                      frozen, config).value.data[:, 0]
-    return rnd, RecurrentState(Tensor(h), Tensor(c))
+        rnd.bootstrap[ends] = forward(last, RecurrentState(h[ends], c[ends]), frozen,
+                                      config).value.data[:, 0]
+    return rnd, RecurrentState(h, c)
 
 
 def compute_returns(rnd, gamma):
@@ -162,15 +163,16 @@ def a3c_loss(rnd, weights, config, returns, entropy_coef, value_coef):
     """Sum over a round's segments of their policy, value, and entropy terms, and their log row.
 
     ``returns`` are ``rnd``'s [R] returns.  All segments are recomputed
-    with a graph through one ``forward_segment`` over the round's rows.
-    The advantages are R - V from that pass's values.  Advantages and
-    returns enter as constants: the policy term pushes log-probabilities
-    only, the value term pushes the critic only.
+    with a graph through one ``forward`` over the round's rows in their
+    step blocks, from the states the actors recorded.  The advantages are
+    R - V from that pass's values.  Advantages and returns enter as
+    constants: the policy term pushes log-probabilities only, the value
+    term pushes the critic only.
     """
     if np.shape(returns) != rnd.actions.shape:
         raise ValueError(f"returns must be [R] = {rnd.actions.shape}, got {np.shape(returns)}")
-    trace = forward_segment(rnd.obs, (rnd.h, rnd.c), weights, config,
-                            step_blocks(rnd.lengths)[1])
+    trace = forward(rnd.obs[:, None], RecurrentState(rnd.h, rnd.c), weights, config,
+                    batch_sizes=step_blocks(rnd.lengths)[1])
     (policy_term, value_term, neg_entropy), row = loss_components(trace, rnd.actions, returns)
     loss = ad.add(policy_term, ad.add(ad.mul(value_term, float(value_coef)),
                                       ad.mul(neg_entropy, float(entropy_coef))))
@@ -180,7 +182,7 @@ def a3c_loss(rnd, weights, config, returns, entropy_coef, value_coef):
 def loss_components(trace, actions, returns, advantages=None):
     """The three loss sums of a round from the learner's trace, and their log row.
 
-    ``trace`` is ``forward_segment``'s, one row per step; ``actions``,
+    ``trace`` is the learner's ``forward``, one row per step; ``actions``,
     ``returns`` and ``advantages`` run over the same steps.  Without
     ``advantages`` they are R - V from the trace's values.  Returns the
     policy term -sum A*log pi(a), the value term sum (R - V)^2 and
@@ -334,8 +336,8 @@ def _worker_loop(envs, rngs, shared, config, hyper, metrics, save_snapshot, chec
     ``total_steps + n_workers * t_max``.  Whenever the step count passes a
     multiple of ``checkpoint_interval`` not saved yet, the weights are
     saved under the step count they hold.  Returns the seconds spent in
-    each of ``PHASES``: the rollout, the learner's ``forward_segment``
-    pass with its loss, backward, and the update.
+    each of ``PHASES``: the rollout, the learner's ``forward`` over the
+    round with its loss, backward, and the update.
     """
     seconds = dict.fromkeys(PHASES, 0.0)
     state = RecurrentState.zeros(config, batch=len(envs))
@@ -442,7 +444,7 @@ def _final_checkpoint(run_dir, min_steps, config):
         try:
             if checkpoint.load_checkpoint(path)[1] == config:
                 return path
-        except (checkpoint.CheckpointError, OSError):
+        except checkpoint.CheckpointError:
             continue
     return None
 

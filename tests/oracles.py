@@ -183,19 +183,23 @@ def lstm_cell(z, c):
 def convlstm_step(x, state, w):
     """One ConvLSTM step as a graph of per-step ops: (x, h) stacked, the 3x3 gate conv, the cell.
 
-    x [C,H,W] with state [L,H,W], or a batch of both.  Unlike
-    ``autodiff.convlstm``, gradients flow on into ``state``.
+    x [C,H,W] with ``state`` an (h, c) pair of [L,H,W] tensors, or a batch
+    of both; returns the next (h, c) pair.  Unlike ``autodiff.convlstm``,
+    gradients flow on into ``state``.
     """
-    z = ad.conv2d(concat_channels(x, state.h), w["lstm.w"], w["lstm.b"], stride=1, padding=1)
-    h, c = lstm_cell(z, state.c)
-    return h, RecurrentState(h, c)
+    h, c = state
+    z = ad.conv2d(concat_channels(x, h), w["lstm.w"], w["lstm.b"], stride=1, padding=1)
+    return lstm_cell(z, c)
 
 
 def per_step_forward(obs, state, w, config):
-    """``network.forward`` of one [H,W] frame with the per-step ConvLSTM, grads into ``state``."""
+    """``network.forward`` of one [H,W] frame with the per-step ConvLSTM, grads into ``state``.
+
+    ``state`` is an (h, c) pair of tensors; returns the trace and the next pair.
+    """
     x = feature_extract(ad.Tensor(np.asarray(obs, dtype=w["fe1.w"].dtype)[None]), w, config)
-    h, next_state = convlstm_step(x, state, w)
-    return _heads(h, next_state, w, config, "identity")
+    state = convlstm_step(x, state, w)
+    return _heads(state[0], w, config, "identity"), state
 
 
 def discounted_returns_oracle(rewards, bootstrap, gamma):
@@ -252,8 +256,8 @@ def per_step_a3c_loss(obs, actions, start_state, weights, config, returns, entro
                       value_coef):
     """The actor-critic loss of one segment's frames and actions, built one step at a time.
 
-    One ``per_step_forward`` per step, carrying the recurrent state with
-    its graph from the segment's start state, then per-step policy,
+    One ``per_step_forward`` per step, carrying the (h, c) pair of tensors
+    with its graph from the segment's start state, then per-step policy,
     value and entropy terms added up one by one.  Each step's advantage
     R - V takes V from that step's own forward, as a constant.  The
     batched learner must produce the same gradients.
@@ -261,8 +265,7 @@ def per_step_a3c_loss(obs, actions, start_state, weights, config, returns, entro
     state = start_state
     total = None
     for frame, action, ret in zip(obs, actions, returns):
-        trace = per_step_forward(frame, state, weights, config)
-        state = trace.next_state
+        trace, state = per_step_forward(frame, state, weights, config)
         adv = ret - float(trace.value.data[0])
         logp = ad.log_softmax(trace.policy_logits)
         picked = pick(logp, action)
@@ -324,9 +327,9 @@ def replay_states(obs, lengths, weights, config, start=None):
     c = np.zeros_like(h)
     for i, rows in enumerate(packed_rows(lengths)):
         state = (RecurrentState.zeros(config, dtype) if start is None
-                 else RecurrentState(ad.Tensor(start[0][i]), ad.Tensor(start[1][i])))
+                 else RecurrentState(start[0][i], start[1][i]))
         for row in rows:
-            h[row], c[row] = state.h.data, state.c.data
+            h[row], c[row] = state.h, state.c
             state = forward(obs[row], state, weights, config, with_value=False).next_state
     return h, c
 

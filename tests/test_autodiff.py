@@ -5,7 +5,6 @@ import pytest
 
 from maskac import autodiff as ad
 from maskac.autodiff import Tensor
-from maskac.network import RecurrentState
 
 import oracles
 from oracles import (batch_sizes, conv2d_oracle, convlstm_oracle, grad_check, matvec_oracle,
@@ -293,10 +292,10 @@ def recorded_states(x, k, b, h0, c0, lengths):
     w = {"lstm.w": Tensor(k.data), "lstm.b": Tensor(b.data)}
     h_in, c_in = np.zeros((2, len(x.data)) + h0.shape[1:], dtype=h0.dtype)
     for i, rows in enumerate(packed_rows(lengths)):
-        state = RecurrentState(Tensor(h0[i]), Tensor(c0[i]))
+        state = Tensor(h0[i]), Tensor(c0[i])
         for row in rows:
-            h_in[row], c_in[row] = state.h.data, state.c.data
-            _, state = oracles.convlstm_step(Tensor(x.data[row]), state, w)
+            h_in[row], c_in[row] = (t.data for t in state)
+            state = oracles.convlstm_step(Tensor(x.data[row]), state, w)
     return h_in, c_in
 
 
@@ -315,11 +314,11 @@ def test_convlstm_one_step_matches_the_per_step_oracle():
             p = {"x": t64(x, rg=True), "lstm.w": t64(k, rg=True), "lstm.b": t64(b, rg=True)}
             h, c = step(p)
             ad.backward(ad.sum_all(ad.mul(h, t64(r))))
-            return [h.data, c.data] + [p[name].grad for name in ("x", "lstm.w", "lstm.b")]
+            return [h.data, c] + [p[name].grad for name in ("x", "lstm.w", "lstm.b")]
 
         def per_step(p):
-            _, state = oracles.convlstm_step(p["x"], RecurrentState(t64(h0), t64(c0)), p)
-            return state.h, state.c
+            h, c = oracles.convlstm_step(p["x"], (t64(h0), t64(c0)), p)
+            return h, c.data
 
         fused = run(lambda p: ad.convlstm(p["x"], p["lstm.w"], p["lstm.b"], h0, c0,
                                           [batch[0] if batch else 1]))
@@ -408,7 +407,7 @@ def test_convlstm_batch_rows_equal_each_sequence_alone():
              Tensor(b, requires_grad=True)]
         out, c_next = ad.convlstm(*p, h_in[rows], c_in[rows], sizes)
         ad.backward(ad.sum_all(ad.mul(out, r[rows])))
-        return out.data, c_next.data, [t.grad for t in p]
+        return out.data, c_next, [t.grad for t in p]
 
     out, c_next, (gx, gk, gb) = run(slice(None), batch_sizes(lengths))
     sum_gk, sum_gb = np.zeros_like(k), np.zeros_like(b)

@@ -3,6 +3,7 @@
 import errno
 import os
 import struct
+import tempfile
 from pathlib import Path
 import zlib
 
@@ -505,6 +506,42 @@ def test_eval_corrupted_checkpoint_exit_3(tmp_path):
     assert main(["eval", "--ckpt", ckpt, "--episodes", "1"]) == EXIT_CHECKPOINT
 
 
+def unreadable_checkpoint_path(tmp_path, kind):
+    """A path that names no readable checkpoint file: a FIFO, a directory or /proc/self/mem."""
+    path = str(tmp_path / "ckpt_500.ma3c")
+    if kind == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("os.mkfifo is not available")
+        os.mkfifo(path)      # opening it to read would block until a writer comes
+    elif kind == "directory":
+        os.mkdir(path)
+    else:
+        path = "/proc/self/mem"     # a regular file whose read fails with EIO
+        if not os.path.isfile(path):
+            pytest.skip("/proc/self/mem is absent")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory", "proc-mem"])
+def test_unreadable_checkpoint_path_exits_3_with_one_line(tmp_path, capsys, kind):
+    path = unreadable_checkpoint_path(tmp_path, kind)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+    assert main(["eval", "--ckpt", path, "--episodes", "1"]) == EXIT_CHECKPOINT
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:") and len(err.strip().splitlines()) == 1
+    assert path in err
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory"])
+def test_a_run_directory_skips_a_checkpoint_name_that_is_no_file(tmp_path, kind):
+    # compare's reuse check passes over the higher-step name without opening it
+    good = str(tmp_path / "ckpt_50.ma3c")
+    non_finite_checkpoint(good, 0.5)
+    unreadable_checkpoint_path(tmp_path, kind)
+    assert _final_checkpoint(str(tmp_path), 40, load_checkpoint(good)[1]) == good
+
+
 def test_eval_inverse_on_vanilla_exit_4(tmp_path):
     out, ckpt = trained_tiny_run(tmp_path, policy_mask="false", value_mask="false")
     assert main(["eval", "--ckpt", ckpt, "--episodes", "1",
@@ -934,3 +971,94 @@ def test_any_argument_list_ends_in_a_documented_exit_code(fuzz_root, data):
         assert code == EXIT_OK
     else:
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CHECKPOINT, EXIT_VARIANT, EXIT_ARGUMENT)
+
+
+# ---------------------------------------------------------------------------
+# config fuzz of train and compare: a valid config runs, a broken key exits 2
+
+def _config_options(env, root):
+    """key: (valid values, broken values) of a train/compare config.
+
+    Valid values bound every example's work: a budget of at most 40 steps,
+    at most 4 channels a layer, 3 workers, 2 evaluation episodes and 40
+    steps an episode.  Each broken value is rejected before any work runs.
+    """
+    def ints(lo, hi):
+        return st.integers(lo, hi).map(str)
+
+    channels = st.tuples(*[st.integers(1, 4)] * 3).map(_arg_text)
+    return {
+        "env": (st.just(env), st.just("pong")),
+        "size": (ints(9, 24), st.sampled_from(["5", "513", "x"])),
+        "episode_cap": (ints(1, 40), st.sampled_from(["0", "-3", "auto1"])),
+        "policy_mask": (st.sampled_from(["true", "false"]), st.just("maybe")),
+        "value_mask": (st.sampled_from(["yes", "no"]), st.just("2")),
+        "fe_channels": (channels, st.sampled_from(["0,4,4", "4,4", "4,4,4,4", "a"])),
+        "lstm_channels": (ints(1, 4), st.sampled_from(["0", "-1", "1.5"])),
+        "branch_channels": (ints(1, 4), st.sampled_from(["0", ""])),
+        "conv_padding": (ints(1, 2), st.sampled_from(["-1", "x"])),
+        "gamma": (st.sampled_from(["0", "0.9", "1"]), st.sampled_from(["1.5", "nan", "-0.1"])),
+        "lr": (st.sampled_from(["1e-4", "7e-4", "1e-2"]), st.sampled_from(["0", "-1e-3", "nan", "inf"])),
+        "n_workers": (ints(1, 3), st.sampled_from(["0", "-2", "two"])),
+        "t_max": (ints(1, 20), st.sampled_from(["0", "-1"])),
+        "entropy_coef": (st.sampled_from(["0", "0.01"]), st.sampled_from(["-1", "nan"])),
+        "value_coef": (st.sampled_from(["0.5", "1"]), st.sampled_from(["inf", "-0.5"])),
+        "grad_clip_norm": (st.sampled_from(["40", "0.1"]), st.sampled_from(["0", "nan"])),
+        "total_steps": (ints(0, 40), st.sampled_from(["-5", "1e3"])),
+        "rmsprop_decay": (st.sampled_from(["0.99", "0"]), st.sampled_from(["1", "nan"])),
+        "rmsprop_eps": (st.sampled_from(["0.1", "1e-5"]), st.sampled_from(["0", "-1"])),
+        "seed": (ints(0, 2 ** 40), st.sampled_from(["-1", "x"])),
+        "seeds": (ints(0, 9), st.sampled_from(["", "-1", ",", "1,x"])),
+        "checkpoint_interval": (ints(0, 50), st.sampled_from(["-5", "1.5"])),
+        "eval_episodes": (ints(1, 2), st.sampled_from(["0", "-1"])),
+        "out_dir": (st.just(str(root / "unused")), st.just(str(root / "file" / "run"))),
+    }
+
+
+def _draw_run(data, tmp_path, broken):
+    """(argv, broken key or None, config lines) of a ``train`` or ``compare`` run.
+
+    With ``broken`` one drawn key gets a broken value; every other key
+    present gets a valid one.  Each run writes under a fresh directory.
+    """
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    (root / "file").write_text("")
+    command = data.draw(st.sampled_from(["train", "compare"]), label="command")
+    options = _config_options(data.draw(st.sampled_from(ENV_NAMES), label="env"), root)
+    broken = data.draw(st.sampled_from(list(options)), label="broken") if broken else None
+    lines = {}
+    for key, (valid, bad) in options.items():
+        if key == broken:
+            lines[key] = data.draw(bad, label=key)
+        elif key in ("env", "total_steps", "eval_episodes", "seeds", "episode_cap") \
+                or data.draw(st.booleans()):
+            lines[key] = data.draw(valid, label=key)
+    for key, size in (("fe_channels", "4,4,4"), ("lstm_channels", "4"), ("branch_channels", "4")):
+        lines.setdefault(key, size)          # a left-out size would default to a large network
+    path = write_config(root / "c.cfg", **lines)
+    out = [] if broken == "out_dir" else ["--out", str(root / "run")]
+    return [command, path, *out], broken, lines
+
+
+_FUZZ_SETTINGS = dict(derandomize=True, database=None, deadline=None,
+                      suppress_health_check=[HealthCheck.too_slow,
+                                             HealthCheck.function_scoped_fixture])
+
+
+@settings(max_examples=30, **_FUZZ_SETTINGS)
+@given(data=st.data())
+def test_generated_train_and_compare_configs_run(tmp_path, data):
+    # the one network pass across envs, variants, sizes and ragged rounds
+    argv, _, _ = _draw_run(data, tmp_path, broken=False)
+    assert main(argv) == EXIT_OK
+    out = Path(argv[argv.index("--out") + 1])
+    assert (out / "variants.csv").exists() == (argv[0] == "compare")
+
+
+@settings(max_examples=150, **_FUZZ_SETTINGS)
+@given(data=st.data())
+def test_generated_configs_with_one_broken_key_exit_2(tmp_path, data):
+    argv, broken, lines = _draw_run(data, tmp_path, broken=True)
+    assert main(argv) == EXIT_CONFIG, (broken, lines[broken])
+    out = Path(argv[1]).parent / "run"
+    assert not out.exists()

@@ -13,10 +13,11 @@ The exact layer pins the sha256 of the final checkpoint file and of
 3-worker collector run, and of the analysis outputs of a fresh network
 on catch: ``evaluate`` returns under each mask transform, greedy and
 sampled, the ``record_heatmaps`` files and the ``injection_response``
-rows.  float32 matmul bits may differ between BLAS kernels and CPUs, so
-it runs only where the recorded fingerprint (numpy version, BLAS name
-and version, CPU model, CPU count) matches, and skips with the
-difference elsewhere.
+rows; and the ``variants.csv`` of a two-seed ``compare_variants`` run.
+float32 matmul bits may differ between BLAS kernels and CPUs, so it runs
+only where the recorded fingerprint (numpy version, BLAS name and
+version, CPU model, CPU count) matches, and skips with the difference
+elsewhere.
 
 Re-record with ``PYTHONPATH=src python tests/test_golden.py weights``
 (the tolerance files) or ``... digests`` (the exact layer, with the
@@ -39,7 +40,7 @@ from maskac.analysis import evaluate, injection_response, record_heatmaps
 from maskac.checkpoint import load_checkpoint
 from maskac.envs import EnvSpec, InjectionSpec
 from maskac.network import MASK_TRANSFORMS, NetworkConfig, init_weights
-from maskac.training import Hyperparams, train
+from maskac.training import Hyperparams, compare_variants, train
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 DIGESTS = os.path.join(GOLDEN, "digests.json")
@@ -48,6 +49,10 @@ SCENARIOS = {
     "collector_3w": ("collector", Hyperparams(lr=1e-3, n_workers=3, t_max=7, total_steps=300)),
     "fuel_1w": ("fuel", Hyperparams(lr=1e-3, n_workers=1, t_max=20, total_steps=200)),
 }
+# lr 1e-2 for 100 steps moves the greedy policy enough that, over 12
+# episodes, the masked variants score apart from vanilla
+VARIANTS_HYPER = Hyperparams(lr=1e-2, rmsprop_eps=1e-5, n_workers=2, t_max=20, total_steps=100)
+VARIANTS_EPISODES = 12
 TOLERANCE = ("catch_1w", "collector_3w")
 EXACT = ("catch_1w", "collector_3w", "fuel_1w")
 RTOL = 1e-4
@@ -118,6 +123,14 @@ def analysis_digests(out_dir):
     return out
 
 
+def variants_digest(out_dir):
+    """sha256 of the ``variants.csv`` of a tiny ``compare_variants`` run on catch, seeds 0 and 1."""
+    spec = EnvSpec(name="catch")
+    compare_variants(spec, tiny_config(spec), (0, 1), VARIANTS_HYPER, VARIANTS_EPISODES, out_dir,
+                     checkpoint_interval=0)
+    return _file_sha(os.path.join(out_dir, "variants.csv"))
+
+
 def _cpu_model():
     try:
         with open("/proc/cpuinfo") as fh:
@@ -173,6 +186,10 @@ def test_analysis_outputs_match_the_golden_digests(tmp_path):
     assert analysis_digests(str(tmp_path)) == golden_digests()["analysis"]
 
 
+def test_compare_variants_table_matches_the_golden_digest(tmp_path):
+    assert variants_digest(str(tmp_path)) == golden_digests()["variants"]
+
+
 def record(layer):
     os.makedirs(GOLDEN, exist_ok=True)
     if layer == "digests":
@@ -182,6 +199,8 @@ def record(layer):
                 runs[name] = digests(name, tmp)
         with tempfile.TemporaryDirectory() as tmp:
             runs["analysis"] = analysis_digests(tmp)
+        with tempfile.TemporaryDirectory() as tmp:
+            runs["variants"] = variants_digest(tmp)
         with open(DIGESTS, "w") as fh:
             json.dump({"fingerprint": fingerprint(), "runs": runs}, fh, indent=2)
             fh.write("\n")

@@ -168,22 +168,21 @@ def _small_lstm_weights(rng, channels=2, scale=0.5):
 
 
 def _small_state(rng, channels=2, hw=2):
-    return RecurrentState(Tensor(rng.normal(size=(channels, hw, hw))),
-                          Tensor(rng.normal(size=(channels, hw, hw))))
+    return RecurrentState(rng.normal(size=(channels, hw, hw)), rng.normal(size=(channels, hw, hw)))
 
 
 def convlstm_step(x, state, w):
     """(h, c_next) of the one ConvLSTM step ``forward`` runs: of the batch's rows, or of one."""
     rows = x.shape[0] if x.data.ndim == 4 else 1
-    return ad.convlstm(x, w["lstm.w"], w["lstm.b"], state.h.data, state.c.data, [rows])
+    return ad.convlstm(x, w["lstm.w"], w["lstm.b"], state.h, state.c, [rows])
 
 
 def test_convlstm_zero_everything():
     w = {"lstm.w": Tensor(np.zeros((8, 4, 3, 3))), "lstm.b": Tensor(np.zeros(8))}
-    state = RecurrentState(Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros((2, 2, 2))))
+    state = RecurrentState(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
     h, c = convlstm_step(Tensor(np.zeros((2, 2, 2))), state, w)
     np.testing.assert_array_equal(h.data, np.zeros((2, 2, 2)))
-    np.testing.assert_array_equal(c.data, np.zeros((2, 2, 2)))
+    np.testing.assert_array_equal(c, np.zeros((2, 2, 2)))
 
 
 def test_convlstm_forget_saturation():
@@ -195,11 +194,11 @@ def test_convlstm_forget_saturation():
     _, c = convlstm_step(x, state, w)
 
     L = 2
-    z = conv2d_oracle(np.concatenate([x.data, state.h.data]), w["lstm.w"].data,
+    z = conv2d_oracle(np.concatenate([x.data, state.h]), w["lstm.w"].data,
                       w["lstm.b"].data, 1, 1)
     i = 1 / (1 + np.exp(-z[0:L]))
     g = np.tanh(z[3 * L:4 * L])
-    np.testing.assert_allclose(c.data, state.c.data + i * g, atol=1e-6, rtol=0)
+    np.testing.assert_allclose(c, state.c + i * g, atol=1e-6, rtol=0)
 
 
 def test_convlstm_matches_gate_oracle():
@@ -208,10 +207,9 @@ def test_convlstm_matches_gate_oracle():
     state = _small_state(rng)
     x = Tensor(rng.normal(size=(2, 2, 2)))
     h, c = convlstm_step(x, state, w)
-    h_ref, c_ref = convlstm_oracle(x.data, state.h.data, state.c.data,
-                                   w["lstm.w"].data, w["lstm.b"].data)
+    h_ref, c_ref = convlstm_oracle(x.data, state.h, state.c, w["lstm.w"].data, w["lstm.b"].data)
     np.testing.assert_allclose(h.data, h_ref, atol=1e-10, rtol=0)
-    np.testing.assert_allclose(c.data, c_ref, atol=1e-10, rtol=0)
+    np.testing.assert_allclose(c, c_ref, atol=1e-10, rtol=0)
 
 
 def test_convlstm_batch_matches_gate_oracle_per_row():
@@ -219,21 +217,21 @@ def test_convlstm_batch_matches_gate_oracle_per_row():
     w = _small_lstm_weights(rng)
     h0, c0 = rng.normal(size=(3, 2, 2, 2)), rng.normal(size=(3, 2, 2, 2))
     x = rng.normal(size=(3, 2, 2, 2))
-    h, c = convlstm_step(Tensor(x), RecurrentState(Tensor(h0), Tensor(c0)), w)
+    h, c = convlstm_step(Tensor(x), RecurrentState(h0, c0), w)
     assert h.shape == c.shape == (3, 2, 2, 2)
     for i in range(3):
         h_ref, c_ref = convlstm_oracle(x[i], h0[i], c0[i], w["lstm.w"].data, w["lstm.b"].data)
         np.testing.assert_allclose(h.data[i], h_ref, atol=1e-10, rtol=0)
-        np.testing.assert_allclose(c.data[i], c_ref, atol=1e-10, rtol=0)
+        np.testing.assert_allclose(c[i], c_ref, atol=1e-10, rtol=0)
 
 
 def test_convlstm_rejects_mismatched_state():
     rng = np.random.default_rng(22)
     w = _small_lstm_weights(rng)
-    state = RecurrentState(Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros((2, 3, 3))))
+    state = RecurrentState(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)))
     with pytest.raises(ad.ShapeError):
         convlstm_step(Tensor(np.zeros((2, 2, 2))), state, w)
-    batched = RecurrentState(Tensor(np.zeros((3, 2, 2, 2))), Tensor(np.zeros((3, 2, 2, 2))))
+    batched = RecurrentState(np.zeros((3, 2, 2, 2)), np.zeros((3, 2, 2, 2)))
     with pytest.raises(ad.ShapeError):
         convlstm_step(Tensor(np.zeros((4, 2, 2, 2))), batched, w)
     with pytest.raises(ad.ShapeError):
@@ -310,7 +308,7 @@ def test_forward_trace_mask_consistency():
     config = cfg("both")
     w = net.init_weights(config, seed=1, dtype=np.float64)
     trace = net.forward(random_obs(config), RecurrentState.zeros(config, np.float64), w, config)
-    h = trace.next_state.h.data
+    h = trace.next_state.h
     heads = {}
     for branch in ("policy", "value"):
         k = w[f"{branch}_mask.w"].data[0, :, 0, 0]
@@ -371,19 +369,18 @@ def test_forward_inverse_transform_inverts_policy_mask_only():
 
 def test_forward_stops_gradients_at_the_state_passed_in():
     # the state enters the ConvLSTM as arrays, as a segment's start state
-    # enters the learner's: the weights get gradients and the state none
+    # enters the learner's, and leaves it as arrays: the weights get
+    # gradients, and the state carries no graph either way
     config = cfg("both", fe_channels=(4, 4, 4), lstm_channels=4, branch_channels=4)
     w = net.init_weights(config, seed=3, dtype=np.float64)
     for t in w.values():
         t.requires_grad = True
     rng = np.random.default_rng(4)
     side = config.feature_hw()
-    state = RecurrentState(*(Tensor(rng.normal(size=(4, side, side)), requires_grad=True)
-                             for _ in range(2)))
+    state = RecurrentState(*(rng.normal(size=(4, side, side)) for _ in range(2)))
     trace = net.forward(random_obs(config, seed=5), state, w, config)
-    assert not trace.next_state.c.requires_grad
+    assert all(type(a) is np.ndarray for a in (trace.next_state.h, trace.next_state.c))
     ad.backward(ad.add(ad.sum_all(trace.value), pick(trace.policy_logits, 1)))
-    assert state.h.grad is None and state.c.grad is None
     assert all(w[name].grad is not None for name in ("fe1.w", "lstm.w", "lstm.b"))
 
 
@@ -431,19 +428,18 @@ def test_gradient_flows_through_mask_path():
 
 def _random_states(config, n, rng, dtype):
     shape = RecurrentState.zeros(config).h.shape
-    return [RecurrentState(Tensor(rng.normal(scale=0.5, size=shape).astype(dtype)),
-                           Tensor(rng.normal(scale=0.5, size=shape).astype(dtype)))
+    return [RecurrentState(rng.normal(scale=0.5, size=shape).astype(dtype),
+                           rng.normal(scale=0.5, size=shape).astype(dtype))
             for _ in range(n)]
 
 
 def _stack_states(states):
-    return RecurrentState(Tensor(np.stack([s.h.data for s in states])),
-                          Tensor(np.stack([s.c.data for s in states])))
+    return RecurrentState(np.stack([s.h for s in states]), np.stack([s.c for s in states]))
 
 
 def _forward_rows(trace):
-    rows = [trace.policy, trace.value, trace.next_state.h, trace.next_state.c]
-    return [t.data for t in rows + [m for m in (trace.m_p, trace.m_v) if m is not None]]
+    rows = [trace.policy, trace.value] + [m for m in (trace.m_p, trace.m_v) if m is not None]
+    return [t.data for t in rows] + [trace.next_state.h, trace.next_state.c]
 
 
 @pytest.mark.parametrize("dtype, rtol, atol", [(np.float64, 1e-12, 1e-15),
@@ -477,7 +473,7 @@ def test_recurrent_state_zeros_batch_shape():
     config = cfg()
     state = RecurrentState.zeros(config, np.float64, batch=5)
     assert state.h.shape == state.c.shape == (5,) + RecurrentState.zeros(config).h.shape
-    assert state.h.dtype == np.float64 and not state.h.data.any()
+    assert state.h.dtype == np.float64 and not state.h.any()
 
 
 @pytest.mark.parametrize("batch", [None, 3], ids=["B=1", "B=3"])
@@ -499,9 +495,10 @@ def test_forward_without_value_branch_keeps_policy_outputs_bit_for_bit(variant, 
         lean = net.forward(obs, state, w, config, mask_transform=transform, with_value=False)
         assert lean.value is None and lean.m_v is None
         assert (lean.m_p is None) == (full.m_p is None)
-        pairs = [(lean.policy, full.policy), (lean.policy_logits, full.policy_logits),
+        pairs = [(lean.policy.data, full.policy.data),
+                 (lean.policy_logits.data, full.policy_logits.data),
                  (lean.next_state.h, full.next_state.h), (lean.next_state.c, full.next_state.c)]
         if full.m_p is not None:
-            pairs.append((lean.m_p, full.m_p))
+            pairs.append((lean.m_p.data, full.m_p.data))
         for got, want in pairs:
-            assert got.shape == want.shape and got.data.tobytes() == want.data.tobytes()
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -15,8 +15,7 @@ from maskac import training as tr
 from maskac.autodiff import Tensor
 from maskac.checkpoint import load_checkpoint
 from maskac.envs import EnvSpec, StepResult, _BaseEnv, make_env
-from maskac.network import (NetworkConfig, RecurrentState, feature_extract, forward,
-                            forward_segment, init_weights)
+from maskac.network import NetworkConfig, RecurrentState, feature_extract, forward, init_weights
 from maskac.training import (Hyperparams, Round, SharedParams, a3c_loss, apply_gradients,
                              collect_rollout, compare_variants, compute_returns,
                              loss_components, step_blocks, sync_local, train)
@@ -77,9 +76,9 @@ class NoisyEnv(ScriptedEnv):
 
 def collect_one(env, weights, config, state, t_max, rng):
     """``collect_rollout`` on a round of one env, with an unbatched state."""
-    batched = RecurrentState(Tensor(state.h.data[None]), Tensor(state.c.data[None]))
+    batched = RecurrentState(state.h[None], state.c[None])
     rnd, state = collect_rollout([env], weights, config, batched, t_max, [rng])
-    return rnd, RecurrentState(Tensor(state.h.data[0]), Tensor(state.c.data[0]))
+    return rnd, RecurrentState(state.h[0], state.c[0])
 
 
 def make_round(rewards, bootstrap=None, obs=None, actions=None, weights=None, config=None):
@@ -168,7 +167,8 @@ def test_loss_reduces_to_entropy_term():
 
 def test_loss_single_step_policy_term_only():
     rnd, weights, config = zero_head_round(3, 1)
-    trace = forward_segment(rnd.obs, (rnd.h, rnd.c), weights, config, [1])
+    trace = forward(rnd.obs[:, None], RecurrentState(rnd.h, rnd.c), weights, config,
+                    batch_sizes=[1])
     (policy_term, _, _), _ = loss_components(trace, [0], [1.7], advantages=np.array([2.5]))
     assert abs(float(policy_term.data) - (-np.log(1 / 3) * 2.5)) < 1e-12
 
@@ -195,16 +195,16 @@ def frozen_loss_fn(config, obs_seq, actions, returns, advantages, hyper, dtype):
 
     Advantages derived from the weights' own values would move with every
     perturbed weight, so finite differences would see through their
-    stop-gradient; so the loss is ``a3c_loss``'s sum built from
-    ``forward_segment`` and ``loss_components`` with the advantages given.
+    stop-gradient; so the loss is ``a3c_loss``'s sum built from the
+    learner's ``forward`` and ``loss_components`` with the advantages given.
     The recorded ConvLSTM states are a function of the weights, so each
     call records them anew by replaying the observations through ``forward``.
     """
     obs = np.array(obs_seq, dtype=dtype)
 
     def f(weights):
-        states = replay_states(obs, [len(obs)], weights, config)
-        trace = forward_segment(obs, states, weights, config, [1] * len(obs))
+        state = RecurrentState(*replay_states(obs, [len(obs)], weights, config))
+        trace = forward(obs[:, None], state, weights, config, batch_sizes=[1] * len(obs))
         (policy_term, value_term, neg_entropy), _ = loss_components(
             trace, actions, np.asarray(returns), np.asarray(advantages))
         return ad.add(policy_term, ad.add(ad.mul(value_term, hyper.value_coef),
@@ -299,7 +299,7 @@ def assert_round_grads_match_per_step_oracle(config, weights, t_max, warmup, end
     def oracle_loss(w):
         total = None
         for rows in packed_rows(rnd.lengths):
-            start = RecurrentState(Tensor(rnd.h[rows[0]]), Tensor(rnd.c[rows[0]]))
+            start = Tensor(rnd.h[rows[0]]), Tensor(rnd.c[rows[0]])
             term = per_step_a3c_loss(rnd.obs[rows], rnd.actions[rows], start, w, config,
                                      returns[rows], *coefs)
             total = term if total is None else ad.add(total, term)
@@ -427,9 +427,7 @@ def test_collect_rollout_builds_no_graph():
     rngs = [np.random.default_rng(i) for i in range(2)]
     for _ in range(2):
         rnd, state = collect_rollout(envs, weights, config, state, 4, rngs)
-        for t in (state.h, state.c):
-            assert t._parents == () and not t.requires_grad
-        for name, value in vars(rnd).items():
+        for name, value in [*vars(rnd).items(), ("state.h", state.h), ("state.c", state.c)]:
             assert type(value) is np.ndarray, name
     assert all(t.grad is None for t in weights.values())
 
@@ -493,7 +491,7 @@ def test_collect_rollout_lockstep_rows_equal_each_env_alone():
             assert rnd.actions[rows].tolist() == ref.actions.tolist()
             np.testing.assert_allclose(rnd.bootstrap[i], ref.bootstrap[0],
                                        rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(state.c.data[i], alone_states[i].c.data,
+            np.testing.assert_allclose(state.c[i], alone_states[i].c,
                                        rtol=1e-12, atol=1e-15)
     assert [env.t for env in envs] == [12, 4, 9]
 
@@ -548,10 +546,10 @@ def test_learner_convlstm_replays_the_recorded_states(env_name, n_workers, t_max
         h, c = ad.convlstm(x, weights["lstm.w"], weights["lstm.b"], rnd.h, rnd.c,
                            step_blocks(rnd.lengths)[1])
         for i, rows in enumerate(packed_rows(rnd.lengths)):
-            for out, recorded, carried in ((h, rnd.h, state.h), (c, rnd.c, state.c)):
-                np.testing.assert_allclose(out.data[rows[:-1]], recorded[rows[1:]], **tol)
+            for out, recorded, carried in ((h.data, rnd.h, state.h), (c, rnd.c, state.c)):
+                np.testing.assert_allclose(out[rows[:-1]], recorded[rows[1:]], **tol)
                 if not rnd.terminal[i]:
-                    np.testing.assert_allclose(out.data[rows[-1]], carried.data[i], **tol)
+                    np.testing.assert_allclose(out[rows[-1]], carried[i], **tol)
         ragged += int(rnd.lengths.min() < rnd.lengths.max())
     assert ragged > 0 if n_workers > 1 else ragged == 0
 
@@ -760,7 +758,7 @@ def test_loss_components_mask_statistics_are_over_the_real_steps():
     for branch, name in (("policy", "m_p"), ("value", "m_v")):
         masks = []
         for rows in packed_rows(rnd.lengths):
-            state = RecurrentState(Tensor(rnd.h[rows[0]]), Tensor(rnd.c[rows[0]]))
+            state = RecurrentState(rnd.h[rows[0]], rnd.c[rows[0]])
             for obs in rnd.obs[rows]:
                 trace = forward(obs, state, weights, config)
                 state = trace.next_state
