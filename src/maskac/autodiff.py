@@ -239,29 +239,6 @@ def _col2im(dpatch, xp_shape, kh, kw, stride, h_out, w_out):
     return g.transpose(0, 3, 1, 2)
 
 
-@functools.lru_cache(maxsize=64)
-def _tap_sum_index(c, n, h, w):
-    """Gather index that sums per-tap gradients onto the input of a 3x3 same-padding conv.
-
-    The gradient source is a flat [C*9*N*H*W] block of rows (c, tap) over
-    output positions (n, y', x'), followed by one zero.  Row ``tap`` of the
-    [9, C*N*H*W] index gives, for each input position (c, n, y, x), the
-    entry that tap (ki, kj) carries there from output (y-ki+1, x-kj+1), or
-    the zero where that lies outside the map.  Summing the gathered rows
-    is the adjoint of the patch gather at a cost linear in the map size.
-    Built on first use for each geometry; read-only because the cache shares it.
-    """
-    ki, kj = np.divmod(np.arange(9), 3)
-    y = np.arange(h)[:, None] - ki[:, None, None, None, None] + 1     # y' as [9,1,1,H,1]
-    x = np.arange(w) - kj[:, None, None, None, None] + 1              # x' as [9,1,1,1,W]
-    plane = ((np.arange(c)[:, None, None, None] * 9 + np.arange(9)[:, None, None, None, None]) * n
-             + np.arange(n)[:, None, None]) * (h * w)
-    inside = (y >= 0) & (y < h) & (x >= 0) & (x < w)
-    idx = np.where(inside, plane + y * w + x, 9 * c * n * h * w).reshape(9, -1)
-    idx.flags.writeable = False
-    return idx
-
-
 def _unpad(g, padding):
     return g[:, :, padding:-padding, padding:-padding] if padding else g
 
@@ -334,7 +311,10 @@ def convlstm(x, k, b, h_in, c_in, batch_sizes):
     step blocks, last to first, that takes h_in and c_in of step t for the
     outputs of step t-1, so gradients flow through time inside a sequence
     and stop at its start; it hands the gate gradients to the conv node
-    and forms x's gradient through the kernel's x-half only.  States these
+    and forms x's gradient through the kernel's x-half only.  It works in
+    the conv node's row-major layout [R,4,L,H*W], so step t is a block of
+    rows, and the gradients of h_{t-1} and of x both go through
+    ``_col2im``, the adjoint of the conv's patch gather.  States these
     weights did not produce give outputs and gradients of no real
     sequence.  One sequence computes what it would alone, bit for bit.
     """
@@ -377,46 +357,39 @@ def convlstm(x, k, b, h_in, c_in, batch_sizes):
     out = _make((o * tc).reshape(state_shape), (x, zn), "convlstm")
     if out.requires_grad:
         def _bw():
-            def gate_major(a):      # [R,...,P] -> [..., R*P]: step t is a block of columns
-                return np.ascontiguousarray(np.moveaxis(a, 0, -2)).reshape(a.shape[1:-1] + (-1,))
-
-            i, f, o, g = gate_major(z)
-            c_prev, tcs, dhs = (gate_major(a) for a in
-                                (cs, tc, out.grad.reshape(n_rows, n_hidden, area)))
             # dL/dz is a factor known from the forward times dc (gates i, f, g)
             # or dh (gate o); the factors of all steps are formed at once
-            dz = np.stack((g * i * (1.0 - i), c_prev * f * (1.0 - f), tcs * o * (1.0 - o),
-                           i * (1.0 - g * g)))                         # [4, L, R*P]
-            dtc = o * (1.0 - tcs * tcs)                                # dh_t -> dc_t
+            dz = np.stack((g * i * (1.0 - i), cs * f * (1.0 - f), tc * o * (1.0 - o),
+                           i * (1.0 - g * g)), axis=1)                 # [R,4,L,P]
+            dtc = o * (1.0 - tc * tc)                                  # dh_t -> dc_t
+            dhs = out.grad.reshape(n_rows, n_hidden, area)
             kmat = k.data.reshape(L4, -1)
-            # W_h^T dz_t, one row per (hidden channel, kernel tap), then each
-            # tap's rows summed onto the h_{t-1} positions that tap reads
-            k_h = kmat[:, n_x * 9:].T
-            # carried from step t+1 through W_h and f; a block's first
-            # columns are the sequences that reach the next step
-            dh_next, dc_next = np.zeros((2, n_hidden, sizes[0] * area), dtype=dtype)
-            ends = np.cumsum(sizes) * area
+            patch_grads = np.empty((n_rows, area, L4), dtype=dtype)    # dz per gate-conv patch row
+            # carried from step t+1 through W_h and f; a block's first rows
+            # are the sequences that reach the next step
+            dh_next, dc_next = np.zeros((2, sizes[0], n_hidden, area), dtype=dtype)
+            ends = np.cumsum(sizes)
             for t in range(len(sizes) - 1, -1, -1):
-                cols = sizes[t] * area
-                block = slice(ends[t] - cols, ends[t])
-                dh, dc = dh_next[:, :cols], dc_next[:, :cols]
-                dh += dhs[:, block]
-                dc += dh * dtc[:, block]
-                dzt = dz[:, :, block]
-                dzt[:2] *= dc
-                dzt[2] *= dh
-                dzt[3] *= dc
-                dc *= f[:, block]
+                n_t = sizes[t]
+                rows = slice(ends[t] - n_t, ends[t])
+                dh, dc = dh_next[:n_t], dc_next[:n_t]
+                dh += dhs[rows]
+                dc += dh * dtc[rows]
+                dzt = dz[rows]
+                dzt[:, :2] *= dc[:, None]
+                dzt[:, 2] *= dh
+                dzt[:, 3] *= dc
+                dc *= f[rows]
+                patch_grads[rows] = dzt.reshape(n_t, L4, area).transpose(0, 2, 1)
                 if t:
-                    taps = np.zeros(9 * n_hidden * cols + 1, dtype=dtype)   # the last stays 0
-                    np.matmul(k_h, dzt.reshape(L4, cols), out=taps[:-1].reshape(-1, cols))
-                    summed = np.take(taps, _tap_sum_index(n_hidden, sizes[t], h, w)).sum(axis=0)
-                    dh[...] = summed.reshape(n_hidden, cols)
-            gm = dz.reshape(L4, -1)                                    # [4L, R*P]
-            if zn.requires_grad:    # a view: conv2d's backward reads it back as gm, uncopied
-                _accum_owned(zn, gm.reshape(L4, n_rows, area).transpose(1, 0, 2).reshape(zn.shape))
+                    gp = _col2im(patch_grads[rows].reshape(-1, L4) @ kmat[:, n_x * 9:],
+                                 (n_t, n_hidden, h + 2, w + 2), 3, 3, 1, h, w)
+                    dh.reshape(n_t, n_hidden, h, w)[...] = _unpad(gp, 1)
+            if zn.requires_grad:
+                _accum_owned(zn, dz.reshape(zn.shape))
             if x.requires_grad:
-                gxp = _col2im(gm.T @ kmat[:, :n_x * 9], (n_rows, n_x, h + 2, w + 2), 3, 3, 1, h, w)
+                gxp = _col2im(patch_grads.reshape(-1, L4) @ kmat[:, :n_x * 9],
+                              (n_rows, n_x, h + 2, w + 2), 3, 3, 1, h, w)
                 _accum_owned(x, np.ascontiguousarray(_unpad(gxp, 1)).reshape(x.shape))
         out._backward = _bw
     return out, c_next.reshape(state_shape)

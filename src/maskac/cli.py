@@ -135,6 +135,10 @@ class ResolvedConfig:
         self.seeds = list(_value(raw, "seeds", tuple))
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError(f"seeds must name at least one seed, each >= 0, got {raw['seeds']!r}")
+        repeated = next((s for i, s in enumerate(self.seeds) if s in self.seeds[:i]), None)
+        if repeated is not None:
+            raise ConfigError(f"seeds must not repeat a seed (a repeat counts one run twice), "
+                              f"got {repeated} twice in {raw['seeds']!r}")
         self.out_dir = raw["out_dir"]
         self.checkpoint_interval = _value(raw, "checkpoint_interval", int)
         if self.checkpoint_interval < 0:

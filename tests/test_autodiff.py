@@ -361,23 +361,25 @@ def test_grad_lstm_cell_both_outputs():
             _check(f, params)
 
 
-def test_grad_convlstm_sequence_extended_precision():
+@pytest.mark.parametrize("hw", [(3, 3), (3, 5)], ids=["3x3", "3x5"])
+def test_grad_convlstm_sequence_extended_precision(hw):
     # the hand-written BPTT against central differences over three ragged
     # sequences, re-recording the states under every perturbed weight
     # (a recorded state is a function of the weights); grads must stay in
-    # the working dtype (col2im accumulates without a float64 downcast)
+    # the working dtype (col2im accumulates without a float64 downcast);
+    # a non-square map catches a swap of H and W in the adjoint
     rng = np.random.default_rng(31)
-    lengths, c_in, hidden, hw = (2, 4, 3), 2, 2, 3
+    lengths, c_in, hidden = (2, 4, 3), 2, 2
     n_rows = sum(lengths)
     ld = np.longdouble
     params = {
-        "x": Tensor(rng.normal(size=(n_rows, c_in, hw, hw)).astype(ld)),
+        "x": Tensor(rng.normal(size=(n_rows, c_in, *hw)).astype(ld)),
         "k": Tensor(rng.normal(scale=0.5, size=(4 * hidden, c_in + hidden, 3, 3)).astype(ld)),
         "b": Tensor(rng.normal(scale=0.5, size=4 * hidden).astype(ld)),
     }
-    h0 = rng.normal(size=(len(lengths), hidden, hw, hw)).astype(ld)
-    c0 = rng.normal(size=(len(lengths), hidden, hw, hw)).astype(ld)
-    r = Tensor(rng.normal(size=(n_rows, hidden, hw, hw)).astype(ld))
+    h0 = rng.normal(size=(len(lengths), hidden, *hw)).astype(ld)
+    c0 = rng.normal(size=(len(lengths), hidden, *hw)).astype(ld)
+    r = Tensor(rng.normal(size=(n_rows, hidden, *hw)).astype(ld))
 
     def f(p):
         states = recorded_states(p["x"], p["k"], p["b"], h0, c0, lengths)

@@ -344,7 +344,8 @@ def test_config_defaults_are_the_documented_keys_and_texts():
 
 
 # each of these crashed a run, trained on to a non-finite checkpoint,
-# flipped the sign of every update or skipped every update; episode_cap=0
+# flipped the sign of every update or skipped every update; a repeated
+# seed counted one compare run twice in variants.csv; episode_cap=0
 # meant the default cap, episode_step_cap and precision are no longer keys,
 # a negative checkpoint_interval saved no periodic checkpoint, a huge
 # size overflowed numpy and a huge channel count asked numpy for more
@@ -354,7 +355,7 @@ def test_config_defaults_are_the_documented_keys_and_texts():
     ("fe_channels", "0,4,4"), ("conv_kernel", "0"), ("conv_padding", "-1"),
     ("lr", "nan"), ("rmsprop_eps", "0"), ("grad_clip_norm", "-1"), ("rmsprop_decay", "1"),
     ("entropy_coef", "nan"), ("entropy_coef", "-0.01"), ("value_coef", "nan"),
-    ("value_coef", "inf"), ("seed", "-1"), ("seeds", "0,-1"),
+    ("value_coef", "inf"), ("seed", "-1"), ("seeds", "0,-1"), ("seeds", "0,0"),
     ("episode_cap", "0"), ("episode_step_cap", "10000"), ("precision", "double"),
     ("checkpoint_interval", "-5"), ("total_steps", "-5"), ("size", "513"),
     ("size", "99999999999999999999"), ("lstm_channels", "1000000000"),
@@ -1008,7 +1009,7 @@ def _config_options(env, root):
         "rmsprop_decay": (st.sampled_from(["0.99", "0"]), st.sampled_from(["1", "nan"])),
         "rmsprop_eps": (st.sampled_from(["0.1", "1e-5"]), st.sampled_from(["0", "-1"])),
         "seed": (ints(0, 2 ** 40), st.sampled_from(["-1", "x"])),
-        "seeds": (ints(0, 9), st.sampled_from(["", "-1", ",", "1,x"])),
+        "seeds": (ints(0, 9), st.sampled_from(["", "-1", ",", "1,x", "2,0,2"])),
         "checkpoint_interval": (ints(0, 50), st.sampled_from(["-5", "1.5"])),
         "eval_episodes": (ints(1, 2), st.sampled_from(["0", "-1"])),
         "out_dir": (st.just(str(root / "unused")), st.just(str(root / "file" / "run"))),

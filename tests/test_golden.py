@@ -1,6 +1,8 @@
 """Golden fixed-seed training runs, in two layers.
 
-Each scenario trains a tiny network with a fixed seed.
+Each scenario trains a network with a fixed seed: a tiny one, except
+``catch_1w_default``, whose default-size network reaches matmul shapes
+that the tiny ones never do.
 
 The tolerance layer runs everywhere: the final checkpoint's weights must
 lie within 1e-4 of each tensor's largest magnitude of the recorded ones,
@@ -9,15 +11,18 @@ must equal the recorded text.  The collector run has 3 workers at
 ``t_max=7``, so some of its rounds are ragged.
 
 The exact layer pins the sha256 of the final checkpoint file and of
-``metrics.csv`` of the 1-worker runs on catch and fuel and of the
-3-worker collector run, and of the analysis outputs of a fresh network
-on catch: ``evaluate`` returns under each mask transform, greedy and
-sampled, the ``record_heatmaps`` files and the ``injection_response``
-rows; and the ``variants.csv`` of a two-seed ``compare_variants`` run.
+``metrics.csv`` of the 1-worker runs on catch (tiny and default size)
+and on fuel and of the 3-worker collector run, and of the analysis
+outputs of a fresh network on catch: ``evaluate`` returns under each
+mask transform, greedy and sampled, the ``record_heatmaps`` files and
+the ``injection_response`` rows; and the ``variants.csv`` of a two-seed
+``compare_variants`` run.
 float32 matmul bits may differ between BLAS kernels and CPUs, so it runs
 only where the recorded fingerprint (numpy version, BLAS name and
-version, CPU model, CPU count) matches, and skips with the difference
-elsewhere.
+version, BLAS thread setting, CPU model, CPU count) matches, and skips
+with the difference elsewhere.  The thread setting matters: a
+default-size round's weight gradients differ in their last bits between
+one and two OpenBLAS threads.
 
 Re-record with ``PYTHONPATH=src python tests/test_golden.py weights``
 (the tolerance files) or ``... digests`` (the exact layer, with the
@@ -48,13 +53,15 @@ SCENARIOS = {
     "catch_1w": ("catch", Hyperparams(lr=1e-3, n_workers=1, t_max=20, total_steps=200)),
     "collector_3w": ("collector", Hyperparams(lr=1e-3, n_workers=3, t_max=7, total_steps=300)),
     "fuel_1w": ("fuel", Hyperparams(lr=1e-3, n_workers=1, t_max=20, total_steps=200)),
+    "catch_1w_default": ("catch", Hyperparams(lr=7e-4, rmsprop_eps=1e-5, n_workers=1, t_max=20,
+                                              total_steps=200)),
 }
 # lr 1e-2 for 100 steps moves the greedy policy enough that, over 12
 # episodes, the masked variants score apart from vanilla
 VARIANTS_HYPER = Hyperparams(lr=1e-2, rmsprop_eps=1e-5, n_workers=2, t_max=20, total_steps=100)
 VARIANTS_EPISODES = 12
 TOLERANCE = ("catch_1w", "collector_3w")
-EXACT = ("catch_1w", "collector_3w", "fuel_1w")
+EXACT = ("catch_1w", "collector_3w", "fuel_1w", "catch_1w_default")
 RTOL = 1e-4
 
 
@@ -67,7 +74,9 @@ def train_scenario(name, out_dir):
     """Train the scenario into ``out_dir``; returns the final checkpoint's path."""
     env, hyper = SCENARIOS[name]
     spec = EnvSpec(name=env)
-    return train(tiny_config(spec), hyper, spec, seed=0, out_dir=out_dir, checkpoint_interval=0)
+    default_size = name == "catch_1w_default"
+    config = NetworkConfig(n_actions=spec.n_actions) if default_size else tiny_config(spec)
+    return train(config, hyper, spec, seed=0, out_dir=out_dir, checkpoint_interval=0)
 
 
 def run(name, out_dir):
@@ -145,8 +154,9 @@ def _cpu_model():
 def fingerprint():
     """What the float32 bits of a training run may depend on besides the code."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS", "unset"))
     return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
-            "cpu": _cpu_model(), "cpu_count": os.cpu_count()}
+            "blas_threads": threads, "cpu": _cpu_model(), "cpu_count": os.cpu_count()}
 
 
 @pytest.mark.parametrize("name", TOLERANCE)
