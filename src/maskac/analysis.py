@@ -113,7 +113,7 @@ def lockstep(weights, config, envs, rngs, mask_transform="identity", greedy=True
              with_value=True, state=None, obs=None):
     """Play ``envs`` side by side to their ends, one batched ``forward`` per env step.
 
-    ``state`` [N,L,h,w] and ``obs`` (one frame per env) pick up envs where
+    ``state`` [N,h,w,L] and ``obs`` (one frame per env) pick up envs where
     a caller left them; by default the state is zeros and the frames come
     from ``observe``.  Yields ``(t, rows, obs, trace, actions, results)``
     after each step: ``rows`` are the indices into ``envs`` that stepped,
@@ -228,7 +228,7 @@ def record_heatmaps(weights, config, env_spec, episodes, seed, out_dir, greedy=T
             obs, probs = obs[0], trace.policy.data[0]
             value = float(trace.value.data[0, 0])
             for branch in branches:
-                mask = (trace.m_p if branch == "policy" else trace.m_v).data[0, 0]
+                mask = (trace.m_p if branch == "policy" else trace.m_v).data[0, ..., 0]
                 write_pgm(os.path.join(out_dir, f"{branch}_{ep}_{t}.pgm"), mask)
                 write_ppm(os.path.join(out_dir, f"overlay_{branch}_{ep}_{t}.ppm"),
                           overlay_rgb(upsample_nearest(mask, env_spec.size), obs))
@@ -274,7 +274,7 @@ def injection_response(weights, config, env_spec, spec, window, seed):
                    "probs": tuple(float(p) for p in trace.policy.data[0])}
             for branch, m in (("policy", trace.m_p), ("value", trace.m_v)):
                 if m is not None:
-                    row[f"region_mean_{branch}"] = region_mean(m.data[0, 0], spec.stencil,
+                    row[f"region_mean_{branch}"] = region_mean(m.data[0, ..., 0], spec.stencil,
                                                                spec.position, env_spec.size)
             rows.append(row)
         if t == last:

@@ -8,13 +8,15 @@ log-softmax, reshape and the scalar sum.  Each op records a backward
 closure on its output; ``backward()`` replays the recorded graph in
 reverse topological order and accumulates into ``.grad`` buffers.
 
+Maps are channel-last ([N,H,W,C]) and conv kernels HWIO
+([kH,kW,C_in,C_out]), so a conv's patch matrix is one strided copy of
+contiguous channel runs and its matmul gives a channel-last output.
+
 Precision is carried by the tensors themselves: build weights in float64
 for gradient checking, float32 for training.  Ops never change dtype.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -166,13 +168,13 @@ def relu(a):
 
 
 def broadcast_mul_channelwise(f, m):
-    """Multiply a [C,H,W] map by a [1,H,W] mask replicated across channels.
+    """Multiply an [H,W,C] map by an [H,W,1] mask replicated across channels.
 
-    A leading batch axis on both ([N,C,H,W] and [N,1,H,W]) is allowed.
+    A leading batch axis on both ([N,H,W,C] and [N,H,W,1]) is allowed.
     """
-    if f.data.ndim not in (3, 4) or m.data.ndim != f.data.ndim or m.shape[-3] != 1:
+    if f.data.ndim not in (3, 4) or m.data.ndim != f.data.ndim or m.shape[-1] != 1:
         raise ShapeError(f"broadcast_mul_channelwise: got {f.shape} and {m.shape}")
-    if f.shape[:-3] != m.shape[:-3] or f.shape[-2:] != m.shape[-2:]:
+    if f.shape[:-1] != m.shape[:-1]:
         raise ShapeError(f"broadcast_mul_channelwise: {f.shape} and {m.shape} do not line up")
     out = _make(f.data * m.data, (f, m), "bmul")
     if out.requires_grad:
@@ -180,7 +182,7 @@ def broadcast_mul_channelwise(f, m):
             if f.requires_grad:
                 _accum_owned(f, out.grad * m.data)
             if m.requires_grad:
-                _accum_owned(m, (out.grad * f.data).sum(axis=-3, keepdims=True))
+                _accum_owned(m, (out.grad * f.data).sum(axis=-1, keepdims=True))
         out._backward = _bw
     return out
 
@@ -188,77 +190,66 @@ def broadcast_mul_channelwise(f, m):
 # ---------------------------------------------------------------------------
 # linear operators
 
-@functools.lru_cache(maxsize=64)
-def _patch_index(c_in, h, w, kh, kw, stride, padding):
-    """Gather index of the im2col patch matrix of a flat [C*H*W] map.
-
-    Row (i, j) is an output position, column (c, ki, kj) a kernel tap, so
-    the patches line up with the [C_out, C_in*kH*kW] kernel matrix.  Taps
-    that land in the zero padding point one past the map, at C*H*W, where
-    ``_im2col`` appends a zero.  Built on first use for each geometry;
-    read-only because the cache shares it.
-    """
-    h_out = (h + 2 * padding - kh) // stride + 1
-    w_out = (w + 2 * padding - kw) // stride + 1
-    rows = ((np.arange(h_out) * stride - padding)[:, None] + np.arange(kh))[:, None, None, :, None]
-    cols = ((np.arange(w_out) * stride - padding)[:, None] + np.arange(kw))[None, :, None, None, :]
-    channels = np.arange(c_in)[:, None, None] * (h * w)
-    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    idx = np.where(inside, channels + rows * w + cols, c_in * h * w)
-    idx = idx.reshape(h_out * w_out, c_in * kh * kw)
-    idx.flags.writeable = False
-    return idx
-
-
 def _im2col(xd, kh, kw, stride, padding):
-    """Patch rows of an [N,C,H,W] batch: [N*H'*W', C*kH*kW]."""
-    n, c, h, w = xd.shape
-    idx = _patch_index(c, h, w, kh, kw, stride, padding)
-    flat = xd.reshape(n, -1)
+    """Patch rows of an [N,H,W,C] batch: [N*H'*W', kH*kW*C], columns in (ki, kj, c) order.
+
+    One copy out of a strided window view of the zero-padded batch; its
+    inner runs are C contiguous values, and the columns line up with the
+    rows of the HWIO kernel seen as a [kH*kW*C_in, C_out] matrix.
+    """
+    n, h, w, c = xd.shape
     if padding:
-        flat = np.concatenate((flat, np.zeros((n, 1), dtype=xd.dtype)), axis=1)
-    # plain indexing is the faster gather for one map, take for a batch
-    patches = flat[0][idx] if n == 1 else np.take(flat, idx, axis=1)
-    return patches.reshape(-1, idx.shape[1])
+        xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=xd.dtype)
+        xp[:, padding:padding + h, padding:padding + w] = xd
+    else:
+        xp = np.ascontiguousarray(xd)
+    h_out = (xp.shape[1] - kh) // stride + 1
+    w_out = (xp.shape[2] - kw) // stride + 1
+    sn, sh, sw, sc = xp.strides
+    # the window view straight from the ndarray constructor: a third of
+    # the cost of ``as_strided``, which a one-row forward pays per conv
+    windows = np.ndarray((n, h_out, w_out, kh, kw, c), xp.dtype, xp, 0,
+                         (sn, stride * sh, stride * sw, sh, sw, sc))
+    return windows.reshape(n * h_out * w_out, kh * kw * c)
 
 
 def _col2im(dpatch, xp_shape, kh, kw, stride, h_out, w_out):
-    """Adjoint of ``_im2col``: scatter-add patch gradients into a padded batch.
+    """Adjoint of ``_im2col``: scatter-add patch gradients into a padded [N,Hp,Wp,C] batch.
 
-    One strided add per kernel tap, run channel-last so that the innermost
-    loop is over channels rather than a few pixels; accumulates in the
-    gradient's dtype.  Returns a [N,C,Hp,Wp] view.
+    One strided add of contiguous [..., C] blocks per kernel tap;
+    accumulates in the gradient's dtype.
     """
-    n, c, hp, wp = xp_shape
-    d = dpatch.reshape(n, h_out, w_out, c, kh * kw)
-    g = np.zeros((n, hp, wp, c), dtype=dpatch.dtype)
+    n, _, _, c = xp_shape
+    d = dpatch.reshape(n, h_out, w_out, kh, kw, c)
+    g = np.zeros(xp_shape, dtype=dpatch.dtype)
     rows, cols = stride * h_out, stride * w_out
     for ki in range(kh):
         for kj in range(kw):
-            g[:, ki:ki + rows:stride, kj:kj + cols:stride] += d[..., ki * kw + kj]
-    return g.transpose(0, 3, 1, 2)
+            g[:, ki:ki + rows:stride, kj:kj + cols:stride] += d[:, :, :, ki, kj]
+    return g
 
 
 def _unpad(g, padding):
-    return g[:, :, padding:-padding, padding:-padding] if padding else g
+    return g[:, padding:-padding, padding:-padding] if padding else g
 
 
 def conv2d(x, k, b, stride=1, padding=0):
-    """2-d convolution (cross-correlation) with zero padding.
+    """2-d convolution (cross-correlation) with zero padding, channel-last.
 
-    x: [C_in, H, W] or a batch [N, C_in, H, W]; k: [C_out, C_in, kH, kW];
-    b: [C_out].  Output spatial size: floor((H + 2*padding - kH) / stride) + 1.
-    A batch runs as one matmul over all N*H'*W' patch rows.
+    x: [H, W, C_in] or a batch [N, H, W, C_in]; k: HWIO [kH, kW, C_in, C_out];
+    b: [C_out]; the output is [(N,) H', W', C_out] with
+    H' = floor((H + 2*padding - kH) / stride) + 1.  A batch runs as one
+    matmul over all N*H'*W' patch rows, whose result is already channel-last.
     """
     if not isinstance(stride, int) or stride <= 0:
         raise ValueError(f"conv2d: stride must be a positive int, got {stride!r}")
     if not isinstance(padding, int) or padding < 0:
         raise ValueError(f"conv2d: padding must be a non-negative int, got {padding!r}")
     if x.data.ndim not in (3, 4) or k.data.ndim != 4:
-        raise ShapeError(f"conv2d: need [C,H,W] or [N,C,H,W] input and [O,C,kH,kW] kernel, "
+        raise ShapeError(f"conv2d: need [H,W,C] or [N,H,W,C] input and [kH,kW,C,O] kernel, "
                          f"got {x.shape}, {k.shape}")
-    c_in, h, w = x.shape[-3:]
-    c_out, kc, kh, kw = k.shape
+    h, w, c_in = x.shape[-3:]
+    kh, kw, kc, c_out = k.shape
     if kc != c_in:
         raise ShapeError(f"conv2d: kernel expects {kc} input channels, input has {c_in}")
     if b.shape != (c_out,):
@@ -268,70 +259,71 @@ def conv2d(x, k, b, stride=1, padding=0):
 
     h_out = (h + 2 * padding - kh) // stride + 1
     w_out = (w + 2 * padding - kw) // stride + 1
-    xd = x.data.reshape((-1, c_in, h, w))
+    xd = x.data.reshape((-1, h, w, c_in))
     n = xd.shape[0]
-    patches = _im2col(xd, kh, kw, stride, padding)             # [N*H'*W', C_in*kH*kW]
-    kmat = k.data.reshape(c_out, -1)
-    y = (kmat @ patches.T).reshape(c_out, n, h_out, w_out)
-    y = np.ascontiguousarray(y.transpose(1, 0, 2, 3))          # no copy when N == 1
-    y += b.data[:, None, None]
+    patches = _im2col(xd, kh, kw, stride, padding)             # [N*H'*W', kH*kW*C_in]
+    kmat = k.data.reshape(-1, c_out)
+    y = patches @ kmat
+    y += b.data
 
-    out = _make(y.reshape(x.shape[:-3] + (c_out, h_out, w_out)), (x, k, b), "conv2d")
+    out = _make(y.reshape(x.shape[:-3] + (h_out, w_out, c_out)), (x, k, b), "conv2d")
     if out.requires_grad:
         def _bw():
-            gm = out.grad.reshape(n, c_out, -1).transpose(1, 0, 2).reshape(c_out, -1)
+            gm = out.grad.reshape(-1, c_out)
             if k.requires_grad:
-                _accum_owned(k, (gm @ patches).reshape(k.shape))
+                _accum_owned(k, (patches.T @ gm).reshape(k.shape))
             if b.requires_grad:
-                _accum_owned(b, gm.sum(axis=1))
+                _accum_owned(b, gm.sum(axis=0))
             if x.requires_grad:
-                padded = (n, c_in, h + 2 * padding, w + 2 * padding)
-                gxp = _col2im(gm.T @ kmat, padded, kh, kw, stride, h_out, w_out)
+                padded = (n, h + 2 * padding, w + 2 * padding, c_in)
+                gxp = _col2im(gm @ kmat.T, padded, kh, kw, stride, h_out, w_out)
                 _accum_owned(x, _unpad(gxp, padding).reshape(x.shape))
         out._backward = _bw
     return out
 
 
 def convlstm(x, k, b, h_in, c_in, batch_sizes):
-    """ConvLSTM over sequences packed step-major, as one op: x [R,C,H,W] -> (h, c_next) [R,L,H,W].
+    """ConvLSTM over sequences packed step-major, as one op: x [R,H,W,C] -> (h, c_next) [R,H,W,L].
 
     The rows hold step 0 of every sequence, then step 1 of those that reach
     it, and so on: ``batch_sizes[t]`` sequences, longest first, take step
     t, a prefix of the rows of step t-1 (as in PyTorch's packed sequences).
-    One step of B sequences is ``batch_sizes=[B]``; an unbatched x [C,H,W]
-    with states [L,H,W] is one row and gives unbatched outputs.  The arrays
-    h_in, c_in [R,L,H,W] are the states that entered each step when the
+    One step of B sequences is ``batch_sizes=[B]``; an unbatched x [H,W,C]
+    with states [H,W,L] is one row and gives unbatched outputs.  The arrays
+    h_in, c_in [R,H,W,L] are the states that entered each step when the
     sequences were played with these same weights.  The gates i, f, o, g
-    come from a 3x3 same-padding ``conv2d`` node over (x, h_in) with kernel
-    k [4L, C+L, 3, 3] and bias b [4L] (Shi et al. 2015), one matmul over
-    all R frames; that node owns the kernel and bias gradients.  The cell
-    runs once over all rows: c_next = f*c_in + i*g and h = o*tanh(c_next),
-    with sigmoid i, f, o and tanh g.  h is the graph output and c_next an
-    array with no graph.  The backward is a hand-written BPTT over the
-    step blocks, last to first, that takes h_in and c_in of step t for the
-    outputs of step t-1, so gradients flow through time inside a sequence
-    and stop at its start; it hands the gate gradients to the conv node
-    and forms x's gradient through the kernel's x-half only.  It works in
-    the conv node's row-major layout [R,4,L,H*W], so step t is a block of
-    rows, and the gradients of h_{t-1} and of x both go through
-    ``_col2im``, the adjoint of the conv's patch gather.  States these
-    weights did not produce give outputs and gradients of no real
-    sequence.  One sequence computes what it would alone, bit for bit.
+    come from a 3x3 same-padding ``conv2d`` node over (x, h_in) with HWIO
+    kernel k [3, 3, C+L, 4L] and bias b [4L] (Shi et al. 2015), one matmul
+    over all R frames; that node owns the kernel and bias gradients.  The
+    cell runs once over all rows: c_next = f*c_in + i*g and
+    h = o*tanh(c_next), with sigmoid i, f, o and tanh g.  h is the graph
+    output and c_next an array with no graph.  The backward is a
+    hand-written BPTT over the step blocks, last to first, that takes h_in
+    and c_in of step t for the outputs of step t-1, so gradients flow
+    through time inside a sequence and stop at its start; it hands the
+    gate gradients to the conv node and forms x's gradient through the
+    kernel's x-half only.  It works in the conv node's own layout
+    [R,H*W,4,L], so step t is a block of rows and the gate gradients are
+    the conv's patch-row gradients as they stand; the gradients of h_{t-1}
+    and of x both go through ``_col2im``, the adjoint of the conv's patch
+    copy.  States these weights did not produce give outputs and gradients
+    of no real sequence.  One sequence computes what it would alone, bit
+    for bit.
     """
     if x.data.ndim not in (3, 4) or k.data.ndim != 4:
-        raise ShapeError(f"convlstm: need [R,C,H,W] or [C,H,W] input and 4-d kernel, "
+        raise ShapeError(f"convlstm: need [R,H,W,C] or [H,W,C] input and 4-d kernel, "
                          f"got {x.shape}, {k.shape}")
-    n_x, h, w = x.shape[-3:]
-    L4 = k.shape[0]
+    h, w, n_x = x.shape[-3:]
+    L4 = k.shape[-1]
     n_hidden = L4 // 4
-    state_shape = x.shape[:-3] + (n_hidden, h, w)
+    state_shape = x.shape[:-1] + (n_hidden,)
     if h_in.shape != state_shape or c_in.shape != state_shape:
         raise ShapeError(f"convlstm: states {h_in.shape}/{c_in.shape} are not "
                          f"{state_shape} for input {x.shape}")
-    if k.shape != (4 * n_hidden, n_x + n_hidden, 3, 3) or b.shape != (L4,):
+    if k.shape != (3, 3, n_x + n_hidden, 4 * n_hidden) or b.shape != (L4,):
         raise ShapeError(f"convlstm: kernel {k.shape} / bias {b.shape} do not fit "
                          f"{n_x} input and {n_hidden} hidden channels")
-    xd = x.data.reshape(-1, n_x, h, w)
+    xd = x.data.reshape(-1, h, w, n_x)
     n_rows = len(xd)
     sizes = [int(n) for n in batch_sizes]
     if sum(sizes) != n_rows or min(sizes, default=0) < 1 or sorted(sizes, reverse=True) != sizes:
@@ -339,17 +331,17 @@ def convlstm(x, k, b, h_in, c_in, batch_sizes):
                          f"and summing to the {n_rows} rows")
     dtype = x.data.dtype
     area = h * w
-    frames = np.concatenate((xd, h_in.reshape(n_rows, n_hidden, h, w)), axis=1, dtype=dtype)
-    zn = conv2d(Tensor(frames), k, b, stride=1, padding=1)     # [R,4L,H,W]
+    frames = np.concatenate((xd, h_in.reshape(n_rows, h, w, n_hidden)), axis=-1, dtype=dtype)
+    zn = conv2d(Tensor(frames), k, b, stride=1, padding=1)     # [R,H,W,4L]
     # the gates overwrite the conv output, which its backward does not read
-    z = zn.data.reshape(n_rows, 4, n_hidden, area)
-    s = z[:, :3]                # i, f, o: the sigmoid in tanh form, (tanh(v/2) + 1) / 2
+    z = zn.data.reshape(n_rows, area, 4, n_hidden)
+    s = z[:, :, :3]             # i, f, o: the sigmoid in tanh form, (tanh(v/2) + 1) / 2
     s *= 0.5
     np.tanh(z, out=z)
     s += 1.0
     s *= 0.5
-    i, f, o, g = (z[:, j] for j in range(4))
-    cs = np.asarray(c_in, dtype=dtype).reshape(n_rows, n_hidden, area)
+    i, f, o, g = (z[:, :, j] for j in range(4))
+    cs = np.asarray(c_in, dtype=dtype).reshape(n_rows, area, n_hidden)
     c_next = f * cs
     c_next += i * g
     tc = np.tanh(c_next)
@@ -360,14 +352,15 @@ def convlstm(x, k, b, h_in, c_in, batch_sizes):
             # dL/dz is a factor known from the forward times dc (gates i, f, g)
             # or dh (gate o); the factors of all steps are formed at once
             dz = np.stack((g * i * (1.0 - i), cs * f * (1.0 - f), tc * o * (1.0 - o),
-                           i * (1.0 - g * g)), axis=1)                 # [R,4,L,P]
+                           i * (1.0 - g * g)), axis=2)                 # [R,P,4,L]
             dtc = o * (1.0 - tc * tc)                                  # dh_t -> dc_t
-            dhs = out.grad.reshape(n_rows, n_hidden, area)
-            kmat = k.data.reshape(L4, -1)
-            patch_grads = np.empty((n_rows, area, L4), dtype=dtype)    # dz per gate-conv patch row
+            dhs = out.grad.reshape(n_rows, area, n_hidden)
+            # the kernel's taps of x and of h, each as a [9*channels, 4L] matrix
+            taps = k.data.reshape(9, n_x + n_hidden, L4)
+            k_h = taps[:, n_x:].reshape(-1, L4)
             # carried from step t+1 through W_h and f; a block's first rows
             # are the sequences that reach the next step
-            dh_next, dc_next = np.zeros((2, sizes[0], n_hidden, area), dtype=dtype)
+            dh_next, dc_next = np.zeros((2, sizes[0], area, n_hidden), dtype=dtype)
             ends = np.cumsum(sizes)
             for t in range(len(sizes) - 1, -1, -1):
                 n_t = sizes[t]
@@ -376,20 +369,20 @@ def convlstm(x, k, b, h_in, c_in, batch_sizes):
                 dh += dhs[rows]
                 dc += dh * dtc[rows]
                 dzt = dz[rows]
-                dzt[:, :2] *= dc[:, None]
-                dzt[:, 2] *= dh
-                dzt[:, 3] *= dc
+                dzt[:, :, :2] *= dc[:, :, None]
+                dzt[:, :, 2] *= dh
+                dzt[:, :, 3] *= dc
                 dc *= f[rows]
-                patch_grads[rows] = dzt.reshape(n_t, L4, area).transpose(0, 2, 1)
                 if t:
-                    gp = _col2im(patch_grads[rows].reshape(-1, L4) @ kmat[:, n_x * 9:],
-                                 (n_t, n_hidden, h + 2, w + 2), 3, 3, 1, h, w)
-                    dh.reshape(n_t, n_hidden, h, w)[...] = _unpad(gp, 1)
+                    # (k_h @ dz^T)^T: a few rows meet a row-major kernel faster this way round
+                    gp = _col2im((k_h @ dzt.reshape(-1, L4).T).T, (n_t, h + 2, w + 2, n_hidden),
+                                 3, 3, 1, h, w)
+                    dh.reshape(n_t, h, w, n_hidden)[...] = _unpad(gp, 1)
             if zn.requires_grad:
                 _accum_owned(zn, dz.reshape(zn.shape))
             if x.requires_grad:
-                gxp = _col2im(patch_grads.reshape(-1, L4) @ kmat[:, :n_x * 9],
-                              (n_rows, n_x, h + 2, w + 2), 3, 3, 1, h, w)
+                gxp = _col2im(dz.reshape(-1, L4) @ taps[:, :n_x].reshape(-1, L4).T,
+                              (n_rows, h + 2, w + 2, n_x), 3, 3, 1, h, w)
                 _accum_owned(x, np.ascontiguousarray(_unpad(gxp, 1)).reshape(x.shape))
         out._backward = _bw
     return out, c_next.reshape(state_shape)

@@ -10,6 +10,11 @@ Layout, all integers little-endian:
              float32 little-endian row-major payload
     crc32    u32       checksum of every preceding byte
 
+Tensors are stored in the paper's layout, whatever the engine's: conv
+kernels OIHW [C_out,C_in,kH,kW], and the dense heads' columns in (c,h,w)
+order.  ``save_checkpoint`` and ``load_checkpoint`` convert from and to
+the in-memory layout (``network.to_disk_layout``).
+
 Payloads are finite single-precision values: training skips non-finite
 updates, so any other value marks a corrupt file, and a double-precision
 run's weights load back only to float32.
@@ -25,7 +30,7 @@ import zlib
 
 import numpy as np
 
-from .network import NetworkConfig, check_weights
+from .network import NetworkConfig, check_weights, from_disk_layout, to_disk_layout
 
 MAGIC = b"MA3C"
 VERSION = 1
@@ -105,6 +110,7 @@ def save_checkpoint(weights, config, path):
             data = value.data if hasattr(value, "data") else value
             arrays[name] = np.ascontiguousarray(np.asarray(data), dtype="<f4")
     check_weights(arrays, config)
+    arrays = to_disk_layout(arrays, config)
 
     parts = [MAGIC, struct.pack("<I", VERSION)]
     blob = _encode_config(config)
@@ -157,6 +163,8 @@ class _Reader:
 def load_checkpoint(path):
     """Read and validate a checkpoint; returns (weights dict of float32 arrays, config).
 
+    The arrays are in the in-memory layout, as ``init_weights`` makes them.
+
     A path that is not a regular file (missing, a directory, a FIFO) or
     that cannot be read raises CheckpointError too; a FIFO is never opened.
     """
@@ -200,7 +208,7 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: trailing bytes after tensor records")
 
     try:
-        check_weights(weights, config)
+        check_weights(weights, config, on_disk=True)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    return weights, config
+    return from_disk_layout(weights, config), config

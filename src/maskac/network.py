@@ -86,8 +86,8 @@ class RecurrentState:
 
     @classmethod
     def zeros(cls, config, dtype=np.float32, batch=None):
-        """[L,h,w] zeros, or [batch,L,h,w] for ``batch`` independent episodes."""
-        shape = (config.lstm_channels, config.feature_hw(), config.feature_hw())
+        """[h,w,L] zeros, or [batch,h,w,L] for ``batch`` independent episodes."""
+        shape = (config.feature_hw(), config.feature_hw(), config.lstm_channels)
         if batch is not None:
             shape = (batch,) + shape
         return cls(np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype))
@@ -113,7 +113,8 @@ class ForwardTrace:
 
 
 def _all_shapes(config):
-    """Every tensor of the both-mask network, in a fixed order that keys the init streams."""
+    """Every tensor of the both-mask network in the paper's layout, in a fixed order that keys
+    the init streams: OIHW conv kernels, dense columns in (c,h,w) order."""
     c1, c2, c3 = config.fe_channels
     L = config.lstm_channels
     B = config.branch_channels
@@ -133,16 +134,50 @@ def _all_shapes(config):
     }
 
 
-def weight_shapes(config):
-    """Name -> shape of every tensor of the variant; the variants differ only in mask pairs."""
+def weight_shapes(config, on_disk=False):
+    """Name -> shape of every tensor of the variant; the variants differ only in mask pairs.
+
+    In memory conv kernels are HWIO [kH,kW,C_in,C_out]; ``on_disk`` gives
+    the checkpoint's OIHW shapes instead.
+    """
     kept = {"policy_mask": config.policy_mask_enabled, "value_mask": config.value_mask_enabled}
-    return {name: shape for name, shape in _all_shapes(config).items()
-            if kept.get(name.split(".")[0], True)}
+    return {name: shape if on_disk or len(shape) != 4 else (*shape[2:], shape[1], shape[0])
+            for name, shape in _all_shapes(config).items() if kept.get(name.split(".")[0], True)}
 
 
-def check_weights(weights, config):
-    """Raise ValueError unless ``weights`` (arrays or Tensors) are exactly the variant's, all finite."""
-    shapes = weight_shapes(config)
+def to_disk_layout(arrays, config):
+    """In-memory weight arrays in the checkpoint's layout, the paper's: OIHW kernels, and
+    dense columns in (c,h,w) order instead of the flattened channel-last map's (h,w,c)."""
+    side = config.feature_hw()
+    out = {}
+    for name, a in arrays.items():
+        if a.ndim == 4:
+            a = a.transpose(3, 2, 0, 1)
+        elif name.endswith("_out.w"):
+            a = a.reshape(len(a), side, side, -1).transpose(0, 3, 1, 2).reshape(len(a), -1)
+        out[name] = a
+    return out
+
+
+def from_disk_layout(arrays, config):
+    """Inverse of ``to_disk_layout``: contiguous HWIO kernels and (h,w,c) dense columns."""
+    side = config.feature_hw()
+    out = {}
+    for name, a in arrays.items():
+        if a.ndim == 4:
+            a = a.transpose(2, 3, 1, 0)
+        elif name.endswith("_out.w"):
+            a = a.reshape(len(a), -1, side, side).transpose(0, 2, 3, 1).reshape(len(a), -1)
+        out[name] = np.ascontiguousarray(a)
+    return out
+
+
+def check_weights(weights, config, on_disk=False):
+    """Raise ValueError unless ``weights`` (arrays or Tensors) are exactly the variant's, all finite.
+
+    ``on_disk`` checks the shapes of the checkpoint's layout.
+    """
+    shapes = weight_shapes(config, on_disk)
     missing, extra = sorted(shapes.keys() - weights.keys()), sorted(weights.keys() - shapes.keys())
     if missing or extra:
         raise ValueError(f"tensor names do not match the network (missing {missing}, "
@@ -164,12 +199,13 @@ def init_weights(config, seed, dtype=np.float32):
     The forget-gate slice of the ConvLSTM bias starts at 1.0.  Every
     tensor draws from its own seed stream keyed by seed and the tensor's
     place in the both-mask network, so shared layers get identical values
-    across variants.
+    across variants.  The draws fill the paper's layout
+    (``to_disk_layout``), which is then laid out for the engine.
     """
     L = config.lstm_channels
     order = list(_all_shapes(config))
-    weights = {}
-    for name, shape in weight_shapes(config).items():
+    drawn = {}
+    for name, shape in weight_shapes(config, on_disk=True).items():
         stream = np.random.default_rng([seed, order.index(name)])
         if name.endswith(".b"):
             data = np.zeros(shape)
@@ -179,15 +215,15 @@ def init_weights(config, seed, dtype=np.float32):
             fan_in = int(np.prod(shape[1:]))
             bound = np.sqrt(6.0 / fan_in)
             data = stream.uniform(-bound, bound, size=shape)
-        weights[name] = Tensor(data.astype(dtype))
-    return weights
+        drawn[name] = data.astype(dtype)
+    return {name: Tensor(a) for name, a in from_disk_layout(drawn, config).items()}
 
 
 def feature_extract(obs, w, config):
-    """Three conv+ReLU stages mapping [1,H,W] pixels, or a [T,1,H,W] batch, to the LSTM input."""
-    if obs.data.ndim not in (3, 4) or obs.shape[-3:] != (1, config.input_hw, config.input_hw):
+    """Three conv+ReLU stages mapping [H,W,1] pixels, or a [T,H,W,1] batch, to the LSTM input."""
+    if obs.data.ndim not in (3, 4) or obs.shape[-3:] != (config.input_hw, config.input_hw, 1):
         raise ad.ShapeError(
-            f"observation shape {obs.shape} != ([T,] 1, {config.input_hw}, {config.input_hw})")
+            f"observation shape {obs.shape} != ([T,] {config.input_hw}, {config.input_hw}, 1)")
     x = obs
     for i in (1, 2, 3):
         x = ad.relu(ad.conv2d(x, w[f"fe{i}.w"], w[f"fe{i}.b"],
@@ -228,7 +264,10 @@ def _branch(h, w, config, branch, transform):
 
 
 def _heads(h, w, config, mask_transform, with_value=True):
-    """Masked branches and output heads over one ConvLSTM output [L,H,W], or [N,L,H,W] of them."""
+    """Masked branches and output heads over one ConvLSTM output [H,W,L], or [N,H,W,L] of them.
+
+    The dense heads read the branch maps flattened in (h,w,c) order.
+    """
     f_p, m_p = _branch(h, w, config, "policy", mask_transform)
     flat = f_p.shape[:-3] + (-1,)
     logits = ad.dense(ad.reshape(f_p, flat), w["policy_out.w"], w["policy_out.b"])
@@ -243,9 +282,10 @@ def _heads(h, w, config, mask_transform, with_value=True):
 def forward(obs, state, w, config, mask_transform="identity", with_value=True, batch_sizes=None):
     """Full pass: extractor -> ConvLSTM -> masked branches -> (policy, value).
 
-    ``obs`` is one [H,W] or [1,H,W] observation with state [L,h,w], or
-    [R,1,H,W] frames with states [R,L,h,w]; frames give every output a
-    leading axis over the rows.  ``batch_sizes`` lays the rows out as
+    ``obs`` is one [H,W] or [1,H,W] observation with state [h,w,L], or
+    [R,1,H,W] frames with states [R,h,w,L]; frames give every output a
+    leading axis over the rows.  Maps, masks and states are channel-last:
+    a mask is [h,w,1], or [R,h,w,1].  ``batch_sizes`` lays the rows out as
     ``autodiff.convlstm`` reads them: by default one step of R independent
     episodes, as actors and evaluation step; the learner passes the packed
     step blocks of a round (``training.step_blocks``) with the states the
@@ -270,7 +310,12 @@ def forward(obs, state, w, config, mask_transform="identity", with_value=True, b
     if not isinstance(obs, Tensor):
         obs = Tensor(np.asarray(obs, dtype=dtype))
     if obs.data.ndim == 2:
-        obs = Tensor(obs.data[None, :, :])
+        obs = Tensor(obs.data[:, :, None])
+    elif obs.data.ndim in (3, 4) and obs.shape[-3] == 1:
+        # one channel lies in memory the same way channel-first and channel-last
+        obs = ad.reshape(obs, obs.shape[:-3] + obs.shape[-2:] + (1,))
+    else:
+        raise ad.ShapeError(f"observation shape {obs.shape} is not [H,W], [1,H,W] or [R,1,H,W]")
 
     x = feature_extract(obs, w, config)
     if batch_sizes is None:

@@ -78,7 +78,7 @@ class Round:
     """The N segments of one lockstep round, their R steps packed step-major.
 
     ``obs`` [R,H,W], ``actions``, ``rewards`` [R] and the ConvLSTM states
-    ``h``, ``c`` [R,L,h,w] that entered each step hold step 0 of every
+    ``h``, ``c`` [R,h,w,L] that entered each step hold step 0 of every
     segment, then step 1 of those that reached it, and so on, longest
     segments first (``step_blocks``).  In worker order, ``lengths`` [N]
     counts each segment's steps, ``terminal`` [N] marks those that ended
@@ -108,7 +108,7 @@ def step_blocks(lengths):
 def collect_rollout(envs, weights, config, state, t_max, rngs):
     """Step ``envs`` in lockstep for up to t_max steps without a graph; one segment per env.
 
-    ``state`` [N,L,h,w] holds each env's recurrent state, and ``rngs`` its
+    ``state`` [N,h,w,L] holds each env's recurrent state, and ``rngs`` its
     action rng.  The steps run through ``lockstep`` without the value
     branch; an env whose episode ends drops out, its state resets to zeros
     and its bootstrap value is 0.  One more batched full ``forward`` gives

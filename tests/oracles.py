@@ -6,6 +6,7 @@ it checks.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -78,8 +79,131 @@ def dequantize(bytes_):
     return np.asarray(bytes_, dtype=np.float64) / 255.0
 
 
+# ---------------------------------------------------------------------------
+# layouts: the library runs channel-last (NHWC maps, HWIO kernels); the
+# references below are written channel-first (NCHW maps, OIHW kernels)
+
+def nhwc(a):
+    """A channel-first [..., C, H, W] array as a channel-last [..., H, W, C] copy."""
+    return np.ascontiguousarray(np.moveaxis(a, -3, -1))
+
+
+def nchw(a):
+    """A channel-last [..., H, W, C] array as a channel-first [..., C, H, W] copy."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, -3))
+
+
+def hwio(k):
+    """An OIHW kernel as an HWIO copy."""
+    return np.ascontiguousarray(k.transpose(2, 3, 1, 0))
+
+
+def oihw(k):
+    """An HWIO kernel as an OIHW copy."""
+    return np.ascontiguousarray(k.transpose(3, 2, 0, 1))
+
+
+def permute(a, axes):
+    """Graph op: ``a`` with its axes permuted as ``np.transpose`` does; a copy."""
+    out = ad._make(np.ascontiguousarray(a.data.transpose(axes)), (a,), "permute")
+    if out.requires_grad:
+        def _bw():
+            ad._accum(a, out.grad.transpose(np.argsort(axes)))
+        out._backward = _bw
+    return out
+
+
+def to_nchw(a):
+    """Graph op: a channel-last map, or a batch of them, as channel-first."""
+    lead = tuple(range(a.data.ndim - 3))
+    return permute(a, lead + tuple(len(lead) + i for i in (2, 0, 1)))
+
+
+def to_nhwc(a):
+    """Graph op: a channel-first map, or a batch of them, as channel-last."""
+    lead = tuple(range(a.data.ndim - 3))
+    return permute(a, lead + tuple(len(lead) + i for i in (1, 2, 0)))
+
+
+# ---------------------------------------------------------------------------
+# the channel-first gather convolution: the engine's conv2d before it went
+# channel-last, kept as the reference its replacement is checked against
+
+@functools.lru_cache(maxsize=64)
+def _patch_index(c_in, h, w, kh, kw, stride, padding):
+    """Gather index of the im2col patch matrix of a flat [C*H*W] map.
+
+    Row (i, j) is an output position, column (c, ki, kj) a kernel tap, so
+    the patches line up with the [C_out, C_in*kH*kW] kernel matrix.  Taps
+    that land in the zero padding point one past the map, at C*H*W, where
+    ``_im2col_nchw`` appends a zero.
+    """
+    h_out = (h + 2 * padding - kh) // stride + 1
+    w_out = (w + 2 * padding - kw) // stride + 1
+    rows = ((np.arange(h_out) * stride - padding)[:, None] + np.arange(kh))[:, None, None, :, None]
+    cols = ((np.arange(w_out) * stride - padding)[:, None] + np.arange(kw))[None, :, None, None, :]
+    channels = np.arange(c_in)[:, None, None] * (h * w)
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    idx = np.where(inside, channels + rows * w + cols, c_in * h * w)
+    idx = idx.reshape(h_out * w_out, c_in * kh * kw)
+    idx.flags.writeable = False
+    return idx
+
+
+def _im2col_nchw(xd, kh, kw, stride, padding):
+    """Patch rows of an [N,C,H,W] batch: [N*H'*W', C*kH*kW]."""
+    n, c, h, w = xd.shape
+    idx = _patch_index(c, h, w, kh, kw, stride, padding)
+    flat = xd.reshape(n, -1)
+    if padding:
+        flat = np.concatenate((flat, np.zeros((n, 1), dtype=xd.dtype)), axis=1)
+    return np.take(flat, idx, axis=1).reshape(-1, idx.shape[1])
+
+
+def _col2im_nchw(dpatch, xp_shape, kh, kw, stride, h_out, w_out):
+    """Adjoint of ``_im2col_nchw``: scatter-add patch gradients into a padded [N,C,Hp,Wp] batch."""
+    n, c, hp, wp = xp_shape
+    d = dpatch.reshape(n, h_out, w_out, c, kh * kw)
+    g = np.zeros((n, hp, wp, c), dtype=dpatch.dtype)
+    rows, cols = stride * h_out, stride * w_out
+    for ki in range(kh):
+        for kj in range(kw):
+            g[:, ki:ki + rows:stride, kj:kj + cols:stride] += d[..., ki * kw + kj]
+    return g.transpose(0, 3, 1, 2)
+
+
+def conv2d_nchw(x, k, b, stride=1, padding=0):
+    """Graph op: channel-first convolution, x [C,H,W] or [N,C,H,W], k OIHW [C_out,C_in,kH,kW]."""
+    c_in, h, w = x.shape[-3:]
+    c_out, _, kh, kw = k.shape
+    h_out = (h + 2 * padding - kh) // stride + 1
+    w_out = (w + 2 * padding - kw) // stride + 1
+    xd = x.data.reshape((-1, c_in, h, w))
+    n = xd.shape[0]
+    patches = _im2col_nchw(xd, kh, kw, stride, padding)
+    kmat = k.data.reshape(c_out, -1)
+    y = (kmat @ patches.T).reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
+    y = y + b.data[:, None, None]
+    out = ad._make(y.reshape(x.shape[:-3] + (c_out, h_out, w_out)), (x, k, b), "conv2d_nchw")
+    if out.requires_grad:
+        def _bw():
+            gm = out.grad.reshape(n, c_out, -1).transpose(1, 0, 2).reshape(c_out, -1)
+            if k.requires_grad:
+                ad._accum(k, (gm @ patches).reshape(k.shape))
+            if b.requires_grad:
+                ad._accum(b, gm.sum(axis=1))
+            if x.requires_grad:
+                padded = (n, c_in, h + 2 * padding, w + 2 * padding)
+                gxp = _col2im_nchw(gm.T @ kmat, padded, kh, kw, stride, h_out, w_out)
+                if padding:
+                    gxp = gxp[:, :, padding:-padding, padding:-padding]
+                ad._accum(x, gxp.reshape(x.shape))
+        out._backward = _bw
+    return out
+
+
 def conv2d_oracle(x, k, b, stride, padding):
-    """Direct six-nested-loop convolution."""
+    """Direct six-nested-loop convolution, channel-first: x [C,H,W], k OIHW."""
     c_in, h, w = x.shape
     c_out, _, kh, kw = k.shape
     hp, wp = h + 2 * padding, w + 2 * padding
@@ -111,7 +235,7 @@ def matvec_oracle(x, w, b):
 
 
 def convlstm_oracle(x, h_prev, c_prev, kernel, bias):
-    """Gate-by-gate ConvLSTM step from the raw formulas."""
+    """Gate-by-gate ConvLSTM step from the raw formulas, channel-first: x [C,H,W], kernel OIHW."""
     L = h_prev.shape[0]
     z = conv2d_oracle(np.concatenate([x, h_prev], axis=0), kernel, bias, stride=1, padding=1)
 
@@ -183,22 +307,28 @@ def lstm_cell(z, c):
 def convlstm_step(x, state, w):
     """One ConvLSTM step as a graph of per-step ops: (x, h) stacked, the 3x3 gate conv, the cell.
 
-    x [C,H,W] with ``state`` an (h, c) pair of [L,H,W] tensors, or a batch
-    of both; returns the next (h, c) pair.  Unlike ``autodiff.convlstm``,
-    gradients flow on into ``state``.
+    All channel-first: x [C,H,W] with ``state`` an (h, c) pair of [L,H,W]
+    tensors, or a batch of both, and ``w["lstm.w"]`` an OIHW kernel;
+    returns the next (h, c) pair.  Unlike ``autodiff.convlstm``, gradients
+    flow on into ``state``.
     """
     h, c = state
-    z = ad.conv2d(concat_channels(x, h), w["lstm.w"], w["lstm.b"], stride=1, padding=1)
+    z = conv2d_nchw(concat_channels(x, h), w["lstm.w"], w["lstm.b"], stride=1, padding=1)
     return lstm_cell(z, c)
 
 
 def per_step_forward(obs, state, w, config):
     """``network.forward`` of one [H,W] frame with the per-step ConvLSTM, grads into ``state``.
 
-    ``state`` is an (h, c) pair of tensors; returns the trace and the next pair.
+    ``state`` is an (h, c) pair of channel-last [h,w,L] tensors, as the
+    network keeps them; the step runs channel-first in ``convlstm_step``,
+    through graph transposes of its input, states and kernel.  Returns
+    the trace and the next pair.
     """
-    x = feature_extract(ad.Tensor(np.asarray(obs, dtype=w["fe1.w"].dtype)[None]), w, config)
-    state = convlstm_step(x, state, w)
+    x = feature_extract(ad.Tensor(np.asarray(obs, dtype=w["fe1.w"].dtype)[:, :, None]), w, config)
+    kernel = {"lstm.w": permute(w["lstm.w"], (3, 2, 0, 1)), "lstm.b": w["lstm.b"]}
+    h, c = convlstm_step(to_nchw(x), tuple(to_nchw(t) for t in state), kernel)
+    state = to_nhwc(h), to_nhwc(c)
     return _heads(state[0], w, config, "identity"), state
 
 
@@ -312,18 +442,18 @@ def pack(segments, dtype):
 
 
 def replay_states(obs, lengths, weights, config, start=None):
-    """The ConvLSTM (h, c) [R,L,h,w] that enter each step of each segment, as actors record them.
+    """The ConvLSTM (h, c) [R,h,w,L] that enter each step of each segment, as actors record them.
 
     ``obs`` [R,H,W] holds the segments of ``lengths`` packed step-major.
     Replays each segment's steps through one unbatched ``forward`` per
     step without a graph, from the start states ``start`` (an (h, c) pair
-    of [N,L,h,w] arrays) or zeros.  It reads the weights' current values,
+    of [N,h,w,L] arrays) or zeros.  It reads the weights' current values,
     so a caller that perturbs a weight records the states that weight makes.
     """
     weights = {k: ad.Tensor(t.data) for k, t in weights.items()}
     dtype = weights["fe1.w"].dtype
     side = config.feature_hw()
-    h = np.zeros((len(obs), config.lstm_channels, side, side), dtype=dtype)
+    h = np.zeros((len(obs), side, side, config.lstm_channels), dtype=dtype)
     c = np.zeros_like(h)
     for i, rows in enumerate(packed_rows(lengths)):
         state = (RecurrentState.zeros(config, dtype) if start is None

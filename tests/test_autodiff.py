@@ -7,8 +7,8 @@ from maskac import autodiff as ad
 from maskac.autodiff import Tensor
 
 import oracles
-from oracles import (batch_sizes, conv2d_oracle, convlstm_oracle, grad_check, matvec_oracle,
-                     packed_rows, pick, zero_grads)
+from oracles import (batch_sizes, conv2d_oracle, convlstm_oracle, grad_check, hwio,
+                     matvec_oracle, nchw, nhwc, oihw, packed_rows, pick, zero_grads)
 
 
 def t64(a, rg=False):
@@ -16,10 +16,11 @@ def t64(a, rg=False):
 
 
 # ---------------------------------------------------------------------------
-# conv2d
+# conv2d: channel-last maps [(N,) H, W, C] and HWIO kernels; the oracles are
+# channel-first, so the tests draw channel-first data and convert
 
 def test_conv2d_identity_kernel():
-    x = t64(np.arange(9.0).reshape(1, 3, 3))
+    x = t64(np.arange(9.0).reshape(3, 3, 1))
     k = t64(np.ones((1, 1, 1, 1)))
     b = t64(np.zeros(1))
     y = ad.conv2d(x, k, b, stride=1, padding=0)
@@ -28,12 +29,12 @@ def test_conv2d_identity_kernel():
 
 def test_conv2d_zero_input_gives_bias():
     rng = np.random.default_rng(1)
-    x = t64(np.zeros((2, 5, 5)))
-    k = t64(rng.normal(size=(3, 2, 3, 3)))
+    x = t64(np.zeros((5, 5, 2)))
+    k = t64(hwio(rng.normal(size=(3, 2, 3, 3))))
     b = t64([0.5, -1.25, 2.0])
     y = ad.conv2d(x, k, b, stride=1, padding=0)
     for c, bias in enumerate([0.5, -1.25, 2.0]):
-        np.testing.assert_array_equal(y.data[c], np.full((3, 3), bias))
+        np.testing.assert_array_equal(y.data[..., c], np.full((3, 3), bias))
 
 
 def test_conv2d_strided_padded_matches_oracle():
@@ -41,10 +42,10 @@ def test_conv2d_strided_padded_matches_oracle():
     x = rng.normal(size=(2, 6, 6))
     k = rng.normal(size=(3, 2, 3, 3))
     b = rng.normal(size=3)
-    y = ad.conv2d(t64(x), t64(k), t64(b), stride=2, padding=1)
+    y = ad.conv2d(t64(nhwc(x)), t64(hwio(k)), t64(b), stride=2, padding=1)
     expected = conv2d_oracle(x, k, b, stride=2, padding=1)
     assert y.data.shape == (3, 3, 3)
-    np.testing.assert_allclose(y.data, expected, atol=1e-10, rtol=0)
+    np.testing.assert_allclose(nchw(y.data), expected, atol=1e-10, rtol=0)
 
 
 def test_conv2d_exhaustive_small_shapes():
@@ -57,29 +58,59 @@ def test_conv2d_exhaustive_small_shapes():
                         x = rng.normal(size=(2, h, w_))
                         k = rng.normal(size=(3, 2, kh, kh))
                         b = rng.normal(size=3)
-                        y = ad.conv2d(t64(x), t64(k), t64(b), stride=stride, padding=padding)
+                        y = ad.conv2d(t64(nhwc(x)), t64(hwio(k)), t64(b), stride=stride,
+                                      padding=padding)
                         expected = conv2d_oracle(x, k, b, stride, padding)
-                        np.testing.assert_allclose(y.data, expected, atol=1e-10, rtol=0)
+                        np.testing.assert_allclose(nchw(y.data), expected, atol=1e-10, rtol=0)
+
+
+@pytest.mark.parametrize("batch", [None, 1, 3], ids=["unbatched", "N=1", "N=3"])
+@pytest.mark.parametrize("hw", [(5, 5), (4, 7)], ids=["5x5", "4x7"])
+@pytest.mark.parametrize("kernel", [1, 3])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_matches_the_channel_first_gather_reference(stride, padding, kernel, hw, batch):
+    # the output and the x, k and b gradients against the channel-first
+    # gather convolution the engine ran before, through explicit layout
+    # conversions of the inputs, the loss weights and the results
+    rng = np.random.default_rng([stride, padding, kernel, hw[1], batch or 0])
+    lead = () if batch is None else (batch,)
+    x = rng.normal(size=lead + (3,) + hw)
+    k = rng.normal(size=(4, 3, kernel, kernel))
+    b = rng.normal(size=4)
+    r = rng.normal(size=lead + (4,) + tuple((n + 2 * padding - kernel) // stride + 1 for n in hw))
+
+    def run(conv, x_, k_, r_):
+        p = [t64(x_, rg=True), t64(k_, rg=True), t64(b, rg=True)]
+        y = conv(*p, stride=stride, padding=padding)
+        ad.backward(ad.sum_all(ad.mul(y, t64(r_))))
+        return y.data, [t.grad for t in p]
+
+    y, (gx, gk, gb) = run(ad.conv2d, nhwc(x), hwio(k), nhwc(r))
+    y_ref, (gx_ref, gk_ref, gb_ref) = run(oracles.conv2d_nchw, x, k, r)
+    for got, want in ((nchw(y), y_ref), (nchw(gx), gx_ref), (oihw(gk), gk_ref), (gb, gb_ref)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 def test_conv2d_errors():
-    x = t64(np.zeros((2, 4, 4)))
-    k = t64(np.zeros((3, 1, 3, 3)))  # wrong C_in
+    x = t64(np.zeros((4, 4, 2)))
+    k = t64(np.zeros((3, 3, 1, 3)))  # wrong C_in
     b = t64(np.zeros(3))
     with pytest.raises(ad.ShapeError):
         ad.conv2d(x, k, b)
-    k_ok = t64(np.zeros((3, 2, 3, 3)))
+    k_ok = t64(np.zeros((3, 3, 2, 3)))
     with pytest.raises(ValueError):
         ad.conv2d(x, k_ok, b, stride=0)
     with pytest.raises(ad.ShapeError):
-        ad.conv2d(x, t64(np.zeros((3, 2, 9, 9))), b)  # kernel larger than padded input
+        ad.conv2d(x, t64(np.zeros((9, 9, 2, 3))), b)  # kernel larger than padded input
 
 
 def test_conv2d_batch_equals_per_sample_loop():
     rng = np.random.default_rng(30)
     for c_in, hw, stride, padding in ((1, 7, 2, 1), (3, 5, 1, 1), (2, 6, 2, 0), (4, 3, 1, 0)):
-        x = rng.normal(size=(3, c_in, hw, hw))
-        k = rng.normal(size=(5, c_in, 3, 3))
+        x = nhwc(rng.normal(size=(3, c_in, hw, hw)))
+        k = hwio(rng.normal(size=(5, c_in, 3, 3)))
         b = rng.normal(size=5)
         xb, kb, bb = t64(x, rg=True), t64(k, rg=True), t64(b, rg=True)
         yb = ad.conv2d(xb, kb, bb, stride=stride, padding=padding)
@@ -142,12 +173,12 @@ def test_relu_zeroes_negatives():
 
 
 def test_broadcast_mul_channelwise():
-    f = t64(np.ones((3, 2, 2)))
-    m = t64(np.full((1, 2, 2), 0.25))
+    f = t64(np.ones((2, 2, 3)))
+    m = t64(np.full((2, 2, 1), 0.25))
     np.testing.assert_array_equal(ad.broadcast_mul_channelwise(f, m).data,
-                                  np.full((3, 2, 2), 0.25))
+                                  np.full((2, 2, 3), 0.25))
     with pytest.raises(ad.ShapeError):
-        ad.broadcast_mul_channelwise(f, t64(np.ones((1, 3, 3))))
+        ad.broadcast_mul_channelwise(f, t64(np.ones((3, 3, 1))))
 
 
 def test_add_mul_shape_errors():
@@ -272,8 +303,8 @@ def test_grad_check_dense_sigmoid_composite():
 def test_grad_conv2d():
     rng = np.random.default_rng(12)
     params = {
-        "x": t64(rng.normal(size=(2, 6, 6))),
-        "k": t64(rng.normal(size=(3, 2, 3, 3))),
+        "x": t64(nhwc(rng.normal(size=(2, 6, 6)))),
+        "k": t64(hwio(rng.normal(size=(3, 2, 3, 3)))),
         "b": t64(rng.normal(size=3)),
     }
     c = t64(np.asarray(np.random.default_rng(0).normal(size=(3, 3, 3))))
@@ -282,27 +313,28 @@ def test_grad_conv2d():
 
 
 def recorded_states(x, k, b, h0, c0, lengths):
-    """The packed (h, c) [R,L,H,W] entering each step of ``convlstm``'s sequences, one at a time.
+    """The packed (h, c) [R,H,W,L] entering each step of ``convlstm``'s sequences, one at a time.
 
-    Sequence i has ``lengths[i]`` steps and starts from h0[i], c0[i].
-    Runs the weights' current values through the per-step oracle without a
-    graph, as the actors do, so a caller that perturbs a weight records the
-    states that weight makes.
+    Sequence i has ``lengths[i]`` steps and starts from h0[i], c0[i]; x,
+    the HWIO kernel k and the states are channel-last, as ``convlstm``
+    takes them.  Runs the weights' current values through the
+    channel-first per-step oracle without a graph, as the actors do, so a
+    caller that perturbs a weight records the states that weight makes.
     """
-    w = {"lstm.w": Tensor(k.data), "lstm.b": Tensor(b.data)}
+    w = {"lstm.w": Tensor(oihw(k.data)), "lstm.b": Tensor(b.data)}
     h_in, c_in = np.zeros((2, len(x.data)) + h0.shape[1:], dtype=h0.dtype)
     for i, rows in enumerate(packed_rows(lengths)):
-        state = Tensor(h0[i]), Tensor(c0[i])
+        state = Tensor(nchw(h0[i])), Tensor(nchw(c0[i]))
         for row in rows:
-            h_in[row], c_in[row] = (t.data for t in state)
-            state = oracles.convlstm_step(Tensor(x.data[row]), state, w)
+            h_in[row], c_in[row] = (nhwc(t.data) for t in state)
+            state = oracles.convlstm_step(Tensor(nchw(x.data[row])), state, w)
     return h_in, c_in
 
 
 def test_convlstm_one_step_matches_the_per_step_oracle():
     # batch_sizes=[B] is one step of B sequences, and an unbatched input one
-    # row: h, c_next and the gradients of x, k and b equal the per-step
-    # composite's (stacked input, gate conv, cell)
+    # row: h, c_next and the gradients of x, k and b equal the channel-first
+    # per-step composite's (stacked input, gate conv, cell)
     rng = np.random.default_rng(37)
     hidden, c_in, hw = 3, 2, 4
     k = rng.normal(scale=0.5, size=(4 * hidden, c_in + hidden, 3, 3))
@@ -310,21 +342,66 @@ def test_convlstm_one_step_matches_the_per_step_oracle():
     for batch in ((3,), ()):
         x, h0, c0, r = (rng.normal(size=batch + (n, hw, hw)) for n in (c_in,) + (hidden,) * 3)
 
-        def run(step):
-            p = {"x": t64(x, rg=True), "lstm.w": t64(k, rg=True), "lstm.b": t64(b, rg=True)}
+        def run(step, x_, k_, r_):
+            p = {"x": t64(x_, rg=True), "lstm.w": t64(k_, rg=True), "lstm.b": t64(b, rg=True)}
             h, c = step(p)
-            ad.backward(ad.sum_all(ad.mul(h, t64(r))))
+            ad.backward(ad.sum_all(ad.mul(h, t64(r_))))
             return [h.data, c] + [p[name].grad for name in ("x", "lstm.w", "lstm.b")]
 
         def per_step(p):
             h, c = oracles.convlstm_step(p["x"], (t64(h0), t64(c0)), p)
             return h, c.data
 
-        fused = run(lambda p: ad.convlstm(p["x"], p["lstm.w"], p["lstm.b"], h0, c0,
-                                          [batch[0] if batch else 1]))
-        assert fused[0].shape == fused[1].shape == batch + (hidden, hw, hw)
-        for got, want in zip(fused, run(per_step)):
+        h, c, gx, gk, gb = run(lambda p: ad.convlstm(p["x"], p["lstm.w"], p["lstm.b"], nhwc(h0),
+                                                     nhwc(c0), [batch[0] if batch else 1]),
+                               nhwc(x), hwio(k), nhwc(r))
+        assert h.shape == c.shape == batch + (hw, hw, hidden)
+        fused = [nchw(h), nchw(c), nchw(gx), oihw(gk), gb]
+        for got, want in zip(fused, run(per_step, x, k, r)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("hw", [(3, 3), (3, 5)], ids=["3x3", "3x5"])
+@pytest.mark.parametrize("lengths", [(4,), (1, 1, 1), (2, 4, 3)], ids=["N=1", "one-step", "ragged"])
+def test_convlstm_sequences_match_the_channel_first_per_step_oracle(lengths, hw):
+    # packed sequences through the op, from the states the channel-first
+    # per-step oracle records, against that oracle carrying its graph
+    # through time from each sequence's start: h, c_next and the gradients
+    # of x, b and both halves of the kernel (x's taps, and W_h, the path
+    # through time), compared through explicit layout conversions
+    rng = np.random.default_rng(38)
+    c_in, hidden = 2, 3
+    n_rows = sum(lengths)
+    x = rng.normal(size=(n_rows, c_in, *hw))
+    k = rng.normal(scale=0.5, size=(4 * hidden, c_in + hidden, 3, 3))
+    b = rng.normal(scale=0.5, size=4 * hidden)
+    h0, c0 = (rng.normal(size=(len(lengths), hidden, *hw)) for _ in range(2))
+    r = rng.normal(size=(n_rows, hidden, *hw))
+
+    p = [t64(nhwc(x), rg=True), t64(hwio(k), rg=True), t64(b, rg=True)]
+    states = recorded_states(*p, nhwc(h0), nhwc(c0), lengths)
+    h, c = ad.convlstm(*p, *states, batch_sizes(lengths))
+    ad.backward(ad.sum_all(ad.mul(h, t64(nhwc(r)))))
+
+    xs = [t64(row, rg=True) for row in x]
+    w = {"lstm.w": t64(k, rg=True), "lstm.b": t64(b, rg=True)}
+    h_ref, c_ref = np.zeros((2, n_rows, hidden, *hw))
+    loss = None
+    for i, rows in enumerate(packed_rows(lengths)):
+        state = t64(h0[i]), t64(c0[i])
+        for row in rows:
+            state = oracles.convlstm_step(xs[row], state, w)
+            h_ref[row], c_ref[row] = (t.data for t in state)
+            term = ad.sum_all(ad.mul(state[0], t64(r[row])))
+            loss = term if loss is None else ad.add(loss, term)
+    ad.backward(loss)
+
+    gk, gk_ref = oihw(p[1].grad), w["lstm.w"].grad
+    for got, want in ((nchw(h.data), h_ref), (nchw(c), c_ref),
+                      (nchw(p[0].grad), np.stack([t.grad for t in xs])),
+                      (gk[:, :c_in], gk_ref[:, :c_in]), (gk[:, c_in:], gk_ref[:, c_in:]),
+                      (p[2].grad, w["lstm.b"].grad)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 def test_lstm_cell_matches_gate_oracle():
@@ -334,7 +411,8 @@ def test_lstm_cell_matches_gate_oracle():
     k = rng.normal(scale=0.5, size=(4 * hidden, c_in + hidden, 3, 3))
     b = rng.normal(scale=0.5, size=4 * hidden)
     x, h0, c0 = (rng.normal(size=(4, n, 4, 4)) for n in (c_in, hidden, hidden))
-    z = ad.conv2d(t64(np.concatenate((x, h0), axis=1)), t64(k), t64(b), stride=1, padding=1)
+    z = oracles.conv2d_nchw(t64(np.concatenate((x, h0), axis=1)), t64(k), t64(b), stride=1,
+                            padding=1)
     h, c = oracles.lstm_cell(z, t64(c0))
     for i in range(4):
         h_ref, c_ref = convlstm_oracle(x[i], h0[i], c0[i], k, b)
@@ -373,13 +451,13 @@ def test_grad_convlstm_sequence_extended_precision(hw):
     n_rows = sum(lengths)
     ld = np.longdouble
     params = {
-        "x": Tensor(rng.normal(size=(n_rows, c_in, *hw)).astype(ld)),
-        "k": Tensor(rng.normal(scale=0.5, size=(4 * hidden, c_in + hidden, 3, 3)).astype(ld)),
+        "x": Tensor(nhwc(rng.normal(size=(n_rows, c_in, *hw))).astype(ld)),
+        "k": Tensor(hwio(rng.normal(scale=0.5, size=(4 * hidden, c_in + hidden, 3, 3))).astype(ld)),
         "b": Tensor(rng.normal(scale=0.5, size=4 * hidden).astype(ld)),
     }
-    h0 = rng.normal(size=(len(lengths), hidden, *hw)).astype(ld)
-    c0 = rng.normal(size=(len(lengths), hidden, *hw)).astype(ld)
-    r = Tensor(rng.normal(size=(n_rows, hidden, *hw)).astype(ld))
+    h0 = nhwc(rng.normal(size=(len(lengths), hidden, *hw))).astype(ld)
+    c0 = nhwc(rng.normal(size=(len(lengths), hidden, *hw))).astype(ld)
+    r = Tensor(nhwc(rng.normal(size=(n_rows, hidden, *hw))).astype(ld))
 
     def f(p):
         states = recorded_states(p["x"], p["k"], p["b"], h0, c0, lengths)
@@ -396,13 +474,13 @@ def test_convlstm_batch_rows_equal_each_sequence_alone():
     rng = np.random.default_rng(34)
     lengths, c_in, hidden, hw = (3, 5, 2, 5), 2, 3, 4
     n_rows = sum(lengths)
-    x = rng.normal(size=(n_rows, c_in, hw, hw))
-    k = rng.normal(scale=0.5, size=(4 * hidden, c_in + hidden, 3, 3))
+    x = nhwc(rng.normal(size=(n_rows, c_in, hw, hw)))
+    k = hwio(rng.normal(scale=0.5, size=(4 * hidden, c_in + hidden, 3, 3)))
     b = rng.normal(scale=0.5, size=4 * hidden)
-    h0 = rng.normal(size=(len(lengths), hidden, hw, hw))
-    c0 = rng.normal(size=(len(lengths), hidden, hw, hw))
+    h0 = nhwc(rng.normal(size=(len(lengths), hidden, hw, hw)))
+    c0 = nhwc(rng.normal(size=(len(lengths), hidden, hw, hw)))
     h_in, c_in = recorded_states(Tensor(x), Tensor(k), Tensor(b), h0, c0, lengths)
-    r = rng.normal(size=(n_rows, hidden, hw, hw))
+    r = nhwc(rng.normal(size=(n_rows, hidden, hw, hw)))
 
     def run(rows, sizes):
         p = [Tensor(x[rows], requires_grad=True), Tensor(k, requires_grad=True),
@@ -425,38 +503,38 @@ def test_convlstm_batch_rows_equal_each_sequence_alone():
 
 
 def test_convlstm_rejects_inputs_that_do_not_line_up():
-    k, b = Tensor(np.zeros((8, 3, 3, 3))), Tensor(np.zeros(8))
-    x = Tensor(np.zeros((5, 1, 3, 3)))
-    states = np.zeros((5, 2, 3, 3))
+    k, b = Tensor(np.zeros((3, 3, 3, 8))), Tensor(np.zeros(8))
+    x = Tensor(np.zeros((5, 3, 3, 1)))
+    states = np.zeros((5, 3, 3, 2))
     ad.convlstm(x, k, b, states, states, [2, 2, 1])
-    for bad_x, bad_states in ((Tensor(np.zeros((1, 5, 1, 3, 3))), np.zeros((1, 5, 2, 3, 3))),
-                              (x, np.zeros((4, 2, 3, 3))),         # too few rows
+    for bad_x, bad_states in ((Tensor(np.zeros((1, 5, 3, 3, 1))), np.zeros((1, 5, 3, 3, 2))),
+                              (x, np.zeros((4, 3, 3, 2))),         # too few rows
                               (x, np.zeros((5, 3, 3, 3))),         # too many channels
-                              (x, np.zeros((5, 2, 3, 2)))):        # another map size
+                              (x, np.zeros((5, 3, 2, 2)))):        # another map size
         with pytest.raises(ad.ShapeError):
             ad.convlstm(bad_x, k, b, bad_states, bad_states, [2, 2, 1])
     with pytest.raises(ad.ShapeError):
-        ad.convlstm(x, k, b, states, states[:, :1], [2, 2, 1])
+        ad.convlstm(x, k, b, states, states[..., :1], [2, 2, 1])
     with pytest.raises(ad.ShapeError):
-        ad.convlstm(x, Tensor(np.zeros((8, 4, 3, 3))), b, states, states, [2, 2, 1])
+        ad.convlstm(x, Tensor(np.zeros((3, 3, 4, 8))), b, states, states, [2, 2, 1])
 
 
 @pytest.mark.parametrize("sizes", [[2, 2], [2, 2, 2], [1, 2, 2], [2, 3], [3, 0, 2], [5, 0],
                                    []], ids=str)
 def test_convlstm_rejects_block_sizes_that_do_not_pack_the_rows(sizes):
     # the step blocks must sum to the rows, never grow and never be empty
-    k, b = Tensor(np.zeros((8, 3, 3, 3))), Tensor(np.zeros(8))
-    states = np.zeros((5, 2, 3, 3))
+    k, b = Tensor(np.zeros((3, 3, 3, 8))), Tensor(np.zeros(8))
+    states = np.zeros((5, 3, 3, 2))
     with pytest.raises(ad.ShapeError):
-        ad.convlstm(Tensor(np.zeros((5, 1, 3, 3))), k, b, states, states, sizes)
+        ad.convlstm(Tensor(np.zeros((5, 3, 3, 1))), k, b, states, states, sizes)
 
 
 def test_grad_conv2d_batch_keeps_extended_precision():
     rng = np.random.default_rng(32)
     ld = np.longdouble
     params = {
-        "x": Tensor(rng.normal(size=(2, 2, 5, 5)).astype(ld)),
-        "k": Tensor(rng.normal(size=(3, 2, 3, 3)).astype(ld)),
+        "x": Tensor(nhwc(rng.normal(size=(2, 2, 5, 5))).astype(ld)),
+        "k": Tensor(hwio(rng.normal(size=(3, 2, 3, 3))).astype(ld)),
         "b": Tensor(rng.normal(size=3).astype(ld)),
     }
     c = Tensor(rng.normal(size=(2, 3, 3, 3)).astype(ld))
@@ -474,9 +552,9 @@ def test_grad_batched_dense_softmax_and_mask():
     c = t64(rng.normal(size=(4, 3)))
     for op in (ad.softmax, ad.log_softmax):
         _check(lambda p: ad.sum_all(ad.mul(op(ad.dense(p["x"], p["w"], p["b"])), c)), params)
-    mask_params = {"f": t64(rng.normal(size=(2, 4, 3, 3))),
-                   "m": t64(rng.uniform(0.1, 0.9, size=(2, 1, 3, 3)))}
-    c4 = t64(rng.normal(size=(2, 4, 3, 3)))
+    mask_params = {"f": t64(nhwc(rng.normal(size=(2, 4, 3, 3)))),
+                   "m": t64(nhwc(rng.uniform(0.1, 0.9, size=(2, 1, 3, 3))))}
+    c4 = t64(nhwc(rng.normal(size=(2, 4, 3, 3))))
     _check(lambda p: ad.sum_all(ad.mul(ad.broadcast_mul_channelwise(p["f"], p["m"]), c4)),
            mask_params)
 
@@ -498,10 +576,10 @@ def test_grad_elementwise_family():
 
 def test_grad_broadcast_mul_and_invert():
     rng = np.random.default_rng(14)
-    c = t64(rng.normal(size=(4, 3, 3)))
+    c = t64(nhwc(rng.normal(size=(4, 3, 3))))
     params = {
-        "f": t64(rng.normal(size=(4, 3, 3))),
-        "m": t64(rng.uniform(0.1, 0.9, size=(1, 3, 3))),
+        "f": t64(nhwc(rng.normal(size=(4, 3, 3)))),
+        "m": t64(nhwc(rng.uniform(0.1, 0.9, size=(1, 3, 3)))),
     }
     _check(lambda p: ad.sum_all(ad.mul(ad.broadcast_mul_channelwise(p["f"], p["m"]), c)), params)
     _check(lambda p: ad.sum_all(ad.mul(

@@ -1,6 +1,7 @@
 """Checkpoint format, config parsing, and the command-line surface."""
 
 import errno
+import hashlib
 import os
 import struct
 import tempfile
@@ -55,6 +56,26 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
         path2 = str(tmp_path / "again.ma3c")
         save_checkpoint(loaded, loaded_config, path2)
         assert Path(path).read_bytes() == Path(path2).read_bytes()
+
+
+# sha256 of the checkpoint of ``init_weights(NetworkConfig(), 0)``, as written
+# before the engine went channel-last: the file keeps the paper's layout
+# (OIHW kernels, (c,h,w) dense columns) and version 1, so every run's ckpt_0
+# keeps its bytes; the draws and the file need no BLAS
+DEFAULT_INIT_CHECKPOINT_SHA256 = "4d9ffafed0df3a5196abdd2d16b9e145485270ffdaaf4d27d337a32b615234f8"
+
+
+def test_default_init_checkpoint_bytes_are_pinned_and_load_in_memory_layout(tmp_path):
+    config = NetworkConfig()
+    weights = init_weights(config, 0)
+    path = tmp_path / "ckpt_0.ma3c"
+    save_checkpoint(weights, config, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_INIT_CHECKPOINT_SHA256
+    loaded, _ = load_checkpoint(str(path))
+    assert loaded.keys() == weights.keys()
+    assert loaded["lstm.w"].shape == (3, 3, 128, 256)              # HWIO in memory
+    for name, tensor in weights.items():
+        assert loaded[name].shape == tensor.shape and np.array_equal(loaded[name], tensor.data)
 
 
 def test_checkpoint_detects_single_bit_corruption(tmp_path):

@@ -44,7 +44,7 @@ import pytest
 from maskac.analysis import evaluate, injection_response, record_heatmaps
 from maskac.checkpoint import load_checkpoint
 from maskac.envs import EnvSpec, InjectionSpec
-from maskac.network import MASK_TRANSFORMS, NetworkConfig, init_weights
+from maskac.network import MASK_TRANSFORMS, NetworkConfig, init_weights, to_disk_layout
 from maskac.training import Hyperparams, compare_variants, train
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -80,13 +80,17 @@ def train_scenario(name, out_dir):
 
 
 def run(name, out_dir):
-    """The scenario's final weights and the step,episode_return columns of its metrics.csv."""
+    """The scenario's final weights and the step,episode_return columns of its metrics.csv.
+
+    The weights are in the checkpoint's layout (OIHW kernels), which the
+    tolerance files record.
+    """
     final = train_scenario(name, out_dir)
     with open(os.path.join(out_dir, "metrics.csv")) as fh:
         rows = [(r["step"], r["episode_return"]) for r in csv.DictReader(fh)]
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerows([("step", "episode_return"), *rows])
-    return load_checkpoint(final)[0], text.getvalue()
+    return to_disk_layout(*load_checkpoint(final)), text.getvalue()
 
 
 def _sha(data):

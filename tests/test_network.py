@@ -10,7 +10,7 @@ from maskac import network as net
 from maskac.autodiff import Tensor
 from maskac.network import NetworkConfig, RecurrentState
 
-from oracles import conv2d_oracle, convlstm_oracle, matvec_oracle, pick
+from oracles import conv2d_oracle, convlstm_oracle, hwio, matvec_oracle, nchw, nhwc, oihw, pick
 
 VARIANTS = {
     "vanilla": dict(policy_mask_enabled=False, value_mask_enabled=False),
@@ -89,7 +89,8 @@ def test_shared_layers_get_identical_draws_across_variants():
 
 
 # sha256 over the sorted names of the seed-0 default network: each name's
-# utf-8 bytes, then its little-endian float32 bytes; the draws need no BLAS
+# utf-8 bytes, then its little-endian float32 bytes in the paper's layout
+# (OIHW kernels), as the checkpoint stores them; the draws need no BLAS
 INIT_DIGESTS = {
     "vanilla": "9400c0362d4d2001145e85295fefa2bfe2c6e938956688abac94406c27a8e9a0",
     "policy": "3da7d4c09d52f1867d687760fdbce1e3f26472871904c4f373030c3a813d3dd6",
@@ -100,11 +101,13 @@ INIT_DIGESTS = {
 
 @pytest.mark.parametrize("variant", sorted(INIT_DIGESTS))
 def test_init_streams_match_golden_digest(variant):
-    w = net.init_weights(cfg(variant), seed=0)
+    config = cfg(variant)
+    w = net.to_disk_layout({k: t.data for k, t in net.init_weights(config, seed=0).items()},
+                           config)
     digest = hashlib.sha256()
     for name in sorted(w):
         digest.update(name.encode())
-        digest.update(w[name].data.astype("<f4").tobytes())
+        digest.update(w[name].astype("<f4").tobytes())
     assert digest.hexdigest() == INIT_DIGESTS[variant]
 
 
@@ -130,45 +133,46 @@ def test_feature_extract_output_shapes():
     for hw, out_hw in ((20, 3), (80, 10)):
         config = cfg("both", input_hw=hw)
         w = net.init_weights(config, seed=0, dtype=np.float64)
-        obs = Tensor(random_obs(config))
-        assert net.feature_extract(obs, w, config).shape == (64, out_hw, out_hw)
+        obs = Tensor(nhwc(random_obs(config)))
+        assert net.feature_extract(obs, w, config).shape == (out_hw, out_hw, 64)
 
 
 def test_feature_extract_zero_obs_zero_weights():
     config = cfg("both")
     w = {k: Tensor(np.zeros_like(t.data)) for k, t in net.init_weights(config, 0).items()}
-    out = net.feature_extract(Tensor(np.zeros((1, 20, 20))), w, config)
-    np.testing.assert_array_equal(out.data, np.zeros((64, 3, 3)))
+    out = net.feature_extract(Tensor(np.zeros((20, 20, 1))), w, config)
+    np.testing.assert_array_equal(out.data, np.zeros((3, 3, 64)))
 
 
 def test_single_conv_stage_on_zero_obs_is_bias_constant():
     # with zero input the first stage is exactly ReLU(bias) per channel
-    x = Tensor(np.zeros((1, 20, 20)))
-    k = Tensor(np.random.default_rng(0).normal(size=(32, 1, 3, 3)))
+    x = Tensor(np.zeros((20, 20, 1)))
+    k = Tensor(hwio(np.random.default_rng(0).normal(size=(32, 1, 3, 3))))
     b = Tensor(np.linspace(-1, 1, 32))
     y = ad.relu(ad.conv2d(x, k, b, stride=2, padding=1))
     for c in range(32):
-        np.testing.assert_array_equal(y.data[c], np.full((10, 10), max(b.data[c], 0.0)))
+        np.testing.assert_array_equal(y.data[..., c], np.full((10, 10), max(b.data[c], 0.0)))
 
 
 def test_feature_extract_rejects_wrong_shape():
     config = cfg("both")
     w = net.init_weights(config, seed=0)
     with pytest.raises(ad.ShapeError):
-        net.feature_extract(Tensor(np.zeros((1, 19, 20))), w, config)
+        net.feature_extract(Tensor(np.zeros((19, 20, 1))), w, config)
 
 
 # ---------------------------------------------------------------------------
 # ConvLSTM
 
 def _small_lstm_weights(rng, channels=2, scale=0.5):
-    k = Tensor(rng.normal(scale=scale, size=(4 * channels, 2 * channels, 3, 3)))
+    k = Tensor(hwio(rng.normal(scale=scale, size=(4 * channels, 2 * channels, 3, 3))))
     b = Tensor(rng.normal(scale=scale, size=4 * channels))
     return {"lstm.w": k, "lstm.b": b}
 
 
 def _small_state(rng, channels=2, hw=2):
-    return RecurrentState(rng.normal(size=(channels, hw, hw)), rng.normal(size=(channels, hw, hw)))
+    return RecurrentState(nhwc(rng.normal(size=(channels, hw, hw))),
+                          nhwc(rng.normal(size=(channels, hw, hw))))
 
 
 def convlstm_step(x, state, w):
@@ -178,7 +182,7 @@ def convlstm_step(x, state, w):
 
 
 def test_convlstm_zero_everything():
-    w = {"lstm.w": Tensor(np.zeros((8, 4, 3, 3))), "lstm.b": Tensor(np.zeros(8))}
+    w = {"lstm.w": Tensor(np.zeros((3, 3, 4, 8))), "lstm.b": Tensor(np.zeros(8))}
     state = RecurrentState(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
     h, c = convlstm_step(Tensor(np.zeros((2, 2, 2))), state, w)
     np.testing.assert_array_equal(h.data, np.zeros((2, 2, 2)))
@@ -190,26 +194,27 @@ def test_convlstm_forget_saturation():
     w = _small_lstm_weights(rng)
     w["lstm.b"].data[2:4] = 30.0  # forget gate slice for 2 channels
     state = _small_state(rng)
-    x = Tensor(rng.normal(size=(2, 2, 2)))
+    x = Tensor(nhwc(rng.normal(size=(2, 2, 2))))
     _, c = convlstm_step(x, state, w)
 
     L = 2
-    z = conv2d_oracle(np.concatenate([x.data, state.h]), w["lstm.w"].data,
+    z = conv2d_oracle(np.concatenate([nchw(x.data), nchw(state.h)]), oihw(w["lstm.w"].data),
                       w["lstm.b"].data, 1, 1)
     i = 1 / (1 + np.exp(-z[0:L]))
     g = np.tanh(z[3 * L:4 * L])
-    np.testing.assert_allclose(c, state.c + i * g, atol=1e-6, rtol=0)
+    np.testing.assert_allclose(nchw(c), nchw(state.c) + i * g, atol=1e-6, rtol=0)
 
 
 def test_convlstm_matches_gate_oracle():
     rng = np.random.default_rng(21)
     w = _small_lstm_weights(rng)
     state = _small_state(rng)
-    x = Tensor(rng.normal(size=(2, 2, 2)))
+    x = Tensor(nhwc(rng.normal(size=(2, 2, 2))))
     h, c = convlstm_step(x, state, w)
-    h_ref, c_ref = convlstm_oracle(x.data, state.h, state.c, w["lstm.w"].data, w["lstm.b"].data)
-    np.testing.assert_allclose(h.data, h_ref, atol=1e-10, rtol=0)
-    np.testing.assert_allclose(c, c_ref, atol=1e-10, rtol=0)
+    h_ref, c_ref = convlstm_oracle(nchw(x.data), nchw(state.h), nchw(state.c),
+                                   oihw(w["lstm.w"].data), w["lstm.b"].data)
+    np.testing.assert_allclose(nchw(h.data), h_ref, atol=1e-10, rtol=0)
+    np.testing.assert_allclose(nchw(c), c_ref, atol=1e-10, rtol=0)
 
 
 def test_convlstm_batch_matches_gate_oracle_per_row():
@@ -217,18 +222,19 @@ def test_convlstm_batch_matches_gate_oracle_per_row():
     w = _small_lstm_weights(rng)
     h0, c0 = rng.normal(size=(3, 2, 2, 2)), rng.normal(size=(3, 2, 2, 2))
     x = rng.normal(size=(3, 2, 2, 2))
-    h, c = convlstm_step(Tensor(x), RecurrentState(h0, c0), w)
+    h, c = convlstm_step(Tensor(nhwc(x)), RecurrentState(nhwc(h0), nhwc(c0)), w)
     assert h.shape == c.shape == (3, 2, 2, 2)
     for i in range(3):
-        h_ref, c_ref = convlstm_oracle(x[i], h0[i], c0[i], w["lstm.w"].data, w["lstm.b"].data)
-        np.testing.assert_allclose(h.data[i], h_ref, atol=1e-10, rtol=0)
-        np.testing.assert_allclose(c[i], c_ref, atol=1e-10, rtol=0)
+        h_ref, c_ref = convlstm_oracle(x[i], h0[i], c0[i], oihw(w["lstm.w"].data),
+                                       w["lstm.b"].data)
+        np.testing.assert_allclose(nchw(h.data[i]), h_ref, atol=1e-10, rtol=0)
+        np.testing.assert_allclose(nchw(c[i]), c_ref, atol=1e-10, rtol=0)
 
 
 def test_convlstm_rejects_mismatched_state():
     rng = np.random.default_rng(22)
     w = _small_lstm_weights(rng)
-    state = RecurrentState(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)))
+    state = RecurrentState(np.zeros((3, 3, 2)), np.zeros((3, 3, 2)))
     with pytest.raises(ad.ShapeError):
         convlstm_step(Tensor(np.zeros((2, 2, 2))), state, w)
     batched = RecurrentState(np.zeros((3, 2, 2, 2)), np.zeros((3, 2, 2, 2)))
@@ -242,10 +248,10 @@ def test_convlstm_rejects_mismatched_state():
 # masks
 
 def test_compute_mask_zero_weights_gives_half():
-    w = {"policy_mask.w": Tensor(np.zeros((1, 64, 1, 1))), "policy_mask.b": Tensor(np.zeros(1))}
-    h = Tensor(np.random.default_rng(0).normal(size=(64, 3, 3)))
+    w = {"policy_mask.w": Tensor(np.zeros((1, 1, 64, 1))), "policy_mask.b": Tensor(np.zeros(1))}
+    h = Tensor(nhwc(np.random.default_rng(0).normal(size=(64, 3, 3))))
     m = net.compute_mask(h, w, "policy")
-    np.testing.assert_array_equal(m.data, np.full((1, 3, 3), 0.5))
+    np.testing.assert_array_equal(m.data, np.full((3, 3, 1), 0.5))
 
 
 def test_compute_mask_preserves_spatial_size_and_matches_oracle():
@@ -253,34 +259,34 @@ def test_compute_mask_preserves_spatial_size_and_matches_oracle():
     h = rng.normal(size=(64, 5, 5))
     k = rng.normal(scale=0.2, size=(1, 64, 1, 1))
     b = rng.normal(size=1)
-    w = {"value_mask.w": Tensor(k), "value_mask.b": Tensor(b)}
-    m = net.compute_mask(Tensor(h), w, "value")
-    assert m.shape == (1, 5, 5)
+    w = {"value_mask.w": Tensor(hwio(k)), "value_mask.b": Tensor(b)}
+    m = net.compute_mask(Tensor(nhwc(h)), w, "value")
+    assert m.shape == (5, 5, 1)
     expect = 1 / (1 + np.exp(-(np.tensordot(k[0, :, 0, 0], h, axes=1) + b[0])))
-    np.testing.assert_allclose(m.data[0], expect, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(m.data[..., 0], expect, atol=1e-12, rtol=0)
 
 
 def test_apply_mask_limits():
     rng = np.random.default_rng(24)
-    f = Tensor(rng.normal(size=(32, 3, 3)))
-    ones = Tensor(np.ones((1, 3, 3)))
-    zeros = Tensor(np.zeros((1, 3, 3)))
+    f = Tensor(nhwc(rng.normal(size=(32, 3, 3))))
+    ones = Tensor(np.ones((3, 3, 1)))
+    zeros = Tensor(np.zeros((3, 3, 1)))
     np.testing.assert_array_equal(ad.broadcast_mul_channelwise(f, ones).data, f.data)
     np.testing.assert_array_equal(ad.broadcast_mul_channelwise(f, zeros).data,
-                                  np.zeros((32, 3, 3)))
-    twos = Tensor(np.full((32, 3, 3), 2.0))
-    quarter = Tensor(np.full((1, 3, 3), 0.25))
+                                  np.zeros((3, 3, 32)))
+    twos = Tensor(np.full((3, 3, 32), 2.0))
+    quarter = Tensor(np.full((3, 3, 1), 0.25))
     np.testing.assert_array_equal(ad.broadcast_mul_channelwise(twos, quarter).data,
-                                  np.full((32, 3, 3), 0.5))
+                                  np.full((3, 3, 32), 0.5))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_invert_mask_is_one_minus_m_bit_for_bit(dtype):
-    m = Tensor(np.array([[[0.0, 1.0], [0.3, 0.5]]], dtype=dtype))
+    m = Tensor(np.array([[[0.0], [1.0]], [[0.3], [0.5]]], dtype=dtype))
     np.testing.assert_array_equal(net.invert_mask(m).data,
-                                  np.array([[[1.0, 0.0], [0.7, 0.5]]], dtype=dtype))
+                                  np.array([[[1.0], [0.0]], [[0.7], [0.5]]], dtype=dtype))
     rng = np.random.default_rng(25)
-    m2 = Tensor(rng.uniform(0, 1, size=(2, 1, 7, 7)).astype(dtype), requires_grad=True)
+    m2 = Tensor(rng.uniform(0, 1, size=(2, 7, 7, 1)).astype(dtype), requires_grad=True)
     inv = net.invert_mask(m2)
     assert inv.dtype == dtype
     assert np.array_equal(inv.data, 1.0 - m2.data)
@@ -308,17 +314,18 @@ def test_forward_trace_mask_consistency():
     config = cfg("both")
     w = net.init_weights(config, seed=1, dtype=np.float64)
     trace = net.forward(random_obs(config), RecurrentState.zeros(config, np.float64), w, config)
-    h = trace.next_state.h
+    h = nchw(trace.next_state.h)
     heads = {}
     for branch in ("policy", "value"):
-        k = w[f"{branch}_mask.w"].data[0, :, 0, 0]
+        k = oihw(w[f"{branch}_mask.w"].data)[0, :, 0, 0]
         m = 1.0 / (1.0 + np.exp(-(np.tensordot(k, h, axes=1) + w[f"{branch}_mask.b"].data[0])))
-        f = np.maximum(conv2d_oracle(h, w[f"{branch}_branch.w"].data,
+        f = np.maximum(conv2d_oracle(h, oihw(w[f"{branch}_branch.w"].data),
                                      w[f"{branch}_branch.b"].data, stride=1, padding=1), 0.0)
-        heads[branch] = matvec_oracle((f * m).reshape(-1), w[f"{branch}_out.w"].data,
+        # the dense heads read the map flattened channel-last, in (h,w,c) order
+        heads[branch] = matvec_oracle(nhwc(f * m).reshape(-1), w[f"{branch}_out.w"].data,
                                       w[f"{branch}_out.b"].data)
         mask = trace.m_p if branch == "policy" else trace.m_v
-        np.testing.assert_allclose(mask.data[0], m, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(mask.data[..., 0], m, rtol=1e-12, atol=0)
     np.testing.assert_allclose(trace.policy_logits.data, heads["policy"], rtol=1e-10, atol=1e-14)
     np.testing.assert_allclose(trace.value.data, heads["value"], rtol=1e-10, atol=1e-14)
     assert np.all(trace.m_p.data > 0) and np.all(trace.m_p.data < 1)
@@ -377,7 +384,7 @@ def test_forward_stops_gradients_at_the_state_passed_in():
         t.requires_grad = True
     rng = np.random.default_rng(4)
     side = config.feature_hw()
-    state = RecurrentState(*(rng.normal(size=(4, side, side)) for _ in range(2)))
+    state = RecurrentState(*(rng.normal(size=(side, side, 4)) for _ in range(2)))
     trace = net.forward(random_obs(config, seed=5), state, w, config)
     assert all(type(a) is np.ndarray for a in (trace.next_state.h, trace.next_state.c))
     ad.backward(ad.add(ad.sum_all(trace.value), pick(trace.policy_logits, 1)))

@@ -542,7 +542,7 @@ def test_learner_convlstm_replays_the_recorded_states(env_name, n_workers, t_max
     ragged = 0
     for _ in range(10):
         rnd, state = collect_rollout(envs, weights, config, state, t_max, rngs)
-        x = feature_extract(Tensor(rnd.obs[:, None].astype(dtype)), weights, config)
+        x = feature_extract(Tensor(rnd.obs[..., None].astype(dtype)), weights, config)
         h, c = ad.convlstm(x, weights["lstm.w"], weights["lstm.b"], rnd.h, rnd.c,
                            step_blocks(rnd.lengths)[1])
         for i, rows in enumerate(packed_rows(rnd.lengths)):
@@ -762,7 +762,7 @@ def test_loss_components_mask_statistics_are_over_the_real_steps():
             for obs in rnd.obs[rows]:
                 trace = forward(obs, state, weights, config)
                 state = trace.next_state
-                masks.append(getattr(trace, name).data[0])
+                masks.append(getattr(trace, name).data[..., 0])
         assert len(masks) == 7
         np.testing.assert_allclose(row[f"{branch}_mask_mean"], np.mean(masks), rtol=1e-12)
         np.testing.assert_allclose(row[f"{branch}_mask_std"],
