@@ -119,9 +119,8 @@ def lockstep(weights, config, envs, rngs, mask_transform="identity", greedy=True
     after each step: ``rows`` are the indices into ``envs`` that stepped,
     and ``obs`` [B,H,W], ``trace``, ``actions`` and the envs' step
     ``results`` hold one row for each of them.  Finished envs drop out of
-    the batch; a batch of one computes what the unbatched ``forward``
-    does, bit for bit.  ``with_value=False`` skips the value branch, which
-    no action reads.
+    the batch.  ``with_value=False`` skips the value branch, which no
+    action reads.
     """
     rows = list(range(len(envs)))
     obs = [env.observe() for env in envs] if obs is None else obs
@@ -130,7 +129,7 @@ def lockstep(weights, config, envs, rngs, mask_transform="identity", greedy=True
     t = 0
     while rows:
         obs = np.array(obs)
-        trace = forward(obs[:, None], state, weights, config, mask_transform=mask_transform,
+        trace = forward(obs, state, weights, config, mask_transform=mask_transform,
                         with_value=with_value)
         actions = [int(np.argmax(probs)) if greedy else sample_action(probs, rngs[i])
                    for i, probs in zip(rows, trace.policy.data)]

@@ -8,7 +8,8 @@ log-softmax, reshape and the scalar sum.  Each op records a backward
 closure on its output; ``backward()`` replays the recorded graph in
 reverse topological order and accumulates into ``.grad`` buffers.
 
-Maps are channel-last ([N,H,W,C]) and conv kernels HWIO
+Every input has a leading row axis: maps are channel-last [N,H,W,C], and
+dense inputs and logits [N,K].  Conv kernels are HWIO
 ([kH,kW,C_in,C_out]), so a conv's patch matrix is one strided copy of
 contiguous channel runs and its matmul gives a channel-last output.
 
@@ -168,14 +169,10 @@ def relu(a):
 
 
 def broadcast_mul_channelwise(f, m):
-    """Multiply an [H,W,C] map by an [H,W,1] mask replicated across channels.
-
-    A leading batch axis on both ([N,H,W,C] and [N,H,W,1]) is allowed.
-    """
-    if f.data.ndim not in (3, 4) or m.data.ndim != f.data.ndim or m.shape[-1] != 1:
-        raise ShapeError(f"broadcast_mul_channelwise: got {f.shape} and {m.shape}")
-    if f.shape[:-1] != m.shape[:-1]:
-        raise ShapeError(f"broadcast_mul_channelwise: {f.shape} and {m.shape} do not line up")
+    """Multiply [N,H,W,C] maps by [N,H,W,1] masks replicated across channels."""
+    if f.data.ndim != 4 or m.shape != f.shape[:-1] + (1,):
+        raise ShapeError(f"broadcast_mul_channelwise: need [N,H,W,C] and [N,H,W,1], "
+                         f"got {f.shape} and {m.shape}")
     out = _make(f.data * m.data, (f, m), "bmul")
     if out.requires_grad:
         def _bw():
@@ -236,19 +233,19 @@ def _unpad(g, padding):
 def conv2d(x, k, b, stride=1, padding=0):
     """2-d convolution (cross-correlation) with zero padding, channel-last.
 
-    x: [H, W, C_in] or a batch [N, H, W, C_in]; k: HWIO [kH, kW, C_in, C_out];
-    b: [C_out]; the output is [(N,) H', W', C_out] with
-    H' = floor((H + 2*padding - kH) / stride) + 1.  A batch runs as one
+    x: [N, H, W, C_in]; k: HWIO [kH, kW, C_in, C_out]; b: [C_out]; the
+    output is [N, H', W', C_out] with
+    H' = floor((H + 2*padding - kH) / stride) + 1.  The batch runs as one
     matmul over all N*H'*W' patch rows, whose result is already channel-last.
     """
     if not isinstance(stride, int) or stride <= 0:
         raise ValueError(f"conv2d: stride must be a positive int, got {stride!r}")
     if not isinstance(padding, int) or padding < 0:
         raise ValueError(f"conv2d: padding must be a non-negative int, got {padding!r}")
-    if x.data.ndim not in (3, 4) or k.data.ndim != 4:
-        raise ShapeError(f"conv2d: need [H,W,C] or [N,H,W,C] input and [kH,kW,C,O] kernel, "
+    if x.data.ndim != 4 or k.data.ndim != 4:
+        raise ShapeError(f"conv2d: need [N,H,W,C] input and [kH,kW,C,O] kernel, "
                          f"got {x.shape}, {k.shape}")
-    h, w, c_in = x.shape[-3:]
+    n, h, w, c_in = x.shape
     kh, kw, kc, c_out = k.shape
     if kc != c_in:
         raise ShapeError(f"conv2d: kernel expects {kc} input channels, input has {c_in}")
@@ -259,14 +256,12 @@ def conv2d(x, k, b, stride=1, padding=0):
 
     h_out = (h + 2 * padding - kh) // stride + 1
     w_out = (w + 2 * padding - kw) // stride + 1
-    xd = x.data.reshape((-1, h, w, c_in))
-    n = xd.shape[0]
-    patches = _im2col(xd, kh, kw, stride, padding)             # [N*H'*W', kH*kW*C_in]
+    patches = _im2col(x.data, kh, kw, stride, padding)         # [N*H'*W', kH*kW*C_in]
     kmat = k.data.reshape(-1, c_out)
     y = patches @ kmat
     y += b.data
 
-    out = _make(y.reshape(x.shape[:-3] + (h_out, w_out, c_out)), (x, k, b), "conv2d")
+    out = _make(y.reshape(n, h_out, w_out, c_out), (x, k, b), "conv2d")
     if out.requires_grad:
         def _bw():
             gm = out.grad.reshape(-1, c_out)
@@ -277,7 +272,7 @@ def conv2d(x, k, b, stride=1, padding=0):
             if x.requires_grad:
                 padded = (n, h + 2 * padding, w + 2 * padding, c_in)
                 gxp = _col2im(gm @ kmat.T, padded, kh, kw, stride, h_out, w_out)
-                _accum_owned(x, _unpad(gxp, padding).reshape(x.shape))
+                _accum_owned(x, _unpad(gxp, padding))
         out._backward = _bw
     return out
 
@@ -288,13 +283,12 @@ def convlstm(x, k, b, h_in, c_in, batch_sizes):
     The rows hold step 0 of every sequence, then step 1 of those that reach
     it, and so on: ``batch_sizes[t]`` sequences, longest first, take step
     t, a prefix of the rows of step t-1 (as in PyTorch's packed sequences).
-    One step of B sequences is ``batch_sizes=[B]``; an unbatched x [H,W,C]
-    with states [H,W,L] is one row and gives unbatched outputs.  The arrays
-    h_in, c_in [R,H,W,L] are the states that entered each step when the
-    sequences were played with these same weights.  The gates i, f, o, g
-    come from a 3x3 same-padding ``conv2d`` node over (x, h_in) with HWIO
-    kernel k [3, 3, C+L, 4L] and bias b [4L] (Shi et al. 2015), one matmul
-    over all R frames; that node owns the kernel and bias gradients.  The
+    One step of B sequences is ``batch_sizes=[B]``.  The arrays h_in, c_in
+    [R,H,W,L] are the states that entered each step when the sequences
+    were played with these same weights.  The gates i, f, o, g come from a
+    3x3 same-padding ``conv2d`` node over (x, h_in) with HWIO kernel
+    k [3, 3, C+L, 4L] and bias b [4L] (Shi et al. 2015), one matmul over
+    all R frames; that node owns the kernel and bias gradients.  The
     cell runs once over all rows: c_next = f*c_in + i*g and
     h = o*tanh(c_next), with sigmoid i, f, o and tanh g.  h is the graph
     output and c_next an array with no graph.  The backward is a
@@ -310,10 +304,9 @@ def convlstm(x, k, b, h_in, c_in, batch_sizes):
     of no real sequence.  One sequence computes what it would alone, bit
     for bit.
     """
-    if x.data.ndim not in (3, 4) or k.data.ndim != 4:
-        raise ShapeError(f"convlstm: need [R,H,W,C] or [H,W,C] input and 4-d kernel, "
-                         f"got {x.shape}, {k.shape}")
-    h, w, n_x = x.shape[-3:]
+    if x.data.ndim != 4 or k.data.ndim != 4:
+        raise ShapeError(f"convlstm: need [R,H,W,C] input and 4-d kernel, got {x.shape}, {k.shape}")
+    n_rows, h, w, n_x = x.shape
     L4 = k.shape[-1]
     n_hidden = L4 // 4
     state_shape = x.shape[:-1] + (n_hidden,)
@@ -323,15 +316,13 @@ def convlstm(x, k, b, h_in, c_in, batch_sizes):
     if k.shape != (3, 3, n_x + n_hidden, 4 * n_hidden) or b.shape != (L4,):
         raise ShapeError(f"convlstm: kernel {k.shape} / bias {b.shape} do not fit "
                          f"{n_x} input and {n_hidden} hidden channels")
-    xd = x.data.reshape(-1, h, w, n_x)
-    n_rows = len(xd)
     sizes = [int(n) for n in batch_sizes]
     if sum(sizes) != n_rows or min(sizes, default=0) < 1 or sorted(sizes, reverse=True) != sizes:
         raise ShapeError(f"convlstm: batch sizes {sizes} are not positive, non-increasing "
                          f"and summing to the {n_rows} rows")
     dtype = x.data.dtype
     area = h * w
-    frames = np.concatenate((xd, h_in.reshape(n_rows, h, w, n_hidden)), axis=-1, dtype=dtype)
+    frames = np.concatenate((x.data, h_in), axis=-1, dtype=dtype)
     zn = conv2d(Tensor(frames), k, b, stride=1, padding=1)     # [R,H,W,4L]
     # the gates overwrite the conv output, which its backward does not read
     z = zn.data.reshape(n_rows, area, 4, n_hidden)
@@ -383,30 +374,30 @@ def convlstm(x, k, b, h_in, c_in, batch_sizes):
             if x.requires_grad:
                 gxp = _col2im(dz.reshape(-1, L4) @ taps[:, :n_x].reshape(-1, L4).T,
                               (n_rows, h + 2, w + 2, n_x), 3, 3, 1, h, w)
-                _accum_owned(x, np.ascontiguousarray(_unpad(gxp, 1)).reshape(x.shape))
+                _accum_owned(x, np.ascontiguousarray(_unpad(gxp, 1)))
         out._backward = _bw
     return out, c_next.reshape(state_shape)
 
 
 def dense(x, w, b):
-    """Affine map y = W x + b for a flat input vector, or for each row of an [N, n] batch."""
-    if x.data.ndim not in (1, 2) or w.data.ndim != 2:
-        raise ShapeError(f"dense: need 1-d or 2-d input and 2-d weight, got {x.shape}, {w.shape}")
+    """Affine map y = W x + b for each row x of an [N, n] batch."""
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ShapeError(f"dense: need [N, n] input and 2-d weight, got {x.shape}, {w.shape}")
     m, n = w.shape
-    if x.shape[-1] != n:
+    if x.shape[1] != n:
         raise ShapeError(f"dense: weight expects input of length {n}, got {x.shape}")
     if b.shape != (m,):
         raise ShapeError(f"dense: bias shape {b.shape} != ({m},)")
     out = _make(x.data @ w.data.T + b.data, (x, w, b), "dense")
     if out.requires_grad:
         def _bw():
-            g = out.grad.reshape(-1, m)
+            g = out.grad
             if w.requires_grad:
-                _accum_owned(w, g.T @ x.data.reshape(-1, n))
+                _accum_owned(w, g.T @ x.data)
             if b.requires_grad:
                 _accum_owned(b, g.sum(axis=0))
             if x.requires_grad:
-                _accum_owned(x, (g @ w.data).reshape(x.shape))
+                _accum_owned(x, g @ w.data)
         out._backward = _bw
     return out
 
@@ -415,12 +406,12 @@ def dense(x, w, b):
 # softmax family
 
 def _check_logits(a, op):
-    if a.data.ndim not in (1, 2) or a.data.shape[-1] == 0:
-        raise ShapeError(f"{op}: need a non-empty 1-d vector or [N, K] rows, got shape {a.shape}")
+    if a.data.ndim != 2 or a.data.shape[1] == 0:
+        raise ShapeError(f"{op}: need non-empty [N, K] rows, got shape {a.shape}")
 
 
 def softmax(a):
-    """Max-shifted softmax over the last axis of a logit vector or [N, K] batch."""
+    """Max-shifted softmax over each row of [N, K] logits."""
     _check_logits(a, "softmax")
     e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
@@ -434,7 +425,7 @@ def softmax(a):
 
 
 def log_softmax(a):
-    """Log-probabilities from logits; stable counterpart to softmax."""
+    """Log-probabilities from [N, K] logits; stable counterpart to softmax."""
     _check_logits(a, "log_softmax")
     z = a.data - a.data.max(axis=-1, keepdims=True)
     lp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))

@@ -85,11 +85,9 @@ class RecurrentState:
     c: np.ndarray
 
     @classmethod
-    def zeros(cls, config, dtype=np.float32, batch=None):
-        """[h,w,L] zeros, or [batch,h,w,L] for ``batch`` independent episodes."""
-        shape = (config.feature_hw(), config.feature_hw(), config.lstm_channels)
-        if batch is not None:
-            shape = (batch,) + shape
+    def zeros(cls, config, dtype=np.float32, batch=1):
+        """[batch,h,w,L] zeros for ``batch`` independent episodes."""
+        shape = (batch, config.feature_hw(), config.feature_hw(), config.lstm_channels)
         return cls(np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype))
 
 
@@ -97,11 +95,10 @@ class RecurrentState:
 class ForwardTrace:
     """The outputs of one forward pass, graph references included.
 
-    Every tensor carries a leading axis over the rows of the pass, unless
-    the observation was unbatched.  ``next_state`` holds the arrays that
-    leave each row.  A mask is None where its branch has none or the
-    "ones" transform ablates it; ``value`` and ``m_v`` are None when the
-    value branch was skipped.
+    Every tensor carries a leading axis over the rows of the pass, and
+    ``next_state`` holds the arrays that leave each row.  A mask is None
+    where its branch has none or the "ones" transform ablates it;
+    ``value`` and ``m_v`` are None when the value branch was skipped.
     """
 
     policy: Tensor
@@ -219,12 +216,8 @@ def init_weights(config, seed, dtype=np.float32):
     return {name: Tensor(a) for name, a in from_disk_layout(drawn, config).items()}
 
 
-def feature_extract(obs, w, config):
-    """Three conv+ReLU stages mapping [H,W,1] pixels, or a [T,H,W,1] batch, to the LSTM input."""
-    if obs.data.ndim not in (3, 4) or obs.shape[-3:] != (config.input_hw, config.input_hw, 1):
-        raise ad.ShapeError(
-            f"observation shape {obs.shape} != ([T,] {config.input_hw}, {config.input_hw}, 1)")
-    x = obs
+def feature_extract(x, w, config):
+    """Three conv+ReLU stages mapping [R,H,W,1] pixels x to the LSTM input."""
     for i in (1, 2, 3):
         x = ad.relu(ad.conv2d(x, w[f"fe{i}.w"], w[f"fe{i}.b"],
                               stride=config.conv_stride, padding=config.conv_padding))
@@ -264,12 +257,12 @@ def _branch(h, w, config, branch, transform):
 
 
 def _heads(h, w, config, mask_transform, with_value=True):
-    """Masked branches and output heads over one ConvLSTM output [H,W,L], or [N,H,W,L] of them.
+    """Masked branches and output heads over ConvLSTM outputs [N,H,W,L].
 
     The dense heads read the branch maps flattened in (h,w,c) order.
     """
     f_p, m_p = _branch(h, w, config, "policy", mask_transform)
-    flat = f_p.shape[:-3] + (-1,)
+    flat = (len(f_p.data), -1)
     logits = ad.dense(ad.reshape(f_p, flat), w["policy_out.w"], w["policy_out.b"])
     trace = ForwardTrace(policy=ad.softmax(logits), policy_logits=logits, value=None, m_p=m_p)
     if with_value:
@@ -282,17 +275,17 @@ def _heads(h, w, config, mask_transform, with_value=True):
 def forward(obs, state, w, config, mask_transform="identity", with_value=True, batch_sizes=None):
     """Full pass: extractor -> ConvLSTM -> masked branches -> (policy, value).
 
-    ``obs`` is one [H,W] or [1,H,W] observation with state [h,w,L], or
-    [R,1,H,W] frames with states [R,h,w,L]; frames give every output a
-    leading axis over the rows.  Maps, masks and states are channel-last:
-    a mask is [h,w,1], or [R,h,w,1].  ``batch_sizes`` lays the rows out as
-    ``autodiff.convlstm`` reads them: by default one step of R independent
-    episodes, as actors and evaluation step; the learner passes the packed
-    step blocks of a round (``training.step_blocks``) with the states the
-    actors recorded entering each step.  The ConvLSTM reads the state's
-    arrays, so gradients stop at the state passed in, as the learner's
-    stop at a segment's start; ``next_state`` holds the arrays of h and
-    c that leave each row.
+    ``obs`` is [R,H,W] frames with states [R,h,w,L]; one [H,W] frame is
+    one row.  Every output has a leading axis over the rows.  Maps, masks
+    and states are channel-last: a mask is [R,h,w,1].  ``batch_sizes``
+    lays the rows out as ``autodiff.convlstm`` reads them: by default one
+    step of R independent episodes, as actors and evaluation step; the
+    learner passes the packed step blocks of a round
+    (``training.step_blocks``) with the states the actors recorded
+    entering each step.  The ConvLSTM reads the state's arrays, so
+    gradients stop at the state passed in, as the learner's stop at a
+    segment's start; ``next_state`` holds the arrays of h and c that
+    leave each row.
 
     ``mask_transform`` drives the policy mask: "identity" uses the mask
     as computed, "inverse" applies gaze inversion, "ones" ablates the
@@ -306,20 +299,16 @@ def forward(obs, state, w, config, mask_transform="identity", with_value=True, b
     if mask_transform not in MASK_TRANSFORMS:
         raise ValueError(f"mask_transform must be one of {MASK_TRANSFORMS}")
 
-    dtype = w["fe1.w"].dtype
-    if not isinstance(obs, Tensor):
-        obs = Tensor(np.asarray(obs, dtype=dtype))
-    if obs.data.ndim == 2:
-        obs = Tensor(obs.data[:, :, None])
-    elif obs.data.ndim in (3, 4) and obs.shape[-3] == 1:
-        # one channel lies in memory the same way channel-first and channel-last
-        obs = ad.reshape(obs, obs.shape[:-3] + obs.shape[-2:] + (1,))
-    else:
-        raise ad.ShapeError(f"observation shape {obs.shape} is not [H,W], [1,H,W] or [R,1,H,W]")
+    obs = np.asarray(obs, dtype=w["fe1.w"].dtype)
+    if obs.ndim == 2:
+        obs = obs[None]
+    if obs.ndim != 3 or obs.shape[1:] != (config.input_hw, config.input_hw):
+        raise ad.ShapeError(f"observation shape {obs.shape} is not [H,W] or [R,H,W] "
+                            f"with H = W = {config.input_hw}")
 
-    x = feature_extract(obs, w, config)
+    x = feature_extract(Tensor(obs[..., None]), w, config)
     if batch_sizes is None:
-        batch_sizes = [math.prod(x.shape[:-3])]
+        batch_sizes = [len(obs)]
     h, c = ad.convlstm(x, w["lstm.w"], w["lstm.b"], state.h, state.c, batch_sizes)
     trace = _heads(h, w, config, mask_transform, with_value)
     trace.next_state = RecurrentState(h.data, c)

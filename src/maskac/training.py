@@ -142,7 +142,7 @@ def collect_rollout(envs, weights, config, state, t_max, rngs):
     h[rnd.terminal] = c[rnd.terminal] = 0
     ends = [rows[k] for k, r in enumerate(results) if not r.done]
     if ends:
-        last = np.stack([r.obs for r in results if not r.done])[:, None]
+        last = np.stack([r.obs for r in results if not r.done])
         rnd.bootstrap[ends] = forward(last, RecurrentState(h[ends], c[ends]), frozen,
                                       config).value.data[:, 0]
     return rnd, RecurrentState(h, c)
@@ -171,7 +171,7 @@ def a3c_loss(rnd, weights, config, returns, entropy_coef, value_coef):
     """
     if np.shape(returns) != rnd.actions.shape:
         raise ValueError(f"returns must be [R] = {rnd.actions.shape}, got {np.shape(returns)}")
-    trace = forward(rnd.obs[:, None], RecurrentState(rnd.h, rnd.c), weights, config,
+    trace = forward(rnd.obs, RecurrentState(rnd.h, rnd.c), weights, config,
                     batch_sizes=step_blocks(rnd.lengths)[1])
     (policy_term, value_term, neg_entropy), row = loss_components(trace, rnd.actions, returns)
     loss = ad.add(policy_term, ad.add(ad.mul(value_term, float(value_coef)),
@@ -179,24 +179,23 @@ def a3c_loss(rnd, weights, config, returns, entropy_coef, value_coef):
     return loss, row
 
 
-def loss_components(trace, actions, returns, advantages=None):
+def loss_components(trace, actions, returns):
     """The three loss sums of a round from the learner's trace, and their log row.
 
-    ``trace`` is the learner's ``forward``, one row per step; ``actions``,
-    ``returns`` and ``advantages`` run over the same steps.  Without
-    ``advantages`` they are R - V from the trace's values.  Returns the
-    policy term -sum A*log pi(a), the value term sum (R - V)^2 and
-    sum pi*log pi (the negated entropy) as graph tensors, and a dict of
-    their per-step means (policy_loss, value_loss, entropy) with, per
-    branch, the mean of its mask and its spatial std averaged over the
-    steps (None for a branch without a mask).
+    ``trace`` is the learner's ``forward``, one row per step; ``actions``
+    and ``returns`` run over the same steps, and the advantages are R - V
+    from the trace's values.  Returns the policy term -sum A*log pi(a),
+    the value term sum (R - V)^2 and sum pi*log pi (the negated entropy)
+    as graph tensors, and a dict of their per-step means (policy_loss,
+    value_loss, entropy) with, per branch, the mean of its mask and its
+    spatial std averaged over the steps (None for a branch without a
+    mask).
     """
     n = len(actions)
     logits = trace.policy_logits                                  # [steps, K]
     dtype = logits.dtype
     returns = np.asarray(returns)
-    if advantages is None:
-        advantages = returns - trace.value.data[:, 0]
+    advantages = returns - trace.value.data[:, 0]
     logp = ad.log_softmax(logits)
     weighted = np.zeros(logits.shape, dtype=dtype)   # -A_t at the action taken
     weighted[np.arange(n), actions] = -advantages

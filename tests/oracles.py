@@ -17,7 +17,7 @@ from maskac.network import RecurrentState, _heads, feature_extract, forward
 
 
 def pick(a, index):
-    """Element ``index`` of a 1-d tensor, as a scalar tensor: the sum of ``a`` times a one-hot."""
+    """Element ``index`` of a tensor, as a scalar tensor: the sum of ``a`` times a one-hot."""
     onehot = np.zeros(a.shape, dtype=a.dtype)
     onehot[index] = 1.0
     return ad.sum_all(ad.mul(a, onehot))
@@ -320,12 +320,13 @@ def convlstm_step(x, state, w):
 def per_step_forward(obs, state, w, config):
     """``network.forward`` of one [H,W] frame with the per-step ConvLSTM, grads into ``state``.
 
-    ``state`` is an (h, c) pair of channel-last [h,w,L] tensors, as the
+    ``state`` is an (h, c) pair of channel-last [1,h,w,L] tensors, as the
     network keeps them; the step runs channel-first in ``convlstm_step``,
     through graph transposes of its input, states and kernel.  Returns
     the trace and the next pair.
     """
-    x = feature_extract(ad.Tensor(np.asarray(obs, dtype=w["fe1.w"].dtype)[:, :, None]), w, config)
+    x = feature_extract(ad.Tensor(np.asarray(obs, dtype=w["fe1.w"].dtype)[None, :, :, None]), w,
+                        config)
     kernel = {"lstm.w": permute(w["lstm.w"], (3, 2, 0, 1)), "lstm.b": w["lstm.b"]}
     h, c = convlstm_step(to_nchw(x), tuple(to_nchw(t) for t in state), kernel)
     state = to_nhwc(h), to_nhwc(c)
@@ -396,11 +397,11 @@ def per_step_a3c_loss(obs, actions, start_state, weights, config, returns, entro
     total = None
     for frame, action, ret in zip(obs, actions, returns):
         trace, state = per_step_forward(frame, state, weights, config)
-        adv = ret - float(trace.value.data[0])
+        adv = ret - float(trace.value.data[0, 0])
         logp = ad.log_softmax(trace.policy_logits)
-        picked = pick(logp, action)
+        picked = pick(logp, (0, action))
         entropy = ad.mul(ad.sum_all(ad.mul(trace.policy, logp)), -1.0)
-        verr = ad.add(pick(trace.value, 0), -float(ret))
+        verr = ad.add(pick(trace.value, (0, 0)), -float(ret))
         term = ad.add(ad.mul(picked, -float(adv)),
                       ad.add(ad.mul(ad.mul(verr, verr), float(value_coef)),
                              ad.mul(entropy, -float(entropy_coef))))
@@ -445,7 +446,7 @@ def replay_states(obs, lengths, weights, config, start=None):
     """The ConvLSTM (h, c) [R,h,w,L] that enter each step of each segment, as actors record them.
 
     ``obs`` [R,H,W] holds the segments of ``lengths`` packed step-major.
-    Replays each segment's steps through one unbatched ``forward`` per
+    Replays each segment's steps through one one-frame ``forward`` per
     step without a graph, from the start states ``start`` (an (h, c) pair
     of [N,h,w,L] arrays) or zeros.  It reads the weights' current values,
     so a caller that perturbs a weight records the states that weight makes.
@@ -457,9 +458,9 @@ def replay_states(obs, lengths, weights, config, start=None):
     c = np.zeros_like(h)
     for i, rows in enumerate(packed_rows(lengths)):
         state = (RecurrentState.zeros(config, dtype) if start is None
-                 else RecurrentState(start[0][i], start[1][i]))
+                 else RecurrentState(start[0][i:i + 1], start[1][i:i + 1]))
         for row in rows:
-            h[row], c[row] = state.h, state.c
+            h[row], c[row] = state.h[0], state.c[0]
             state = forward(obs[row], state, weights, config, with_value=False).next_state
     return h, c
 
@@ -467,7 +468,7 @@ def replay_states(obs, lengths, weights, config, start=None):
 def per_episode_replay(weights, config, env_spec, episodes, mask_transform="identity",
                        seed=0, greedy=True):
     """Per episode, its return and the (trace, action) of each step, from one
-    unbatched ``forward`` per step, one episode after another.
+    one-frame ``forward`` per step, one episode after another.
 
     The episode seeds, action rngs and argmax/sampling rule are those of
     ``analysis.evaluate`` and ``analysis.record_heatmaps``, which play the
@@ -484,7 +485,7 @@ def per_episode_replay(weights, config, env_spec, episodes, mask_transform="iden
         steps = []
         while not env.done:
             trace = forward(env.observe(), state, weights, config, mask_transform=mask_transform)
-            probs = trace.policy.data
+            probs = trace.policy.data[0]
             action = int(np.argmax(probs)) if greedy else sample_action(probs, rng)
             env.step(action)
             steps.append((trace, action))

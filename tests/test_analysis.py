@@ -250,9 +250,9 @@ def test_record_heatmaps_frames_equal_an_unbatched_replay(tmp_path):
                 for t, (trace, action) in enumerate(steps) for branch in ("policy", "value")]
     assert len(frames) == len(replayed)
     for frame, (t, branch, trace, action) in zip(frames, replayed):
-        mask = (trace.m_p if branch == "policy" else trace.m_v).data[..., 0]
+        mask = (trace.m_p if branch == "policy" else trace.m_v).data[0, ..., 0]
         assert (frame.timestep, frame.branch, frame.action) == (t, branch, action)
-        assert np.array_equal(frame.mask, mask) and frame.value == float(trace.value.data[0])
+        assert np.array_equal(frame.mask, mask) and frame.value == float(trace.value.data[0, 0])
 
 
 def test_record_heatmaps_deterministic_bytes(tmp_path):
@@ -307,7 +307,7 @@ def test_injection_whole_frame_region_mean_is_global_mean():
     trace = forward(env.observe(), RecurrentState.zeros(config, np.float32),
                     {k: v for k, v in w.items()}, config)
     assert abs(rep.rows[0]["region_mean_policy"]
-               - float(upsample_nearest(trace.m_p.data[..., 0], size).mean())) < 1e-6
+               - float(upsample_nearest(trace.m_p.data[0, ..., 0], size).mean())) < 1e-6
 
 
 def test_injection_window_must_cover_start_frame():

@@ -16,11 +16,11 @@ def t64(a, rg=False):
 
 
 # ---------------------------------------------------------------------------
-# conv2d: channel-last maps [(N,) H, W, C] and HWIO kernels; the oracles are
+# conv2d: channel-last maps [N, H, W, C] and HWIO kernels; the oracles are
 # channel-first, so the tests draw channel-first data and convert
 
 def test_conv2d_identity_kernel():
-    x = t64(np.arange(9.0).reshape(3, 3, 1))
+    x = t64(np.arange(9.0).reshape(1, 3, 3, 1))
     k = t64(np.ones((1, 1, 1, 1)))
     b = t64(np.zeros(1))
     y = ad.conv2d(x, k, b, stride=1, padding=0)
@@ -29,12 +29,12 @@ def test_conv2d_identity_kernel():
 
 def test_conv2d_zero_input_gives_bias():
     rng = np.random.default_rng(1)
-    x = t64(np.zeros((5, 5, 2)))
+    x = t64(np.zeros((1, 5, 5, 2)))
     k = t64(hwio(rng.normal(size=(3, 2, 3, 3))))
     b = t64([0.5, -1.25, 2.0])
     y = ad.conv2d(x, k, b, stride=1, padding=0)
     for c, bias in enumerate([0.5, -1.25, 2.0]):
-        np.testing.assert_array_equal(y.data[..., c], np.full((3, 3), bias))
+        np.testing.assert_array_equal(y.data[..., c], np.full((1, 3, 3), bias))
 
 
 def test_conv2d_strided_padded_matches_oracle():
@@ -42,10 +42,10 @@ def test_conv2d_strided_padded_matches_oracle():
     x = rng.normal(size=(2, 6, 6))
     k = rng.normal(size=(3, 2, 3, 3))
     b = rng.normal(size=3)
-    y = ad.conv2d(t64(nhwc(x)), t64(hwio(k)), t64(b), stride=2, padding=1)
+    y = ad.conv2d(t64(nhwc(x)[None]), t64(hwio(k)), t64(b), stride=2, padding=1)
     expected = conv2d_oracle(x, k, b, stride=2, padding=1)
-    assert y.data.shape == (3, 3, 3)
-    np.testing.assert_allclose(nchw(y.data), expected, atol=1e-10, rtol=0)
+    assert y.data.shape == (1, 3, 3, 3)
+    np.testing.assert_allclose(nchw(y.data[0]), expected, atol=1e-10, rtol=0)
 
 
 def test_conv2d_exhaustive_small_shapes():
@@ -58,10 +58,10 @@ def test_conv2d_exhaustive_small_shapes():
                         x = rng.normal(size=(2, h, w_))
                         k = rng.normal(size=(3, 2, kh, kh))
                         b = rng.normal(size=3)
-                        y = ad.conv2d(t64(nhwc(x)), t64(hwio(k)), t64(b), stride=stride,
+                        y = ad.conv2d(t64(nhwc(x)[None]), t64(hwio(k)), t64(b), stride=stride,
                                       padding=padding)
                         expected = conv2d_oracle(x, k, b, stride, padding)
-                        np.testing.assert_allclose(nchw(y.data), expected, atol=1e-10, rtol=0)
+                        np.testing.assert_allclose(nchw(y.data[0]), expected, atol=1e-10, rtol=0)
 
 
 @pytest.mark.parametrize("batch", [None, 1, 3], ids=["unbatched", "N=1", "N=3"])
@@ -72,13 +72,16 @@ def test_conv2d_exhaustive_small_shapes():
 def test_conv2d_matches_the_channel_first_gather_reference(stride, padding, kernel, hw, batch):
     # the output and the x, k and b gradients against the channel-first
     # gather convolution the engine ran before, through explicit layout
-    # conversions of the inputs, the loss weights and the results
+    # conversions of the inputs, the loss weights and the results; in the
+    # unbatched cases the reference runs on one [C,H,W] map and the engine
+    # on the same map as a batch of one row
     rng = np.random.default_rng([stride, padding, kernel, hw[1], batch or 0])
-    lead = () if batch is None else (batch,)
-    x = rng.normal(size=lead + (3,) + hw)
+    x = rng.normal(size=(batch or 1, 3) + hw)
     k = rng.normal(size=(4, 3, kernel, kernel))
     b = rng.normal(size=4)
-    r = rng.normal(size=lead + (4,) + tuple((n + 2 * padding - kernel) // stride + 1 for n in hw))
+    r = rng.normal(size=(batch or 1, 4) + tuple((n + 2 * padding - kernel) // stride + 1
+                                                for n in hw))
+    as_ref = (lambda a: a[0]) if batch is None else (lambda a: a)
 
     def run(conv, x_, k_, r_):
         p = [t64(x_, rg=True), t64(k_, rg=True), t64(b, rg=True)]
@@ -87,14 +90,15 @@ def test_conv2d_matches_the_channel_first_gather_reference(stride, padding, kern
         return y.data, [t.grad for t in p]
 
     y, (gx, gk, gb) = run(ad.conv2d, nhwc(x), hwio(k), nhwc(r))
-    y_ref, (gx_ref, gk_ref, gb_ref) = run(oracles.conv2d_nchw, x, k, r)
-    for got, want in ((nchw(y), y_ref), (nchw(gx), gx_ref), (oihw(gk), gk_ref), (gb, gb_ref)):
+    y_ref, (gx_ref, gk_ref, gb_ref) = run(oracles.conv2d_nchw, as_ref(x), k, as_ref(r))
+    for got, want in ((as_ref(nchw(y)), y_ref), (as_ref(nchw(gx)), gx_ref), (oihw(gk), gk_ref),
+                      (gb, gb_ref)):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 def test_conv2d_errors():
-    x = t64(np.zeros((4, 4, 2)))
+    x = t64(np.zeros((1, 4, 4, 2)))
     k = t64(np.zeros((3, 3, 1, 3)))  # wrong C_in
     b = t64(np.zeros(3))
     with pytest.raises(ad.ShapeError):
@@ -116,12 +120,12 @@ def test_conv2d_batch_equals_per_sample_loop():
         yb = ad.conv2d(xb, kb, bb, stride=stride, padding=padding)
         r = rng.normal(size=yb.shape)
         ad.backward(ad.sum_all(ad.mul(yb, t64(r))))
-        xs, ks, bs = [t64(xi, rg=True) for xi in x], t64(k, rg=True), t64(b, rg=True)
+        xs, ks, bs = [t64(xi[None], rg=True) for xi in x], t64(k, rg=True), t64(b, rg=True)
         for n in range(3):
             y = ad.conv2d(xs[n], ks, bs, stride=stride, padding=padding)
-            np.testing.assert_allclose(yb.data[n], y.data, rtol=0, atol=1e-12)
-            ad.backward(ad.sum_all(ad.mul(y, t64(r[n]))))
-            np.testing.assert_allclose(xb.grad[n], xs[n].grad, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(yb.data[n:n + 1], y.data, rtol=0, atol=1e-12)
+            ad.backward(ad.sum_all(ad.mul(y, t64(r[n:n + 1]))))
+            np.testing.assert_allclose(xb.grad[n:n + 1], xs[n].grad, rtol=0, atol=1e-12)
         np.testing.assert_allclose(kb.grad, ks.grad, rtol=0, atol=1e-11)
         np.testing.assert_allclose(bb.grad, bs.grad, rtol=0, atol=1e-11)
 
@@ -130,13 +134,13 @@ def test_conv2d_batch_equals_per_sample_loop():
 # dense
 
 def test_dense_identity_and_zero():
-    x = t64([1.0, -2.0, 3.0])
+    x = t64([[1.0, -2.0, 3.0]])
     w = t64(np.eye(3))
     b = t64(np.zeros(3))
     np.testing.assert_array_equal(ad.dense(x, w, b).data, x.data)
     np.testing.assert_array_equal(
-        ad.dense(t64(np.zeros(3)), t64(np.eye(3)), t64([1.0, 2.0, 3.0])).data,
-        [1.0, 2.0, 3.0])
+        ad.dense(t64(np.zeros((1, 3))), t64(np.eye(3)), t64([1.0, 2.0, 3.0])).data,
+        [[1.0, 2.0, 3.0]])
 
 
 def test_dense_matches_matvec_oracle():
@@ -144,13 +148,13 @@ def test_dense_matches_matvec_oracle():
     x = rng.normal(size=7)
     w = rng.normal(size=(4, 7))
     b = rng.normal(size=4)
-    y = ad.dense(t64(x), t64(w), t64(b))
-    np.testing.assert_allclose(y.data, matvec_oracle(x, w, b), atol=1e-12, rtol=0)
+    y = ad.dense(t64(x[None]), t64(w), t64(b))
+    np.testing.assert_allclose(y.data[0], matvec_oracle(x, w, b), atol=1e-12, rtol=0)
 
 
 def test_dense_shape_error():
     with pytest.raises(ad.ShapeError):
-        ad.dense(t64(np.zeros(3)), t64(np.zeros((4, 5))), t64(np.zeros(4)))
+        ad.dense(t64(np.zeros((1, 3))), t64(np.zeros((4, 5))), t64(np.zeros(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +177,12 @@ def test_relu_zeroes_negatives():
 
 
 def test_broadcast_mul_channelwise():
-    f = t64(np.ones((2, 2, 3)))
-    m = t64(np.full((2, 2, 1), 0.25))
+    f = t64(np.ones((1, 2, 2, 3)))
+    m = t64(np.full((1, 2, 2, 1), 0.25))
     np.testing.assert_array_equal(ad.broadcast_mul_channelwise(f, m).data,
-                                  np.full((2, 2, 3), 0.25))
+                                  np.full((1, 2, 2, 3), 0.25))
     with pytest.raises(ad.ShapeError):
-        ad.broadcast_mul_channelwise(f, t64(np.ones((3, 3, 1))))
+        ad.broadcast_mul_channelwise(f, t64(np.ones((1, 3, 3, 1))))
 
 
 def test_add_mul_shape_errors():
@@ -192,9 +196,9 @@ def test_add_mul_shape_errors():
 # softmax
 
 def test_softmax_uniform_and_stability():
-    np.testing.assert_allclose(ad.softmax(t64([0.0, 0.0, 0.0])).data, np.full(3, 1 / 3),
+    np.testing.assert_allclose(ad.softmax(t64([[0.0, 0.0, 0.0]])).data, np.full((1, 3), 1 / 3),
                                atol=1e-15, rtol=0)
-    y = ad.softmax(t64([1000.0, 0.0])).data
+    y = ad.softmax(t64([[1000.0, 0.0]])).data[0]
     assert np.all(np.isfinite(y))
     assert y[0] > 1 - 1e-12 and y[1] < 1e-12
 
@@ -203,28 +207,28 @@ def test_softmax_matches_direct_formula():
     rng = np.random.default_rng(7)
     x = rng.normal(size=6)
     expected = np.exp(x) / np.exp(x).sum()
-    np.testing.assert_allclose(ad.softmax(t64(x)).data, expected, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(ad.softmax(t64(x[None])).data[0], expected, atol=1e-12, rtol=0)
 
 
 def test_softmax_sums_to_one_and_shift_invariant():
     rng = np.random.default_rng(8)
     for _ in range(50):
         x = rng.normal(scale=5.0, size=rng.integers(1, 9))
-        y = ad.softmax(t64(x)).data
+        y = ad.softmax(t64(x[None])).data
         assert np.all(y > 0)
         assert abs(y.sum() - 1.0) <= 1e-12
-        y_shift = ad.softmax(t64(x + 7.5)).data
+        y_shift = ad.softmax(t64(x[None] + 7.5)).data
         np.testing.assert_allclose(y, y_shift, atol=1e-12, rtol=0)
 
 
 def test_softmax_empty_rejected():
     with pytest.raises(ad.ShapeError):
-        ad.softmax(t64(np.zeros(0)))
+        ad.softmax(t64(np.zeros((1, 0))))
 
 
 def test_log_softmax_consistent_with_softmax():
     rng = np.random.default_rng(9)
-    x = rng.normal(size=5)
+    x = rng.normal(size=(1, 5))
     np.testing.assert_allclose(np.exp(ad.log_softmax(t64(x)).data),
                                ad.softmax(t64(x)).data, atol=1e-12, rtol=0)
 
@@ -293,7 +297,7 @@ def test_grad_check_quadratic_is_exact():
 def test_grad_check_dense_sigmoid_composite():
     rng = np.random.default_rng(11)
     params = {
-        "x": t64(rng.normal(size=7)),
+        "x": t64(rng.normal(size=(1, 7))),
         "w": t64(rng.normal(size=(4, 7))),
         "b": t64(rng.normal(size=4)),
     }
@@ -303,11 +307,11 @@ def test_grad_check_dense_sigmoid_composite():
 def test_grad_conv2d():
     rng = np.random.default_rng(12)
     params = {
-        "x": t64(nhwc(rng.normal(size=(2, 6, 6)))),
+        "x": t64(nhwc(rng.normal(size=(1, 2, 6, 6)))),
         "k": t64(hwio(rng.normal(size=(3, 2, 3, 3)))),
         "b": t64(rng.normal(size=3)),
     }
-    c = t64(np.asarray(np.random.default_rng(0).normal(size=(3, 3, 3))))
+    c = t64(np.asarray(np.random.default_rng(0).normal(size=(1, 3, 3, 3))))
     _check(lambda p: ad.sum_all(ad.mul(ad.conv2d(p["x"], p["k"], p["b"], stride=2, padding=1), c)),
            params)
 
@@ -332,14 +336,14 @@ def recorded_states(x, k, b, h0, c0, lengths):
 
 
 def test_convlstm_one_step_matches_the_per_step_oracle():
-    # batch_sizes=[B] is one step of B sequences, and an unbatched input one
-    # row: h, c_next and the gradients of x, k and b equal the channel-first
-    # per-step composite's (stacked input, gate conv, cell)
+    # batch_sizes=[B] is one step of B sequences, one sequence among them
+    # or alone: h, c_next and the gradients of x, k and b equal the
+    # channel-first per-step composite's (stacked input, gate conv, cell)
     rng = np.random.default_rng(37)
     hidden, c_in, hw = 3, 2, 4
     k = rng.normal(scale=0.5, size=(4 * hidden, c_in + hidden, 3, 3))
     b = rng.normal(scale=0.5, size=4 * hidden)
-    for batch in ((3,), ()):
+    for batch in ((3,), (1,)):
         x, h0, c0, r = (rng.normal(size=batch + (n, hw, hw)) for n in (c_in,) + (hidden,) * 3)
 
         def run(step, x_, k_, r_):
@@ -353,7 +357,7 @@ def test_convlstm_one_step_matches_the_per_step_oracle():
             return h, c.data
 
         h, c, gx, gk, gb = run(lambda p: ad.convlstm(p["x"], p["lstm.w"], p["lstm.b"], nhwc(h0),
-                                                     nhwc(c0), [batch[0] if batch else 1]),
+                                                     nhwc(c0), list(batch)),
                                nhwc(x), hwio(k), nhwc(r))
         assert h.shape == c.shape == batch + (hw, hw, hidden)
         fused = [nchw(h), nchw(c), nchw(gx), oihw(gk), gb]
@@ -576,10 +580,10 @@ def test_grad_elementwise_family():
 
 def test_grad_broadcast_mul_and_invert():
     rng = np.random.default_rng(14)
-    c = t64(nhwc(rng.normal(size=(4, 3, 3))))
+    c = t64(nhwc(rng.normal(size=(1, 4, 3, 3))))
     params = {
-        "f": t64(nhwc(rng.normal(size=(4, 3, 3)))),
-        "m": t64(nhwc(rng.uniform(0.1, 0.9, size=(1, 3, 3)))),
+        "f": t64(nhwc(rng.normal(size=(1, 4, 3, 3)))),
+        "m": t64(nhwc(rng.uniform(0.1, 0.9, size=(1, 1, 3, 3)))),
     }
     _check(lambda p: ad.sum_all(ad.mul(ad.broadcast_mul_channelwise(p["f"], p["m"]), c)), params)
     _check(lambda p: ad.sum_all(ad.mul(
@@ -588,11 +592,11 @@ def test_grad_broadcast_mul_and_invert():
 
 def test_grad_softmax_family():
     rng = np.random.default_rng(15)
-    c = t64(rng.normal(size=6))
-    params = {"x": t64(rng.normal(size=6))}
+    c = t64(rng.normal(size=(1, 6)))
+    params = {"x": t64(rng.normal(size=(1, 6)))}
     _check(lambda p: ad.sum_all(ad.mul(ad.softmax(p["x"]), c)), params)
     _check(lambda p: ad.sum_all(ad.mul(ad.log_softmax(p["x"]), c)), params)
-    _check(lambda p: pick(ad.log_softmax(p["x"]), 2), params)
+    _check(lambda p: pick(ad.log_softmax(p["x"]), (0, 2)), params)
 
 
 def test_grad_structural_ops():

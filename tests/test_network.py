@@ -133,32 +133,25 @@ def test_feature_extract_output_shapes():
     for hw, out_hw in ((20, 3), (80, 10)):
         config = cfg("both", input_hw=hw)
         w = net.init_weights(config, seed=0, dtype=np.float64)
-        obs = Tensor(nhwc(random_obs(config)))
-        assert net.feature_extract(obs, w, config).shape == (out_hw, out_hw, 64)
+        obs = Tensor(random_obs(config)[..., None])
+        assert net.feature_extract(obs, w, config).shape == (1, out_hw, out_hw, 64)
 
 
 def test_feature_extract_zero_obs_zero_weights():
     config = cfg("both")
     w = {k: Tensor(np.zeros_like(t.data)) for k, t in net.init_weights(config, 0).items()}
-    out = net.feature_extract(Tensor(np.zeros((20, 20, 1))), w, config)
-    np.testing.assert_array_equal(out.data, np.zeros((3, 3, 64)))
+    out = net.feature_extract(Tensor(np.zeros((1, 20, 20, 1))), w, config)
+    np.testing.assert_array_equal(out.data, np.zeros((1, 3, 3, 64)))
 
 
 def test_single_conv_stage_on_zero_obs_is_bias_constant():
     # with zero input the first stage is exactly ReLU(bias) per channel
-    x = Tensor(np.zeros((20, 20, 1)))
+    x = Tensor(np.zeros((1, 20, 20, 1)))
     k = Tensor(hwio(np.random.default_rng(0).normal(size=(32, 1, 3, 3))))
     b = Tensor(np.linspace(-1, 1, 32))
     y = ad.relu(ad.conv2d(x, k, b, stride=2, padding=1))
     for c in range(32):
-        np.testing.assert_array_equal(y.data[..., c], np.full((10, 10), max(b.data[c], 0.0)))
-
-
-def test_feature_extract_rejects_wrong_shape():
-    config = cfg("both")
-    w = net.init_weights(config, seed=0)
-    with pytest.raises(ad.ShapeError):
-        net.feature_extract(Tensor(np.zeros((19, 20, 1))), w, config)
+        np.testing.assert_array_equal(y.data[..., c], np.full((1, 10, 10), max(b.data[c], 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -171,22 +164,21 @@ def _small_lstm_weights(rng, channels=2, scale=0.5):
 
 
 def _small_state(rng, channels=2, hw=2):
-    return RecurrentState(nhwc(rng.normal(size=(channels, hw, hw))),
-                          nhwc(rng.normal(size=(channels, hw, hw))))
+    return RecurrentState(nhwc(rng.normal(size=(1, channels, hw, hw))),
+                          nhwc(rng.normal(size=(1, channels, hw, hw))))
 
 
 def convlstm_step(x, state, w):
-    """(h, c_next) of the one ConvLSTM step ``forward`` runs: of the batch's rows, or of one."""
-    rows = x.shape[0] if x.data.ndim == 4 else 1
-    return ad.convlstm(x, w["lstm.w"], w["lstm.b"], state.h, state.c, [rows])
+    """(h, c_next) of the one ConvLSTM step ``forward`` runs over the batch's rows."""
+    return ad.convlstm(x, w["lstm.w"], w["lstm.b"], state.h, state.c, [x.shape[0]])
 
 
 def test_convlstm_zero_everything():
     w = {"lstm.w": Tensor(np.zeros((3, 3, 4, 8))), "lstm.b": Tensor(np.zeros(8))}
-    state = RecurrentState(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
-    h, c = convlstm_step(Tensor(np.zeros((2, 2, 2))), state, w)
-    np.testing.assert_array_equal(h.data, np.zeros((2, 2, 2)))
-    np.testing.assert_array_equal(c, np.zeros((2, 2, 2)))
+    state = RecurrentState(np.zeros((1, 2, 2, 2)), np.zeros((1, 2, 2, 2)))
+    h, c = convlstm_step(Tensor(np.zeros((1, 2, 2, 2))), state, w)
+    np.testing.assert_array_equal(h.data, np.zeros((1, 2, 2, 2)))
+    np.testing.assert_array_equal(c, np.zeros((1, 2, 2, 2)))
 
 
 def test_convlstm_forget_saturation():
@@ -194,27 +186,27 @@ def test_convlstm_forget_saturation():
     w = _small_lstm_weights(rng)
     w["lstm.b"].data[2:4] = 30.0  # forget gate slice for 2 channels
     state = _small_state(rng)
-    x = Tensor(nhwc(rng.normal(size=(2, 2, 2))))
+    x = Tensor(nhwc(rng.normal(size=(1, 2, 2, 2))))
     _, c = convlstm_step(x, state, w)
 
     L = 2
-    z = conv2d_oracle(np.concatenate([nchw(x.data), nchw(state.h)]), oihw(w["lstm.w"].data),
-                      w["lstm.b"].data, 1, 1)
+    z = conv2d_oracle(np.concatenate([nchw(x.data[0]), nchw(state.h[0])]),
+                      oihw(w["lstm.w"].data), w["lstm.b"].data, 1, 1)
     i = 1 / (1 + np.exp(-z[0:L]))
     g = np.tanh(z[3 * L:4 * L])
-    np.testing.assert_allclose(nchw(c), nchw(state.c) + i * g, atol=1e-6, rtol=0)
+    np.testing.assert_allclose(nchw(c[0]), nchw(state.c[0]) + i * g, atol=1e-6, rtol=0)
 
 
 def test_convlstm_matches_gate_oracle():
     rng = np.random.default_rng(21)
     w = _small_lstm_weights(rng)
     state = _small_state(rng)
-    x = Tensor(nhwc(rng.normal(size=(2, 2, 2))))
+    x = Tensor(nhwc(rng.normal(size=(1, 2, 2, 2))))
     h, c = convlstm_step(x, state, w)
-    h_ref, c_ref = convlstm_oracle(nchw(x.data), nchw(state.h), nchw(state.c),
+    h_ref, c_ref = convlstm_oracle(nchw(x.data[0]), nchw(state.h[0]), nchw(state.c[0]),
                                    oihw(w["lstm.w"].data), w["lstm.b"].data)
-    np.testing.assert_allclose(nchw(h.data), h_ref, atol=1e-10, rtol=0)
-    np.testing.assert_allclose(nchw(c), c_ref, atol=1e-10, rtol=0)
+    np.testing.assert_allclose(nchw(h.data[0]), h_ref, atol=1e-10, rtol=0)
+    np.testing.assert_allclose(nchw(c[0]), c_ref, atol=1e-10, rtol=0)
 
 
 def test_convlstm_batch_matches_gate_oracle_per_row():
@@ -234,14 +226,12 @@ def test_convlstm_batch_matches_gate_oracle_per_row():
 def test_convlstm_rejects_mismatched_state():
     rng = np.random.default_rng(22)
     w = _small_lstm_weights(rng)
-    state = RecurrentState(np.zeros((3, 3, 2)), np.zeros((3, 3, 2)))
+    state = RecurrentState(np.zeros((1, 3, 3, 2)), np.zeros((1, 3, 3, 2)))
     with pytest.raises(ad.ShapeError):
-        convlstm_step(Tensor(np.zeros((2, 2, 2))), state, w)
+        convlstm_step(Tensor(np.zeros((1, 2, 2, 2))), state, w)
     batched = RecurrentState(np.zeros((3, 2, 2, 2)), np.zeros((3, 2, 2, 2)))
     with pytest.raises(ad.ShapeError):
         convlstm_step(Tensor(np.zeros((4, 2, 2, 2))), batched, w)
-    with pytest.raises(ad.ShapeError):
-        convlstm_step(Tensor(np.zeros((2, 2, 2))), batched, w)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +239,9 @@ def test_convlstm_rejects_mismatched_state():
 
 def test_compute_mask_zero_weights_gives_half():
     w = {"policy_mask.w": Tensor(np.zeros((1, 1, 64, 1))), "policy_mask.b": Tensor(np.zeros(1))}
-    h = Tensor(nhwc(np.random.default_rng(0).normal(size=(64, 3, 3))))
+    h = Tensor(nhwc(np.random.default_rng(0).normal(size=(1, 64, 3, 3))))
     m = net.compute_mask(h, w, "policy")
-    np.testing.assert_array_equal(m.data, np.full((3, 3, 1), 0.5))
+    np.testing.assert_array_equal(m.data, np.full((1, 3, 3, 1), 0.5))
 
 
 def test_compute_mask_preserves_spatial_size_and_matches_oracle():
@@ -260,24 +250,24 @@ def test_compute_mask_preserves_spatial_size_and_matches_oracle():
     k = rng.normal(scale=0.2, size=(1, 64, 1, 1))
     b = rng.normal(size=1)
     w = {"value_mask.w": Tensor(hwio(k)), "value_mask.b": Tensor(b)}
-    m = net.compute_mask(Tensor(nhwc(h)), w, "value")
-    assert m.shape == (5, 5, 1)
+    m = net.compute_mask(Tensor(nhwc(h[None])), w, "value")
+    assert m.shape == (1, 5, 5, 1)
     expect = 1 / (1 + np.exp(-(np.tensordot(k[0, :, 0, 0], h, axes=1) + b[0])))
-    np.testing.assert_allclose(m.data[..., 0], expect, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(m.data[0, ..., 0], expect, atol=1e-12, rtol=0)
 
 
 def test_apply_mask_limits():
     rng = np.random.default_rng(24)
-    f = Tensor(nhwc(rng.normal(size=(32, 3, 3))))
-    ones = Tensor(np.ones((3, 3, 1)))
-    zeros = Tensor(np.zeros((3, 3, 1)))
+    f = Tensor(nhwc(rng.normal(size=(1, 32, 3, 3))))
+    ones = Tensor(np.ones((1, 3, 3, 1)))
+    zeros = Tensor(np.zeros((1, 3, 3, 1)))
     np.testing.assert_array_equal(ad.broadcast_mul_channelwise(f, ones).data, f.data)
     np.testing.assert_array_equal(ad.broadcast_mul_channelwise(f, zeros).data,
-                                  np.zeros((3, 3, 32)))
-    twos = Tensor(np.full((3, 3, 32), 2.0))
-    quarter = Tensor(np.full((3, 3, 1), 0.25))
+                                  np.zeros((1, 3, 3, 32)))
+    twos = Tensor(np.full((1, 3, 3, 32), 2.0))
+    quarter = Tensor(np.full((1, 3, 3, 1), 0.25))
     np.testing.assert_array_equal(ad.broadcast_mul_channelwise(twos, quarter).data,
-                                  np.full((3, 3, 32), 0.5))
+                                  np.full((1, 3, 3, 32), 0.5))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -314,7 +304,7 @@ def test_forward_trace_mask_consistency():
     config = cfg("both")
     w = net.init_weights(config, seed=1, dtype=np.float64)
     trace = net.forward(random_obs(config), RecurrentState.zeros(config, np.float64), w, config)
-    h = nchw(trace.next_state.h)
+    h = nchw(trace.next_state.h[0])
     heads = {}
     for branch in ("policy", "value"):
         k = oihw(w[f"{branch}_mask.w"].data)[0, :, 0, 0]
@@ -325,9 +315,10 @@ def test_forward_trace_mask_consistency():
         heads[branch] = matvec_oracle(nhwc(f * m).reshape(-1), w[f"{branch}_out.w"].data,
                                       w[f"{branch}_out.b"].data)
         mask = trace.m_p if branch == "policy" else trace.m_v
-        np.testing.assert_allclose(mask.data[..., 0], m, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(trace.policy_logits.data, heads["policy"], rtol=1e-10, atol=1e-14)
-    np.testing.assert_allclose(trace.value.data, heads["value"], rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(mask.data[0, ..., 0], m, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(trace.policy_logits.data[0], heads["policy"], rtol=1e-10,
+                               atol=1e-14)
+    np.testing.assert_allclose(trace.value.data[0], heads["value"], rtol=1e-10, atol=1e-14)
     assert np.all(trace.m_p.data > 0) and np.all(trace.m_p.data < 1)
     assert np.all(trace.m_v.data > 0) and np.all(trace.m_v.data < 1)
 
@@ -384,10 +375,10 @@ def test_forward_stops_gradients_at_the_state_passed_in():
         t.requires_grad = True
     rng = np.random.default_rng(4)
     side = config.feature_hw()
-    state = RecurrentState(*(rng.normal(size=(side, side, 4)) for _ in range(2)))
+    state = RecurrentState(*(rng.normal(size=(1, side, side, 4)) for _ in range(2)))
     trace = net.forward(random_obs(config, seed=5), state, w, config)
     assert all(type(a) is np.ndarray for a in (trace.next_state.h, trace.next_state.c))
-    ad.backward(ad.add(ad.sum_all(trace.value), pick(trace.policy_logits, 1)))
+    ad.backward(ad.add(ad.sum_all(trace.value), pick(trace.policy_logits, (0, 1))))
     assert all(w[name].grad is not None for name in ("fe1.w", "lstm.w", "lstm.b"))
 
 
@@ -422,7 +413,7 @@ def test_gradient_flows_through_mask_path():
         t.requires_grad = True
     trace = net.forward(random_obs(config, seed=14),
                         RecurrentState.zeros(config, np.float64), w, config)
-    loss = ad.add(pick(ad.log_softmax(trace.policy_logits), 0),
+    loss = ad.add(pick(ad.log_softmax(trace.policy_logits), (0, 0)),
                   ad.mul(ad.sum_all(trace.value), 0.5))
     ad.backward(loss)
     assert w["policy_mask.w"].grad is not None
@@ -441,7 +432,8 @@ def _random_states(config, n, rng, dtype):
 
 
 def _stack_states(states):
-    return RecurrentState(np.stack([s.h for s in states]), np.stack([s.c for s in states]))
+    return RecurrentState(np.concatenate([s.h for s in states]),
+                          np.concatenate([s.c for s in states]))
 
 
 def _forward_rows(trace):
@@ -461,7 +453,7 @@ def test_batched_forward_rows_match_per_sample_forward(variant, dtype, rtol, ato
     states = _random_states(config, n, rng, dtype)
     batch_state = _stack_states(states)
     for step in range(2):
-        obs = rng.uniform(0, 1, size=(n, 1, config.input_hw, config.input_hw)).astype(dtype)
+        obs = rng.uniform(0, 1, size=(n, config.input_hw, config.input_hw)).astype(dtype)
         for transform in net.MASK_TRANSFORMS:
             if transform == "inverse" and not config.policy_mask_enabled:
                 continue
@@ -471,30 +463,31 @@ def test_batched_forward_rows_match_per_sample_forward(variant, dtype, rtol, ato
                        for i in range(n)]
             for i, single in enumerate(singles):
                 for got, want in zip(_forward_rows(batch), _forward_rows(single)):
-                    np.testing.assert_allclose(got[i], want, rtol=rtol, atol=atol)
+                    np.testing.assert_allclose(got[i], want[0], rtol=rtol, atol=atol)
         states = [t.next_state for t in singles]
         batch_state = batch.next_state
 
 
 def test_recurrent_state_zeros_batch_shape():
     config = cfg()
+    side = config.feature_hw()
     state = RecurrentState.zeros(config, np.float64, batch=5)
-    assert state.h.shape == state.c.shape == (5,) + RecurrentState.zeros(config).h.shape
+    assert state.h.shape == state.c.shape == (5, side, side, config.lstm_channels)
     assert state.h.dtype == np.float64 and not state.h.any()
+    one = RecurrentState.zeros(config)
+    assert one.h.shape == one.c.shape == (1, side, side, config.lstm_channels)
+    assert one.h.dtype == np.float32
 
 
-@pytest.mark.parametrize("batch", [None, 3], ids=["B=1", "B=3"])
+@pytest.mark.parametrize("batch", [1, 3], ids=["B=1", "B=3"])
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_forward_without_value_branch_keeps_policy_outputs_bit_for_bit(variant, batch):
     # float32, as the rollout and evaluation run it, from a nonzero state
     config = cfg(variant)
     w = net.init_weights(config, seed=17, dtype=np.float32)
     rng = np.random.default_rng(18)
-    state = _random_states(config, 1 if batch is None else batch, rng, np.float32)
-    state = state[0] if batch is None else _stack_states(state)
-    shape = (1, config.input_hw, config.input_hw) if batch is None else \
-        (batch, 1, config.input_hw, config.input_hw)
-    obs = rng.uniform(0, 1, size=shape).astype(np.float32)
+    state = _stack_states(_random_states(config, batch, rng, np.float32))
+    obs = rng.uniform(0, 1, size=(batch, config.input_hw, config.input_hw)).astype(np.float32)
     for transform in net.MASK_TRANSFORMS:
         if transform == "inverse" and not config.policy_mask_enabled:
             continue
@@ -509,3 +502,88 @@ def test_forward_without_value_branch_keeps_policy_outputs_bit_for_bit(variant, 
             pairs.append((lean.m_p.data, full.m_p.data))
         for got, want in pairs:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the row convention: every tensor has a leading row axis, and one [H,W]
+# frame is one row
+
+def test_one_frame_equals_the_same_frame_as_one_row_bit_for_bit():
+    config = cfg("both")
+    w = net.init_weights(config, seed=19)
+    frame = random_obs(config, seed=20, dtype=np.float32)[0]
+    state = RecurrentState.zeros(config)
+    flat, row = (net.forward(obs, state, w, config) for obs in (frame, frame[None]))
+    for got, want in zip(_forward_rows(flat) + [flat.policy_logits.data],
+                         _forward_rows(row) + [row.policy_logits.data]):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_every_trace_tensor_of_one_frame_has_a_row_axis():
+    config = cfg("both")
+    w = net.init_weights(config, seed=21, dtype=np.float64)
+    trace = net.forward(random_obs(config, seed=22)[0], RecurrentState.zeros(config, np.float64),
+                        w, config)
+    side, k = config.feature_hw(), config.n_actions
+    shapes = {"policy": (1, k), "policy_logits": (1, k), "value": (1, 1),
+              "m_p": (1, side, side, 1), "m_v": (1, side, side, 1)}
+    assert {name: getattr(trace, name).shape for name in shapes} == shapes
+    assert trace.next_state.h.shape == trace.next_state.c.shape == \
+        (1, side, side, config.lstm_channels)
+
+
+def test_next_state_feeds_the_next_one_frame_call():
+    # a replay loop: one row of float32 zeros, a [H,W] frame per call and
+    # each call's next_state passed on; the states it carries are those the
+    # packed pass over the frames as one sequence reads
+    config = cfg("both")
+    w = net.init_weights(config, seed=23)
+    frames = np.concatenate([random_obs(config, seed=24 + t, dtype=np.float32) for t in range(3)])
+    state, entered, traces = RecurrentState.zeros(config), [], []
+    for frame in frames:
+        entered.append(state)
+        traces.append(net.forward(frame, state, w, config))
+        state = traces[-1].next_state
+        assert len(state.h) == len(state.c) == 1 and state.h.dtype == np.float32
+    packed = net.forward(frames, _stack_states(entered), w, config, batch_sizes=[1, 1, 1])
+    for t, trace in enumerate(traces):
+        for got, want in zip(_forward_rows(packed), _forward_rows(trace)):
+            np.testing.assert_allclose(got[t], want[0], rtol=0, atol=1e-6)
+
+
+_ROW_CONFIG = cfg("both", fe_channels=(4, 4, 4), lstm_channels=4, branch_channels=4)
+_HW, _SIDE = _ROW_CONFIG.input_hw, _ROW_CONFIG.feature_hw()
+
+# each op on the rank it no longer takes, and forward on inputs without a row axis
+REMOVED_RANKS = {
+    "conv2d-HWC": lambda w: ad.conv2d(Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((3, 3, 2, 3))),
+                                      Tensor(np.zeros(3))),
+    "convlstm-HWC": lambda w: ad.convlstm(Tensor(np.zeros((3, 3, 1))),
+                                          Tensor(np.zeros((3, 3, 3, 8))), Tensor(np.zeros(8)),
+                                          np.zeros((3, 3, 2)), np.zeros((3, 3, 2)), [1]),
+    "broadcast_mul_channelwise-HWC": lambda w: ad.broadcast_mul_channelwise(
+        Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 2, 1)))),
+    "dense-n": lambda w: ad.dense(Tensor(np.zeros(3)), Tensor(np.zeros((4, 3))),
+                                  Tensor(np.zeros(4))),
+    "softmax-K": lambda w: ad.softmax(Tensor(np.zeros(3))),
+    "log_softmax-K": lambda w: ad.log_softmax(Tensor(np.zeros(3))),
+    "forward-R1HW": lambda w: net.forward(np.zeros((2, 1, _HW, _HW)),
+                                          RecurrentState.zeros(_ROW_CONFIG, batch=2), w,
+                                          _ROW_CONFIG),
+    "forward-state-hwL": lambda w: net.forward(
+        np.zeros((_HW, _HW)), RecurrentState(*np.zeros((2, _SIDE, _SIDE, 4))), w, _ROW_CONFIG),
+}
+
+
+@pytest.mark.parametrize("case", list(REMOVED_RANKS))
+def test_removed_ranks_raise_shape_error(case):
+    with pytest.raises(ad.ShapeError):
+        REMOVED_RANKS[case](net.init_weights(_ROW_CONFIG, seed=0))
+
+
+def test_forward_rejects_a_frame_of_the_wrong_size():
+    config = cfg("both")
+    w = net.init_weights(config, seed=0)
+    for obs in (np.zeros((19, 20)), np.zeros((2, 20, 19))):
+        with pytest.raises(ad.ShapeError):
+            net.forward(obs, RecurrentState.zeros(config), w, config)

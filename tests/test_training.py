@@ -74,13 +74,6 @@ class NoisyEnv(ScriptedEnv):
         return rng.uniform(0, 1, size=(self.size, self.size))
 
 
-def collect_one(env, weights, config, state, t_max, rng):
-    """``collect_rollout`` on a round of one env, with an unbatched state."""
-    batched = RecurrentState(state.h[None], state.c[None])
-    rnd, state = collect_rollout([env], weights, config, batched, t_max, [rng])
-    return rnd, RecurrentState(state.h[0], state.c[0])
-
-
 def make_round(rewards, bootstrap=None, obs=None, actions=None, weights=None, config=None):
     """A packed ``Round`` of the segments given as per-segment lists.
 
@@ -167,9 +160,9 @@ def test_loss_reduces_to_entropy_term():
 
 def test_loss_single_step_policy_term_only():
     rnd, weights, config = zero_head_round(3, 1)
-    trace = forward(rnd.obs[:, None], RecurrentState(rnd.h, rnd.c), weights, config,
-                    batch_sizes=[1])
-    (policy_term, _, _), _ = loss_components(trace, [0], [1.7], advantages=np.array([2.5]))
+    trace = forward(rnd.obs, RecurrentState(rnd.h, rnd.c), weights, config, batch_sizes=[1])
+    # the value head predicts 0, so the advantage R - V is the return
+    (policy_term, _, _), _ = loss_components(trace, [0], [2.5])
     assert abs(float(policy_term.data) - (-np.log(1 / 3) * 2.5)) < 1e-12
 
 
@@ -196,17 +189,20 @@ def frozen_loss_fn(config, obs_seq, actions, returns, advantages, hyper, dtype):
     Advantages derived from the weights' own values would move with every
     perturbed weight, so finite differences would see through their
     stop-gradient; so the loss is ``a3c_loss``'s sum built from the
-    learner's ``forward`` and ``loss_components`` with the advantages given.
-    The recorded ConvLSTM states are a function of the weights, so each
-    call records them anew by replaying the observations through ``forward``.
+    learner's ``forward`` and ``loss_components``, whose policy term reads
+    the advantages given as the returns of a constant zero value.  The
+    recorded ConvLSTM states are a function of the weights, so each call
+    records them anew by replaying the observations through ``forward``.
     """
     obs = np.array(obs_seq, dtype=dtype)
+    zero_value = Tensor(np.zeros((len(obs), 1), dtype=dtype))
 
     def f(weights):
         state = RecurrentState(*replay_states(obs, [len(obs)], weights, config))
-        trace = forward(obs[:, None], state, weights, config, batch_sizes=[1] * len(obs))
-        (policy_term, value_term, neg_entropy), _ = loss_components(
-            trace, actions, np.asarray(returns), np.asarray(advantages))
+        trace = forward(obs, state, weights, config, batch_sizes=[1] * len(obs))
+        (policy_term, _, neg_entropy), _ = loss_components(
+            dataclasses.replace(trace, value=zero_value), actions, np.asarray(advantages))
+        (_, value_term, _), _ = loss_components(trace, actions, np.asarray(returns))
         return ad.add(policy_term, ad.add(ad.mul(value_term, hyper.value_coef),
                                           ad.mul(neg_entropy, hyper.entropy_coef)))
     return f
@@ -299,7 +295,7 @@ def assert_round_grads_match_per_step_oracle(config, weights, t_max, warmup, end
     def oracle_loss(w):
         total = None
         for rows in packed_rows(rnd.lengths):
-            start = Tensor(rnd.h[rows[0]]), Tensor(rnd.c[rows[0]])
+            start = Tensor(rnd.h[rows[:1]]), Tensor(rnd.c[rows[:1]])
             term = per_step_a3c_loss(rnd.obs[rows], rnd.actions[rows], start, w, config,
                                      returns[rows], *coefs)
             total = term if total is None else ad.add(total, term)
@@ -350,8 +346,8 @@ def test_collect_rollout_fixed_length_single_action():
     weights = init_weights(config, seed=0, dtype=np.float64)
     env = ScriptedEnv(n_actions=1)
     env.reset()
-    rnd, state = collect_one(env, weights, config, RecurrentState.zeros(config, np.float64), 3,
-                             np.random.default_rng(0))
+    rnd, state = collect_rollout([env], weights, config, RecurrentState.zeros(config, np.float64),
+                                 3, [np.random.default_rng(0)])
     assert rnd.lengths.tolist() == [3] and rnd.obs.shape[:1] == (3,)
     assert rnd.actions.tolist() == [0, 0, 0]
     assert not rnd.terminal[0]
@@ -365,8 +361,8 @@ def test_collect_rollout_stops_at_terminal():
     weights = init_weights(config, seed=0, dtype=np.float64)
     env = ScriptedEnv(n_actions=1, done_at=2)
     env.reset()
-    rnd, _ = collect_one(env, weights, config, RecurrentState.zeros(config, np.float64), 5,
-                         np.random.default_rng(0))
+    rnd, _ = collect_rollout([env], weights, config, RecurrentState.zeros(config, np.float64),
+                             5, [np.random.default_rng(0)])
     assert rnd.lengths.tolist() == [2] and rnd.obs.shape[:1] == (2,)
     assert rnd.terminal[0]
     assert rnd.bootstrap[0] == 0.0
@@ -377,8 +373,8 @@ def test_collect_rollout_round_is_as_wide_as_the_steps_taken():
     config = small_cfg()
     weights = init_weights(config, seed=0)
     env = make_env(EnvSpec(name="catch", seed=1))
-    rnd, _ = collect_one(env, weights, config, RecurrentState.zeros(config), 10 ** 6,
-                         np.random.default_rng(0))
+    rnd, _ = collect_rollout([env], weights, config, RecurrentState.zeros(config),
+                             10 ** 6, [np.random.default_rng(0)])
     assert rnd.obs.shape == (19, 20, 20)
     assert rnd.actions.shape == rnd.rewards.shape == (19,)
     assert rnd.lengths.tolist() == [19] and rnd.terminal.tolist() == [True]
@@ -463,8 +459,8 @@ def test_collect_rollout_renders_each_frame_once(monkeypatch, start_done):
     observe = _BaseEnv.observe
     monkeypatch.setattr(_BaseEnv, "observe", lambda self: calls.append(1) or observe(self))
     t_max = 5
-    rnd, _ = collect_one(env, weights, config, RecurrentState.zeros(config), t_max,
-                         np.random.default_rng(0))
+    rnd, _ = collect_rollout([env], weights, config, RecurrentState.zeros(config),
+                             t_max, [np.random.default_rng(0)])
     assert rnd.lengths.tolist() == [t_max] and not rnd.terminal[0]
     assert len(calls) <= t_max + 1
 
@@ -484,14 +480,14 @@ def test_collect_rollout_lockstep_rows_equal_each_env_alone():
     for _ in range(3):   # env 1 ends in round 2 and restarts in round 3, env 2 ends in round 3
         rnd, state = collect_rollout(envs, weights, config, state, 4, rngs)
         for i in range(3):
-            ref, alone_states[i] = collect_one(alone[i], weights, config, alone_states[i], 4,
-                                               alone_rngs[i])
+            ref, alone_states[i] = collect_rollout([alone[i]], weights, config,
+                                                   alone_states[i], 4, [alone_rngs[i]])
             rows = packed_rows(rnd.lengths)[i]
             assert rnd.lengths[i] == ref.lengths[0] and rnd.terminal[i] == ref.terminal[0]
             assert rnd.actions[rows].tolist() == ref.actions.tolist()
             np.testing.assert_allclose(rnd.bootstrap[i], ref.bootstrap[0],
                                        rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(state.c[i], alone_states[i].c,
+            np.testing.assert_allclose(state.c[i], alone_states[i].c[0],
                                        rtol=1e-12, atol=1e-15)
     assert [env.t for env in envs] == [12, 4, 9]
 
@@ -513,8 +509,8 @@ def test_collect_rollout_packs_each_env_alone_step_major_longest_first():
         rnd, state = collect_rollout(envs, weights, config, state, 7, rngs)
         refs = []
         for i in range(3):
-            ref, alone_states[i] = collect_one(alone[i], weights, config, alone_states[i], 7,
-                                               alone_rngs[i])
+            ref, alone_states[i] = collect_rollout([alone[i]], weights, config,
+                                                   alone_states[i], 7, [alone_rngs[i]])
             refs.append(ref)
         assert rnd.lengths.tolist() == [int(ref.lengths[0]) for ref in refs]
         for name in ("obs", "actions", "rewards", "h", "c"):
@@ -560,8 +556,8 @@ def test_collect_rollout_deterministic_given_seed():
     outs = []
     for _ in range(2):
         env = make_env(EnvSpec(name="catch", seed=9))
-        rnd, _ = collect_one(env, weights, config, RecurrentState.zeros(config, np.float32), 10,
-                             np.random.default_rng(33))
+        rnd, _ = collect_rollout([env], weights, config, RecurrentState.zeros(config, np.float32),
+                                 10, [np.random.default_rng(33)])
         outs.append((rnd.actions.tolist(), rnd.rewards.tolist(), rnd.bootstrap.tolist()))
     assert outs[0] == outs[1]
 
@@ -758,11 +754,11 @@ def test_loss_components_mask_statistics_are_over_the_real_steps():
     for branch, name in (("policy", "m_p"), ("value", "m_v")):
         masks = []
         for rows in packed_rows(rnd.lengths):
-            state = RecurrentState(rnd.h[rows[0]], rnd.c[rows[0]])
+            state = RecurrentState(rnd.h[rows[:1]], rnd.c[rows[:1]])
             for obs in rnd.obs[rows]:
                 trace = forward(obs, state, weights, config)
                 state = trace.next_state
-                masks.append(getattr(trace, name).data[..., 0])
+                masks.append(getattr(trace, name).data[0, ..., 0])
         assert len(masks) == 7
         np.testing.assert_allclose(row[f"{branch}_mask_mean"], np.mean(masks), rtol=1e-12)
         np.testing.assert_allclose(row[f"{branch}_mask_std"],
