@@ -9,6 +9,7 @@ They and the training rollout play their envs through one driver, ``lockstep``.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import os
 from dataclasses import dataclass
@@ -62,6 +63,18 @@ class InjectionReport:
 
 class VariantError(ValueError):
     """The network does not fit the environment or the requested use of its masks."""
+
+
+def write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` in the one table format.
+
+    Line ends are ``\\n``, a float is its shortest round-trip repr and None
+    an empty cell.  Callers pass a bool as ``int`` and a numpy scalar as
+    ``float``: the csv module writes ``True``, and a float32 by its own
+    shorter repr.
+    """
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def _checked_tensors(weights, config, env_spec, mask_transform="identity", need_mask=False):
@@ -234,10 +247,9 @@ def record_heatmaps(weights, config, env_spec, episodes, seed, out_dir, greedy=T
                 written.append(HeatmapFrame(timestep=t, branch=branch, mask=mask,
                                             action=action, value=value))
             write_pgm(os.path.join(out_dir, f"obs_{ep}_{t}.pgm"), obs)
-            index_rows.append(f"{t},{action},{value!r},{policy_entropy(probs)!r}")
-        with open(os.path.join(out_dir, f"index_{ep}.csv"), "w") as fh:
-            fh.write("t,action,value,policy_entropy\n")
-            fh.write("\n".join(index_rows) + "\n")
+            index_rows.append((t, action, value, policy_entropy(probs)))
+        write_csv(os.path.join(out_dir, f"index_{ep}.csv"),
+                  ("t", "action", "value", "policy_entropy"), index_rows)
     return written
 
 

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .analysis import (VariantError, evaluate, injection_response, random_baseline,
-                       record_heatmaps)
+                       record_heatmaps, write_csv)
 from .checkpoint import CheckpointError, format_value, load_checkpoint, parse_value
 from .envs import ENV_NAMES, EnvSpec, InjectionSpec
 from .netpbm import read_pgm
@@ -203,13 +203,6 @@ def _prepare_out_dir(args, config):
     return out_dir
 
 
-def _write_episode_csv(path, stats):
-    with open(path, "w") as fh:
-        fh.write("episode,return\n")
-        for i, r in enumerate(stats.returns):
-            fh.write(f"{i},{r!r}\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -230,7 +223,7 @@ def cmd_eval(args):
     stats = evaluate(weights, net_config, spec, args.episodes,
                      mask_transform=MASK_MODES[args.mask], seed=args.seed,
                      greedy=args.greedy)
-    _write_episode_csv(out_csv, stats)
+    write_csv(out_csv, ("episode", "return"), enumerate(stats.returns))
     print(f"max={stats.max!r} mean={stats.mean!r} n={stats.n_episodes}")
     return EXIT_OK
 
@@ -283,18 +276,10 @@ def cmd_inject(args):
     except ValueError as exc:
         raise ArgumentProblem(str(exc)) from None
 
-    prob_cols = [f"p_{name}" for name in report.action_names]
-    with open(out_csv, "w") as fh:
-        fh.write("t,injected,region_mean_policy,region_mean_value,value,"
-                 + ",".join(prob_cols) + "\n")
-        for r in report.rows:
-            mp = r.get("region_mean_policy")
-            mv = r.get("region_mean_value")
-            fh.write(f"{r['t']},{int(r['injected'])},"
-                     f"{'' if mp is None else repr(mp)},"
-                     f"{'' if mv is None else repr(mv)},"
-                     f"{r['value']!r},"
-                     + ",".join(repr(p) for p in r["probs"]) + "\n")
+    write_csv(out_csv, ("t", "injected", "region_mean_policy", "region_mean_value", "value",
+                        *(f"p_{name}" for name in report.action_names)),
+              [(r["t"], int(r["injected"]), r.get("region_mean_policy"),
+                r.get("region_mean_value"), r["value"], *r["probs"]) for r in report.rows])
     print(f"injection report written to {out_csv}")
     return EXIT_OK
 
@@ -319,7 +304,7 @@ def cmd_random_baseline(args):
         _check_out(args.out)
     stats = random_baseline(spec, args.episodes, args.seed)
     if args.out:
-        _write_episode_csv(args.out, stats)
+        write_csv(args.out, ("episode", "return"), enumerate(stats.returns))
     print(f"max={stats.max!r} mean={stats.mean!r} n={stats.n_episodes}")
     return EXIT_OK
 

@@ -23,6 +23,7 @@ pass, and backpropagates that single graph.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import math
 import os
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint
-from .analysis import evaluate, lockstep
+from .analysis import evaluate, lockstep, write_csv
 from .autodiff import Tensor
 from .envs import make_env
 from .network import RecurrentState, forward, init_weights
@@ -293,27 +294,21 @@ def apply_gradients(shared, grads, hyper, n_steps):
     return norm
 
 
-def _cell(value):
-    return "" if value is None else repr(float(value))
-
-
 class MetricsWriter:
-    """Append-only CSV of one row per update."""
+    """Append-only CSV of one row per update, on disk as soon as it is logged."""
 
-    LOSS_COLUMNS = ("policy_loss", "value_loss", "entropy")
-    MASK_COLUMNS = ("policy_mask_mean", "policy_mask_std", "value_mask_mean", "value_mask_std")
-    HEADER = ",".join(("step", "episode_return", *LOSS_COLUMNS, "grad_norm", *MASK_COLUMNS))
+    COLUMNS = ("step", "episode_return", "policy_loss", "value_loss", "entropy", "grad_norm",
+               "policy_mask_mean", "policy_mask_std", "value_mask_mean", "value_mask_std")
 
     def __init__(self, path):
-        self._fh = open(path, "w")
-        self._fh.write(self.HEADER + "\n")
+        self._fh = open(path, "w", newline="", buffering=1)
+        self._writer = csv.DictWriter(self._fh, self.COLUMNS, lineterminator="\n")
+        self._writer.writeheader()
 
     def log(self, step, episode_return, row, grad_norm):
         """One update: ``row`` is ``loss_components``' dict; a None grad_norm (skipped) logs nan."""
-        cells = [str(step), _cell(episode_return), *(_cell(row[k]) for k in self.LOSS_COLUMNS),
-                 "nan" if grad_norm is None else repr(float(grad_norm)),
-                 *(_cell(row[k]) for k in self.MASK_COLUMNS)]
-        self._fh.write(",".join(cells) + "\n")
+        self._writer.writerow({**row, "step": step, "episode_return": episode_return,
+                               "grad_norm": math.nan if grad_norm is None else float(grad_norm)})
 
     def close(self):
         self._fh.close()
@@ -484,9 +479,8 @@ def compare_variants(env_spec, config, seeds, hyper, episodes, out_dir,
         best = max(per_seed, key=lambda r: r["mean"])
         rows.append({**best, "seed": "best"})
 
-    with open(os.path.join(out_dir, "variants.csv"), "w") as fh:
-        fh.write("variant,policy_mask,value_mask,seed,max,mean\n")
-        for r in rows:
-            fh.write(f"{r['variant']},{int(r['policy_mask'])},{int(r['value_mask'])},"
-                     f"{r['seed']},{r['max']!r},{r['mean']!r}\n")
+    write_csv(os.path.join(out_dir, "variants.csv"),
+              ("variant", "policy_mask", "value_mask", "seed", "max", "mean"),
+              [(r["variant"], int(r["policy_mask"]), int(r["value_mask"]), r["seed"], r["max"],
+                r["mean"]) for r in rows])
     return rows

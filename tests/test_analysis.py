@@ -1,5 +1,6 @@
 """Evaluation protocols, heat-map emission, and the injection probe."""
 
+import csv
 import os
 
 import numpy as np
@@ -210,10 +211,12 @@ def test_record_heatmaps_writes_expected_files(tmp_path):
     assert sum(n.startswith("obs_") for n in names) == episode_len
     assert sum(n.startswith("overlay_policy_") for n in names) == episode_len
     assert sum(n.startswith("overlay_value_") for n in names) == episode_len
-    with open(tmp_path / "index_0.csv") as fh:
-        lines = fh.read().strip().splitlines()
-    assert lines[0] == "t,action,value,policy_entropy"
-    assert len(lines) - 1 == episode_len
+    with open(tmp_path / "index_0.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["t", "action", "value", "policy_entropy"]
+    assert [(int(t), int(a), float(v)) for t, a, v, _ in rows] == \
+        [(f.timestep, f.action, f.value) for f in frames if f.branch == "policy"]
+    assert len(rows) == episode_len
     # a written mask dequantizes back to the trace mask within one level
     frame = frames[0]
     back = dequantize(netpbm.read_pgm(tmp_path / "policy_0_0.pgm"))

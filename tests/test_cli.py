@@ -1,5 +1,6 @@
 """Checkpoint format, config parsing, and the command-line surface."""
 
+import csv
 import errno
 import hashlib
 import os
@@ -14,9 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from maskac import checkpoint, cli, netpbm
-from maskac.analysis import EpisodeStats
+from maskac.analysis import EpisodeStats, evaluate, injection_response, random_baseline
 from maskac.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from maskac.envs import ENV_NAMES, EnvSpec
+from maskac.envs import ENV_NAMES, EnvSpec, InjectionSpec
 from maskac.cli import (CONFIG_DEFAULTS, EXIT_ARGUMENT, EXIT_CHECKPOINT,
                         EXIT_CONFIG, EXIT_OK, EXIT_VARIANT, ResolvedConfig,
                         main, parse_config_file)
@@ -32,6 +33,14 @@ def write_config(path, **overrides):
     lines = [f"{k}={v}" for k, v in overrides.items()]
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def read_table(path, header):
+    """The rows of a CSV file after its header, which must be ``header``."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == header
+    return rows[1:]
 
 
 def small_net_overrides():
@@ -499,24 +508,25 @@ def test_train_zero_steps_single_checkpoint(tmp_path):
 
 def test_eval_prints_stats_and_writes_csv(tmp_path, capsys):
     out, ckpt = trained_tiny_run(tmp_path)
-    csv = str(tmp_path / "eval.csv")
+    table = str(tmp_path / "eval.csv")
     assert main(["eval", "--ckpt", ckpt, "--episodes", "3", "--seed", "1",
-                 "--greedy", "--out", csv]) == EXIT_OK
+                 "--greedy", "--out", table]) == EXIT_OK
     line = capsys.readouterr().out.strip().splitlines()[-1]
     assert line.startswith("max=") and "mean=" in line and line.endswith("n=3")
-    rows = Path(csv).read_text().strip().splitlines()
-    assert rows[0] == "episode,return"
-    assert len(rows) == 4
+    weights, config = load_checkpoint(ckpt)
+    stats = evaluate(weights, config, EnvSpec(name="catch"), 3, seed=1, greedy=True)
+    rows = read_table(table, ["episode", "return"])
+    assert [(int(ep), float(ret)) for ep, ret in rows] == list(enumerate(stats.returns))
 
 
 def test_eval_deterministic_byte_identical(tmp_path):
     out, ckpt = trained_tiny_run(tmp_path)
     blobs = []
     for name in ("a.csv", "b.csv"):
-        csv = str(tmp_path / name)
+        table = str(tmp_path / name)
         assert main(["eval", "--ckpt", ckpt, "--episodes", "4", "--seed", "2",
-                     "--greedy", "--out", csv]) == EXIT_OK
-        blobs.append(Path(csv).read_bytes())
+                     "--greedy", "--out", table]) == EXIT_OK
+        blobs.append(Path(table).read_bytes())
     assert blobs[0] == blobs[1]
 
 
@@ -650,18 +660,25 @@ def write_sprite(tmp_path, shape=(3, 20), value=0.9):
 
 
 def test_inject_report_csv(tmp_path):
-    out, ckpt = trained_tiny_run(tmp_path, env="fuel")
+    # a policy-only network, so the value mask's region mean is an empty cell
+    out, ckpt = trained_tiny_run(tmp_path, env="fuel", value_mask="false")
     sprite = write_sprite(tmp_path)
-    csv = str(tmp_path / "report.csv")
+    table = str(tmp_path / "report.csv")
     assert main(["inject", "--ckpt", ckpt, "--sprite", sprite, "--pos", "17,0",
                  "--frame", "4", "--window", "0,8", "--env", "fuel",
-                 "--seed", "1", "--out", csv]) == EXIT_OK
-    rows = Path(csv).read_text().strip().splitlines()
-    assert rows[0] == ("t,injected,region_mean_policy,region_mean_value,value,"
-                       "p_up,p_down,p_left,p_right,p_stay,p_collect")
-    assert len(rows) == 10
-    injected_flags = [r.split(",")[1] for r in rows[1:]]
-    assert injected_flags == ["0"] * 4 + ["1"] * 5
+                 "--seed", "1", "--out", table]) == EXIT_OK
+    rows = read_table(table, ["t", "injected", "region_mean_policy", "region_mean_value", "value",
+                              "p_up", "p_down", "p_left", "p_right", "p_stay", "p_collect"])
+    weights, config = load_checkpoint(ckpt)
+    inj = InjectionSpec(*cli.load_sprite(sprite, 1), position=(17, 0), start_frame=4,
+                        duration=None)
+    report = injection_response(weights, config, EnvSpec(name="fuel"), inj, window=(0, 8), seed=1)
+    assert len(rows) == len(report.rows) == 9
+    for cells, r in zip(rows, report.rows):
+        assert cells[:2] == [str(r["t"]), str(int(r["injected"]))] and cells[3] == ""
+        assert [float(c) for c in (cells[2], *cells[4:])] == [r["region_mean_policy"], r["value"],
+                                                               *r["probs"]]
+    assert [cells[1] for cells in rows] == ["0"] * 4 + ["1"] * 5
 
 
 def test_inject_window_must_cover_frame(tmp_path):
@@ -674,13 +691,13 @@ def test_inject_window_must_cover_frame(tmp_path):
 @pytest.mark.parametrize("window", ["24,30", "10,30"])
 def test_inject_frame_after_the_episode_ends_exits_5_with_one_line(tmp_path, capsys, window):
     out, ckpt = trained_tiny_run(tmp_path)
-    csv = tmp_path / "report.csv"
+    table = tmp_path / "report.csv"
     capsys.readouterr()
     assert main(["inject", "--ckpt", ckpt, "--sprite", write_sprite(tmp_path), "--pos", "17,0",
-                 "--frame", "25", "--window", window, "--out", str(csv)]) == EXIT_ARGUMENT
+                 "--frame", "25", "--window", window, "--out", str(table)]) == EXIT_ARGUMENT
     err = capsys.readouterr().err
     assert err.startswith("invalid argument:") and len(err.strip().splitlines()) == 1
-    assert "frame 25" in err and not csv.exists()
+    assert "frame 25" in err and not table.exists()
 
 
 def test_inject_out_of_bounds_sprite(tmp_path):
@@ -721,23 +738,25 @@ def test_inject_bad_duration_or_sprite_exit_5_with_one_line(tmp_path, capsys, ca
 def test_inject_zero_intensity_full_stencil(tmp_path):
     out, ckpt = trained_tiny_run(tmp_path, env="fuel")
     sprite = write_sprite(tmp_path, value=0.0)
-    csv = str(tmp_path / "report.csv")
+    table = str(tmp_path / "report.csv")
     assert main(["inject", "--ckpt", ckpt, "--sprite", sprite, "--pos", "17,0",
                  "--frame", "2", "--window", "0,4", "--env", "fuel",
-                 "--stencil-threshold", "0", "--out", csv]) == EXIT_OK
-    assert len(Path(csv).read_text().strip().splitlines()) == 6
+                 "--stencil-threshold", "0", "--out", table]) == EXIT_OK
+    assert len(Path(table).read_text().strip().splitlines()) == 6
 
 
 # ---------------------------------------------------------------------------
 # misc commands
 
 def test_random_baseline_command(tmp_path, capsys):
-    csv = str(tmp_path / "rb.csv")
+    table = str(tmp_path / "rb.csv")
     assert main(["random-baseline", "--env", "catch", "--episodes", "50",
-                 "--seed", "3", "--out", csv]) == EXIT_OK
+                 "--seed", "3", "--out", table]) == EXIT_OK
     line = capsys.readouterr().out.strip().splitlines()[-1]
     assert "mean=" in line and line.endswith("n=50")
-    assert len(Path(csv).read_text().strip().splitlines()) == 51
+    stats = random_baseline(EnvSpec(name="catch"), 50, seed=3)
+    rows = read_table(table, ["episode", "return"])
+    assert [(int(ep), float(ret)) for ep, ret in rows] == list(enumerate(stats.returns))
 
 
 @pytest.mark.parametrize("command", ["eval", "viz", "inject", "random-baseline"])

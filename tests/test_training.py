@@ -656,6 +656,16 @@ def test_non_finite_gradient_skipped_and_flagged():
         np.testing.assert_array_equal(shared.values[k], before[k])
 
 
+def test_metrics_row_of_a_skipped_update_logs_nan_and_empty_cells(tmp_path):
+    writer = tr.MetricsWriter(str(tmp_path / "metrics.csv"))
+    row = {"policy_loss": 0.1, "value_loss": 1 / 3, "entropy": 1.0, "policy_mask_mean": 0.5,
+           "policy_mask_std": 0.25, "value_mask_mean": None, "value_mask_std": None}
+    writer.log(40, None, row, None)
+    writer.close()
+    assert (tmp_path / "metrics.csv").read_text().splitlines()[1] == \
+        "40,,0.1,0.3333333333333333,1.0,nan,0.5,0.25,,"
+
+
 def test_sync_local_gives_new_gradless_leaves_over_the_store():
     shared = toy_shared()
     first = sync_local(shared)
@@ -702,7 +712,7 @@ def test_train_multiworker_finishes_with_finite_weights(tmp_path):
         assert np.all(np.isfinite(arr))
     with open(tmp_path / "metrics.csv") as fh:
         lines = fh.read().strip().splitlines()
-    assert lines[0] == tr.MetricsWriter.HEADER
+    assert lines[0] == ",".join(tr.MetricsWriter.COLUMNS)
     assert len(lines) > 1
 
 
@@ -729,7 +739,7 @@ def test_metrics_log_mask_telemetry_per_update(tmp_path, variant, masks):
           seed=4, out_dir=str(tmp_path))
     with open(tmp_path / "metrics.csv") as fh:
         rows = list(csv.DictReader(fh))
-    assert rows and list(rows[0]) == tr.MetricsWriter.HEADER.split(",")
+    assert rows and tuple(rows[0]) == tr.MetricsWriter.COLUMNS
     for row in rows:
         for branch in ("policy", "value"):
             mean, std = row[f"{branch}_mask_mean"], row[f"{branch}_mask_std"]
@@ -796,6 +806,25 @@ def test_each_checkpoint_is_written_once(tmp_path, monkeypatch):
         assert written == files and os.path.basename(final) == files[-1]
 
 
+def test_metrics_rows_are_on_disk_before_each_periodic_save(tmp_path, monkeypatch):
+    # a run killed after a save keeps every row logged up to that checkpoint's step
+    from maskac import checkpoint
+    saved, save = [], checkpoint.save_checkpoint
+
+    def save_after_reading_the_log(w, c, path):
+        step = int(os.path.basename(path)[5:-5])
+        if step:
+            with open(tmp_path / "metrics.csv") as fh:
+                assert int(fh.read().splitlines()[-1].split(",")[0]) == step
+            saved.append(step)
+        save(w, c, path)
+
+    monkeypatch.setattr(checkpoint, "save_checkpoint", save_after_reading_the_log)
+    train(small_cfg(), Hyperparams(total_steps=100, n_workers=1), EnvSpec(name="catch"), seed=7,
+          out_dir=str(tmp_path), checkpoint_interval=30)
+    assert saved == [38, 76, 95, 114]     # three periodic saves, then the final one
+
+
 @pytest.mark.parametrize("n_workers", [2, 3])
 def test_train_multiworker_lockstep_is_bit_reproducible(tmp_path, n_workers):
     config = small_cfg()
@@ -811,7 +840,7 @@ def test_train_multiworker_lockstep_is_bit_reproducible(tmp_path, n_workers):
     final, files = runs[0]
     assert {"ckpt_0.ma3c", final, "metrics.csv"} < set(files)   # periodic ones too
     lines = files["metrics.csv"].decode().splitlines()
-    assert lines[0] == tr.MetricsWriter.HEADER
+    assert lines[0] == ",".join(tr.MetricsWriter.COLUMNS)
     rows = [line.split(",") for line in lines[1:]]
     # every catch episode lasts 19 steps, so the workers' segments stay in
     # lockstep: rounds of 8, 8 and 3 steps per worker, and each third round
