@@ -77,6 +77,16 @@ def write_csv(path, header, rows):
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
+def check_env_fit(config, env_spec):
+    """Raise VariantError unless the network takes the env's frames and has its actions."""
+    if config.n_actions != env_spec.n_actions:
+        raise VariantError(f"network has {config.n_actions} actions but env "
+                           f"{env_spec.name!r} has {env_spec.n_actions}")
+    if config.input_hw != env_spec.size:
+        raise VariantError(f"network expects {config.input_hw}x{config.input_hw} "
+                           f"observations, env size is {env_spec.size}")
+
+
 def _checked_tensors(weights, config, env_spec, mask_transform="identity", need_mask=False):
     """The weights as tensors, once ``config`` is known to fit them, the env and the mask use.
 
@@ -88,12 +98,7 @@ def _checked_tensors(weights, config, env_spec, mask_transform="identity", need_
         check_weights(weights, config)
     except ValueError as exc:
         raise VariantError(str(exc)) from None
-    if config.n_actions != env_spec.n_actions:
-        raise VariantError(f"network has {config.n_actions} actions but env "
-                           f"{env_spec.name!r} has {env_spec.n_actions}")
-    if config.input_hw != env_spec.size:
-        raise VariantError(f"network expects {config.input_hw}x{config.input_hw} "
-                           f"observations, env size is {env_spec.size}")
+    check_env_fit(config, env_spec)
     if mask_transform == "inverse" and not config.policy_mask_enabled:
         raise VariantError("mask_transform='inverse' needs the policy mask branch")
     if ((need_mask or mask_transform == "ones")
@@ -123,20 +128,22 @@ def sample_action(probs, rng):
 
 
 def lockstep(weights, config, envs, rngs, mask_transform="identity", greedy=True,
-             with_value=True, state=None, obs=None):
+             with_value=True, state=None):
     """Play ``envs`` side by side to their ends, one batched ``forward`` per env step.
 
-    ``state`` [N,h,w,L] and ``obs`` (one frame per env) pick up envs where
-    a caller left them; by default the state is zeros and the frames come
-    from ``observe``.  Yields ``(t, rows, obs, trace, actions, results)``
-    after each step: ``rows`` are the indices into ``envs`` that stepped,
-    and ``obs`` [B,H,W], ``trace``, ``actions`` and the envs' step
-    ``results`` hold one row for each of them.  Finished envs drop out of
-    the batch.  ``with_value=False`` skips the value branch, which no
-    action reads.
+    ``state`` [N,h,w,L] picks up envs where a caller left them, zeros by
+    default.  An env that starts done is reset, and its row of ``state``
+    must already be zero: a carried state is built from zeros.  Each frame
+    is rendered once, the first by ``observe`` (or ``reset``), every later
+    one by the step that made it.  Yields ``(t, rows, obs, trace, actions,
+    results)`` after each step: ``rows`` are the indices into ``envs``
+    that stepped, and ``obs`` [B,H,W], ``trace`` (whose ``state`` is the
+    one the step read), ``actions`` and the envs' step ``results`` hold
+    one row for each of them.  Finished envs drop out of the batch.
+    ``with_value=False`` skips the value branch, which no action reads.
     """
     rows = list(range(len(envs)))
-    obs = [env.observe() for env in envs] if obs is None else obs
+    obs = [env.reset() if env.done else env.observe() for env in envs]
     if state is None:
         state = RecurrentState.zeros(config, weights["fe1.w"].dtype, batch=len(envs))
     t = 0

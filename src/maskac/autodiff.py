@@ -4,14 +4,15 @@ Supplies exactly the operator set the masked actor-critic network needs:
 conv2d, the ConvLSTM over packed sequences (one op for a single step and
 for a round of steps), dense, add / mul (by a tensor or a constant),
 sigmoid / relu, the channel-broadcast mask multiply, softmax /
-log-softmax, reshape and the scalar sum.  Each op records a backward
+log-softmax and the scalar sum.  Each op records a backward
 closure on its output; ``backward()`` replays the recorded graph in
 reverse topological order and accumulates into ``.grad`` buffers.
 
-Every input has a leading row axis: maps are channel-last [N,H,W,C], and
-dense inputs and logits [N,K].  Conv kernels are HWIO
-([kH,kW,C_in,C_out]), so a conv's patch matrix is one strided copy of
-contiguous channel runs and its matmul gives a channel-last output.
+Every input has a leading row axis: maps are channel-last [N,H,W,C] and
+logits [N,K], and dense reads each row of an [N,...] input flat, in C
+order.  Conv kernels are HWIO ([kH,kW,C_in,C_out]), so a conv's patch
+matrix is one strided copy of contiguous channel runs and its matmul
+gives a channel-last output.
 
 Precision is carried by the tensors themselves: build weights in float64
 for gradient checking, float32 for training.  Ops never change dtype.
@@ -25,7 +26,7 @@ __all__ = [
     "Tensor", "ShapeError", "GraphError",
     "add", "mul", "sigmoid", "relu",
     "broadcast_mul_channelwise", "conv2d", "convlstm", "dense",
-    "softmax", "log_softmax", "reshape", "sum_all", "backward",
+    "softmax", "log_softmax", "sum_all", "backward",
 ]
 
 
@@ -380,24 +381,25 @@ def convlstm(x, k, b, h_in, c_in, batch_sizes):
 
 
 def dense(x, w, b):
-    """Affine map y = W x + b for each row x of an [N, n] batch."""
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ShapeError(f"dense: need [N, n] input and 2-d weight, got {x.shape}, {w.shape}")
+    """Affine map y = W x + b for each row x of an [N, ...] batch, read flat in C order."""
+    if x.data.ndim < 2 or w.data.ndim != 2:
+        raise ShapeError(f"dense: need [N, ...] input and 2-d weight, got {x.shape}, {w.shape}")
     m, n = w.shape
-    if x.shape[1] != n:
-        raise ShapeError(f"dense: weight expects input of length {n}, got {x.shape}")
+    xf = x.data.reshape(len(x.data), -1)
+    if xf.shape[1] != n:
+        raise ShapeError(f"dense: weight expects rows of {n} values, got {x.shape}")
     if b.shape != (m,):
         raise ShapeError(f"dense: bias shape {b.shape} != ({m},)")
-    out = _make(x.data @ w.data.T + b.data, (x, w, b), "dense")
+    out = _make(xf @ w.data.T + b.data, (x, w, b), "dense")
     if out.requires_grad:
         def _bw():
             g = out.grad
             if w.requires_grad:
-                _accum_owned(w, g.T @ x.data)
+                _accum_owned(w, g.T @ xf)
             if b.requires_grad:
                 _accum_owned(b, g.sum(axis=0))
             if x.requires_grad:
-                _accum_owned(x, g @ w.data)
+                _accum_owned(x, (g @ w.data).reshape(x.shape))
         out._backward = _bw
     return out
 
@@ -439,16 +441,7 @@ def log_softmax(a):
 
 
 # ---------------------------------------------------------------------------
-# structural ops
-
-def reshape(a, shape):
-    out = _make(a.data.reshape(shape), (a,), "reshape")
-    if out.requires_grad:
-        def _bw():
-            _accum(a, out.grad.reshape(a.shape))
-        out._backward = _bw
-    return out
-
+# reduction
 
 def sum_all(a):
     """Sum of all elements, as a scalar tensor."""

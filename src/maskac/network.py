@@ -95,7 +95,8 @@ class RecurrentState:
 class ForwardTrace:
     """The outputs of one forward pass, graph references included.
 
-    Every tensor carries a leading axis over the rows of the pass, and
+    Every tensor carries a leading axis over the rows of the pass;
+    ``state`` is the state the pass read, the caller's own object, and
     ``next_state`` holds the arrays that leave each row.  A mask is None
     where its branch has none or the "ones" transform ablates it;
     ``value`` and ``m_v`` are None when the value branch was skipped.
@@ -106,7 +107,8 @@ class ForwardTrace:
     value: Tensor | None
     m_p: Tensor | None = None
     m_v: Tensor | None = None
-    next_state: RecurrentState = None      # set by ``forward`` once the heads have run
+    state: RecurrentState = None           # both set by ``forward`` once the heads have run
+    next_state: RecurrentState = None
 
 
 def _all_shapes(config):
@@ -259,16 +261,15 @@ def _branch(h, w, config, branch, transform):
 def _heads(h, w, config, mask_transform, with_value=True):
     """Masked branches and output heads over ConvLSTM outputs [N,H,W,L].
 
-    The dense heads read the branch maps flattened in (h,w,c) order.
+    The dense heads read each row of the branch maps flat, in (h,w,c) order.
     """
     f_p, m_p = _branch(h, w, config, "policy", mask_transform)
-    flat = (len(f_p.data), -1)
-    logits = ad.dense(ad.reshape(f_p, flat), w["policy_out.w"], w["policy_out.b"])
+    logits = ad.dense(f_p, w["policy_out.w"], w["policy_out.b"])
     trace = ForwardTrace(policy=ad.softmax(logits), policy_logits=logits, value=None, m_p=m_p)
     if with_value:
         value_transform = "ones" if mask_transform == "ones" else "identity"
         f_v, trace.m_v = _branch(h, w, config, "value", value_transform)
-        trace.value = ad.dense(ad.reshape(f_v, flat), w["value_out.w"], w["value_out.b"])
+        trace.value = ad.dense(f_v, w["value_out.w"], w["value_out.b"])
     return trace
 
 
@@ -284,8 +285,8 @@ def forward(obs, state, w, config, mask_transform="identity", with_value=True, b
     (``training.step_blocks``) with the states the actors recorded
     entering each step.  The ConvLSTM reads the state's arrays, so
     gradients stop at the state passed in, as the learner's stop at a
-    segment's start; ``next_state`` holds the arrays of h and c that
-    leave each row.
+    segment's start; the trace keeps ``state`` as the state it read, and
+    ``next_state`` holds the arrays of h and c that leave each row.
 
     ``mask_transform`` drives the policy mask: "identity" uses the mask
     as computed, "inverse" applies gaze inversion, "ones" ablates the
@@ -311,5 +312,5 @@ def forward(obs, state, w, config, mask_transform="identity", with_value=True, b
         batch_sizes = [len(obs)]
     h, c = ad.convlstm(x, w["lstm.w"], w["lstm.b"], state.h, state.c, batch_sizes)
     trace = _heads(h, w, config, mask_transform, with_value)
-    trace.next_state = RecurrentState(h.data, c)
+    trace.state, trace.next_state = state, RecurrentState(h.data, c)
     return trace

@@ -11,14 +11,17 @@ clipped gradient to the shared store once.  A fixed seed reproduces a
 run whatever the worker count, and with one worker a round is one A3C
 cycle.
 
-The rollout builds no graph and skips the value branch.  It returns the
+The rollout builds no graph and skips the value branch; ``lockstep``
+resets the envs that start a round done, and each step's trace holds
+the recurrent state its ``forward`` read.  The rollout returns the
 round as a ``Round`` of arrays packed step-major, with no padding: each
-step's observation, action, reward and the recurrent state that entered
-it.  The learner recomputes all N segments with one ``forward`` over
-those rows in their step blocks, the pass the actors run over one step,
-whose ConvLSTM reads the recorded states instead of stepping through
-time; it takes the values, log-probs, entropies and advantages from that
-pass, and backpropagates that single graph.
+step's observation, action, reward and that entering state.  The
+learner recomputes all N segments with one ``forward`` over those rows
+in their step blocks, the pass the actors run over one step, whose
+ConvLSTM reads the recorded states instead of stepping through time; it
+takes the values, log-probs, entropies and advantages from that pass,
+and backpropagates that single graph.  The round loop, ``_worker_loop``,
+also writes every checkpoint after the initial one.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint
-from .analysis import evaluate, lockstep, write_csv
+from .analysis import check_env_fit, evaluate, lockstep, write_csv
 from .autodiff import Tensor
 from .envs import make_env
 from .network import RecurrentState, forward, init_weights
@@ -109,28 +112,22 @@ def step_blocks(lengths):
 def collect_rollout(envs, weights, config, state, t_max, rngs):
     """Step ``envs`` in lockstep for up to t_max steps without a graph; one segment per env.
 
-    ``state`` [N,h,w,L] holds each env's recurrent state, and ``rngs`` its
-    action rng.  The steps run through ``lockstep`` without the value
-    branch; an env whose episode ends drops out, its state resets to zeros
-    and its bootstrap value is 0.  One more batched full ``forward`` gives
-    the bootstrap values of the envs that did not finish.  An env that
-    starts the round done is reset first.  The envs render each frame
-    once: a segment's first frame comes from ``observe`` (or ``reset``),
-    every later one from the step that made it.  Returns the packed
-    ``Round`` and the [N,...] state to carry into the next round.
+    ``state`` [N,h,w,L] holds each env's recurrent state, zeros for an env
+    that starts the round done, and ``rngs`` its action rng.  The steps
+    run through ``lockstep`` without the value branch, which resets an env
+    that starts done and renders each frame once; each step records the
+    state its ``forward`` read.  An env whose episode ends drops out and
+    its bootstrap value is 0.  One more batched full ``forward`` gives the
+    bootstrap values of the envs that did not finish.  Returns the packed
+    ``Round`` and the [N,...] state to carry into the next round: zeros,
+    except the rows of the envs still running.
     """
     frozen = {k: Tensor(t.data) for k, t in weights.items()}   # no requires_grad: no graph
-    h, c = state.h.copy(), state.c.copy()                       # each env's latest state
-    fresh = [i for i, env in enumerate(envs) if env.done]
-    h[fresh] = c[fresh] = 0
-    obs = [env.reset() if env.done else env.observe() for env in envs]
     steps = []     # per step: its rows' envs, step index, frames, actions, rewards, states in
     for t, rows, frames, trace, actions, results in lockstep(
-            frozen, config, envs, rngs, greedy=False, with_value=False,
-            state=RecurrentState(h, c), obs=obs):
+            frozen, config, envs, rngs, greedy=False, with_value=False, state=state):
         steps.append((rows, [t] * len(rows), frames, actions, [r.reward for r in results],
-                      h[rows], c[rows]))
-        h[rows], c[rows] = trace.next_state.h, trace.next_state.c
+                      trace.state.h, trace.state.c))
         if t + 1 == t_max:
             break
     env_of, step_of, *fields = (np.concatenate(part) for part in zip(*steps))
@@ -140,13 +137,15 @@ def collect_rollout(envs, weights, config, state, t_max, rngs):
     rnd = Round(*(field[packed] for field in fields), lengths,
                 np.array([env.done for env in envs]), np.zeros(len(envs)))
     # the envs still running after the last step carry their state and get a bootstrap value
-    h[rnd.terminal] = c[rnd.terminal] = 0
-    ends = [rows[k] for k, r in enumerate(results) if not r.done]
-    if ends:
-        last = np.stack([r.obs for r in results if not r.done])
-        rnd.bootstrap[ends] = forward(last, RecurrentState(h[ends], c[ends]), frozen,
-                                      config).value.data[:, 0]
-    return rnd, RecurrentState(h, c)
+    carried = RecurrentState.zeros(config, state.h.dtype, batch=len(envs))
+    running = [k for k, r in enumerate(results) if not r.done]
+    if running:
+        ends = [rows[k] for k in running]
+        kept = RecurrentState(trace.next_state.h[running], trace.next_state.c[running])
+        carried.h[ends], carried.c[ends] = kept.h, kept.c
+        last = np.stack([results[k].obs for k in running])
+        rnd.bootstrap[ends] = forward(last, kept, frozen, config).value.data[:, 0]
+    return rnd, carried
 
 
 def compute_returns(rnd, gamma):
@@ -201,8 +200,8 @@ def loss_components(trace, actions, returns):
     weighted = np.zeros(logits.shape, dtype=dtype)   # -A_t at the action taken
     weighted[np.arange(n), actions] = -advantages
     policy_term = ad.sum_all(ad.mul(logp, weighted))
-    # V - R: its square is the bits of (R - V)^2, as rounding is sign-symmetric
-    verr = ad.add(ad.reshape(trace.value, (n,)), -returns.astype(dtype))
+    # V - R on [n,1]: its square is the bits of (R - V)^2, as rounding is sign-symmetric
+    verr = ad.add(trace.value, -returns[:, None].astype(dtype))
     value_term = ad.sum_all(ad.mul(verr, verr))
     neg_entropy = ad.sum_all(ad.mul(trace.policy, logp))
     row = {"policy_loss": float(policy_term.data) / n, "value_loss": float(value_term.data) / n,
@@ -322,20 +321,25 @@ def _worker_env_seed(seed, worker_id):
 PHASES = ("rollout", "learner_forward", "backward", "apply")
 
 
-def _worker_loop(envs, rngs, shared, config, hyper, metrics, save_snapshot, checkpoint_interval):
+def _ckpt_path(out_dir, step):
+    return os.path.join(out_dir, f"ckpt_{step}.ma3c")
+
+
+def _worker_loop(envs, rngs, shared, config, hyper, metrics, out_dir, checkpoint_interval):
     """Play lockstep rounds of all workers, one summed update each, until the budget is met.
 
     The budget is checked before every round, and a round takes at most
     ``t_max`` steps per worker, so the run ends below
-    ``total_steps + n_workers * t_max``.  Whenever the step count passes a
-    multiple of ``checkpoint_interval`` not saved yet, the weights are
-    saved under the step count they hold.  Returns the seconds spent in
-    each of ``PHASES``: the rollout, the learner's ``forward`` over the
-    round with its loss, backward, and the update.
+    ``total_steps + n_workers * t_max``.  After ckpt_0, which ``train``
+    writes, the weights are saved into ``out_dir`` under the step count
+    they hold whenever it passes a multiple of ``checkpoint_interval``,
+    and after the last round.  Returns the seconds spent in each of
+    ``PHASES``: the rollout, the learner's ``forward`` over the round with
+    its loss, backward, and the update.
     """
     seconds = dict.fromkeys(PHASES, 0.0)
     state = RecurrentState.zeros(config, batch=len(envs))
-    saved_mark = 0
+    saved = 0
     while shared.steps < hyper.total_steps:
         t0 = time.perf_counter()
         weights = sync_local(shared)
@@ -354,49 +358,39 @@ def _worker_loop(envs, rngs, shared, config, hyper, metrics, save_snapshot, chec
             seconds[phase] += dt
         ended = [env.score for env, done in zip(envs, rnd.terminal) if done]
         metrics.log(shared.steps, float(np.mean(ended)) if ended else None, row, norm)
-        if checkpoint_interval and shared.steps // checkpoint_interval > saved_mark:
-            saved_mark = shared.steps // checkpoint_interval
-            save_snapshot(shared.steps)
+        if (shared.steps >= hyper.total_steps or checkpoint_interval
+                and shared.steps // checkpoint_interval > saved // checkpoint_interval):
+            saved = shared.steps
+            checkpoint.save_checkpoint(shared.values, config, _ckpt_path(out_dir, saved))
     return seconds
 
 
 def train(config, hyper, env_spec, seed, out_dir, checkpoint_interval=50_000, log=None):
     """Run the lockstep training loop in float32 until the global step budget is met.
 
-    Writes ckpt_<step>.ma3c files (including the initial ckpt_0) and a
-    metrics.csv into ``out_dir``; returns the path of the final
-    checkpoint.  ``log`` gets one closing line: steps, steps/s, updates
-    and skipped updates, then each of ``PHASES`` as a share of the wall
-    time.
+    Raises ``VariantError`` before anything is written if ``config`` does
+    not fit the env.  Writes the initial ckpt_0.ma3c, a metrics.csv and,
+    from ``_worker_loop``, the later ckpt_<step>.ma3c files into
+    ``out_dir``; returns the path of the final checkpoint.  ``log`` gets
+    one closing line: steps, steps/s, updates and skipped updates, then
+    each of ``PHASES`` as a share of the wall time.
     """
+    check_env_fit(config, env_spec)
     os.makedirs(out_dir, exist_ok=True)
-
     shared = SharedParams(init_weights(config, seed))
-    last_saved = None
-
-    def save_snapshot(step):
-        # every update advances the step count, so saving the same step again writes the same bytes
-        nonlocal last_saved
-        path = os.path.join(out_dir, f"ckpt_{step}.ma3c")
-        if step != last_saved:
-            checkpoint.save_checkpoint(shared.values, config, path)
-            last_saved = step
-        return path
-
-    save_snapshot(0)
+    checkpoint.save_checkpoint(shared.values, config, _ckpt_path(out_dir, 0))
     metrics = MetricsWriter(os.path.join(out_dir, "metrics.csv"))
     t0 = time.perf_counter()
     try:
         envs = [make_env(dataclasses.replace(env_spec, seed=_worker_env_seed(seed, i)))
                 for i in range(hyper.n_workers)]
         rngs = [np.random.default_rng([seed, i, 1]) for i in range(hyper.n_workers)]
-        seconds = _worker_loop(envs, rngs, shared, config, hyper, metrics, save_snapshot,
+        seconds = _worker_loop(envs, rngs, shared, config, hyper, metrics, out_dir,
                                checkpoint_interval)
     finally:
         metrics.close()
 
     final_step = shared.steps
-    final_path = save_snapshot(final_step)
     elapsed = max(time.perf_counter() - t0, 1e-9)
     if log:
         # shares of the wall time, rounded down so that they never sum past 1
@@ -405,7 +399,7 @@ def train(config, hyper, env_spec, seed, out_dir, checkpoint_interval=50_000, lo
         log(f"trained {final_step} steps in {elapsed:.1f}s "
             f"({final_step / elapsed:.0f} steps/s, {shared.updates} updates, "
             f"{shared.skipped} skipped); time shares: {shares}")
-    return final_path
+    return _ckpt_path(out_dir, final_step)
 
 
 # evaluation seed of every run ``compare_variants`` scores
@@ -451,8 +445,10 @@ def compare_variants(env_spec, config, seeds, hyper, episodes, out_dir,
     row per variant selected by mean) and writes variants.csv in out_dir.
     A run under out_dir with a checkpoint of the same network that reaches
     the step budget is reused, not trained again; the other hyperparameters
-    are not stored in checkpoints and are not compared.
+    are not stored in checkpoints and are not compared.  A network that
+    does not fit the env raises ``VariantError`` before anything is written.
     """
+    check_env_fit(config, env_spec)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for variant, pol, val in VARIANTS:

@@ -8,10 +8,10 @@ import pytest
 
 from maskac import analysis, netpbm
 from maskac.analysis import (VariantError, decrease_rate, evaluate, injection_response,
-                             overlay_rgb, policy_entropy, random_baseline, record_heatmaps,
-                             region_mean, upsample_nearest)
-from maskac.envs import EnvSpec, InjectionSpec
-from maskac.network import NetworkConfig, init_weights, weight_shapes
+                             lockstep, overlay_rgb, policy_entropy, random_baseline,
+                             record_heatmaps, region_mean, upsample_nearest)
+from maskac.envs import EnvSpec, InjectionSpec, _BaseEnv, make_env
+from maskac.network import NetworkConfig, RecurrentState, init_weights, weight_shapes
 
 from oracles import (catch_random_expectation, dequantize, per_episode_evaluate,
                      per_episode_replay, region_mean_oracle)
@@ -107,6 +107,25 @@ def test_lockstep_evaluate_matches_per_episode_loop(env, monkeypatch):
             assert stats.returns == [r for r, _ in expected]
             ragged |= any(len({n for _, n in expected[g:g + 3]}) > 1 for g in (0, 3, 6))
     assert ragged or env == "catch", "no group had episodes ending at different steps"
+
+
+def test_lockstep_resets_an_env_that_starts_done_once(monkeypatch):
+    config = cfg(fe_channels=(4, 4, 8), lstm_channels=8, branch_channels=4)
+    env = make_env(EnvSpec(name="catch", seed=3))
+    env.done = True
+    calls = []
+    for name in ("reset", "observe"):
+        monkeypatch.setattr(_BaseEnv, name, lambda self, n=name, f=getattr(_BaseEnv, name):
+                            calls.append(n) or f(self))
+    state = RecurrentState.zeros(config)
+    steps = lockstep(weights_for(config), config, [env], [np.random.default_rng(0)], state=state)
+    t, _, _, trace, _, _ = next(steps)
+    assert t == 0 and trace.state is state
+    # the reset renders the first frame, and step 0 the next one
+    assert calls == ["reset", "observe", "observe"]
+    for _ in steps:
+        pass
+    assert env.done and calls.count("reset") == 1
 
 
 def test_evaluate_skips_the_value_branch(monkeypatch, tmp_path):

@@ -155,6 +155,30 @@ def test_dense_matches_matvec_oracle():
 def test_dense_shape_error():
     with pytest.raises(ad.ShapeError):
         ad.dense(t64(np.zeros((1, 3))), t64(np.zeros((4, 5))), t64(np.zeros(4)))
+    with pytest.raises(ad.ShapeError):
+        ad.dense(t64(np.zeros((1, 2, 2, 3))), t64(np.zeros((4, 8))), t64(np.zeros(4)))
+    with pytest.raises(ad.ShapeError):
+        ad.dense(t64(np.zeros(3)), t64(np.zeros((4, 3))), t64(np.zeros(4)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dense_over_a_map_equals_dense_over_its_flat_rows(dtype):
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(5, 3, 3, 4)).astype(dtype)
+    w = Tensor(rng.normal(size=(6, 36)).astype(dtype), requires_grad=True)
+    b = Tensor(rng.normal(size=6).astype(dtype), requires_grad=True)
+    c = rng.normal(size=(5, 6)).astype(dtype)
+    outs, grads = [], []
+    for rows in (x, x.reshape(5, -1)):
+        xt = Tensor(rows, requires_grad=True)
+        y = ad.dense(xt, w, b)
+        ad.backward(ad.sum_all(ad.mul(y, c)))
+        outs.append(y.data)
+        grads.append((xt.grad.reshape(5, -1), w.grad, b.grad))
+        w.grad = b.grad = None
+    np.testing.assert_array_equal(outs[0], outs[1])
+    for g_map, g_flat in zip(*grads):
+        np.testing.assert_array_equal(g_map, g_flat)
 
 
 # ---------------------------------------------------------------------------
@@ -606,9 +630,16 @@ def test_grad_structural_ops():
         params = {"a": t64(rng.normal(size=batch + (3, 2, 2))),
                   "b": t64(rng.normal(size=batch + (2, 2, 2)))}
         _check(lambda p: ad.sum_all(ad.mul(oracles.concat_channels(p["a"], p["b"]), c)), params)
-        n = params["a"].data.size
-        c3 = t64(rng.normal(size=n))
-        _check(lambda p: ad.sum_all(ad.mul(ad.reshape(p["a"], (n,)), c3)), params)
+
+
+def test_grad_dense_over_a_map():
+    # dense reads each row of an [N,h,w,C] map flat; the map's gradient keeps its shape
+    rng = np.random.default_rng(16)
+    params = {"x": t64(rng.normal(size=(3, 2, 2, 3))), "w": t64(rng.normal(size=(4, 12))),
+              "b": t64(rng.normal(size=4))}
+    c = t64(rng.normal(size=(3, 4)))
+    _check(lambda p: ad.sum_all(ad.mul(ad.dense(p["x"], p["w"], p["b"]), c)), params)
+    assert params["x"].grad.shape == (3, 2, 2, 3)
 
 
 def test_batched_structural_ops_match_per_sample():

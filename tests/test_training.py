@@ -775,6 +775,22 @@ def test_loss_components_mask_statistics_are_over_the_real_steps():
                                    np.mean([m.std() for m in masks]), rtol=1e-10)
 
 
+@pytest.mark.parametrize("config, spec", [
+    (small_cfg(n_actions=3), EnvSpec(name="fuel")),
+    (small_cfg(n_actions=6), EnvSpec(name="catch")),
+    (small_cfg(), EnvSpec(name="catch", size=24)),
+], ids=["3-actions-on-fuel", "6-actions-on-catch", "20px-on-size-24"])
+def test_a_network_that_does_not_fit_the_env_is_refused_before_anything_is_written(
+        tmp_path, config, spec):
+    out = tmp_path / "run"
+    hyper = Hyperparams(total_steps=60, n_workers=1)
+    with pytest.raises(analysis.VariantError):
+        train(config, hyper, spec, seed=0, out_dir=str(out))
+    with pytest.raises(analysis.VariantError):
+        compare_variants(spec, config, seeds=[0], hyper=hyper, episodes=1, out_dir=str(out))
+    assert not out.exists()
+
+
 def test_periodic_checkpoints_are_named_after_the_step_they_hold(tmp_path):
     # catch episodes are 19-step segments, so the step count passes the
     # multiples of 30 at 38 and 76; a run whose budget is that step count
