@@ -211,24 +211,35 @@ def _im2col(xd, kh, kw, stride, padding):
     return windows.reshape(n * h_out * w_out, kh * kw * c)
 
 
-def _col2im(dpatch, xp_shape, kh, kw, stride, h_out, w_out):
-    """Adjoint of ``_im2col``: scatter-add patch gradients into a padded [N,Hp,Wp,C] batch.
+def _tap_spans(n_taps, size, size_out, stride, padding):
+    """(tap, output slice, input slice) along one axis, for each tap that reads inside the map."""
+    for t in range(n_taps):     # output o of tap t reads input o*stride + t - padding
+        o0 = max(0, -((t - padding) // stride))
+        o1 = min(size_out, (size - 1 + padding - t) // stride + 1)
+        if o0 < o1:
+            i0 = o0 * stride + t - padding
+            yield t, slice(o0, o1), slice(i0, i0 + (o1 - o0) * stride, stride)
 
-    One strided add of contiguous [..., C] blocks per kernel tap;
-    accumulates in the gradient's dtype.
+
+def _conv_adjoint(g, k, x_shape, stride, padding):
+    """A conv's input gradient [N,H,W,C] from its output gradient g [N,H',W',O] and HWIO kernel k.
+
+    Tap by tap, in (ki, kj) order, adds the tap's product into the input
+    positions it read; a tap that reads only padding is skipped.
     """
-    n, _, _, c = xp_shape
-    d = dpatch.reshape(n, h_out, w_out, kh, kw, c)
-    g = np.zeros(xp_shape, dtype=dpatch.dtype)
-    rows, cols = stride * h_out, stride * w_out
-    for ki in range(kh):
-        for kj in range(kw):
-            g[:, ki:ki + rows:stride, kj:kj + cols:stride] += d[:, :, :, ki, kj]
-    return g
+    gx = np.zeros(x_shape, dtype=g.dtype)
+    cols = list(_tap_spans(k.shape[1], x_shape[2], g.shape[2], stride, padding))
+    for ki, ro, ri in _tap_spans(k.shape[0], x_shape[1], g.shape[1], stride, padding):
+        for kj, co, ci in cols:
+            gt = g[:, ro, co]
+            gtk = gt.reshape(-1, g.shape[-1]) @ k[ki, kj].T   # 2-d: a 4-d @ loops over small GEMMs
+            gx[:, ri, ci] += gtk.reshape(gt.shape[:-1] + (-1,))
+    return gx
 
 
-def _unpad(g, padding):
-    return g[:, padding:-padding, padding:-padding] if padding else g
+# conv2d sums its kernel gradient over blocks of this many patch rows, in order, so its bits do
+# not hang on the BLAS thread count: of 64-1024, the largest that held on OpenBLAS 0.3.31 (not 512)
+_KGRAD_ROWS = 256
 
 
 def conv2d(x, k, b, stride=1, padding=0):
@@ -237,7 +248,8 @@ def conv2d(x, k, b, stride=1, padding=0):
     x: [N, H, W, C_in]; k: HWIO [kH, kW, C_in, C_out]; b: [C_out]; the
     output is [N, H', W', C_out] with
     H' = floor((H + 2*padding - kH) / stride) + 1.  The batch runs as one
-    matmul over all N*H'*W' patch rows, whose result is already channel-last.
+    matmul over all N*H'*W' patch rows, whose result is already channel-last;
+    the input gradient goes tap by tap (``_conv_adjoint``).
     """
     if not isinstance(stride, int) or stride <= 0:
         raise ValueError(f"conv2d: stride must be a positive int, got {stride!r}")
@@ -258,8 +270,7 @@ def conv2d(x, k, b, stride=1, padding=0):
     h_out = (h + 2 * padding - kh) // stride + 1
     w_out = (w + 2 * padding - kw) // stride + 1
     patches = _im2col(x.data, kh, kw, stride, padding)         # [N*H'*W', kH*kW*C_in]
-    kmat = k.data.reshape(-1, c_out)
-    y = patches @ kmat
+    y = patches @ k.data.reshape(-1, c_out)
     y += b.data
 
     out = _make(y.reshape(n, h_out, w_out, c_out), (x, k, b), "conv2d")
@@ -267,13 +278,16 @@ def conv2d(x, k, b, stride=1, padding=0):
         def _bw():
             gm = out.grad.reshape(-1, c_out)
             if k.requires_grad:
-                _accum_owned(k, (patches.T @ gm).reshape(k.shape))
+                # the later blocks share one out buffer: a fresh product per block faults its pages
+                gk, part = patches[:_KGRAD_ROWS].T @ gm[:_KGRAD_ROWS], None
+                for lo in range(_KGRAD_ROWS, len(gm), _KGRAD_ROWS):
+                    part = np.matmul(patches[lo:lo + _KGRAD_ROWS].T, gm[lo:lo + _KGRAD_ROWS], part)
+                    gk += part
+                _accum_owned(k, gk.reshape(k.shape))
             if b.requires_grad:
                 _accum_owned(b, gm.sum(axis=0))
             if x.requires_grad:
-                padded = (n, h + 2 * padding, w + 2 * padding, c_in)
-                gxp = _col2im(gm @ kmat.T, padded, kh, kw, stride, h_out, w_out)
-                _accum_owned(x, _unpad(gxp, padding))
+                _accum_owned(x, _conv_adjoint(out.grad, k.data, x.shape, stride, padding))
         out._backward = _bw
     return out
 
@@ -299,11 +313,11 @@ def convlstm(x, k, b, h_in, c_in, batch_sizes):
     gate gradients to the conv node and forms x's gradient through the
     kernel's x-half only.  It works in the conv node's own layout
     [R,H*W,4,L], so step t is a block of rows and the gate gradients are
-    the conv's patch-row gradients as they stand; the gradients of h_{t-1}
-    and of x both go through ``_col2im``, the adjoint of the conv's patch
-    copy.  States these weights did not produce give outputs and gradients
-    of no real sequence.  One sequence computes what it would alone, bit
-    for bit.
+    the conv's output gradients as they stand; the gradients of h_{t-1} and
+    of x both go tap by tap through ``_conv_adjoint``, with the kernel's h-
+    and x-channels.  States these weights did not produce give outputs and
+    gradients of no real sequence.  One sequence computes what it would
+    alone, bit for bit.
     """
     if x.data.ndim != 4 or k.data.ndim != 4:
         raise ShapeError(f"convlstm: need [R,H,W,C] input and 4-d kernel, got {x.shape}, {k.shape}")
@@ -347,9 +361,6 @@ def convlstm(x, k, b, h_in, c_in, batch_sizes):
                            i * (1.0 - g * g)), axis=2)                 # [R,P,4,L]
             dtc = o * (1.0 - tc * tc)                                  # dh_t -> dc_t
             dhs = out.grad.reshape(n_rows, area, n_hidden)
-            # the kernel's taps of x and of h, each as a [9*channels, 4L] matrix
-            taps = k.data.reshape(9, n_x + n_hidden, L4)
-            k_h = taps[:, n_x:].reshape(-1, L4)
             # carried from step t+1 through W_h and f; a block's first rows
             # are the sequences that reach the next step
             dh_next, dc_next = np.zeros((2, sizes[0], area, n_hidden), dtype=dtype)
@@ -366,16 +377,13 @@ def convlstm(x, k, b, h_in, c_in, batch_sizes):
                 dzt[:, :, 3] *= dc
                 dc *= f[rows]
                 if t:
-                    # (k_h @ dz^T)^T: a few rows meet a row-major kernel faster this way round
-                    gp = _col2im((k_h @ dzt.reshape(-1, L4).T).T, (n_t, h + 2, w + 2, n_hidden),
-                                 3, 3, 1, h, w)
-                    dh.reshape(n_t, h, w, n_hidden)[...] = _unpad(gp, 1)
+                    dh.reshape(n_t, h, w, n_hidden)[...] = _conv_adjoint(
+                        dzt.reshape(n_t, h, w, L4), k.data[:, :, n_x:], (n_t, h, w, n_hidden), 1, 1)
             if zn.requires_grad:
                 _accum_owned(zn, dz.reshape(zn.shape))
             if x.requires_grad:
-                gxp = _col2im(dz.reshape(-1, L4) @ taps[:, :n_x].reshape(-1, L4).T,
-                              (n_rows, h + 2, w + 2, n_x), 3, 3, 1, h, w)
-                _accum_owned(x, np.ascontiguousarray(_unpad(gxp, 1)))
+                _accum_owned(x, _conv_adjoint(dz.reshape(n_rows, h, w, L4), k.data[:, :, :n_x],
+                                              x.shape, 1, 1))
         out._backward = _bw
     return out, c_next.reshape(state_shape)
 

@@ -4,12 +4,15 @@ import csv
 import dataclasses
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maskac import analysis
+import maskac
+from maskac import analysis, cli
 from maskac import autodiff as ad
 from maskac import training as tr
 from maskac.autodiff import Tensor
@@ -868,6 +871,28 @@ def test_train_multiworker_lockstep_is_bit_reproducible(tmp_path, n_workers):
     final_step = steps[-1]
     assert final == f"ckpt_{final_step}.ma3c"
     assert hyper.total_steps <= final_step < hyper.total_steps + n_workers * hyper.t_max
+
+
+@pytest.mark.parametrize("n_workers, total_steps", [(1, 200), (4, 160)])
+def test_fixed_seed_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, n_workers,
+                                                                  total_steps):
+    # a default-size network, whose conv kernel gradients reduce over
+    # thousands of patch rows, trained by the CLI in-process and in a child
+    # with one OpenBLAS thread: 11 rounds of one worker, or 3 of four
+    config = tmp_path / "run.cfg"
+    config.write_text(f"n_workers={n_workers}\ntotal_steps={total_steps}\ncheckpoint_interval=0\n")
+    here, child = tmp_path / "here", tmp_path / "child"
+    assert cli.main(["train", str(config), "--out", str(here)]) == 0
+    src = os.path.dirname(os.path.dirname(maskac.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    subprocess.run([sys.executable, "-m", "maskac.cli", "train", str(config), "--out", str(child)],
+                   env=env, check=True, capture_output=True)
+    ours, theirs = ({f.name: f.read_bytes() for f in run.iterdir() if f.name != "config.resolved"}
+                    for run in (here, child))
+    # ckpt_0, the final checkpoint, and a metrics.csv of at least two rounds
+    assert len(ours) == 3 and ours["metrics.csv"].count(b"\n") > 2
+    assert ours == theirs
 
 
 # ---------------------------------------------------------------------------
