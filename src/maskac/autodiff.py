@@ -4,9 +4,10 @@ Supplies exactly the operator set the masked actor-critic network needs:
 conv2d, the ConvLSTM over packed sequences (one op for a single step and
 for a round of steps), dense, add / mul (by a tensor or a constant),
 sigmoid / relu, the channel-broadcast mask multiply, softmax /
-log-softmax and the scalar sum.  Each op records a backward
-closure on its output; ``backward()`` replays the recorded graph in
-reverse topological order and accumulates into ``.grad`` buffers.
+log-softmax and the scalar sum.  Each op computes its output and hands
+its gradient rule to ``_make``, which records it only when some input
+requires grad; ``backward()`` replays the recorded graph in reverse
+topological order and accumulates into ``.grad`` buffers.
 
 Every input has a leading row axis: maps are channel-last [N,H,W,C] and
 logits [N,K], and dense reads each row of an [N,...] input flat, in C
@@ -46,8 +47,7 @@ class Tensor:
     gradient buffer is shared between rounds.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op",
-                 "_consumed")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_consumed")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data)
@@ -55,7 +55,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
-        self._op = "leaf"
         self._consumed = False
 
     @property
@@ -67,16 +66,21 @@ class Tensor:
         return self.data.dtype
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _make(data, parents, op):
+def _make(data, parents, backward):
+    """An op's output over ``data``, recording ``backward`` only when some parent requires grad.
+
+    ``backward(g)`` adds the parents' gradients given the output's gradient
+    g; the output's zero-argument ``_backward`` calls it on its ``.grad``.
+    """
     out = Tensor(data)
     for p in parents:
         if p.requires_grad:
             out.requires_grad = True
             out._parents = parents
-            out._op = op
+            out._backward = lambda: backward(out.grad)
             break
     return out
 
@@ -101,44 +105,30 @@ def _accum_owned(t, g):
 
 def add(a, b):
     if not isinstance(b, Tensor):
-        out = _make(a.data + b, (a,), "add_const")
-        if out.requires_grad:
-            def _bw():
-                _accum(a, out.grad)
-            out._backward = _bw
-        return out
+        return _make(a.data + b, (a,), lambda g: _accum(a, g))
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
-    out = _make(a.data + b.data, (a, b), "add")
-    if out.requires_grad:
-        def _bw():
-            if a.requires_grad:
-                _accum(a, out.grad)
-            if b.requires_grad:
-                _accum(b, out.grad)
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        if a.requires_grad:
+            _accum(a, g)
+        if b.requires_grad:
+            _accum(b, g)
+    return _make(a.data + b.data, (a, b), _bw)
 
 
 def mul(a, b):
     if not isinstance(b, Tensor):
-        out = _make(a.data * b, (a,), "mul_const")
-        if out.requires_grad:
-            def _bw():
-                _accum_owned(a, out.grad * b)
-            out._backward = _bw
-        return out
+        return _make(a.data * b, (a,), lambda g: _accum_owned(a, g * b))
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
-    out = _make(a.data * b.data, (a, b), "mul")
-    if out.requires_grad:
-        def _bw():
-            if a.requires_grad:
-                _accum_owned(a, out.grad * b.data)
-            if b.requires_grad:
-                _accum_owned(b, out.grad * a.data)
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        if a.requires_grad:
+            _accum_owned(a, g * b.data)
+        if b.requires_grad:
+            _accum_owned(b, g * a.data)
+    return _make(a.data * b.data, (a, b), _bw)
 
 
 def _sigmoid(z):
@@ -151,22 +141,11 @@ def _sigmoid(z):
 
 def sigmoid(a):
     y = _sigmoid(a.data)
-    out = _make(y, (a,), "sigmoid")
-    if out.requires_grad:
-        def _bw():
-            _accum_owned(a, out.grad * (y * (1.0 - y)))
-        out._backward = _bw
-    return out
+    return _make(y, (a,), lambda g: _accum_owned(a, g * (y * (1.0 - y))))
 
 
 def relu(a):
-    y = np.maximum(a.data, 0.0)
-    out = _make(y, (a,), "relu")
-    if out.requires_grad:
-        def _bw():
-            _accum_owned(a, out.grad * (a.data > 0))
-        out._backward = _bw
-    return out
+    return _make(np.maximum(a.data, 0.0), (a,), lambda g: _accum_owned(a, g * (a.data > 0)))
 
 
 def broadcast_mul_channelwise(f, m):
@@ -174,15 +153,13 @@ def broadcast_mul_channelwise(f, m):
     if f.data.ndim != 4 or m.shape != f.shape[:-1] + (1,):
         raise ShapeError(f"broadcast_mul_channelwise: need [N,H,W,C] and [N,H,W,1], "
                          f"got {f.shape} and {m.shape}")
-    out = _make(f.data * m.data, (f, m), "bmul")
-    if out.requires_grad:
-        def _bw():
-            if f.requires_grad:
-                _accum_owned(f, out.grad * m.data)
-            if m.requires_grad:
-                _accum_owned(m, (out.grad * f.data).sum(axis=-1, keepdims=True))
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        if f.requires_grad:
+            _accum_owned(f, g * m.data)
+        if m.requires_grad:
+            _accum_owned(m, (g * f.data).sum(axis=-1, keepdims=True))
+    return _make(f.data * m.data, (f, m), _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -273,23 +250,20 @@ def conv2d(x, k, b, stride=1, padding=0):
     y = patches @ k.data.reshape(-1, c_out)
     y += b.data
 
-    out = _make(y.reshape(n, h_out, w_out, c_out), (x, k, b), "conv2d")
-    if out.requires_grad:
-        def _bw():
-            gm = out.grad.reshape(-1, c_out)
-            if k.requires_grad:
-                # the later blocks share one out buffer: a fresh product per block faults its pages
-                gk, part = patches[:_KGRAD_ROWS].T @ gm[:_KGRAD_ROWS], None
-                for lo in range(_KGRAD_ROWS, len(gm), _KGRAD_ROWS):
-                    part = np.matmul(patches[lo:lo + _KGRAD_ROWS].T, gm[lo:lo + _KGRAD_ROWS], part)
-                    gk += part
-                _accum_owned(k, gk.reshape(k.shape))
-            if b.requires_grad:
-                _accum_owned(b, gm.sum(axis=0))
-            if x.requires_grad:
-                _accum_owned(x, _conv_adjoint(out.grad, k.data, x.shape, stride, padding))
-        out._backward = _bw
-    return out
+    def _bw(g):
+        gm = g.reshape(-1, c_out)
+        if k.requires_grad:
+            # the later blocks share one out buffer: a fresh product per block faults its pages
+            gk, part = patches[:_KGRAD_ROWS].T @ gm[:_KGRAD_ROWS], None
+            for lo in range(_KGRAD_ROWS, len(gm), _KGRAD_ROWS):
+                part = np.matmul(patches[lo:lo + _KGRAD_ROWS].T, gm[lo:lo + _KGRAD_ROWS], part)
+                gk += part
+            _accum_owned(k, gk.reshape(k.shape))
+        if b.requires_grad:
+            _accum_owned(b, gm.sum(axis=0))
+        if x.requires_grad:
+            _accum_owned(x, _conv_adjoint(g, k.data, x.shape, stride, padding))
+    return _make(y.reshape(n, h_out, w_out, c_out), (x, k, b), _bw)
 
 
 def convlstm(x, k, b, h_in, c_in, batch_sizes):
@@ -352,40 +326,37 @@ def convlstm(x, k, b, h_in, c_in, batch_sizes):
     c_next += i * g
     tc = np.tanh(c_next)
 
-    out = _make((o * tc).reshape(state_shape), (x, zn), "convlstm")
-    if out.requires_grad:
-        def _bw():
-            # dL/dz is a factor known from the forward times dc (gates i, f, g)
-            # or dh (gate o); the factors of all steps are formed at once
-            dz = np.stack((g * i * (1.0 - i), cs * f * (1.0 - f), tc * o * (1.0 - o),
-                           i * (1.0 - g * g)), axis=2)                 # [R,P,4,L]
-            dtc = o * (1.0 - tc * tc)                                  # dh_t -> dc_t
-            dhs = out.grad.reshape(n_rows, area, n_hidden)
-            # carried from step t+1 through W_h and f; a block's first rows
-            # are the sequences that reach the next step
-            dh_next, dc_next = np.zeros((2, sizes[0], area, n_hidden), dtype=dtype)
-            ends = np.cumsum(sizes)
-            for t in range(len(sizes) - 1, -1, -1):
-                n_t = sizes[t]
-                rows = slice(ends[t] - n_t, ends[t])
-                dh, dc = dh_next[:n_t], dc_next[:n_t]
-                dh += dhs[rows]
-                dc += dh * dtc[rows]
-                dzt = dz[rows]
-                dzt[:, :, :2] *= dc[:, :, None]
-                dzt[:, :, 2] *= dh
-                dzt[:, :, 3] *= dc
-                dc *= f[rows]
-                if t:
-                    dh.reshape(n_t, h, w, n_hidden)[...] = _conv_adjoint(
-                        dzt.reshape(n_t, h, w, L4), k.data[:, :, n_x:], (n_t, h, w, n_hidden), 1, 1)
-            if zn.requires_grad:
-                _accum_owned(zn, dz.reshape(zn.shape))
-            if x.requires_grad:
-                _accum_owned(x, _conv_adjoint(dz.reshape(n_rows, h, w, L4), k.data[:, :, :n_x],
-                                              x.shape, 1, 1))
-        out._backward = _bw
-    return out, c_next.reshape(state_shape)
+    def _bw(dh_out):     # the output's gradient; g is the tanh gate
+        # dL/dz is a factor known from the forward times dc (gates i, f, g)
+        # or dh (gate o); the factors of all steps are formed at once
+        dz = np.stack((g * i * (1.0 - i), cs * f * (1.0 - f), tc * o * (1.0 - o),
+                       i * (1.0 - g * g)), axis=2)                 # [R,P,4,L]
+        dtc = o * (1.0 - tc * tc)                                  # dh_t -> dc_t
+        dhs = dh_out.reshape(n_rows, area, n_hidden)
+        # carried from step t+1 through W_h and f; a block's first rows
+        # are the sequences that reach the next step
+        dh_next, dc_next = np.zeros((2, sizes[0], area, n_hidden), dtype=dtype)
+        ends = np.cumsum(sizes)
+        for t in range(len(sizes) - 1, -1, -1):
+            n_t = sizes[t]
+            rows = slice(ends[t] - n_t, ends[t])
+            dh, dc = dh_next[:n_t], dc_next[:n_t]
+            dh += dhs[rows]
+            dc += dh * dtc[rows]
+            dzt = dz[rows]
+            dzt[:, :, :2] *= dc[:, :, None]
+            dzt[:, :, 2] *= dh
+            dzt[:, :, 3] *= dc
+            dc *= f[rows]
+            if t:
+                dh.reshape(n_t, h, w, n_hidden)[...] = _conv_adjoint(
+                    dzt.reshape(n_t, h, w, L4), k.data[:, :, n_x:], (n_t, h, w, n_hidden), 1, 1)
+        if zn.requires_grad:
+            _accum_owned(zn, dz.reshape(zn.shape))
+        if x.requires_grad:
+            _accum_owned(x, _conv_adjoint(dz.reshape(n_rows, h, w, L4), k.data[:, :, :n_x],
+                                          x.shape, 1, 1))
+    return _make((o * tc).reshape(state_shape), (x, zn), _bw), c_next.reshape(state_shape)
 
 
 def dense(x, w, b):
@@ -398,18 +369,15 @@ def dense(x, w, b):
         raise ShapeError(f"dense: weight expects rows of {n} values, got {x.shape}")
     if b.shape != (m,):
         raise ShapeError(f"dense: bias shape {b.shape} != ({m},)")
-    out = _make(xf @ w.data.T + b.data, (x, w, b), "dense")
-    if out.requires_grad:
-        def _bw():
-            g = out.grad
-            if w.requires_grad:
-                _accum_owned(w, g.T @ xf)
-            if b.requires_grad:
-                _accum_owned(b, g.sum(axis=0))
-            if x.requires_grad:
-                _accum_owned(x, (g @ w.data).reshape(x.shape))
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        if w.requires_grad:
+            _accum_owned(w, g.T @ xf)
+        if b.requires_grad:
+            _accum_owned(b, g.sum(axis=0))
+        if x.requires_grad:
+            _accum_owned(x, (g @ w.data).reshape(x.shape))
+    return _make(xf @ w.data.T + b.data, (x, w, b), _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +393,7 @@ def softmax(a):
     _check_logits(a, "softmax")
     e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
-    out = _make(y, (a,), "softmax")
-    if out.requires_grad:
-        def _bw():
-            g = out.grad
-            _accum_owned(a, y * (g - (g * y).sum(axis=-1, keepdims=True)))
-        out._backward = _bw
-    return out
+    return _make(y, (a,), lambda g: _accum_owned(a, y * (g - (g * y).sum(axis=-1, keepdims=True))))
 
 
 def log_softmax(a):
@@ -439,13 +401,7 @@ def log_softmax(a):
     _check_logits(a, "log_softmax")
     z = a.data - a.data.max(axis=-1, keepdims=True)
     lp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = _make(lp, (a,), "log_softmax")
-    if out.requires_grad:
-        def _bw():
-            g = out.grad
-            _accum_owned(a, g - np.exp(lp) * g.sum(axis=-1, keepdims=True))
-        out._backward = _bw
-    return out
+    return _make(lp, (a,), lambda g: _accum_owned(a, g - np.exp(lp) * g.sum(axis=-1, keepdims=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +409,7 @@ def log_softmax(a):
 
 def sum_all(a):
     """Sum of all elements, as a scalar tensor."""
-    out = _make(np.asarray(a.data.sum()), (a,), "sum")
-    if out.requires_grad:
-        def _bw():
-            _accum(a, np.broadcast_to(out.grad, a.shape))
-        out._backward = _bw
-    return out
+    return _make(np.asarray(a.data.sum()), (a,), lambda g: _accum(a, np.broadcast_to(g, a.shape)))
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,8 @@ def _decode_config(blob):
             key, _, text = line.partition("=")
             if key not in _CONFIG_KINDS:
                 raise CheckpointError(f"checkpoint config has unknown key {key!r}")
+            if key in values:
+                raise CheckpointError(f"checkpoint config repeats key {key!r}")
             values[key] = parse_value(key, text, _CONFIG_KINDS[key])
         missing = _CONFIG_KINDS.keys() - values.keys()
         if missing:
@@ -195,6 +197,8 @@ def load_checkpoint(path):
             name = r.take(r.u16()).decode()
         except UnicodeDecodeError:
             raise CheckpointError(f"{path}: tensor name is not utf-8") from None
+        if name in weights:
+            raise CheckpointError(f"{path}: tensor {name!r} is stored twice")
         rank = r.u8()
         shape = tuple(r.u32() for _ in range(rank))
         # Python ints: a numpy product of u32 dims can wrap around int64

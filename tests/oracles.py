@@ -105,12 +105,8 @@ def oihw(k):
 
 def permute(a, axes):
     """Graph op: ``a`` with its axes permuted as ``np.transpose`` does; a copy."""
-    out = ad._make(np.ascontiguousarray(a.data.transpose(axes)), (a,), "permute")
-    if out.requires_grad:
-        def _bw():
-            ad._accum(a, out.grad.transpose(np.argsort(axes)))
-        out._backward = _bw
-    return out
+    return ad._make(np.ascontiguousarray(a.data.transpose(axes)), (a,),
+                    lambda g: ad._accum(a, g.transpose(np.argsort(axes))))
 
 
 def to_nchw(a):
@@ -184,22 +180,20 @@ def conv2d_nchw(x, k, b, stride=1, padding=0):
     kmat = k.data.reshape(c_out, -1)
     y = (kmat @ patches.T).reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
     y = y + b.data[:, None, None]
-    out = ad._make(y.reshape(x.shape[:-3] + (c_out, h_out, w_out)), (x, k, b), "conv2d_nchw")
-    if out.requires_grad:
-        def _bw():
-            gm = out.grad.reshape(n, c_out, -1).transpose(1, 0, 2).reshape(c_out, -1)
-            if k.requires_grad:
-                ad._accum(k, (gm @ patches).reshape(k.shape))
-            if b.requires_grad:
-                ad._accum(b, gm.sum(axis=1))
-            if x.requires_grad:
-                padded = (n, c_in, h + 2 * padding, w + 2 * padding)
-                gxp = _col2im_nchw(gm.T @ kmat, padded, kh, kw, stride, h_out, w_out)
-                if padding:
-                    gxp = gxp[:, :, padding:-padding, padding:-padding]
-                ad._accum(x, gxp.reshape(x.shape))
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        gm = g.reshape(n, c_out, -1).transpose(1, 0, 2).reshape(c_out, -1)
+        if k.requires_grad:
+            ad._accum(k, (gm @ patches).reshape(k.shape))
+        if b.requires_grad:
+            ad._accum(b, gm.sum(axis=1))
+        if x.requires_grad:
+            padded = (n, c_in, h + 2 * padding, w + 2 * padding)
+            gxp = _col2im_nchw(gm.T @ kmat, padded, kh, kw, stride, h_out, w_out)
+            if padding:
+                gxp = gxp[:, :, padding:-padding, padding:-padding]
+            ad._accum(x, gxp.reshape(x.shape))
+    return ad._make(y.reshape(x.shape[:-3] + (c_out, h_out, w_out)), (x, k, b), _bw)
 
 
 def conv2d_oracle(x, k, b, stride, padding):
@@ -261,15 +255,13 @@ def concat_channels(a, b):
             or a.shape[:-3] != b.shape[:-3] or a.shape[-2:] != b.shape[-2:]):
         raise ad.ShapeError(f"concat_channels: shapes do not line up: {a.shape}, {b.shape}")
     na = a.shape[-3]
-    out = ad._make(np.concatenate((a.data, b.data), axis=-3), (a, b), "concat")
-    if out.requires_grad:
-        def _bw():
-            if a.requires_grad:
-                ad._accum(a, out.grad[..., :na, :, :])
-            if b.requires_grad:
-                ad._accum(b, out.grad[..., na:, :, :])
-        out._backward = _bw
-    return out
+
+    def _bw(g):
+        if a.requires_grad:
+            ad._accum(a, g[..., :na, :, :])
+        if b.requires_grad:
+            ad._accum(b, g[..., na:, :, :])
+    return ad._make(np.concatenate((a.data, b.data), axis=-3), (a, b), _bw)
 
 
 def lstm_cell(z, c):
@@ -284,23 +276,17 @@ def lstm_cell(z, c):
     g = np.tanh(z.data[..., 3 * L:, :, :])
     c_next = f * c.data + i * g
     tc = np.tanh(c_next)
-    c_out = ad._make(c_next, (z, c), "lstm_cell")
-    h_out = ad._make(o * tc, (z, c_out), "lstm_cell")
-    if c_out.requires_grad:
-        def _bw_h():          # h's gradient reaches c_next here and gate o in _bw_c
-            ad._accum(c_out, h_out.grad * o * (1.0 - tc * tc))
 
-        def _bw_c():
-            dc = c_out.grad
-            dh = np.zeros_like(dc) if h_out.grad is None else h_out.grad
-            if z.requires_grad:
-                ad._accum(z, np.concatenate((dc * g * i * (1.0 - i), dc * c.data * f * (1.0 - f),
-                                             dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)),
-                                            axis=-3))
-            if c.requires_grad:
-                ad._accum(c, dc * f)
-        h_out._backward = _bw_h
-        c_out._backward = _bw_c
+    def _bw_c(dc):        # h's gradient reaches c_next in h's rule and gate o here
+        dh = np.zeros_like(dc) if h_out.grad is None else h_out.grad
+        if z.requires_grad:
+            ad._accum(z, np.concatenate((dc * g * i * (1.0 - i), dc * c.data * f * (1.0 - f),
+                                         dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)),
+                                        axis=-3))
+        if c.requires_grad:
+            ad._accum(c, dc * f)
+    c_out = ad._make(c_next, (z, c), _bw_c)
+    h_out = ad._make(o * tc, (z, c_out), lambda dh: ad._accum(c_out, dh * o * (1.0 - tc * tc)))
     return h_out, c_out
 
 

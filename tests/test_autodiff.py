@@ -315,6 +315,47 @@ def test_backward_rejects_graph_sharing_a_consumed_node():
     np.testing.assert_allclose(x.grad, 4 * x.data, atol=1e-12)
 
 
+def _convlstm_h(x, k, b):
+    h, c_next = ad.convlstm(x, k, b, np.zeros((1, 3, 3, 1)), np.zeros((1, 3, 3, 1)), [1])
+    assert type(c_next) is np.ndarray       # the cell state carries no graph
+    return h
+
+
+# each op, and the constant forms of add and mul, with the shapes of its tensor inputs
+RECORDING_CASES = {
+    "add": (ad.add, [(2, 3), (2, 3)]),
+    "add_const": (lambda a: ad.add(a, 0.5), [(2, 3)]),
+    "mul": (ad.mul, [(2, 3), (2, 3)]),
+    "mul_const": (lambda a: ad.mul(a, -2.0), [(2, 3)]),
+    "sigmoid": (ad.sigmoid, [(2, 3)]),
+    "relu": (ad.relu, [(2, 3)]),
+    "broadcast_mul_channelwise": (ad.broadcast_mul_channelwise, [(1, 3, 3, 2), (1, 3, 3, 1)]),
+    "conv2d": (lambda x, k, b: ad.conv2d(x, k, b, padding=1), [(1, 3, 3, 2), (3, 3, 2, 2), (2,)]),
+    "convlstm": (_convlstm_h, [(1, 3, 3, 2), (3, 3, 3, 4), (4,)]),
+    "dense": (ad.dense, [(2, 3), (4, 3), (4,)]),
+    "softmax": (ad.softmax, [(2, 3)]),
+    "log_softmax": (ad.log_softmax, [(2, 3)]),
+    "sum_all": (ad.sum_all, [(2, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", [n for n in ad.__all__ if n not in
+                                  ("Tensor", "ShapeError", "GraphError", "backward")]
+                         + ["add_const", "mul_const"])
+def test_an_op_records_a_backward_only_when_an_input_requires_grad(name):
+    op, shapes = RECORDING_CASES[name]
+    rng = np.random.default_rng(0)
+    data = [rng.normal(size=shape) for shape in shapes]
+    out = op(*[t64(d) for d in data])
+    assert not out.requires_grad and out._parents == () and out._backward is None
+    for i in range(len(data)):
+        inputs = [t64(d, rg=j == i) for j, d in enumerate(data)]
+        out = op(*inputs)
+        assert out.requires_grad and out._backward is not None
+        ad.backward(ad.sum_all(out))
+        assert [t.grad is not None for t in inputs] == [j == i for j in range(len(data))]
+
+
 # ---------------------------------------------------------------------------
 # gradient checks: every operator against central finite differences
 

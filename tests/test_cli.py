@@ -175,8 +175,9 @@ def rewrite_config(path, edit):
     lambda b: b.replace(b"fe_channels=1,1,1", b"fe_channels=1,1"),
     lambda b: b + b"\ncolour=blue",
     lambda b: b.replace(b"lstm_channels=1", b"lstm_channels=1000000000"),
+    lambda b: b + b"\nlstm_channels=1",
 ], ids=["non-int", "non-utf8", "n_actions-0", "stride-0", "two-fe-channels", "unknown-key",
-        "oversized"])
+        "oversized", "repeated-key"])
 def test_checkpoint_bad_config_raises_checkpoint_error(tmp_path, capsys, edit):
     config = tiny_cfg()
     path = str(tmp_path / "w.ma3c")
@@ -225,6 +226,24 @@ def test_checkpoint_dims_whose_product_wraps_int64_are_rejected(tmp_path):
     Path(path).write_bytes(with_crc(head + struct.pack("<I", 1) + record))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_checkpoint_that_stores_a_tensor_twice_raises_naming_it(tmp_path, capsys):
+    # a second fe1.b record, of 7s, after the ones save_checkpoint wrote
+    config = tiny_cfg()
+    path = str(tmp_path / "w.ma3c")
+    save_checkpoint(init_weights(config, seed=0), config, path)
+    body = Path(path).read_bytes()[:-4]
+    (n,) = struct.unpack_from("<I", body, 8)
+    (count,) = struct.unpack_from("<I", body, 12 + n)
+    record = (struct.pack("<H", 5) + b"fe1.b" + struct.pack("<BI", 1, 1)
+              + np.full(1, 7, "<f4").tobytes())
+    Path(path).write_bytes(with_crc(body[:12 + n] + struct.pack("<I", count + 1)
+                                    + body[16 + n:] + record))
+    with pytest.raises(CheckpointError, match="'fe1.b' is stored twice"):
+        load_checkpoint(path)
+    assert main(["eval", "--ckpt", path, "--episodes", "1"]) == EXIT_CHECKPOINT
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 @pytest.fixture(scope="module")

@@ -179,6 +179,24 @@ def test_loss_derives_the_advantage_from_the_learner_value():
     assert abs(row["value_loss"] - 1.7 ** 2) < 1e-12
 
 
+def test_backward_drops_every_rule_it_ran():
+    # each rule references its own node; dropping it lets reference counting
+    # free a round's graph without the cyclic collector
+    rnd, weights, config = zero_head_round(3, 4)
+    weights = {k: Tensor(t.data, requires_grad=True) for k, t in weights.items()}
+    loss, _ = a3c_loss(rnd, weights, config, np.ones(4), 0.01, 0.5)
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    with_rule = [node for node in nodes.values() if node._backward is not None]
+    assert len(with_rule) > 20
+    ad.backward(loss)
+    assert all(node._backward is None for node in with_rule)
+
+
 def test_loss_rejects_length_mismatch():
     rnd, weights, config = zero_head_round(3, 2)
     for returns in (np.zeros(1), np.zeros(3), np.zeros((1, 2))):
