@@ -2,8 +2,8 @@
 
 Supplies exactly the operator set the masked actor-critic network needs:
 conv2d, the ConvLSTM over packed sequences (one op for a single step and
-for a round of steps), dense, add / mul (by a tensor or a constant),
-sigmoid / relu, the channel-broadcast mask multiply, softmax /
+for a round of steps), dense, add / mul (by a tensor or a constant;
+mul also repeats a mask over channels), sigmoid / relu, softmax /
 log-softmax and the scalar sum.  Each op computes its output and hands
 its gradient rule to ``_make``, which records it only when some input
 requires grad; ``backward()`` replays the recorded graph in reverse
@@ -25,8 +25,7 @@ import numpy as np
 
 __all__ = [
     "Tensor", "ShapeError", "GraphError",
-    "add", "mul", "sigmoid", "relu",
-    "broadcast_mul_channelwise", "conv2d", "convlstm", "dense",
+    "add", "mul", "sigmoid", "relu", "conv2d", "convlstm", "dense",
     "softmax", "log_softmax", "sum_all", "backward",
 ]
 
@@ -47,7 +46,7 @@ class Tensor:
     gradient buffer is shared between rounds.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_consumed")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data)
@@ -55,7 +54,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
-        self._consumed = False
 
     @property
     def shape(self):
@@ -118,16 +116,23 @@ def add(a, b):
 
 
 def mul(a, b):
+    """a * b, by a constant or by a tensor b of a's rank whose axes have a's size or 1.
+
+    b repeats along its size-1 axes (a mask [N,H,W,1] scales every channel
+    of a map [N,H,W,C]), and its gradient is summed over them.
+    """
     if not isinstance(b, Tensor):
         return _make(a.data * b, (a,), lambda g: _accum_owned(a, g * b))
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
+    if b.data.ndim != a.data.ndim or any(m not in (1, n) for n, m in zip(a.shape, b.shape)):
+        raise ShapeError(f"mul: shape {b.shape} does not repeat to {a.shape}")
+    repeated = tuple(i for i, (n, m) in enumerate(zip(a.shape, b.shape)) if m != n)
 
     def _bw(g):
         if a.requires_grad:
             _accum_owned(a, g * b.data)
         if b.requires_grad:
-            _accum_owned(b, g * a.data)
+            gb = g * a.data
+            _accum_owned(b, gb.sum(axis=repeated, keepdims=True) if repeated else gb)
     return _make(a.data * b.data, (a, b), _bw)
 
 
@@ -146,20 +151,6 @@ def sigmoid(a):
 
 def relu(a):
     return _make(np.maximum(a.data, 0.0), (a,), lambda g: _accum_owned(a, g * (a.data > 0)))
-
-
-def broadcast_mul_channelwise(f, m):
-    """Multiply [N,H,W,C] maps by [N,H,W,1] masks replicated across channels."""
-    if f.data.ndim != 4 or m.shape != f.shape[:-1] + (1,):
-        raise ShapeError(f"broadcast_mul_channelwise: need [N,H,W,C] and [N,H,W,1], "
-                         f"got {f.shape} and {m.shape}")
-
-    def _bw(g):
-        if f.requires_grad:
-            _accum_owned(f, g * m.data)
-        if m.requires_grad:
-            _accum_owned(m, (g * f.data).sum(axis=-1, keepdims=True))
-    return _make(f.data * m.data, (f, m), _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -418,42 +409,30 @@ def sum_all(a):
 def backward(loss):
     """Populate .grad on every requires_grad leaf reachable from ``loss``.
 
-    Grads add to what ``.grad`` already holds; training builds fresh
-    leaves for every round, so nothing carries over.  A given graph may
-    be traversed once; rerunning it, or any graph that shares an already
-    traversed interior node, raises GraphError.
+    Grads add to what ``.grad`` already holds.  Running a node's rule
+    spends it: the node keeps its parents but drops its rule, so a graph
+    that holds a spent node raises GraphError before any rule runs.  A
+    scalar leaf as ``loss`` has nothing to spend: each call sets its grad to 1.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if loss._consumed:
-        raise GraphError("backward: this graph was already consumed")
 
-    topo = []
-    visited = set()
-    stack = [(loss, False)]
+    topo, visited = [], set()
+    stack = [(loss, False)] if loss._parents else []     # leaves have no rule to run
     while stack:
         node, expanded = stack.pop()
         if expanded:
             topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        if node._consumed and node._parents:
-            raise GraphError("backward: part of this graph was already consumed")
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited:
-                stack.append((p, False))
+        elif id(node) not in visited:
+            if node._backward is None:      # its rule already ran
+                raise GraphError("backward: this graph, or part of it, was already consumed")
+            visited.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if p._parents and id(p) not in visited)
 
-    loss._consumed = True
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
-        if node._backward is not None:
-            node._backward()
-            # the closure references its own node; dropping it breaks that
-            # cycle, so the graph's saved arrays are freed by reference
-            # counting instead of waiting for the cyclic collector
-            node._backward = None
-            node._consumed = True
-
+        node._backward()
+        # the closure references its own node: dropping it breaks that cycle, so
+        # reference counting frees the graph's arrays, and marks the node spent
+        node._backward = None

@@ -177,18 +177,28 @@ def load_checkpoint(path):
             raw = fh.read()
     except OSError as exc:
         raise CheckpointError(f"{path}: cannot be read: {exc.strerror or exc}") from None
+    try:
+        weights, config = _parse(raw)
+        check_weights(weights, config, on_disk=True)
+    except (CheckpointError, ValueError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    return from_disk_layout(weights, config), config
+
+
+def _parse(raw):
+    """(on-disk weights, config) read from a checkpoint's bytes; the weights are not yet checked."""
     if len(raw) < 4 + 4 + 4:
-        raise CheckpointError(f"{path}: too short to be a checkpoint")
+        raise CheckpointError("too short to be a checkpoint")
     body, (crc,) = raw[:-4], struct.unpack("<I", raw[-4:])
     if zlib.crc32(body) & 0xFFFFFFFF != crc:
-        raise CheckpointError(f"{path}: checksum mismatch")
+        raise CheckpointError("checksum mismatch")
 
     r = _Reader(body)
     if r.take(4) != MAGIC:
-        raise CheckpointError(f"{path}: bad magic")
+        raise CheckpointError("bad magic")
     version = r.u32()
     if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
+        raise CheckpointError(f"unsupported version {version}")
     config = _decode_config(r.take(r.u32()))
     count = r.u32()
     weights = {}
@@ -196,9 +206,9 @@ def load_checkpoint(path):
         try:
             name = r.take(r.u16()).decode()
         except UnicodeDecodeError:
-            raise CheckpointError(f"{path}: tensor name is not utf-8") from None
+            raise CheckpointError("tensor name is not utf-8") from None
         if name in weights:
-            raise CheckpointError(f"{path}: tensor {name!r} is stored twice")
+            raise CheckpointError(f"tensor {name!r} is stored twice")
         rank = r.u8()
         shape = tuple(r.u32() for _ in range(rank))
         # Python ints: a numpy product of u32 dims can wrap around int64
@@ -206,13 +216,8 @@ def load_checkpoint(path):
         try:
             data = data.reshape(shape)
         except ValueError as exc:   # e.g. more dimensions than numpy supports
-            raise CheckpointError(f"{path}: tensor {name!r} has shape {shape}: {exc}") from None
+            raise CheckpointError(f"tensor {name!r} has shape {shape}: {exc}") from None
         weights[name] = data.astype(np.float32, copy=True)
     if r.pos != len(body):
-        raise CheckpointError(f"{path}: trailing bytes after tensor records")
-
-    try:
-        check_weights(weights, config, on_disk=True)
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
-    return from_disk_layout(weights, config), config
+        raise CheckpointError("trailing bytes after tensor records")
+    return weights, config

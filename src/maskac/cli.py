@@ -190,7 +190,7 @@ def _check_out(path, directory=False):
 
 def _prepare_out_dir(args, config):
     """The run directory, ``--out`` or else the config's ``out_dir``, holding config.resolved."""
-    if args.out:
+    if args.out is not None:
         config.raw["out_dir"] = _check_out(args.out, directory=True)
     else:
         reason = _unwritable(config.out_dir, directory=True)
@@ -219,7 +219,7 @@ def cmd_train(args):
 def cmd_eval(args):
     weights, net_config = load_checkpoint(args.ckpt)
     spec = _env_spec_from_args(args)
-    out_csv = _check_out(args.out or f"{args.ckpt}.eval.csv")
+    out_csv = _check_out(f"{args.ckpt}.eval.csv" if args.out is None else args.out)
     stats = evaluate(weights, net_config, spec, args.episodes,
                      mask_transform=MASK_MODES[args.mask], seed=args.seed,
                      greedy=args.greedy)
@@ -265,7 +265,7 @@ def cmd_inject(args):
     row, col = _parse_pair(args.pos, "--pos")
     first, last = _parse_pair(args.window, "--window")
     sprite, stencil = load_sprite(args.sprite, args.stencil_threshold)
-    out_csv = _check_out(args.out or f"{args.ckpt}.inject.csv")
+    out_csv = _check_out(f"{args.ckpt}.inject.csv" if args.out is None else args.out)
     try:
         inj = InjectionSpec(sprite, stencil, position=(row, col),
                             start_frame=args.frame, duration=args.duration)
@@ -300,10 +300,10 @@ def cmd_compare(args):
 
 def cmd_random_baseline(args):
     spec = _env_spec_from_args(args)
-    if args.out:
+    if args.out is not None:
         _check_out(args.out)
     stats = random_baseline(spec, args.episodes, args.seed)
-    if args.out:
+    if args.out is not None:
         write_csv(args.out, ("episode", "return"), enumerate(stats.returns))
     print(f"max={stats.max!r} mean={stats.mean!r} n={stats.n_episodes}")
     return EXIT_OK

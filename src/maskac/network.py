@@ -255,7 +255,7 @@ def _branch(h, w, config, branch, transform):
     m = compute_mask(h, w, branch)
     if transform == "inverse":
         m = invert_mask(m)
-    return ad.broadcast_mul_channelwise(f, m), m
+    return ad.mul(f, m), m
 
 
 def _heads(h, w, config, mask_transform, with_value=True):

@@ -195,6 +195,18 @@ def test_pgm_roundtrip_within_one_level(tmp_path):
     assert np.abs(back - values).max() <= 1.0 / 255.0
 
 
+def test_ppm_roundtrip_and_wrongly_shaped_images_rejected(tmp_path):
+    rgb = np.random.default_rng(1).uniform(0, 1, size=(4, 5, 3))
+    path = str(tmp_path / "c.ppm")
+    netpbm.write_ppm(path, rgb)
+    np.testing.assert_array_equal(netpbm.read_ppm(path), netpbm.quantize(rgb))
+    for write, shape in ((netpbm.write_pgm, (4, 5, 3)), (netpbm.write_ppm, (4, 5)),
+                         (netpbm.write_ppm, (4, 5, 4))):
+        with pytest.raises(ValueError, match="image"):
+            write(str(tmp_path / "bad"), np.zeros(shape))
+    assert not os.path.exists(tmp_path / "bad")
+
+
 def test_upsample_blocks_are_7_7_6():
     grid = np.array([[1.0, 2.0, 3.0],
                      [4.0, 5.0, 6.0],

@@ -119,6 +119,10 @@ def test_conv2d_errors():
         ad.conv2d(x, k_ok, b, stride=0)
     with pytest.raises(ad.ShapeError):
         ad.conv2d(x, t64(np.zeros((9, 9, 2, 3))), b)  # kernel larger than padded input
+    with pytest.raises(ValueError):
+        ad.conv2d(x, k_ok, b, padding=-1)
+    with pytest.raises(ad.ShapeError):
+        ad.conv2d(x, k_ok, t64(np.zeros(2)))
 
 
 def test_conv2d_batch_equals_per_sample_loop():
@@ -170,6 +174,8 @@ def test_dense_shape_error():
         ad.dense(t64(np.zeros((1, 2, 2, 3))), t64(np.zeros((4, 8))), t64(np.zeros(4)))
     with pytest.raises(ad.ShapeError):
         ad.dense(t64(np.zeros(3)), t64(np.zeros((4, 3))), t64(np.zeros(4)))
+    with pytest.raises(ad.ShapeError):
+        ad.dense(t64(np.zeros((1, 3))), t64(np.zeros((4, 3))), t64(np.zeros(3)))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -212,12 +218,23 @@ def test_relu_zeroes_negatives():
 
 
 def test_broadcast_mul_channelwise():
-    f = t64(np.ones((1, 2, 2, 3)))
-    m = t64(np.full((1, 2, 2, 1), 0.25))
-    np.testing.assert_array_equal(ad.broadcast_mul_channelwise(f, m).data,
-                                  np.full((1, 2, 2, 3), 0.25))
-    with pytest.raises(ad.ShapeError):
-        ad.broadcast_mul_channelwise(f, t64(np.ones((1, 3, 3, 1))))
+    # mul repeats a [N,H,W,1] mask over the channels; its output and both
+    # gradients are the plain numpy products and the channel sum, bit for bit
+    rng = np.random.default_rng(6)
+    f = t64(rng.normal(size=(2, 3, 3, 4)), rg=True)
+    m = t64(rng.uniform(size=(2, 3, 3, 1)), rg=True)
+    g = rng.normal(size=f.shape)
+    out = ad.mul(f, m)
+    np.testing.assert_array_equal(out.data, f.data * m.data)
+    ad.backward(ad.sum_all(ad.mul(out, t64(g))))
+    np.testing.assert_array_equal(f.grad, g * m.data)
+    np.testing.assert_array_equal(m.grad, (g * f.data).sum(axis=-1, keepdims=True))
+    for a, b in [((1, 3, 3, 1), (1, 3, 3, 2)),      # b larger than a on an axis
+                 ((1, 3, 3, 2), (3, 3, 1)),         # ranks differ
+                 ((1, 3, 3, 4), (1, 3, 3, 2))]:     # neither 1 nor a's size
+        with pytest.raises(ad.ShapeError) as err:
+            ad.mul(t64(np.ones(a)), t64(np.ones(b)))
+        assert str(a) in str(err.value) and str(b) in str(err.value)
 
 
 def test_add_mul_shape_errors():
@@ -329,7 +346,7 @@ RECORDING_CASES = {
     "mul_const": (lambda a: ad.mul(a, -2.0), [(2, 3)]),
     "sigmoid": (ad.sigmoid, [(2, 3)]),
     "relu": (ad.relu, [(2, 3)]),
-    "broadcast_mul_channelwise": (ad.broadcast_mul_channelwise, [(1, 3, 3, 2), (1, 3, 3, 1)]),
+    "mul_mask": (ad.mul, [(1, 3, 3, 2), (1, 3, 3, 1)]),
     "conv2d": (lambda x, k, b: ad.conv2d(x, k, b, padding=1), [(1, 3, 3, 2), (3, 3, 2, 2), (2,)]),
     "convlstm": (_convlstm_h, [(1, 3, 3, 2), (3, 3, 3, 4), (4,)]),
     "dense": (ad.dense, [(2, 3), (4, 3), (4,)]),
@@ -341,7 +358,7 @@ RECORDING_CASES = {
 
 @pytest.mark.parametrize("name", [n for n in ad.__all__ if n not in
                                   ("Tensor", "ShapeError", "GraphError", "backward")]
-                         + ["add_const", "mul_const"])
+                         + ["add_const", "mul_const", "mul_mask"])
 def test_an_op_records_a_backward_only_when_an_input_requires_grad(name):
     op, shapes = RECORDING_CASES[name]
     rng = np.random.default_rng(0)
@@ -635,7 +652,7 @@ def test_grad_batched_dense_softmax_and_mask():
     mask_params = {"f": t64(nhwc(rng.normal(size=(2, 4, 3, 3)))),
                    "m": t64(nhwc(rng.uniform(0.1, 0.9, size=(2, 1, 3, 3))))}
     c4 = t64(nhwc(rng.normal(size=(2, 4, 3, 3))))
-    _check(lambda p: ad.sum_all(ad.mul(ad.broadcast_mul_channelwise(p["f"], p["m"]), c4)),
+    _check(lambda p: ad.sum_all(ad.mul(ad.mul(p["f"], p["m"]), c4)),
            mask_params)
 
 
@@ -661,9 +678,9 @@ def test_grad_broadcast_mul_and_invert():
         "f": t64(nhwc(rng.normal(size=(1, 4, 3, 3)))),
         "m": t64(nhwc(rng.uniform(0.1, 0.9, size=(1, 1, 3, 3)))),
     }
-    _check(lambda p: ad.sum_all(ad.mul(ad.broadcast_mul_channelwise(p["f"], p["m"]), c)), params)
+    _check(lambda p: ad.sum_all(ad.mul(ad.mul(p["f"], p["m"]), c)), params)
     _check(lambda p: ad.sum_all(ad.mul(
-        ad.broadcast_mul_channelwise(p["f"], ad.add(ad.mul(p["m"], -1.0), 1.0)), c)), params)
+        ad.mul(p["f"], ad.add(ad.mul(p["m"], -1.0), 1.0)), c)), params)
 
 
 def test_grad_softmax_family():

@@ -3,7 +3,9 @@
 import csv
 import errno
 import hashlib
+import math
 import os
+import shutil
 import struct
 import tempfile
 from pathlib import Path
@@ -183,10 +185,50 @@ def test_checkpoint_bad_config_raises_checkpoint_error(tmp_path, capsys, edit):
     path = str(tmp_path / "w.ma3c")
     save_checkpoint(init_weights(config, seed=0), config, path)
     rewrite_config(path, edit)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError) as err:
         load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")
     assert main(["eval", "--ckpt", path, "--episodes", "1"]) == EXIT_CHECKPOINT
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def _record(name, shape):
+    """One tensor record of zeros: name, rank, dims and payload, as save_checkpoint lays it out."""
+    return (struct.pack("<H", len(name)) + name + struct.pack("<B", len(shape))
+            + struct.pack(f"<{len(shape)}I", *shape) + bytes(4 * math.prod(shape)))
+
+
+# every other way the reader refuses a file whose checksum holds: the body
+# built from a saved tiny checkpoint's body, and the words the error names
+_REFUSED_BODIES = {
+    "shorter-than-12-bytes": (lambda body, n: b"MA3C", "too short"),
+    "version-2": (lambda body, n: body[:4] + struct.pack("<I", 2) + body[8:], "version 2"),
+    "config-without-input_hw": (
+        lambda body, n: body[:8] + struct.pack("<I", n - len(b"input_hw=20\n"))
+        + body[12:12 + n].replace(b"input_hw=20\n", b"") + body[12 + n:],
+        "missing ['input_hw']"),
+    "name-not-utf8": (lambda body, n: body[:12 + n] + struct.pack("<I", 1)
+                      + _record(b"fe1.\xff", (1,)), "not utf-8"),
+    "65-dims": (lambda body, n: body[:12 + n] + struct.pack("<I", 1)
+                + _record(b"fe1.b", (1,) * 65), "has shape"),
+    "byte-after-last-record": (lambda body, n: body + b"\x00", "trailing bytes"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_BODIES))
+def test_checkpoint_reader_refusals_name_the_file(tmp_path, capsys, case):
+    config = tiny_cfg()
+    path = str(tmp_path / "w.ma3c")
+    save_checkpoint(init_weights(config, seed=0), config, path)
+    body = Path(path).read_bytes()[:-4]
+    make, words = _REFUSED_BODIES[case]
+    Path(path).write_bytes(with_crc(make(body, struct.unpack_from("<I", body, 8)[0])))
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ") and words in str(err.value)
+    assert main(["eval", "--ckpt", path, "--episodes", "1"]) == EXIT_CHECKPOINT
+    err = capsys.readouterr().err
+    assert err.startswith(f"checkpoint error: {path}: ") and len(err.strip().splitlines()) == 1
 
 
 def test_checkpoint_config_block_of_the_default_config(tmp_path):
@@ -408,7 +450,7 @@ def test_config_defaults_are_the_documented_keys_and_texts():
     ("episode_cap", "0"), ("episode_step_cap", "10000"), ("precision", "double"),
     ("checkpoint_interval", "-5"), ("total_steps", "-5"), ("size", "513"),
     ("size", "99999999999999999999"), ("lstm_channels", "1000000000"),
-    ("branch_channels", "100000000000"),
+    ("branch_channels", "100000000000"), ("t_max", "0"), ("n_workers", "0"),
 ])
 def test_config_value_that_breaks_a_run_exits_2_with_one_line(tmp_path, capsys, key, value):
     settings = dict(total_steps="20", n_workers="1", conv_stride="1",
@@ -465,6 +507,16 @@ def test_generated_config_texts_resolve_or_raise_only_config_error(tmp_path_fact
         pass
 
 
+def test_config_that_exists_but_cannot_be_read_exits_2_with_one_line(tmp_path, capsys):
+    path = "/proc/self/mem"     # a regular file whose read fails with EIO
+    if not os.path.isfile(path):
+        pytest.skip("/proc/self/mem is absent")
+    assert main(["train", path, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {path}")
+    assert len(err.strip().splitlines()) == 1 and not (tmp_path / "run").exists()
+
+
 def test_config_rejects_unknown_key(tmp_path):
     path = write_config(tmp_path / "c.cfg", nonsense="1")
     with pytest.raises(Exception):
@@ -515,6 +567,18 @@ def test_train_writes_metrics_and_loadable_checkpoint(tmp_path):
     assert (out / "metrics.csv").stat().st_size > 0
     weights, config = load_checkpoint(ckpt)
     assert set(weights) == set(weight_shapes(config))
+
+
+def test_train_out_under_missing_parents_is_made_and_under_a_file_exits_5(tmp_path, capsys):
+    cfg_path = write_config(tmp_path / "c.cfg", total_steps="0", **small_net_overrides())
+    assert main(["train", cfg_path, "--out", str(tmp_path / "a" / "b" / "run")]) == EXIT_OK
+    assert (tmp_path / "a" / "b" / "run" / "ckpt_0.ma3c").is_file()
+    (tmp_path / "blocker").write_text("")
+    capsys.readouterr()
+    assert main(["train", cfg_path, "--out", str(tmp_path / "blocker" / "a" / "run")]) \
+        == EXIT_ARGUMENT
+    err = capsys.readouterr().err
+    assert "blocker is not a directory" in err and len(err.strip().splitlines()) == 1
 
 
 def test_train_zero_steps_single_checkpoint(tmp_path):
@@ -590,6 +654,7 @@ def test_a_run_directory_skips_a_checkpoint_name_that_is_no_file(tmp_path, kind)
     good = str(tmp_path / "ckpt_50.ma3c")
     non_finite_checkpoint(good, 0.5)
     unreadable_checkpoint_path(tmp_path, kind)
+    shutil.copy(good, tmp_path / "ckpt_x.ma3c")     # no step in its name
     assert _final_checkpoint(str(tmp_path), 40, load_checkpoint(good)[1]) == good
 
 
@@ -726,32 +791,47 @@ def test_inject_out_of_bounds_sprite(tmp_path):
                  "--frame", "2", "--window", "0,4", "--env", "fuel"]) == EXIT_ARGUMENT
 
 
-@pytest.mark.parametrize("case", ["duration-abc", "missing-sprite", "not-p5", "oversized-header",
-                                  "empty-stencil"])
+# sprite files that are no usable P5 image
+_BAD_SPRITES = {"oversized-header": b"P5\n99999999 99999999\n255\n\x00",
+                "truncated-header": b"P5\n3 3\n", "zero-width": b"P5\n0 3\n255\n",
+                "maxval-65535": b"P5\n1 1\n65535\n\x00\x00",
+                "size-not-a-number": b"P5\nthree 3\n255\n" + bytes(9)}
+# flags with a value that inject refuses, and the words its error names;
+# no sprite byte reaches a stencil threshold of 256
+_BAD_INJECT_FLAGS = {"duration-abc": ("--duration", "abc", "--duration"),
+                     "empty-stencil": ("--stencil-threshold", "256", "stencil"),
+                     "pos-three-numbers": ("--pos", "1,2,3", "--pos"),
+                     "pos-letters": ("--pos", "a,b", "--pos"),
+                     "window-one-number": ("--window", "1", "--window")}
+
+
+@pytest.mark.parametrize("case", ["duration-abc", "missing-sprite", "not-p5", *_BAD_SPRITES,
+                                  "empty-stencil", "pos-three-numbers", "pos-letters",
+                                  "window-one-number"])
 def test_inject_bad_duration_or_sprite_exit_5_with_one_line(tmp_path, capsys, case):
     spec_cfg = NetworkConfig(n_actions=6, fe_channels=(4, 4, 8), lstm_channels=8,
                              branch_channels=4)
     ckpt = str(tmp_path / "w.ma3c")
     save_checkpoint(init_weights(spec_cfg, seed=0), spec_cfg, ckpt)
-    sprite, duration, threshold = write_sprite(tmp_path), "3", "1"
-    if case == "empty-stencil":
-        threshold = "256"   # no byte reaches it
-    elif case == "duration-abc":
-        duration = "abc"
+    flags = {"--sprite": write_sprite(tmp_path), "--pos": "17,0", "--frame": "2",
+             "--window": "0,4", "--env": "fuel", "--duration": "3", "--stencil-threshold": "1"}
+    named = "--sprite"
+    if case in _BAD_INJECT_FLAGS:
+        flag, value, named = _BAD_INJECT_FLAGS[case]
+        flags[flag] = value
     elif case == "missing-sprite":
-        sprite = str(tmp_path / "absent.pgm")
+        flags["--sprite"] = str(tmp_path / "absent.pgm")
     elif case == "not-p5":
-        sprite = str(tmp_path / "sprite.ppm")
-        netpbm.write_ppm(sprite, np.zeros((3, 20, 3)))
+        flags["--sprite"] = str(tmp_path / "sprite.ppm")
+        netpbm.write_ppm(flags["--sprite"], np.zeros((3, 20, 3)))
     else:
-        sprite = str(tmp_path / "huge.pgm")
-        Path(sprite).write_bytes(b"P5\n99999999 99999999\n255\n\x00")
-    assert main(["inject", "--ckpt", ckpt, "--sprite", sprite, "--pos", "17,0",
-                 "--frame", "2", "--window", "0,4", "--env", "fuel",
-                 "--duration", duration, "--stencil-threshold", threshold]) == EXIT_ARGUMENT
+        flags["--sprite"] = str(tmp_path / "bad.pgm")
+        Path(flags["--sprite"]).write_bytes(_BAD_SPRITES[case])
+    assert main(["inject", "--ckpt", ckpt, *(x for kv in flags.items() for x in kv)]) \
+        == EXIT_ARGUMENT
     err = capsys.readouterr().err
     assert err.startswith("invalid argument:") and len(err.strip().splitlines()) == 1
-    assert {"duration-abc": "--duration", "empty-stencil": "stencil"}.get(case, "--sprite") in err
+    assert named in err and not os.path.exists(f"{ckpt}.inject.csv")
 
 
 def test_inject_zero_intensity_full_stencil(tmp_path):
@@ -900,17 +980,18 @@ def _refuse_work(monkeypatch, command):
     ("train", "file"), ("compare", "file"), ("viz", "file"),
     ("eval", "missing-dir"), ("eval", "dir"), ("inject", "missing-dir"),
     ("random-baseline", "missing-dir"),
+    *((command, "empty") for command in _WORK),
 ])
 def test_unwritable_out_exits_5_before_the_work(tmp_path, capsys, monkeypatch, command, out):
     blocker = tmp_path / "blocker"
     blocker.write_text("keep\n")
-    out_path = {"file": blocker, "dir": tmp_path,
+    out_path = {"file": blocker, "dir": tmp_path, "empty": "",
                 "missing-dir": tmp_path / "missing" / "out.csv"}[out]
     config = cfg(fe_channels=(4, 4, 8), lstm_channels=8, branch_channels=4)
     ckpt = str(tmp_path / "w.ma3c")
     save_checkpoint(init_weights(config, seed=0), config, ckpt)
     cfg_path = write_config(tmp_path / "c.cfg", total_steps="20", seeds="0",
-                            **small_net_overrides())
+                            out_dir=str(tmp_path / "out_dir"), **small_net_overrides())
     argv = {"train": [cfg_path], "compare": [cfg_path],
             "eval": ["--ckpt", ckpt], "viz": ["--ckpt", ckpt],
             "inject": ["--ckpt", ckpt, "--sprite", write_sprite(tmp_path), "--pos", "17,0",

@@ -227,6 +227,14 @@ def test_collector_scripted_episode_matches_rules_oracle():
         assert env.score == collector_rules_oracle(seed, actions[:i])
 
 
+def test_collector_ends_with_plus_one_when_the_last_pellet_is_taken():
+    env = make_env(EnvSpec(name="collector", seed=2))
+    env.agent, env.chaser, env.pellets = (4, 4), (8, 8), {(4, 5)}
+    res = env.step(3)               # right, onto the last pellet; the chaser waits
+    assert res.done and res.reward == 1.0
+    assert not env.pellets and env.score == 1.0
+
+
 def test_collector_total_reward_bounded_by_pellets():
     env = make_env(EnvSpec(name="collector", seed=8))
     rng = np.random.default_rng(0)
@@ -350,6 +358,12 @@ def test_injection_out_of_bounds_rejected():
     with pytest.raises(ValueError):
         env.inject(InjectionSpec(sprite, np.ones((4, 4), dtype=bool),
                                  position=(18, 18), start_frame=0))
+
+
+def test_injection_sprite_and_stencil_of_different_shapes_rejected():
+    with pytest.raises(ValueError, match="same shape"):
+        InjectionSpec(np.ones((4, 4)), np.ones((4, 3), dtype=bool), position=(0, 0),
+                      start_frame=0)
 
 
 def test_env_spec_validation():

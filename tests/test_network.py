@@ -261,13 +261,11 @@ def test_apply_mask_limits():
     f = Tensor(nhwc(rng.normal(size=(1, 32, 3, 3))))
     ones = Tensor(np.ones((1, 3, 3, 1)))
     zeros = Tensor(np.zeros((1, 3, 3, 1)))
-    np.testing.assert_array_equal(ad.broadcast_mul_channelwise(f, ones).data, f.data)
-    np.testing.assert_array_equal(ad.broadcast_mul_channelwise(f, zeros).data,
-                                  np.zeros((1, 3, 3, 32)))
+    np.testing.assert_array_equal(ad.mul(f, ones).data, f.data)
+    np.testing.assert_array_equal(ad.mul(f, zeros).data, np.zeros((1, 3, 3, 32)))
     twos = Tensor(np.full((1, 3, 3, 32), 2.0))
     quarter = Tensor(np.full((1, 3, 3, 1), 0.25))
-    np.testing.assert_array_equal(ad.broadcast_mul_channelwise(twos, quarter).data,
-                                  np.full((1, 3, 3, 32), 0.5))
+    np.testing.assert_array_equal(ad.mul(twos, quarter).data, np.full((1, 3, 3, 32), 0.5))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -561,8 +559,6 @@ REMOVED_RANKS = {
     "convlstm-HWC": lambda w: ad.convlstm(Tensor(np.zeros((3, 3, 1))),
                                           Tensor(np.zeros((3, 3, 3, 8))), Tensor(np.zeros(8)),
                                           np.zeros((3, 3, 2)), np.zeros((3, 3, 2)), [1]),
-    "broadcast_mul_channelwise-HWC": lambda w: ad.broadcast_mul_channelwise(
-        Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 2, 1)))),
     "dense-n": lambda w: ad.dense(Tensor(np.zeros(3)), Tensor(np.zeros((4, 3))),
                                   Tensor(np.zeros(4))),
     "softmax-K": lambda w: ad.softmax(Tensor(np.zeros(3))),
@@ -579,6 +575,13 @@ REMOVED_RANKS = {
 def test_removed_ranks_raise_shape_error(case):
     with pytest.raises(ad.ShapeError):
         REMOVED_RANKS[case](net.init_weights(_ROW_CONFIG, seed=0))
+
+
+def test_forward_rejects_an_unknown_mask_transform():
+    config = cfg("both")
+    with pytest.raises(ValueError, match="mask_transform"):
+        net.forward(np.zeros((20, 20)), RecurrentState.zeros(config),
+                    net.init_weights(config, seed=0), config, mask_transform="zeros")
 
 
 def test_forward_rejects_a_frame_of_the_wrong_size():
