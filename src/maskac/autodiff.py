@@ -244,11 +244,9 @@ def conv2d(x, k, b, stride=1, padding=0):
     def _bw(g):
         gm = g.reshape(-1, c_out)
         if k.requires_grad:
-            # the later blocks share one out buffer: a fresh product per block faults its pages
-            gk, part = patches[:_KGRAD_ROWS].T @ gm[:_KGRAD_ROWS], None
+            gk = patches[:_KGRAD_ROWS].T @ gm[:_KGRAD_ROWS]
             for lo in range(_KGRAD_ROWS, len(gm), _KGRAD_ROWS):
-                part = np.matmul(patches[lo:lo + _KGRAD_ROWS].T, gm[lo:lo + _KGRAD_ROWS], part)
-                gk += part
+                gk += patches[lo:lo + _KGRAD_ROWS].T @ gm[lo:lo + _KGRAD_ROWS]
             _accum_owned(k, gk.reshape(k.shape))
         if b.requires_grad:
             _accum_owned(b, gm.sum(axis=0))
@@ -304,14 +302,9 @@ def convlstm(x, k, b, h_in, c_in, batch_sizes):
     area = h * w
     frames = np.concatenate((x.data, h_in), axis=-1, dtype=dtype)
     zn = conv2d(Tensor(frames), k, b, stride=1, padding=1)     # [R,H,W,4L]
-    # the gates overwrite the conv output, which its backward does not read
     z = zn.data.reshape(n_rows, area, 4, n_hidden)
-    s = z[:, :, :3]             # i, f, o: the sigmoid in tanh form, (tanh(v/2) + 1) / 2
-    s *= 0.5
-    np.tanh(z, out=z)
-    s += 1.0
-    s *= 0.5
-    i, f, o, g = (z[:, :, j] for j in range(4))
+    i, f, o = np.moveaxis(_sigmoid(z[:, :, :3]), 2, 0)
+    g = np.tanh(z[:, :, 3])
     cs = np.asarray(c_in, dtype=dtype).reshape(n_rows, area, n_hidden)
     c_next = f * cs
     c_next += i * g

@@ -180,9 +180,12 @@ def _unwritable(path, directory):
     return None if os.access(parent, os.W_OK | os.X_OK) else f"permission denied in {parent}"
 
 
-def _check_out(path, directory=False):
-    """``path`` once it can be written; ``--out`` paths are checked before any work runs."""
+def _check_out(path, directory=False, reads=()):
+    """``path`` once it is writable and none of the input files ``reads``; call before any work."""
     reason = _unwritable(path, directory)
+    if not reason and os.path.exists(path) and any(
+            os.path.exists(src) and os.path.samefile(path, src) for src in reads):
+        reason = "it is an input of this command"
     if reason:
         raise ArgumentProblem(f"--out {path} cannot be written: {reason}")
     return path
@@ -219,7 +222,8 @@ def cmd_train(args):
 def cmd_eval(args):
     weights, net_config = load_checkpoint(args.ckpt)
     spec = _env_spec_from_args(args)
-    out_csv = _check_out(f"{args.ckpt}.eval.csv" if args.out is None else args.out)
+    out_csv = _check_out(f"{args.ckpt}.eval.csv" if args.out is None else args.out,
+                         reads=(args.ckpt,))
     stats = evaluate(weights, net_config, spec, args.episodes,
                      mask_transform=MASK_MODES[args.mask], seed=args.seed,
                      greedy=args.greedy)
@@ -265,7 +269,8 @@ def cmd_inject(args):
     row, col = _parse_pair(args.pos, "--pos")
     first, last = _parse_pair(args.window, "--window")
     sprite, stencil = load_sprite(args.sprite, args.stencil_threshold)
-    out_csv = _check_out(f"{args.ckpt}.inject.csv" if args.out is None else args.out)
+    out_csv = _check_out(f"{args.ckpt}.inject.csv" if args.out is None else args.out,
+                         reads=(args.ckpt, args.sprite))
     try:
         inj = InjectionSpec(sprite, stencil, position=(row, col),
                             start_frame=args.frame, duration=args.duration)

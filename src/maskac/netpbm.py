@@ -43,6 +43,8 @@ def write_ppm(path, rgb):
 
 def _read(path, magic, pixel):
     """The uint8 [H,W,*pixel] payload of a binary netpbm file with this magic."""
+    if not os.path.isfile(path):    # checked first: opening a FIFO with no writer blocks
+        raise ValueError("not found, or not a regular file")
     with open(path, "rb") as fh:
         if fh.read(2) != magic:
             raise ValueError(f"not a {magic.decode()} file")

@@ -288,6 +288,10 @@ def test_log_softmax_consistent_with_softmax():
 # ---------------------------------------------------------------------------
 # backward mechanics
 
+def test_tensor_repr_names_shape_and_grad_flag():
+    assert repr(t64(np.zeros((2, 3)), rg=True)) == "Tensor(shape=(2, 3), requires_grad=True)"
+
+
 def test_backward_sum_gives_ones():
     x = t64(np.arange(6.0).reshape(2, 3), rg=True)
     ad.backward(ad.sum_all(x))
@@ -597,6 +601,23 @@ def test_convlstm_batch_rows_equal_each_sequence_alone():
         sum_gb += gb_i
     np.testing.assert_allclose(gk, sum_gk, rtol=1e-10, atol=1e-13)
     np.testing.assert_allclose(gb, sum_gb, rtol=1e-10, atol=1e-13)
+
+
+def test_convlstm_leaves_its_gate_conv_node_holding_the_pre_activations():
+    # the gates are arrays of their own: the conv node keeps the output it computed
+    rng = np.random.default_rng(35)
+    hidden, hw = 3, 4
+    x = Tensor(nhwc(rng.normal(size=(3, 2, hw, hw))), requires_grad=True)
+    k = Tensor(hwio(rng.normal(scale=0.5, size=(4 * hidden, 2 + hidden, 3, 3))))
+    b = Tensor(rng.normal(scale=0.5, size=4 * hidden))
+    h_in = nhwc(rng.normal(size=(3, hidden, hw, hw)))
+    c_in = nhwc(rng.normal(size=(3, hidden, hw, hw)))
+    h, _ = ad.convlstm(x, k, b, h_in, c_in, [2, 1])
+    assert h._parents[0] is x
+    zn = h._parents[1]
+    fresh = ad.conv2d(Tensor(np.concatenate((x.data, h_in), axis=-1)), k, b, stride=1, padding=1)
+    assert zn.shape == fresh.shape == (3, hw, hw, 4 * hidden)
+    assert zn.data.tobytes() == fresh.data.tobytes()
 
 
 def test_convlstm_rejects_inputs_that_do_not_line_up():

@@ -5,8 +5,11 @@ import errno
 import hashlib
 import math
 import os
+import runpy
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 import zlib
@@ -834,6 +837,27 @@ def test_inject_bad_duration_or_sprite_exit_5_with_one_line(tmp_path, capsys, ca
     assert named in err and not os.path.exists(f"{ckpt}.inject.csv")
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_inject_sprite_that_is_a_fifo_exits_5_without_opening_it(tmp_path):
+    # opening a FIFO that has no writer blocks, so the command runs in a child
+    # whose timeout fails the test instead of hanging it
+    config = cfg(fe_channels=(4, 4, 8), lstm_channels=8, branch_channels=4)
+    ckpt = str(tmp_path / "w.ma3c")
+    save_checkpoint(init_weights(config, seed=0), config, ckpt)
+    fifo = str(tmp_path / "sprite.pgm")
+    os.mkfifo(fifo)
+    src = os.path.dirname(os.path.dirname(netpbm.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "maskac.cli", "inject", "--ckpt", ckpt,
+                           "--sprite", fifo, "--pos", "17,0", "--frame", "2", "--window", "0,4"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_ARGUMENT
+    assert done.stderr.startswith("invalid argument: --sprite")
+    assert len(done.stderr.strip().splitlines()) == 1
+    assert not os.path.exists(f"{ckpt}.inject.csv")
+
+
 def test_inject_zero_intensity_full_stencil(tmp_path):
     out, ckpt = trained_tiny_run(tmp_path, env="fuel")
     sprite = write_sprite(tmp_path, value=0.0)
@@ -874,6 +898,20 @@ def test_negative_seed_exits_5_with_one_line(tmp_path, capsys, command):
 def test_bad_cli_arguments_exit_5():
     assert main(["eval"]) == EXIT_ARGUMENT           # missing --ckpt
     assert main(["frobnicate"]) == EXIT_ARGUMENT     # unknown subcommand
+
+
+# running the module as a script warns that the package imported it first
+@pytest.mark.filterwarnings("ignore:.*found in sys.modules:RuntimeWarning")
+def test_module_run_as_a_script_exits_with_the_command_status(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["maskac", "random-baseline", "--episodes", "2"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("maskac.cli", run_name="__main__")
+    assert stop.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("max=")
+    monkeypatch.setattr(sys, "argv", ["maskac", "random-baseline", "--seed", "-1"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("maskac.cli", run_name="__main__")
+    assert stop.value.code == EXIT_ARGUMENT
 
 
 def test_zero_episodes_exit_5_with_one_line(tmp_path, capsys):
@@ -1004,6 +1042,31 @@ def test_unwritable_out_exits_5_before_the_work(tmp_path, capsys, monkeypatch, c
     assert err.startswith("invalid argument: --out") and len(err.strip().splitlines()) == 1
     assert sorted(os.listdir(tmp_path)) == before
     assert blocker.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("alias", ["same", "relative", "symlink"])
+@pytest.mark.parametrize("command,read", [("eval", "--ckpt"), ("inject", "--ckpt"),
+                                          ("inject", "--sprite")])
+def test_out_that_names_an_input_file_exits_5_and_leaves_it(tmp_path, capsys, command, read,
+                                                            alias):
+    config = cfg(fe_channels=(4, 4, 8), lstm_channels=8, branch_channels=4)
+    ckpt = str(tmp_path / "w.ma3c")
+    save_checkpoint(init_weights(config, seed=0), config, ckpt)
+    flags = {"--ckpt": ckpt, "--episodes": "1"} if command == "eval" else {
+        "--ckpt": ckpt, "--sprite": write_sprite(tmp_path), "--pos": "17,0", "--frame": "2",
+        "--window": "0,4"}
+    target = flags[read]
+    out = {"same": target, "relative": os.path.relpath(target),
+           "symlink": str(tmp_path / "link.csv")}[alias]
+    if alias == "symlink":
+        os.symlink(target, out)
+    kept, before = Path(target).read_bytes(), sorted(os.listdir(tmp_path))
+    assert main([command, *(x for kv in flags.items() for x in kv), "--out", out]) \
+        == EXIT_ARGUMENT
+    err = capsys.readouterr().err
+    assert err.startswith("invalid argument: --out") and len(err.strip().splitlines()) == 1
+    assert Path(target).read_bytes() == kept
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 @pytest.mark.parametrize("command", ["train", "compare"])

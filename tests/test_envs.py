@@ -8,7 +8,7 @@ import pytest
 
 from maskac.envs import (AGENT, CHASER, FUEL_BAR, TARGET, WALL,
                          CatchEnv, CollectorEnv, EnvSpec, FuelEnv,
-                         InjectionSpec, make_env)
+                         InjectionSpec, _BaseEnv, make_env)
 
 
 def collector_rules_oracle(seed, actions, size=20, n_pellets=8):
@@ -92,6 +92,20 @@ def scripted_run_digest(name, size):
 ])
 def test_scripted_run_matches_golden_digest(name, size, expected):
     assert scripted_run_digest(name, size) == expected
+
+
+def test_an_env_without_its_hooks_raises_not_implemented():
+    class Bare(_BaseEnv):
+        action_names = ("stay",)
+
+    env = Bare(EnvSpec())
+    with pytest.raises(NotImplementedError):
+        env.reset()          # _reset_layout
+    with pytest.raises(NotImplementedError):
+        env.observe()        # _draw
+    env.done = False
+    with pytest.raises(NotImplementedError):
+        env.step(0)          # _advance
 
 
 def test_collector_agent_is_drawn_over_the_chaser_that_caught_it():

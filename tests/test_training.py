@@ -626,10 +626,10 @@ def test_clipping_equals_prescaled_gradient():
 @pytest.mark.parametrize("clip_scale", [None, 0.37])
 def test_in_place_rmsprop_is_bit_identical_to_the_formula(clip_scale, dtype):
     rng = np.random.default_rng(5)
-    # c.w spans three slices of the update, the last one partial
+    # c.w has tens of thousands of elements, like a layer of the default network, and an odd length
     weights = {"a.w": Tensor(rng.normal(size=(3, 3)).astype(dtype)),
                "b.w": Tensor(rng.normal(size=(4,)).astype(dtype)),
-               "c.w": Tensor(rng.normal(size=(2 * tr._APPLY_CHUNK + 7,)).astype(dtype))}
+               "c.w": Tensor(rng.normal(size=(2 * 16384 + 7,)).astype(dtype))}
     shared = SharedParams(weights)
     values = {k: t.data.copy() for k, t in weights.items()}
     ms = {k: np.zeros_like(v) for k, v in values.items()}
