@@ -30,6 +30,7 @@ import zlib
 
 import numpy as np
 
+from .autodiff import Tensor
 from .network import NetworkConfig, check_weights, from_disk_layout, to_disk_layout
 
 MAGIC = b"MA3C"
@@ -109,8 +110,8 @@ def save_checkpoint(weights, config, path):
     arrays = {}
     with np.errstate(over="ignore"):   # a value past float32's range becomes inf, refused below
         for name, value in weights.items():
-            data = value.data if hasattr(value, "data") else value
-            arrays[name] = np.ascontiguousarray(np.asarray(data), dtype="<f4")
+            data = value.data if isinstance(value, Tensor) else value
+            arrays[name] = np.ascontiguousarray(data, dtype="<f4")
     check_weights(arrays, config)
     arrays = to_disk_layout(arrays, config)
 

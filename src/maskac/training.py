@@ -348,14 +348,17 @@ def _worker_loop(envs, rngs, shared, config, hyper, metrics, out_dir, checkpoint
 def train(config, hyper, env_spec, seed, out_dir, checkpoint_interval=50_000, log=None):
     """Run the lockstep training loop in float32 until the global step budget is met.
 
-    Raises ``VariantError`` before anything is written if ``config`` does
-    not fit the env.  Writes the initial ckpt_0.ma3c, a metrics.csv and,
-    from ``_worker_loop``, the later ckpt_<step>.ma3c files into
-    ``out_dir``; returns the path of the final checkpoint.  ``log`` gets
-    one closing line: steps, steps/s, updates and skipped updates, then
-    each of ``PHASES`` as a share of the wall time.
+    Raises ``VariantError`` if ``config`` does not fit the env, and
+    ValueError for a negative ``checkpoint_interval`` (0 saves no periodic
+    checkpoint), before anything is written.  Writes the initial
+    ckpt_0.ma3c, a metrics.csv and, from ``_worker_loop``, the later
+    ckpt_<step>.ma3c files into ``out_dir``; returns the path of the final
+    checkpoint.  ``log`` gets one closing line: steps, steps/s, updates and
+    skipped updates, then each of ``PHASES`` as a share of the wall time.
     """
     check_env_fit(config, env_spec)
+    if checkpoint_interval < 0:
+        raise ValueError(f"checkpoint_interval must be >= 0, got {checkpoint_interval}")
     os.makedirs(out_dir, exist_ok=True)
     shared = SharedParams(init_weights(config, seed))
     checkpoint.save_checkpoint(shared.values, config, _ckpt_path(out_dir, 0))
@@ -392,28 +395,23 @@ VARIANTS = (
 )
 
 
-def _final_checkpoint(run_dir, min_steps, config):
-    """The highest-step checkpoint in ``run_dir`` that reaches ``min_steps`` and stores ``config``.
+# the record of a finished run, which ``compare_variants`` writes once ``train`` returns
+RECORD = "completed.txt"
 
-    A checkpoint that does not load counts as absent; None if none is left.
-    """
-    if not os.path.isdir(run_dir):
-        return None
-    found = []
-    for name in os.listdir(run_dir):
-        if name.startswith("ckpt_") and name.endswith(".ma3c"):
-            try:
-                step = int(name[5:-5])
-            except ValueError:
-                continue
-            if step >= min_steps:
-                found.append((step, os.path.join(run_dir, name)))
-    for _, path in sorted(found, reverse=True):
-        try:
-            if checkpoint.load_checkpoint(path)[1] == config:
-                return path
-        except checkpoint.CheckpointError:
-            continue
+
+def _finished_run(record, head, config):
+    """(path, weights) of the checkpoint that ``record`` names after ``head``, if it loads and
+    stores ``config``; None for a missing, cut-short, unreadable or other record."""
+    try:
+        if os.path.isfile(record):      # a FIFO is never opened
+            with open(record, encoding="utf-8") as fh:
+                before, _, name = fh.read().partition("final_checkpoint=")
+            if before == head and name.endswith("\n"):
+                path = os.path.join(os.path.dirname(record), name[:-1])
+                weights, stored = checkpoint.load_checkpoint(path)
+                return (path, weights) if stored == config else None
+    except (OSError, ValueError, checkpoint.CheckpointError):     # ValueError: not UTF-8
+        pass
     return None
 
 
@@ -423,11 +421,16 @@ def compare_variants(env_spec, config, seeds, hyper, episodes, out_dir,
 
     Returns the table rows (one per variant x seed, plus a best-of-seeds
     row per variant selected by mean) and writes variants.csv in out_dir.
-    A run under out_dir with a checkpoint of the same network that reaches
-    the step budget is reused, not trained again; the other hyperparameters
-    are not stored in checkpoints and are not compared.  A network that
-    does not fit the env raises ``VariantError`` before anything is written.
+    Each run that ``train`` finishes gets a ``RECORD``: every setting that
+    shapes its weights (not the env's seed, from which ``train`` derives
+    each worker's, nor the checkpoint interval or the episodes scored),
+    then its final checkpoint.  A run whose record holds this call's
+    settings and whose checkpoint loads is reused, not trained again.  A
+    repeated seed raises ValueError, and a network that does not fit the
+    env ``VariantError``, before anything is written.
     """
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds must not repeat a seed, got {list(seeds)}")
     check_env_fit(config, env_spec)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
@@ -437,14 +440,24 @@ def compare_variants(env_spec, config, seeds, hyper, episodes, out_dir,
         per_seed = []
         for seed in seeds:
             run_dir = os.path.join(out_dir, variant, f"seed_{seed}")
-            ckpt = _final_checkpoint(run_dir, hyper.total_steps, variant_config)
-            if ckpt is None:
+            record = os.path.join(run_dir, RECORD)
+            head = "".join(f"{key}={checkpoint.format_value(value)}\n" for key, value in (
+                *dataclasses.asdict(variant_config).items(), *dataclasses.asdict(hyper).items(),
+                ("env", env_spec.name), ("size", env_spec.size),
+                ("episode_cap", env_spec.episode_cap), ("seed", seed)))
+            finished = _finished_run(record, head, variant_config)
+            if finished is None:
                 if log:
                     log(f"training {variant} seed={seed} for {hyper.total_steps} steps")
+                if os.path.lexists(record):     # a run killed from here on leaves no record
+                    os.remove(record)
                 ckpt = train(variant_config, hyper, env_spec, seed, run_dir,
                              checkpoint_interval=checkpoint_interval, log=log)
-            weights, ckpt_config = checkpoint.load_checkpoint(ckpt)
-            stats = evaluate(weights, ckpt_config, env_spec, episodes,
+                with open(record, "w", encoding="utf-8") as fh:
+                    fh.write(f"{head}final_checkpoint={os.path.basename(ckpt)}\n")
+                finished = ckpt, checkpoint.load_checkpoint(ckpt)[0]
+            ckpt, weights = finished
+            stats = evaluate(weights, variant_config, env_spec, episodes,
                              seed=EVAL_SEED, greedy=True)
             row = {"variant": variant, "policy_mask": pol, "value_mask": val,
                    "seed": seed, "max": stats.max, "mean": stats.mean, "ckpt": ckpt}

@@ -6,7 +6,6 @@ import hashlib
 import math
 import os
 import runpy
-import shutil
 import struct
 import subprocess
 import sys
@@ -27,7 +26,7 @@ from maskac.cli import (CONFIG_DEFAULTS, EXIT_ARGUMENT, EXIT_CHECKPOINT,
                         EXIT_CONFIG, EXIT_OK, EXIT_VARIANT, ResolvedConfig,
                         main, parse_config_file)
 from maskac.network import NetworkConfig, init_weights, weight_shapes
-from maskac.training import _final_checkpoint
+from maskac.training import RECORD
 
 
 def cfg(policy=True, value=True, **kw):
@@ -66,10 +65,13 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
         assert set(loaded) == set(weights)
         for k in weights:
             assert np.array_equal(loaded[k], weights[k].data)
-        # saving what was loaded reproduces the same bytes
-        path2 = str(tmp_path / "again.ma3c")
-        save_checkpoint(loaded, loaded_config, path2)
-        assert Path(path).read_bytes() == Path(path2).read_bytes()
+        # saving what was loaded reproduces the same bytes, also from float64 or
+        # Fortran-ordered arrays
+        for arrays in (loaded, {k: v.astype(np.float64) for k, v in loaded.items()},
+                       {k: np.asfortranarray(v) for k, v in loaded.items()}):
+            path2 = str(tmp_path / "again.ma3c")
+            save_checkpoint(arrays, loaded_config, path2)
+            assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
 # sha256 of the checkpoint of ``init_weights(NetworkConfig(), 0)``, as written
@@ -351,16 +353,6 @@ def test_non_finite_checkpoint_exits_3_with_one_line(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("checkpoint error:") and len(err.strip().splitlines()) == 1
     assert "policy_mask.b" in err and not (tmp_path / "viz").exists()
-
-
-def test_a_run_directory_skips_a_checkpoint_with_a_non_finite_weight(tmp_path):
-    # compare reuses the highest-step checkpoint that loads; a NaN payload does not
-    good = str(tmp_path / "ckpt_50.ma3c")
-    non_finite_checkpoint(good, 0.5)
-    non_finite_checkpoint(str(tmp_path / "ckpt_100.ma3c"), np.nan)
-    config = load_checkpoint(good)[1]
-    assert _final_checkpoint(str(tmp_path), 40, config) == good
-    assert _final_checkpoint(str(tmp_path), 60, config) is None
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39], ids=["nan", "inf", "float32-overflow"])
@@ -651,14 +643,28 @@ def test_unreadable_checkpoint_path_exits_3_with_one_line(tmp_path, capsys, kind
     assert path in err
 
 
-@pytest.mark.parametrize("kind", ["fifo", "directory"])
-def test_a_run_directory_skips_a_checkpoint_name_that_is_no_file(tmp_path, kind):
-    # compare's reuse check passes over the higher-step name without opening it
-    good = str(tmp_path / "ckpt_50.ma3c")
-    non_finite_checkpoint(good, 0.5)
-    unreadable_checkpoint_path(tmp_path, kind)
-    shutil.copy(good, tmp_path / "ckpt_x.ma3c")     # no step in its name
-    assert _final_checkpoint(str(tmp_path), 40, load_checkpoint(good)[1]) == good
+@pytest.mark.parametrize("kind", ["nan", "fifo", "directory"])
+def test_compare_retrains_a_run_whose_recorded_checkpoint_does_not_load(tmp_path, capsys, kind):
+    # the record is made to name ckpt_500.ma3c: a NaN payload, or a name that is no file
+    config = write_config(tmp_path / "compare.cfg", total_steps="20", n_workers="1", t_max="10",
+                          seeds="0", eval_episodes="1", **small_net_overrides())
+    out = tmp_path / "cmp"
+
+    def trained():
+        assert main(["compare", config, "--out", str(out)]) == EXIT_OK
+        return [line.split()[1] for line in capsys.readouterr().out.splitlines()
+                if line.startswith("training ")]
+
+    assert trained() == ["vanilla", "policy", "value", "both"]
+    run = out / "both" / "seed_0"
+    if kind == "nan":
+        non_finite_checkpoint(str(run / "ckpt_500.ma3c"), np.nan)
+    else:
+        unreadable_checkpoint_path(run, kind)
+    record = (run / RECORD).read_text()
+    (run / RECORD).write_text(record[:record.rindex("=") + 1] + "ckpt_500.ma3c\n")
+    assert trained() == ["both"]
+    assert (run / RECORD).read_text() == record
 
 
 def test_eval_inverse_on_vanilla_exit_4(tmp_path):

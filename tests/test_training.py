@@ -967,3 +967,88 @@ def test_compare_variants_retrains_a_run_of_another_network(tmp_path):
                                 out_dir=str(tmp_path))
         for row in rows:
             assert load_checkpoint(row["ckpt"])[1].lstm_channels == lstm_channels
+
+
+VARIANT_NAMES = [name for name, _, _ in tr.VARIANTS]
+TINY_COMPARE = dict(total_steps=20, n_workers=1, t_max=10)    # catch: a final ckpt_29
+
+
+def compare_trains(out, spec=EnvSpec(name="catch"), **hyper):
+    """The variants, in order, that a one-seed ``compare_variants`` into ``out`` trains."""
+    logged = []
+    compare_variants(spec, small_base_config(), [0], Hyperparams(**{**TINY_COMPARE, **hyper}),
+                     1, str(out), log=logged.append)
+    return [line.split()[1] for line in logged if line.startswith("training ")]
+
+
+@pytest.mark.parametrize("change", [
+    # at 25 steps the budget still lies below the first runs' final ckpt_29
+    dict(lr=5e-2), dict(total_steps=25), dict(total_steps=10),
+    dict(spec=EnvSpec(name="catch", episode_cap=10)),
+], ids=["lr", "more-steps", "fewer-steps", "episode-cap"])
+def test_compare_variants_retrains_every_variant_when_a_setting_changed(tmp_path, change):
+    assert compare_trains(tmp_path) == VARIANT_NAMES
+    assert compare_trains(tmp_path, **change) == VARIANT_NAMES
+    assert compare_trains(tmp_path, **change) == []      # the new runs are reused in turn
+
+
+def test_compare_variants_retrains_a_run_whose_checkpoint_stores_another_network(tmp_path):
+    compare_trains(tmp_path)
+    vanilla = (tmp_path / "vanilla" / "seed_0" / "ckpt_29.ma3c").read_bytes()
+    (tmp_path / "both" / "seed_0" / "ckpt_29.ma3c").write_bytes(vanilla)
+    assert compare_trains(tmp_path) == ["both"]
+
+
+def _replace_by_fifo(path):
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("os.mkfifo is not available")
+    path.unlink()
+    os.mkfifo(path)           # opening it to read would block until a writer comes
+
+
+@pytest.mark.parametrize("damage", [
+    Path.unlink,      # as a run killed before it finished, or one written before runs had records
+    lambda p: p.write_bytes(p.read_bytes()[:-1]),
+    lambda p: p.write_bytes(p.read_bytes()[:len(p.read_bytes()) // 2]),
+    lambda p: p.write_bytes(b""),
+    lambda p: p.write_bytes(p.read_bytes().replace(b"lr=", b"lr=\xff")),
+    _replace_by_fifo,
+], ids=["missing", "no-final-newline", "cut-in-half", "empty", "not-utf-8", "fifo"])
+def test_compare_variants_retrains_a_run_whose_record_is_missing_or_damaged(tmp_path, damage):
+    compare_trains(tmp_path)
+    record = tmp_path / "both" / "seed_0" / tr.RECORD
+    text = record.read_text()
+    damage(record)
+    assert compare_trains(tmp_path) == ["both"]
+    assert record.read_text() == text
+
+
+def test_a_compare_run_killed_while_it_retrains_leaves_no_record(tmp_path, monkeypatch):
+    # killed after writing a final checkpoint under the old run's name, before its record
+    compare_trains(tmp_path)
+    real_train = tr.train
+
+    def killed_after_training(*args, **kwargs):
+        real_train(*args, **kwargs)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(tr, "train", killed_after_training)
+    with pytest.raises(KeyboardInterrupt):
+        compare_trains(tmp_path, lr=5e-2)
+    monkeypatch.undo()
+    assert not (tmp_path / "vanilla" / "seed_0" / tr.RECORD).exists()
+    assert compare_trains(tmp_path) == ["vanilla"]
+
+
+def test_compare_variants_refuses_a_repeated_seed_before_anything_is_written(tmp_path):
+    with pytest.raises(ValueError, match="repeat"):
+        compare_variants(EnvSpec(name="catch"), small_base_config(), [0, 1, 0],
+                         Hyperparams(**TINY_COMPARE), 1, str(tmp_path / "cmp"))
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_train_refuses_a_negative_checkpoint_interval_before_anything_is_written(tmp_path):
+    with pytest.raises(ValueError, match="checkpoint_interval"):
+        train(small_cfg(), Hyperparams(**TINY_COMPARE), EnvSpec(name="catch"), seed=0,
+              out_dir=str(tmp_path / "run"), checkpoint_interval=-5)
+    assert not (tmp_path / "run").exists()
